@@ -33,7 +33,7 @@ from . import young as young_mod
 from .mesh import (GeometryError, MeshFormatError, TopologyError, load_mesh,
                    regularity, triangulated_rectangle, uniform_interval_mesh)
 from .physics import make_flux
-from .scheme import CellField, cell_averages
+from .scheme import CellField, cell_averages, state_range
 from .vtkio import write_vtk
 
 __all__ = ["main"]
@@ -153,17 +153,13 @@ def _cmd_converge(args) -> int:
 def _cmd_entropy_audit(args) -> int:
     cfg = _load_config(args)
     spec = harness.PROBLEMS[cfg.problem]
-    exact_regime = (cfg.reconstruction == "constant"
-                    and cfg.time_integrator == "euler"
-                    and cfg.flux_rule != "central")
+    exact_regime = harness.exact_regime(cfg)
     reports = []
     hs = []
     flux = None
     for lvl in range(cfg.levels):
         traj, flux = harness.solve_level(cfg, lvl)
-        lo = min(float(f.values.min()) for f in traj.fields)
-        hi = max(float(f.values.max()) for f in traj.fields)
-        k_grid = entropy_mod.kruzkov_k_grid(lo, hi, n=cfg.k_points,
+        k_grid = entropy_mod.kruzkov_k_grid(*state_range(traj), n=cfg.k_points,
                                             extra=spec.states)
         reports.append(entropy_mod.run_entropy_audit(
             traj, flux, cfg.scheme(), k_grid))
@@ -222,9 +218,7 @@ def _cmd_kinetic_audit(args) -> int:
     flux = None
     for lvl in range(cfg.levels):
         traj, flux = harness.solve_level(cfg, lvl)
-        lo = min(float(f.values.min()) for f in traj.fields)
-        hi = max(float(f.values.max()) for f in traj.fields)
-        grid = kinetic_mod.VGrid.for_range(lo, hi, n=cfg.n_v)
+        grid = kinetic_mod.VGrid.for_range(*state_range(traj), n=cfg.n_v)
         dm = kinetic_mod.defect_measure(
             kinetic_mod.kinetic_residual(traj, flux, grid))
         scores.append(dm.negativity_score)
@@ -242,8 +236,7 @@ def _cmd_kinetic_audit(args) -> int:
     base_dm = kinetic_mod.defect_measure(kinetic_mod.kinetic_residual(
         frozen, base_flux, kinetic_mod.VGrid.for_range(-1.0, 1.0, n=cfg.n_v)))
 
-    lo = min(float(f.values.min()) for f in finest_traj.fields)
-    hi = max(float(f.values.max()) for f in finest_traj.fields)
+    lo, hi = state_range(finest_traj)
     nd = None
     if hi - lo > 1e-8:
         nd = kinetic_mod.nondegeneracy(flux, (lo, hi), seed=cfg.seed)

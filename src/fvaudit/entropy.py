@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scheme import (CellField, ConfigurationError, SchemeConfig,
-                     numerical_flux, _face_states)
+                     numerical_flux, state_range, _face_states)
 
 __all__ = [
     "EntropyResidualField",
@@ -168,9 +168,7 @@ def run_entropy_audit(traj, flux, config: SchemeConfig, k_grid=None,
                       tol: float = 1e-12) -> EntropyAuditReport:
     """Check the cell entropy inequality on every accepted step of a run."""
     if k_grid is None:
-        lo = min(float(f.values.min()) for f in traj.fields)
-        hi = max(float(f.values.max()) for f in traj.fields)
-        k_grid = kruzkov_k_grid(lo, hi)
+        k_grid = kruzkov_k_grid(*state_range(traj))
     k_grid = np.asarray(k_grid, dtype=float)
     per_step = np.zeros(max(len(traj) - 1, 0))
     for i in range(len(traj) - 1):

@@ -22,7 +22,7 @@ from . import young as young_mod
 from .mesh import Mesh, triangulated_rectangle, uniform_interval_mesh
 from .physics import FluxModel, ReferenceSolution, make_flux, reference
 from .scheme import (CellField, SchemeConfig, Trajectory, cell_averages, run,
-                     twin_run)
+                     state_range, twin_run)
 from .vtkio import write_vtk
 
 __all__ = [
@@ -36,6 +36,7 @@ __all__ = [
     "fit_rate",
     "parse_config",
     "config_echo",
+    "exact_regime",
     "build_problem_mesh",
     "initial_field",
     "solve_level",
@@ -163,7 +164,6 @@ _CONFIG_FIELDS: dict[str, Callable] = {
     "lf_dissipation_mode": str,
     "base_n": int,
     "levels": int,
-    "t_final": float,
     "audits": str,     # "auto", "none" or comma-separated names
     "seed": int,
     "n_v": int,
@@ -231,11 +231,7 @@ class StudyConfig:
         names = []
         if spec.periodic:
             names.append("conservation")
-        exact_regime = (self.reconstruction == "constant"
-                        and self.time_integrator == "euler"
-                        and self.flux_rule in ("godunov", "lax_friedrichs",
-                                               "engquist_osher"))
-        if exact_regime:
+        if exact_regime(self):
             names.append("max_principle")
             if spec.dim == 1:
                 names.append("tv")
@@ -243,6 +239,12 @@ class StudyConfig:
                 names.append("contraction")
             names.append("entropy")
         return tuple(names)
+
+
+def exact_regime(cfg: StudyConfig) -> bool:
+    """First-order E-flux runs, where the exact audits must hold to rounding."""
+    return (cfg.reconstruction == "constant" and cfg.time_integrator == "euler"
+            and cfg.flux_rule in ("godunov", "lax_friedrichs", "engquist_osher"))
 
 
 def parse_config(pairs, base: StudyConfig | None = None) -> StudyConfig:
@@ -393,9 +395,8 @@ def _audit_contraction(traj: Trajectory, flux, scheme_cfg: SchemeConfig) -> Audi
 
 def _audit_entropy(traj: Trajectory, flux, scheme_cfg: SchemeConfig,
                    spec: ProblemSpec, k_points: int) -> AuditResult:
-    lo = min(float(f.values.min()) for f in traj.fields)
-    hi = max(float(f.values.max()) for f in traj.fields)
-    k_grid = entropy_mod.kruzkov_k_grid(lo, hi, n=k_points, extra=spec.states)
+    k_grid = entropy_mod.kruzkov_k_grid(*state_range(traj), n=k_points,
+                                        extra=spec.states)
     rpt = entropy_mod.run_entropy_audit(traj, flux, scheme_cfg, k_grid,
                                         tol=_EXACT_TOL)
     return AuditResult("entropy", rpt.worst, rpt.tol, rpt.passed,

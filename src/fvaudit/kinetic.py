@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import Mesh
-from .scheme import CellField, Trajectory
+from .scheme import CellField, Trajectory, state_range
 
 __all__ = [
     "VGrid",
@@ -157,9 +157,7 @@ def kinetic_residual(traj: Trajectory, flux, grid: VGrid | None = None) -> Kinet
     if len(traj) < 2:
         raise ValueError("need at least one step")
     if grid is None:
-        lo = min(float(f.values.min()) for f in traj.fields)
-        hi = max(float(f.values.max()) for f in traj.fields)
-        grid = VGrid.for_range(lo, hi)
+        grid = VGrid.for_range(*state_range(traj))
 
     L, R = mesh.face_left, mesh.face_right
     c = flux.dfn(grid.centers[None, :], mesh.face_normal)  # (n_f, n_v)

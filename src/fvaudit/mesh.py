@@ -502,10 +502,7 @@ def build_mesh(source: str) -> Mesh:
         ln, parts = tokens[pos]
         raise MeshFormatError(f"trailing content {' '.join(parts)!r}", ln)
 
-    try:
-        return _assemble(dim, verts, cells, boundary)
-    except (GeometryError, TopologyError):
-        raise
+    return _assemble(dim, verts, cells, boundary)
 
 
 def load_mesh(path) -> Mesh:
@@ -548,19 +545,19 @@ def triangulated_rectangle(nx: int, ny: int | None = None,
     ys = np.linspace(y0, y1, ny + 1)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     verts = np.column_stack([gx.ravel(), gy.ravel()])
+
+    def vid(i, j):
+        return i * (ny + 1) + j
+
     if jitter > 0.0:
         rng = np.random.default_rng(seed)
         dx, dy = (x1 - x0) / nx, (y1 - y0) / ny
         interior = np.ones(len(verts), dtype=bool)
-        vid = lambda i, j: i * (ny + 1) + j
         for i in range(nx + 1):
             interior[vid(i, 0)] = interior[vid(i, ny)] = False
         for j in range(ny + 1):
             interior[vid(0, j)] = interior[vid(nx, j)] = False
         verts[interior] += rng.uniform(-jitter, jitter, (interior.sum(), 2)) * (dx, dy)
-
-    def vid(i, j):
-        return i * (ny + 1) + j
 
     cells = []
     for i in range(nx):

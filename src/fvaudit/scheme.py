@@ -28,6 +28,7 @@ __all__ = [
     "SchemeConfig",
     "Reconstruction",
     "Trajectory",
+    "state_range",
     "ConfigurationError",
     "StabilityError",
     "cell_averages",
@@ -390,6 +391,13 @@ class Trajectory:
         if err[i] > tol:
             raise ValueError(f"no recorded field at t={t}")
         return self.fields[i]
+
+
+def state_range(traj: Trajectory) -> tuple[float, float]:
+    """Smallest and largest cell average over every level of a run."""
+    lo = min(float(f.values.min()) for f in traj.fields)
+    hi = max(float(f.values.max()) for f in traj.fields)
+    return lo, hi
 
 
 _MAX_STEPS = 10_000_000

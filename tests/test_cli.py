@@ -139,6 +139,16 @@ def test_entropy_audit_csv(tmp_path, capsys):
     assert {r.split(",")[0] for r in rows} == {"0", "1"}
 
 
+def test_entropy_audit_buckley_leverett(tmp_path, capsys):
+    # the nonconvex flux gets exact oracles from its critical points too
+    rc = main(["entropy-audit", "--set", "problem=buckley_leverett_step",
+               "--set", "levels=2", "--out", str(tmp_path)])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "entropy inequality" in out and "PASS" in out
+    assert "FAIL" not in out
+
+
 def test_kinetic_audit_csv(tmp_path):
     # the 10x frozen-baseline separation needs the fan reasonably resolved
     rc = main(["kinetic-audit", "--set", "problem=expansion_shock",

@@ -37,6 +37,8 @@ def test_linear_advection_derivative_is_velocity():
     d = flux.df(u)
     assert d.shape == (3, 2)
     assert np.allclose(d, [1.0, 0.0])
+    # a vector velocity still leaves the model hashable, and equal by value
+    assert hash(flux) == hash(make_flux("linear_advection", a=np.array([1.0, 0.0])))
 
 
 def test_buckley_leverett_midpoint():
@@ -62,6 +64,12 @@ def test_derivative_matches_finite_difference(name, params, rng_range):
     fd = (flux.f(u + h) - flux.f(u - h)) / (2.0 * h)
     scale = np.maximum(1.0, np.abs(fd))
     assert (np.abs(flux.df(u) - fd) / scale).max() < 1e-8
+    # the declared critical and inflection points are zeros of phi', phi''
+    for z in flux.critical_points:
+        assert abs(flux.dphi(np.float64(z))) <= 1e-12
+    for z in flux.inflection_points:
+        d2 = (flux.dphi(np.float64(z + h)) - flux.dphi(np.float64(z - h))) / (2.0 * h)
+        assert abs(d2) <= 1e-6
 
 
 @pytest.mark.parametrize("name,params,rng_range", FLUX_CASES)
@@ -98,16 +106,11 @@ def test_max_wave_speed_against_brute_force(name, params, rng_range):
     assert np.abs(got - dense).max() < 1e-6
 
 
-@pytest.mark.parametrize("name,params,rng_range", [
-    c for c in FLUX_CASES if c[0] != "linear_advection" or
-    np.ndim(c[1]["a"]) == 0
-])
+@pytest.mark.parametrize("name,params,rng_range", FLUX_CASES)
 def test_split_fluxes_sum_and_monotonicity(name, params, rng_range):
     flux = make_flux(name, **params)
-    if flux.dim != 1:
-        pytest.skip("splitting exercised on 1-D fluxes")
     u = np.linspace(rng_range[0], rng_range[1], 2001)
-    n = np.ones(1)
+    n = unit_normals(np.random.default_rng(7), 1, flux.dim)[0]
     fp, fm = flux.split_fluxes(u, n)
     total = flux.fn(u, n) - flux.fn(0.0, n)
     assert np.abs(fp + fm - total).max() < 1e-12
