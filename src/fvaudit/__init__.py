@@ -15,10 +15,10 @@ from .mesh import (GeometryError, Mesh, MeshFormatError, RefinementError,
                    triangulated_rectangle, uniform_interval_mesh)
 from .physics import (EntropyPair, FluxModel, ReferenceSolution, kruzkov_pair,
                       make_flux, reference)
-from .scheme import (CellField, ConfigurationError, Reconstruction,
-                     SchemeConfig, StabilityError, Trajectory, cell_averages,
-                     lf_lambda, max_stable_dt, numerical_flux, reconstruct,
-                     run, step, twin_run)
+from .scheme import (CellField, ConfigurationError, NumericalError,
+                     Reconstruction, SchemeConfig, StabilityError, Trajectory,
+                     cell_averages, lf_lambda, max_stable_dt, numerical_flux,
+                     reconstruct, run, step, twin_run)
 from .entropy import (EFluxReport, EntropyAuditReport, EntropyResidualField,
                       check_e_flux, entropy_residuals, kruzkov_k_grid,
                       numerical_entropy_flux, run_entropy_audit)

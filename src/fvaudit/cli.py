@@ -12,7 +12,8 @@ Subcommands::
 Every solver subcommand reads a ``--config`` file of ``key = value`` lines
 and repeatable ``--set key=value`` overrides.  Reports land in ``--out``,
 the ``FVAUDIT_OUT`` environment variable, or ``./fvaudit_out``.  Exit code
-0 means every gated check passed, 1 means a check failed, 2 means the
+0 means every gated check passed, 1 means a check failed or the solve
+broke down numerically (non-finite values, an unstable step), 2 means the
 request itself was invalid.
 """
 
@@ -33,11 +34,13 @@ from . import young as young_mod
 from .mesh import (GeometryError, MeshFormatError, TopologyError, load_mesh,
                    regularity, triangulated_rectangle, uniform_interval_mesh)
 from .physics import make_flux
-from .scheme import CellField, cell_averages, state_range
+from .scheme import (CellField, NumericalError, StabilityError, cell_averages,
+                     state_range)
 from .vtkio import write_vtk
 
 __all__ = ["main"]
 
+_CHECK_FAILED = 1
 _USAGE_ERROR = 2
 
 
@@ -196,6 +199,11 @@ def _cmd_entropy_audit(args) -> int:
     lines = [f"entropy inequality: worst={worst:.3e} tol={tol:.3e} "
              + (("PASS" if residual_ok else "FAIL") if exact_regime
                 else "reported (inequality gated only for first-order E-flux)")]
+    if not residual_ok:
+        lvl = worsts.index(worst)
+        rpt = reports[lvl]
+        lines[0] += (f" at level {lvl} step {rpt.worst_step} "
+                     f"cell {rpt.worst_cell} k={rpt.worst_k:.17g}")
     if exponent == exponent:
         lines.append(f"fitted h-exponent of max positive residual: "
                      f"{exponent:.3f}")
@@ -402,6 +410,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except (NumericalError, StabilityError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _CHECK_FAILED
     except (MeshFormatError, GeometryError, TopologyError, ValueError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,6 +20,17 @@ For the Lax-Friedrichs rule with locally chosen dissipation, the
 coefficient is a function of the face states, so G must re-evaluate it at
 the clipped states; freezing the coefficient computed from the unclipped
 pair would break the exact inequality whenever k leaves the local hull.
+
+Most (face, k) pairs have k outside the hull of the face traces.  There
+one clipped pair is (a, b) itself and the other is (k, k), and a
+consistent flux has g(k, k) = f(k) . n (Crandall-Majda, Math. Comp. 34,
+1980).  So the audit evaluates g(a, b) once per face and forms
+
+    G = g(a, b) - f(k) . n   for k <= a ^ b,
+    G = f(k) . n - g(a, b)   for k >= a v b,
+
+and passes only the pairs with k strictly inside the hull through
+:func:`numerical_entropy_flux`.
 """
 
 from __future__ import annotations
@@ -112,31 +123,43 @@ def entropy_residuals(before: CellField, after: CellField, dt: float,
     scalar = np.ndim(k) == 0
 
     a, b = _face_states(before, config)
+    rule, n = config.flux_rule, mesh.face_normal
     kk = k_arr[None, :]                      # (1, n_k) against (n_f, 1)
     af, bf = a[:, None], b[:, None]
 
     lam = None
-    if config.flux_rule == "lax_friedrichs" and config.lf_dissipation_mode == "global":
+    if rule == "lax_friedrichs" and config.lf_dissipation_mode == "global":
         lo = np.minimum(float(min(a.min(), b.min())), k_arr)
         hi = np.maximum(float(max(a.max(), b.max())), k_arr)
         # one coefficient per k: the worst face speed over the widened range
         speeds = flux.max_wave_speed(
             np.broadcast_to(lo, (mesh.n_faces, k_arr.size)),
-            np.broadcast_to(hi, (mesh.n_faces, k_arr.size)),
-            mesh.face_normal)
+            np.broadcast_to(hi, (mesh.n_faces, k_arr.size)), n)
         lam = speeds.max(axis=0, keepdims=True)
 
-    G = numerical_entropy_flux(config.flux_rule, flux, kk, af, bf,
-                               mesh.face_normal, lam)
-    flw = mesh.face_length[:, None] * G
-    div = np.zeros((mesh.n_cells, k_arr.size))
-    np.add.at(div, mesh.face_left, flw)
-    interior = mesh.face_right >= 0
-    np.subtract.at(div, mesh.face_right[interior], flw[interior])
+    # k outside the face hull: G from g(a, b), shape (n_f, 1) or (n_f, n_k)
+    # with a per-k coefficient, and the consistent value g(k, k) = f(k) . n;
+    # the arrays are (n_f, n_k), so the arithmetic below runs in place
+    lam_ab = lam
+    if rule == "lax_friedrichs" and lam is None:
+        lam_ab = flux.max_wave_speed(af, bf, n)
+    G = flux.fn(kk, n)
+    G -= numerical_flux(rule, flux, af, bf, n, lam_ab)
+    below = kk <= np.minimum(af, bf)
+    np.negative(G, out=G, where=below)
+    fi, ki = np.nonzero(~below & (kk < np.maximum(af, bf)))
+    if fi.size:
+        G[fi, ki] = numerical_entropy_flux(
+            rule, flux, k_arr[ki], a[fi], b[fi], n[fi],
+            None if lam is None else lam[0, ki])
+    G *= mesh.face_length[:, None]
+    div = mesh.divergence(G)
+    div *= dt
+    div /= mesh.cell_area[:, None]
 
-    eta_before = np.abs(before.values[:, None] - k_arr[None, :])
-    eta_after = np.abs(after.values[:, None] - k_arr[None, :])
-    res = eta_after - eta_before + dt * div / mesh.cell_area[:, None]
+    res = np.abs(after.values[:, None] - kk)       # eta after the step
+    res -= np.abs(before.values[:, None] - kk)
+    res += div
     residual = res[:, 0] if scalar else res.T
     return EntropyResidualField(residual=residual,
                                 k=float(k) if scalar else k_arr,
@@ -155,13 +178,20 @@ def kruzkov_k_grid(lo: float, hi: float, n: int = 33, extra=()) -> np.ndarray:
 
 @dataclass
 class EntropyAuditReport:
-    """Worst positive entropy residual over a whole trajectory."""
+    """Worst positive entropy residual over a whole trajectory.
+
+    ``worst_step``, ``worst_cell`` and ``worst_k`` locate the largest
+    residual of the run (step -1, cell -1 and k nan when it has no steps).
+    """
 
     per_step: np.ndarray
     k_grid: np.ndarray
     worst: float
     tol: float
     passed: bool
+    worst_step: int = -1
+    worst_cell: int = -1
+    worst_k: float = float("nan")
 
 
 def run_entropy_audit(traj, flux, config: SchemeConfig, k_grid=None,
@@ -170,15 +200,23 @@ def run_entropy_audit(traj, flux, config: SchemeConfig, k_grid=None,
     if k_grid is None:
         k_grid = kruzkov_k_grid(*state_range(traj))
     k_grid = np.asarray(k_grid, dtype=float)
+    ks = np.atleast_1d(k_grid)
     per_step = np.zeros(max(len(traj) - 1, 0))
+    top, where = -np.inf, (-1, -1, float("nan"))
     for i in range(len(traj) - 1):
         before, after = traj.fields[i], traj.fields[i + 1]
         res = entropy_residuals(before, after, after.t - before.t,
-                                flux, config, k_grid)
-        per_step[i] = res.positive_max
+                                flux, config, ks).residual
+        j = int(res.argmax())
+        per_step[i] = max(res.flat[j], 0.0)
+        if res.flat[j] > top:
+            ik, cell = np.unravel_index(j, res.shape)
+            top, where = res.flat[j], (i, int(cell), float(ks[ik]))
     worst = float(per_step.max()) if per_step.size else 0.0
     return EntropyAuditReport(per_step=per_step, k_grid=k_grid, worst=worst,
-                              tol=tol, passed=bool(worst <= tol))
+                              tol=tol, passed=bool(worst <= tol),
+                              worst_step=where[0], worst_cell=where[1],
+                              worst_k=where[2])
 
 
 @dataclass

@@ -159,7 +159,6 @@ def kinetic_residual(traj: Trajectory, flux, grid: VGrid | None = None) -> Kinet
     if grid is None:
         grid = VGrid.for_range(*state_range(traj))
 
-    L, R = mesh.face_left, mesh.face_right
     c = flux.dfn(grid.centers[None, :], mesh.face_normal)  # (n_f, n_v)
     upwind_left = c >= 0.0
 
@@ -169,11 +168,9 @@ def kinetic_residual(traj: Trajectory, flux, grid: VGrid | None = None) -> Kinet
     rho_old = lift(traj.fields[0], grid).rho
     for s in range(n_steps):
         rho_new = lift(traj.fields[s + 1], grid).rho
-        rho_up = np.where(upwind_left, rho_old[L], rho_old[R]).astype(float)
-        flw = mesh.face_length[:, None] * c * rho_up
-        div = np.zeros((mesh.n_cells, grid.n))
-        np.add.at(div, L, flw)
-        np.subtract.at(div, R, flw)
+        rho_up = np.where(upwind_left, rho_old[mesh.face_left],
+                          rho_old[mesh.face_right]).astype(float)
+        div = mesh.divergence(mesh.face_length[:, None] * c * rho_up)
         out[s] = (rho_new - rho_old) / dts[s] + div / mesh.cell_area[:, None]
         rho_old = rho_new
     return KineticResidual(values=out, dts=dts, grid=grid, mesh=mesh)

@@ -12,7 +12,14 @@ Periodic boundaries are resolved at construction time: each matched pair of
 boundary faces is merged into a single interior face that carries the
 geometry of both sides (the two midpoints differ by the pairing
 translation).  This makes flux assembly exactly conservative, because a
-periodic flux is evaluated once and scattered with opposite signs.
+periodic flux is evaluated once and summed into its two cells with
+opposite signs.
+
+Face-to-cell sums go through one operator, :meth:`Mesh.divergence`.  It
+reads a cell-to-face incidence table built once per mesh: each cell lists
+the faces it owns as left cell, then those it owns as right cell, each in
+face order, padded to the longest list.  Every per-cell sum therefore adds
+its terms in one fixed order, so results are reproducible bit for bit.
 
 Mesh text format
 ----------------
@@ -102,7 +109,6 @@ class Mesh:
     cell_centroid: np.ndarray     # (n_cells, dim)
     cell_perimeter: np.ndarray    # (n_cells,)
     cell_diameter: np.ndarray     # (n_cells,)
-    face_vertices: np.ndarray     # (n_faces, dim) vertex indices
     face_left: np.ndarray         # (n_faces,)
     face_right: np.ndarray        # (n_faces,)  -1 on outflow faces
     face_normal: np.ndarray       # (n_faces, dim) unit, outward from left
@@ -113,13 +119,23 @@ class Mesh:
     h: float
     domain_measure: float
     _boundary_spec: dict = field(repr=False, default_factory=dict)
+    # derived incidence tables, shape (width, n_cells); see _incidence
+    cell_faces: np.ndarray = field(init=False, repr=False, compare=False)
+    cell_face_sign: np.ndarray = field(init=False, repr=False, compare=False)
+    cell_neighbors: np.ndarray = field(init=False, repr=False, compare=False)
+    _signed_slots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        tables = _incidence(self.n_cells, self.face_left, self.face_right)
+        for name, value in zip(("cell_faces", "cell_face_sign", "cell_neighbors",
+                                "_signed_slots"), tables):
+            object.__setattr__(self, name, value)
         for name in (
             "vertices", "cell_area", "cell_centroid", "cell_perimeter",
-            "cell_diameter", "face_vertices", "face_left", "face_right",
+            "cell_diameter", "face_left", "face_right",
             "face_normal", "face_length", "face_midpoint_left",
             "face_midpoint_right", "face_kind",
+            "cell_faces", "cell_face_sign", "cell_neighbors", "_signed_slots",
         ):
             getattr(self, name).setflags(write=False)
 
@@ -143,6 +159,63 @@ class Mesh:
 
     def cell_polygon(self, i: int) -> np.ndarray:
         return self.vertices[list(self.cells[i])]
+
+    def divergence(self, face_values) -> np.ndarray:
+        """Signed face-to-cell sum of ``face_values``, shape (F,) or (F, K).
+
+        Cell K gets ``+v_e`` from every face it owns as left cell and
+        ``-v_e`` from every face it owns as right cell.  The terms are
+        added one table row at a time, starting from zero, which is the
+        order ``np.add.at`` over left cells followed by ``np.subtract.at``
+        over right cells would use, so the two agree bit for bit.
+        """
+        v = np.asarray(face_values, dtype=float)
+        if v.shape[:1] != (self.n_faces,):
+            raise ValueError(f"expected {self.n_faces} face values, got {v.shape}")
+        signed = np.concatenate([v, -v, np.zeros((1,) + v.shape[1:])])
+        out = np.zeros((self.n_cells,) + v.shape[1:])
+        for slots in self._signed_slots:
+            out += signed[slots]
+        return out
+
+    def neighbor_range(self, u) -> tuple[np.ndarray, np.ndarray]:
+        """Per-cell min and max of ``u`` over the cell and its face neighbors."""
+        u = np.asarray(u, dtype=float)
+        around = u[self.cell_neighbors]
+        return (np.minimum(u, around.min(axis=0)),
+                np.maximum(u, around.max(axis=0)))
+
+
+def _incidence(n_cells: int, face_left: np.ndarray, face_right: np.ndarray):
+    """Padded cell-to-face tables of shape (width, n_cells).
+
+    Column K lists the faces cell K owns as left cell (sign +1), then
+    those it owns as right cell (sign -1), each group in face order.
+    Shorter columns are padded with face 0 and sign 0.  ``neighbors``
+    names the cell across each entry, or K itself on an outflow face or
+    a pad.  ``slots`` indexes the stacked operand [v; -v; 0] of
+    :meth:`Mesh.divergence`: face f, F + f, or 2F on a pad.
+    """
+    n_faces = len(face_left)
+    interior = face_right >= 0
+    owner = np.concatenate([face_left, face_right[interior]])
+    order = np.argsort(owner, kind="stable")   # keeps left-then-right order
+    owner = owner[order]
+    face = np.concatenate([np.arange(n_faces), np.flatnonzero(interior)])[order]
+    left = order < n_faces
+    other = np.where(left, face_right[face], face_left[face])
+    counts = np.bincount(owner, minlength=n_cells)
+    width = int(counts.max()) if n_cells else 0
+    row = np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+    faces = np.zeros((width, n_cells), dtype=int)
+    signs = np.zeros((width, n_cells))
+    neighbors = np.repeat(np.arange(n_cells)[None, :], width, axis=0)
+    slots = np.full((width, n_cells), 2 * n_faces)
+    faces[row, owner] = face
+    signs[row, owner] = np.where(left, 1.0, -1.0)
+    neighbors[row, owner] = np.where(other >= 0, other, owner)
+    slots[row, owner] = np.where(left, face, face + n_faces)
+    return faces, signs, neighbors, slots
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +390,13 @@ def _assemble(dim: int, vertices: np.ndarray, cells, boundary: dict | None) -> M
         )
 
     # face arrays; periodic pairs are emitted once, by their smaller key
-    fv, fl, fr, fn, flen, fml, fmr, fkind = [], [], [], [], [], [], [], []
+    fl, fr, fn, flen, fml, fmr, fkind = [], [], [], [], [], [], []
     perimeter = np.zeros(n_c)
     for key, owners in sorted(sides.items()):
         for ic, _, ell, _ in owners:
             perimeter[ic] += ell
         if len(owners) == 2:
             (c0, n0, ell, mid), (c1, _, _, _) = owners
-            fv.append(key)
             fl.append(c0)
             fr.append(c1)
             fn.append(n0)
@@ -335,7 +407,6 @@ def _assemble(dim: int, vertices: np.ndarray, cells, boundary: dict | None) -> M
             continue
         if key not in pairs:
             ic, nrm, ell, mid = owners[0]
-            fv.append(key)
             fl.append(ic)
             fr.append(-1)
             fn.append(nrm)
@@ -357,7 +428,6 @@ def _assemble(dim: int, vertices: np.ndarray, cells, boundary: dict | None) -> M
             raise TopologyError(
                 f"periodic faces {key} and {partner} are not antiparallel"
             )
-        fv.append(key)
         fl.append(ic)
         fr.append(jc)
         fn.append(nrm)
@@ -366,7 +436,6 @@ def _assemble(dim: int, vertices: np.ndarray, cells, boundary: dict | None) -> M
         fmr.append(pmid)
         fkind.append(PERIODIC)
 
-    face_vertices = np.array(fv, dtype=int).reshape(len(fv), dim)
     mesh = Mesh(
         dim=dim,
         vertices=vertices,
@@ -375,7 +444,6 @@ def _assemble(dim: int, vertices: np.ndarray, cells, boundary: dict | None) -> M
         cell_centroid=centroid,
         cell_perimeter=perimeter,
         cell_diameter=diameter,
-        face_vertices=face_vertices,
         face_left=np.array(fl, dtype=int),
         face_right=np.array(fr, dtype=int),
         face_normal=np.array(fn, dtype=float).reshape(len(fn), dim),

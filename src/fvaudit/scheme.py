@@ -6,9 +6,10 @@ The update is the standard flux-form step
 
 where the sum runs over the faces of K, ``a_e``/``b_e`` are the traces of
 the reconstruction on both sides of the face and ``g`` is a two-point
-numerical flux.  Everything is assembled face-wise and scattered to cells
-with ``np.add.at``, so a periodic face (stored once) contributes with
-opposite signs to its two cells and conservation holds to rounding.
+numerical flux.  Everything is assembled face-wise and summed into cells
+by :meth:`Mesh.divergence`, so a periodic face (stored once) contributes
+with opposite signs to its two cells and conservation holds to rounding.
+Per-cell neighbor bounds come from the same incidence table.
 
 Outflow boundaries copy the inside trace to the ghost side.
 """
@@ -31,6 +32,7 @@ __all__ = [
     "state_range",
     "ConfigurationError",
     "StabilityError",
+    "NumericalError",
     "cell_averages",
     "numerical_flux",
     "lf_lambda",
@@ -55,6 +57,10 @@ class ConfigurationError(ValueError):
 
 class StabilityError(RuntimeError):
     """Requested time step exceeds the stable bound."""
+
+
+class NumericalError(ArithmeticError):
+    """A step produced non-finite cell values."""
 
 
 @dataclass(frozen=True)
@@ -230,46 +236,36 @@ def reconstruct(field: CellField, config: SchemeConfig) -> Reconstruction:
         return Reconstruction(field, np.zeros((mesh.n_cells, mesh.dim)))
 
     u = field.values
-    L, R = mesh.face_left, mesh.face_right
-    interior = R >= 0
-    Li, Ri = L[interior], R[interior]
-    shift = mesh.face_shift[interior]
+    faces, sign, nbr = mesh.cell_faces, mesh.cell_face_sign, mesh.cell_neighbors
     cen = mesh.cell_centroid
 
     # least-squares gradient from face-neighbor means (periodic neighbors
-    # are seen at their translated positions)
-    d_left = cen[Ri] + shift - cen[Li]
-    d_right = cen[Li] - shift - cen[Ri]
-    du_left = u[Ri] - u[Li]
-    du_right = u[Li] - u[Ri]
+    # are seen at their translated positions); outflow faces and pads have
+    # the cell as its own neighbor and no shift, so they add exact zeros
+    d = cen[nbr] + sign[..., None] * mesh.face_shift[faces] - cen
+    du = u[nbr] - u
 
     dim = mesh.dim
     ata = np.zeros((mesh.n_cells, dim, dim))
     rhs = np.zeros((mesh.n_cells, dim))
-    np.add.at(ata, Li, d_left[:, :, None] * d_left[:, None, :])
-    np.add.at(ata, Ri, d_right[:, :, None] * d_right[:, None, :])
-    np.add.at(rhs, Li, d_left * du_left[:, None])
-    np.add.at(rhs, Ri, d_right * du_right[:, None])
+    for dj, duj in zip(d, du):      # one table row at a time: fixed sum order
+        ata += dj[:, :, None] * dj[:, None, :]
+        rhs += dj * duj[:, None]
     # pinv tolerates boundary cells with too few neighbors for a full rank fit
     gradient = np.einsum("cij,cj->ci", np.linalg.pinv(ata), rhs)
 
-    lo, hi = u.copy(), u.copy()
-    np.minimum.at(lo, Li, u[Ri])
-    np.maximum.at(hi, Li, u[Ri])
-    np.minimum.at(lo, Ri, u[Li])
-    np.maximum.at(hi, Ri, u[Li])
+    lo, hi = mesh.neighbor_range(u)
 
-    theta = np.ones(mesh.n_cells)
+    # limiter: the trace at every face midpoint stays in [lo, hi]
+    mids = np.where((sign > 0.0)[..., None], mesh.face_midpoint_left[faces],
+                    mesh.face_midpoint_right[faces])
     tiny = 1e-14 * (1.0 + float(np.abs(u).max()))
-    for cells_idx, mids in ((L, mesh.face_midpoint_left),
-                            (R[interior], mesh.face_midpoint_right[interior])):
-        delta = ((gradient[cells_idx]) * (mids - cen[cells_idx])).sum(-1)
-        room = np.where(delta > 0.0, hi[cells_idx] - u[cells_idx],
-                        lo[cells_idx] - u[cells_idx])
-        ratio = np.where(np.abs(delta) <= tiny, 1.0,
-                         np.clip(room / np.where(np.abs(delta) <= tiny, 1.0, delta),
-                                 0.0, 1.0))
-        np.minimum.at(theta, cells_idx, ratio)
+    delta = (gradient * (mids - cen)).sum(-1)
+    room = np.where(delta > 0.0, hi - u, lo - u)
+    small = np.abs(delta) <= tiny
+    ratio = np.where(small | (sign == 0.0), 1.0,
+                     np.clip(room / np.where(small, 1.0, delta), 0.0, 1.0))
+    theta = np.minimum(1.0, ratio.min(axis=0))
     return Reconstruction(field, gradient * theta[:, None])
 
 
@@ -308,11 +304,7 @@ def _euler_values(mesh: Mesh, flux, config: SchemeConfig,
                   values: np.ndarray, t: float, dt: float) -> np.ndarray:
     a, b = _face_states(CellField(mesh, values, t), config)
     g = _face_flux(mesh, flux, config, a, b)
-    flw = mesh.face_length * g
-    div = np.zeros(mesh.n_cells)
-    np.add.at(div, mesh.face_left, flw)
-    interior = mesh.face_right >= 0
-    np.subtract.at(div, mesh.face_right[interior], flw[interior])
+    div = mesh.divergence(mesh.face_length * g)
     return values - dt * div / mesh.cell_area
 
 
@@ -323,22 +315,11 @@ def max_stable_dt(field: CellField, flux, config: SchemeConfig) -> float:
     hull of the cell mean and its face-neighbor means, floored at 1e-14 so
     stationary fields do not produce an infinite step.
     """
-    mesh, u = field.mesh, field.values
-    L, R = mesh.face_left, mesh.face_right
-    interior = R >= 0
-    Li, Ri = L[interior], R[interior]
-
-    lo, hi = u.copy(), u.copy()
-    np.minimum.at(lo, Li, u[Ri])
-    np.maximum.at(hi, Li, u[Ri])
-    np.minimum.at(lo, Ri, u[Li])
-    np.maximum.at(hi, Ri, u[Li])
-
-    s = np.full(mesh.n_cells, _SPEED_FLOOR)
-    s_left = flux.max_wave_speed(lo[L], hi[L], mesh.face_normal)
-    np.maximum.at(s, L, s_left)
-    s_right = flux.max_wave_speed(lo[Ri], hi[Ri], mesh.face_normal[interior])
-    np.maximum.at(s, Ri, s_right)
+    mesh = field.mesh
+    lo, hi = mesh.neighbor_range(field.values)
+    # one speed per (face, cell) table entry; pads carry a zero normal
+    normals = mesh.face_normal[mesh.cell_faces] * np.abs(mesh.cell_face_sign)[..., None]
+    s = np.maximum(flux.max_wave_speed(lo, hi, normals).max(axis=0), _SPEED_FLOOR)
     return config.cfl_number * float((mesh.cell_area / (mesh.cell_perimeter * s)).min())
 
 
@@ -350,14 +331,23 @@ def step(field: CellField, flux, config: SchemeConfig, dt: float,
     stable = max_stable_dt(field, flux, config) if _stable_dt is None else _stable_dt
     if dt > stable * (1.0 + 1e-9):
         raise StabilityError(f"dt={dt} exceeds the stable bound {stable}")
-    mesh, u = field.mesh, field.values
-    if config.time_integrator == "euler":
-        new = _euler_values(mesh, flux, config, u, field.t, dt)
-    else:  # ssp_rk2: average of the identity and a doubly advanced state
-        v1 = _euler_values(mesh, flux, config, u, field.t, dt)
-        v2 = _euler_values(mesh, flux, config, v1, field.t + dt, dt)
-        new = 0.5 * (u + v2)
-    return CellField(mesh, new, field.t + dt)
+    mesh, u, t = field.mesh, field.values, field.t
+    # a blow-up overflows inside the flux: report it as one NumericalError
+    # naming the step, not as a stream of runtime warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        if config.time_integrator == "euler":
+            new = _finite(_euler_values(mesh, flux, config, u, t, dt), t)
+        else:  # ssp_rk2: average of the identity and a doubly advanced state
+            v1 = _finite(_euler_values(mesh, flux, config, u, t, dt), t)
+            v2 = _euler_values(mesh, flux, config, v1, t + dt, dt)
+            new = _finite(0.5 * (u + v2), t)
+    return CellField(mesh, new, t + dt)
+
+
+def _finite(values: np.ndarray, t: float) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise NumericalError(f"non-finite cell values in the step from t={t!r}")
+    return values
 
 
 @dataclass

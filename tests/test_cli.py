@@ -4,11 +4,17 @@ Everything drives ``main(argv)`` in process except one subprocess smoke
 test for the ``python -m`` entry point.
 """
 
+import os
 import subprocess
 import sys
+import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import fvaudit
+from fvaudit import harness
 from fvaudit.cli import main
 
 MESH_FILE = """\
@@ -66,6 +72,23 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                  "--quiet"]) == 2
     assert main(["converge", "--set", "levels=1", "--out", str(tmp_path),
                  "--quiet"]) == 2
+
+
+def test_numerical_blow_up_exits_1(tmp_path, capsys, monkeypatch):
+    # data so large that the flux overflows in the first step; the
+    # overflow is reported once, as an error, not as runtime warnings
+    spec = harness.PROBLEMS["smooth_sine"]
+    monkeypatch.setitem(harness.PROBLEMS, "overflowing", replace(
+        spec, name="overflowing",
+        initial_fn=lambda mesh: 1e200 * spec.initial_fn(mesh)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["entropy-audit", "--set", "problem=overflowing",
+                   "--set", "levels=1", "--set", "base_n=8",
+                   "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite cell values in the step from t=0")
 
 
 def test_quiet_suppresses_stdout(tmp_path, capsys):
@@ -137,6 +160,19 @@ def test_entropy_audit_csv(tmp_path, capsys):
     assert all(len(r.split(",")) == 3 for r in rows)
     # both levels appear
     assert {r.split(",")[0] for r in rows} == {"0", "1"}
+
+
+def test_entropy_audit_fail_line_names_location(tmp_path, capsys,
+                                                monkeypatch):
+    # gate the central rule as if it were an E-flux, so the audit fails
+    monkeypatch.setattr(harness, "exact_regime", lambda cfg: True)
+    rc = main(["entropy-audit", "--set", "flux_rule=central",
+               "--set", "base_n=20", "--set", "levels=2",
+               "--set", "t_final=0.2", "--out", str(tmp_path)])
+    assert rc == 1
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith("entropy inequality: ") and " FAIL at level " in line
+    assert " step " in line and " cell " in line and " k=" in line
 
 
 def test_entropy_audit_buckley_leverett(tmp_path, capsys):
@@ -254,3 +290,20 @@ def test_python_dash_m_entry(tmp_path):
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "cells 4" in proc.stdout
+
+
+def test_converge_does_not_import_scipy(tmp_path):
+    # scipy would add its import time and memory to every 1-D run
+    code = ("import sys\n"
+            "from fvaudit.cli import main\n"
+            "rc = main(['converge', '--set', 'base_n=10', '--set', 'levels=2',"
+            " '--set', 't_final=0.1', '--out', sys.argv[1], '--quiet'])\n"
+            "assert rc == 0, rc\n"
+            "assert 'scipy' not in sys.modules\n")
+    src = str(Path(fvaudit.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fvaudit import (
+    PROBLEMS,
     CellField,
     SchemeConfig,
     numerical_flux,
@@ -21,6 +22,8 @@ from fvaudit import (
     step,
     uniform_interval_mesh,
 )
+from fvaudit.harness import initial_field
+from fvaudit.scheme import _face_states
 
 RIGHT = np.ones(1)
 E_RULES = ("godunov", "lax_friedrichs", "engquist_osher")
@@ -193,6 +196,84 @@ def test_residual_rejects_mismatched_input():
     f3 = step(f1, burgers(), cfg, 0.01)
     with pytest.raises(ValueError):
         entropy_residuals(f1, f3, -0.01, burgers(), cfg, 0.0)
+
+
+def reference_residuals(before, after, dt, flux, config, k_arr):
+    """Residuals with every (face, k) pair through the clipped-state flux.
+
+    The slow path the audit shortcuts: G evaluated at both clipped pairs
+    for every k, summed into cells with ``np.add.at``/``np.subtract.at``.
+    """
+    mesh = before.mesh
+    a, b = _face_states(before, config)
+    lam = None
+    if config.flux_rule == "lax_friedrichs" and config.lf_dissipation_mode == "global":
+        lo = np.minimum(float(min(a.min(), b.min())), k_arr)
+        hi = np.maximum(float(max(a.max(), b.max())), k_arr)
+        speeds = flux.max_wave_speed(
+            np.broadcast_to(lo, (mesh.n_faces, k_arr.size)),
+            np.broadcast_to(hi, (mesh.n_faces, k_arr.size)),
+            mesh.face_normal)
+        lam = speeds.max(axis=0, keepdims=True)
+    G = numerical_entropy_flux(config.flux_rule, flux, k_arr[None, :],
+                               a[:, None], b[:, None], mesh.face_normal, lam)
+    flw = mesh.face_length[:, None] * G
+    div = np.zeros((mesh.n_cells, k_arr.size))
+    np.add.at(div, mesh.face_left, flw)
+    interior = mesh.face_right >= 0
+    np.subtract.at(div, mesh.face_right[interior], flw[interior])
+    eta_before = np.abs(before.values[:, None] - k_arr[None, :])
+    eta_after = np.abs(after.values[:, None] - k_arr[None, :])
+    return (eta_after - eta_before + dt * div / mesh.cell_area[:, None]).T
+
+
+RULE_MODES = [("godunov", "local"), ("lax_friedrichs", "local"),
+              ("lax_friedrichs", "global"), ("engquist_osher", "local"),
+              ("central", "local")]
+
+
+@pytest.mark.parametrize("problem", sorted(PROBLEMS))
+@pytest.mark.parametrize("rule,mode", RULE_MODES,
+                         ids=[f"{r}-{m}" for r, m in RULE_MODES])
+def test_shortcut_matches_full_clipped_evaluation(problem, rule, mode):
+    """The out-of-hull shortcut reproduces the full evaluation per step."""
+    spec = PROBLEMS[problem]
+    mesh = spec.mesh_fn(3 if spec.dim == 2 else 12)
+    flux = spec.flux_fn()
+    for reconstruction in ("constant", "limited_linear"):
+        cfg = SchemeConfig(flux_rule=rule, reconstruction=reconstruction,
+                           lf_dissipation_mode=mode)
+        field = initial_field(spec, mesh)
+        lo, hi = float(field.values.min()), float(field.values.max())
+        # k below, inside and above the data, plus the landmark states
+        k = kruzkov_k_grid(lo - 0.25, hi + 0.25, n=11, extra=spec.states)
+        for _ in range(3):
+            dt = 0.9 * max_stable_dt(field, flux, cfg)
+            after = step(field, flux, cfg, dt)
+            got = entropy_residuals(field, after, dt, flux, cfg, k).residual
+            want = reference_residuals(field, after, dt, flux, cfg, k)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-15
+            field = after
+
+
+def test_audit_locates_worst_residual():
+    """The reported location is the brute-force argmax over (step, k, cell)."""
+    flux = burgers()
+    mesh = uniform_interval_mesh(30, 0.0, 1.0, periodic=True)
+    cfg = SchemeConfig(flux_rule="central")
+    field = CellField.from_function(
+        mesh, lambda x: 0.5 + 0.25 * np.sin(2.0 * np.pi * x[:, 0]))
+    traj = run(field, flux, cfg, t_final=0.1)
+    k = kruzkov_k_grid(0.2, 0.8, n=17)
+    rpt = run_entropy_audit(traj, flux, cfg, k)
+    assert not rpt.passed
+    stacked = np.array([
+        entropy_residuals(b, a, a.t - b.t, flux, cfg, k).residual
+        for b, a in zip(traj.fields[:-1], traj.fields[1:])])
+    s, ik, cell = np.unravel_index(int(stacked.argmax()), stacked.shape)
+    assert (rpt.worst_step, rpt.worst_cell, rpt.worst_k) == (s, cell, k[ik])
+    assert rpt.worst == stacked.max() == rpt.per_step[s]
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,22 @@ cells 1
 4 0 1 2 3
 """
 
+# a quad beside two triangles: cells of unequal face count pad the table
+MIXED_POLYGONS = """
+dim 2
+vertices 6
+0 0
+1 0
+2 0
+2 1
+1 1
+0 1
+cells 3
+4 0 1 4 5
+3 1 2 3
+3 1 3 4
+"""
+
 EQUILATERAL = """
 dim 2
 vertices 3
@@ -96,12 +112,43 @@ MESH_BUILDERS = [
                                    jitter=0.2, seed=3),
     lambda: refine(build_mesh(TWO_TRIANGLE_SQUARE), levels=2),
     lambda: refine(uniform_interval_mesh(4, 0.0, 1.0, periodic=True)),
+    lambda: build_mesh(MIXED_POLYGONS),
 ]
 
 
 @pytest.mark.parametrize("builder", MESH_BUILDERS)
 def test_closure_invariants(builder):
     check_mesh_invariants(builder())
+
+
+@pytest.mark.parametrize("builder", MESH_BUILDERS)
+def test_divergence_matches_ufunc_at(builder):
+    """The table sum equals the add.at/subtract.at pair bit for bit."""
+    mesh = builder()
+    rng = np.random.default_rng(5)
+    interior = mesh.face_right >= 0
+    for shape in ((mesh.n_faces,), (mesh.n_faces, 7)):
+        v = rng.normal(size=shape)
+        want = np.zeros((mesh.n_cells,) + shape[1:])
+        np.add.at(want, mesh.face_left, v)
+        np.subtract.at(want, mesh.face_right[interior], v[interior])
+        got = mesh.divergence(v)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("builder", MESH_BUILDERS)
+def test_neighbor_range_matches_ufunc_at(builder):
+    mesh = builder()
+    u = np.random.default_rng(6).normal(size=mesh.n_cells)
+    L, R = mesh.face_left, mesh.face_right
+    interior = R >= 0
+    lo, hi = u.copy(), u.copy()
+    for a, b in ((L[interior], R[interior]), (R[interior], L[interior])):
+        np.minimum.at(lo, a, u[b])
+        np.maximum.at(hi, a, u[b])
+    got_lo, got_hi = mesh.neighbor_range(u)
+    assert np.array_equal(got_lo, lo) and np.array_equal(got_hi, hi)
 
 
 def test_uniform_interval_geometry():
