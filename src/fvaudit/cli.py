@@ -171,7 +171,7 @@ def _cmd_entropy_audit(args) -> int:
 
     # h-exponent of the worst positive residual; roundoff-level residuals
     # (the first-order E-flux regime) carry no rate information
-    worsts = [max(r.per_step) for r in reports]
+    worsts = [r.worst for r in reports]
     exponent = float("nan")
     if len(worsts) >= 2 and all(w > reports[0].tol for w in worsts):
         exponent = harness.fit_rate(hs, worsts)

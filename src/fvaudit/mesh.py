@@ -21,6 +21,14 @@ the faces it owns as left cell, then those it owns as right cell, each in
 face order, padded to the longest list.  Every per-cell sum therefore adds
 its terms in one fixed order, so results are reproducible bit for bit.
 
+Assembly runs on one side table: a row per (cell, edge) in cell-then-edge
+order, with the owning cell, a face key (lo * n_vertices + hi for an edge
+lo < hi, the vertex in 1-D), the outward normal, the length and the
+midpoint.  Key order is the order of the sorted vertex tuples, so a stable
+sort of the keys yields the faces in that order and each face's owners in
+cell order, whatever the cell shapes.  Per-cell sums run along the rows of
+blocks of equal-size cells, so each cell adds its terms in vertex order.
+
 Mesh text format
 ----------------
 Plain text, whitespace separated, ``#`` starts a comment::
@@ -43,6 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -221,46 +230,21 @@ def _incidence(n_cells: int, face_left: np.ndarray, face_right: np.ndarray):
 # ---------------------------------------------------------------------------
 # geometry helpers
 
-def _polygon_area_centroid(pts: np.ndarray) -> tuple[float, np.ndarray]:
-    x, y = pts[:, 0], pts[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    cross = x * yn - xn * y
-    a2 = float(cross.sum())
-    area = 0.5 * a2
-    if area <= 0.0:
-        raise GeometryError("cell has non-positive area; vertices must be CCW")
-    cx = float(((x + xn) * cross).sum()) / (3.0 * a2)
-    cy = float(((y + yn) * cross).sum()) / (3.0 * a2)
-    return area, np.array([cx, cy])
-
-
-def _segments_intersect(p1, p2, p3, p4) -> bool:
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    d1 = orient(p3, p4, p1)
-    d2 = orient(p3, p4, p2)
-    d3 = orient(p1, p2, p3)
-    d4 = orient(p1, p2, p4)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
-
-
 def _check_simple(pts: np.ndarray):
-    k = len(pts)
-    if k < 4:
-        return
+    """Reject self-crossing polygons, ``pts`` of shape (m, k, 2), by testing
+    every pair of edges that share no vertex (triangles have none)."""
+    def left_turn(a, b, c):
+        return ((b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1])
+                - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0])) > 0
+
+    k = pts.shape[1]
+    nxt = np.roll(pts, -1, axis=1)
     for i in range(k):
-        a1, a2 = pts[i], pts[(i + 1) % k]
-        for j in range(i + 1, k):
-            if j == i or (j + 1) % k == i or (i + 1) % k == j:
-                continue
-            if _segments_intersect(a1, a2, pts[j], pts[(j + 1) % k]):
+        for j in range(i + 2, k if i else k - 1):
+            p1, p2, p3, p4 = pts[:, i], nxt[:, i], pts[:, j], nxt[:, j]
+            if np.any((left_turn(p3, p4, p1) != left_turn(p3, p4, p2))
+                      & (left_turn(p1, p2, p3) != left_turn(p1, p2, p4))):
                 raise GeometryError("non-simple polygon cell")
-
-
-def _max_pairwise_distance(pts: np.ndarray) -> float:
-    d = pts[:, None, :] - pts[None, :, :]
-    return float(np.sqrt((d * d).sum(-1)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -279,164 +263,153 @@ def _assemble(dim: int, vertices: np.ndarray, cells, boundary: dict | None) -> M
         raise GeometryError(f"vertex coordinates have {vertices.shape[1]} components, expected {dim}")
     if not np.all(np.isfinite(vertices)):
         raise GeometryError("non-finite vertex coordinate")
+    if dim not in (1, 2):
+        raise GeometryError(f"unsupported dimension {dim}")
     boundary = dict(boundary or {})
-    cells = tuple(tuple(int(v) for v in c) for c in cells)
-    n_v = len(vertices)
-    for c in cells:
-        if len(set(c)) != len(c):
-            raise GeometryError(f"cell {c} repeats a vertex")
-        if min(c) < 0 or max(c) >= n_v:
-            raise TopologyError(f"cell {c} references a missing vertex")
+    cells = tuple(tuple(map(int, c)) for c in cells)
+    n_v, n_c = len(vertices), len(cells)
+    size = np.fromiter(map(len, cells), dtype=int, count=n_c)
+    if dim == 1 and np.any(size != 2):
+        raise GeometryError("1-D cells are vertex pairs")
+    if dim == 2 and np.any(size < 3):
+        raise GeometryError("2-D cells need at least 3 vertices")
 
-    n_c = len(cells)
-    area = np.empty(n_c)
-    centroid = np.empty((n_c, dim))
-    diameter = np.empty(n_c)
-
-    # directed per-cell boundary walk: key -> list of (cell, normal, length, midpoint)
-    sides: dict[tuple, list] = {}
+    # side table: one row per (cell, edge), in cell-then-edge order
+    first = np.cumsum(size) - size
+    side_cell = np.repeat(np.arange(n_c), size)
+    n_s = len(side_cell)
+    corner = np.fromiter(chain.from_iterable(cells), dtype=int, count=n_s)
+    missing = (corner < 0) | (corner >= n_v)
+    if missing.any():
+        raise TopologyError(f"cell {cells[side_cell[missing.argmax()]]} references a missing vertex")
+    owned = np.sort(side_cell * n_v + corner)
+    repeats = owned[1:] == owned[:-1]
+    if repeats.any():
+        raise GeometryError(f"cell {cells[owned[1:][repeats.argmax()] // n_v]} repeats a vertex")
 
     if dim == 1:
-        for ic, c in enumerate(cells):
-            if len(c) != 2:
-                raise GeometryError("1-D cells are vertex pairs")
-            xa, xb = float(vertices[c[0], 0]), float(vertices[c[1], 0])
-            if xb <= xa:
-                raise GeometryError(f"1-D cell {c} is not positively oriented")
-            area[ic] = xb - xa
-            centroid[ic] = 0.5 * (xa + xb)
-            diameter[ic] = xb - xa
-            for key, nrm, mid in (((c[0],), -1.0, xa), ((c[1],), 1.0, xb)):
-                sides.setdefault(key, []).append(
-                    (ic, np.array([nrm]), 1.0, np.array([mid]))
-                )
-    elif dim == 2:
-        for ic, c in enumerate(cells):
-            pts = vertices[list(c)]
-            if len(c) < 3:
-                raise GeometryError("2-D cells need at least 3 vertices")
-            _check_simple(pts)
-            area[ic], centroid[ic] = _polygon_area_centroid(pts)
-            diameter[ic] = _max_pairwise_distance(pts)
-            k = len(c)
-            for j in range(k):
-                a, b = c[j], c[(j + 1) % k]
-                pa, pb = vertices[a], vertices[b]
-                t = pb - pa
-                ell = float(np.hypot(t[0], t[1]))
-                if ell <= 0.0:
-                    raise GeometryError("zero-length edge")
-                nrm = np.array([t[1], -t[0]]) / ell  # outward for CCW cells
-                sides.setdefault(tuple(sorted((a, b))), []).append(
-                    (ic, nrm, ell, 0.5 * (pa + pb))
-                )
+        xa, xb = vertices[corner[0::2], 0], vertices[corner[1::2], 0]
+        if np.any(xb <= xa):
+            raise GeometryError(f"1-D cell {cells[np.argmax(xb <= xa)]} is not positively oriented")
+        area, diameter = xb - xa, xb - xa
+        centroid = (0.5 * (xa + xb))[:, None]
+        side_key, side_mid = corner, vertices[corner]
+        side_normal = np.tile([-1.0, 1.0], n_c)[:, None]
+        side_length = np.ones(n_s)
     else:
-        raise GeometryError(f"unsupported dimension {dim}")
+        nxt = np.arange(1, n_s + 1)
+        nxt[first + size - 1] = first
+        end = corner[nxt]
+        pa, pb = vertices[corner], vertices[end]
+        t = pb - pa
+        side_length = np.hypot(t[:, 0], t[:, 1])
+        if np.any(side_length <= 0.0):
+            raise GeometryError("zero-length edge")
+        side_normal = np.stack([t[:, 1], -t[:, 0]], axis=1) / side_length[:, None]
+        side_mid = 0.5 * (pa + pb)
+        side_key = np.minimum(corner, end) * n_v + np.maximum(corner, end)
+        wedge = pa[:, 0] * pb[:, 1] - pb[:, 0] * pa[:, 1]
+        moment = (pa + pb).T * wedge
+        # per-cell sums run along rows of equal-size blocks, which adds the
+        # same terms in the same order as summing each cell's own k-vector
+        area, diameter, centroid = np.empty(n_c), np.empty(n_c), np.empty((n_c, 2))
+        for k in np.unique(size).tolist():
+            rows = np.flatnonzero(size == k)
+            slots = first[rows, None] + np.arange(k)
+            pts = vertices[corner[slots]]
+            _check_simple(pts)
+            a2 = wedge[slots].sum(axis=1)
+            area[rows] = 0.5 * a2
+            if np.any(area[rows] <= 0.0):
+                raise GeometryError("cell has non-positive area; vertices must be CCW")
+            centroid[rows] = (moment[:, slots].sum(axis=-1) / (3.0 * a2)).T
+            d = pts[:, :, None, :] - pts[:, None, :, :]
+            diameter[rows] = np.sqrt((d * d).sum(-1)).max(axis=(1, 2))
+
+    # each cell adds its side lengths in face order, as the faces are visited
+    by_key = np.lexsort((side_key, side_cell))
+    padded = np.zeros((n_c, int(size.max())))
+    padded[side_cell, np.arange(n_s) - first[side_cell]] = side_length[by_key]
+    perimeter = np.cumsum(padded, axis=1)[:, -1]
+    closure = np.abs([np.bincount(side_cell, side_length * n, n_c)
+                      for n in side_normal.T]).max(axis=0)
+    open_cells = closure > _GEOM_RTOL * perimeter
+    if open_cells.any():
+        raise GeometryError(f"cell {open_cells.argmax()} fails the normal closure identity")
+
+    # faces in key order; the stable sort lists each face's owners by cell
+    order = np.argsort(side_key, kind="stable")
+    keys, head, count = np.unique(side_key[order], return_index=True, return_counts=True)
+    left = order[head]
+    right = order[np.minimum(head + 1, n_s - 1)]   # second owner where count == 2
+
+    def key_of(f) -> tuple:
+        return divmod(int(keys[f]), n_v) if dim == 2 else (int(keys[f]),)
+
+    def face_of(key) -> int:
+        """Index of the face with canonical key ``key``, or -1."""
+        f = int(np.searchsorted(keys, key[0] * n_v + key[-1] if dim == 2 else key[0]))
+        return f if f < len(keys) and key_of(f) == tuple(key) else -1
 
     # topology: every face belongs to one or two cells
-    boundary_keys = []
-    for key, owners in sides.items():
-        if len(owners) > 2:
-            raise TopologyError(f"face {key} is shared by {len(owners)} cells")
-        if len(owners) == 1:
-            boundary_keys.append(key)
-        else:
-            n0, n1 = owners[0][1], owners[1][1]
-            if np.abs(n0 + n1).max() > _GEOM_RTOL:
-                raise TopologyError(f"interior face {key} has non-opposing normals")
+    if np.any(count > 2):
+        f = int(np.argmax(count > 2))
+        raise TopologyError(f"face {key_of(f)} is shared by {count[f]} cells")
+    shared = count == 2
+    clash = shared & (np.abs(side_normal[left] + side_normal[right]).max(axis=1) > _GEOM_RTOL)
+    if clash.any():
+        raise TopologyError(f"interior face {key_of(clash.argmax())} has non-opposing normals")
 
-    for key in boundary:
-        if key not in sides:
-            raise TopologyError(f"boundary tag names unknown face {key}")
-        if len(sides[key]) != 1:
-            raise TopologyError(f"boundary tag names interior face {key}")
-
-    # complete one-sided periodic declarations, then validate the involution
+    # resolve tags: complete one-sided periodic declarations, check the
+    # involution, and merge each pair into the face of its smaller key
+    face_right = np.where(shared, side_cell[right], -1)
+    mid_right = side_mid[left]
+    kind = np.where(shared, INTERIOR, OUTFLOW).astype(object)
+    keep = np.ones(len(keys), dtype=bool)
     pairs = {k: v[1] for k, v in boundary.items() if isinstance(v, tuple) and v[0] == PERIODIC}
-    for key, partner in list(pairs.items()):
-        if partner not in sides or len(sides[partner]) != 1:
+    for key in boundary:
+        f = face_of(key)
+        if f < 0:
+            raise TopologyError(f"boundary tag names unknown face {key}")
+        if shared[f]:
+            raise TopologyError(f"boundary tag names interior face {key}")
+        if key not in pairs:
+            continue
+        partner = pairs[key]
+        g = face_of(partner)
+        if g < 0 or shared[g]:
             raise TopologyError(f"periodic partner {partner} of {key} is not a boundary face")
-        back = pairs.get(partner)
-        if back is None:
-            pairs[partner] = key
-        elif back != key:
+        if pairs.setdefault(partner, key) != key:
             raise TopologyError(f"inconsistent periodic pairing at {key} / {partner}")
-    for key, partner in pairs.items():
         if key == partner:
             raise TopologyError(f"face {key} cannot pair with itself")
-        if sides[key][0][0] == sides[partner][0][0]:
+        if side_cell[left[f]] == side_cell[left[g]]:
             raise TopologyError("periodic pair lives on a single cell; refine the mesh first")
+        if not math.isclose(side_length[left[f]], side_length[left[g]],
+                            rel_tol=_GEOM_RTOL, abs_tol=0.0):
+            raise TopologyError(f"periodic faces {key} and {partner} differ in length")
+        if np.abs(side_normal[left[f]] + side_normal[left[g]]).max() > 1e-9:
+            raise TopologyError(f"periodic faces {key} and {partner} are not antiparallel")
+        f, g = sorted((f, g))
+        face_right[f], mid_right[f] = side_cell[left[g]], side_mid[left[g]]
+        kind[f], keep[g] = PERIODIC, False
 
-    # domain measure from the boundary walk; interior faces cancel by
-    # construction, so agreement with sum(cell_area) checks orientation
-    # consistency and cell overlap at the same time.
+    # domain measure from the boundary walk, added side by side in cell
+    # order; interior faces cancel by construction, so agreement with
+    # sum(cell_area) checks orientation consistency and cell overlap at once
     if dim == 1:
-        xs = vertices[:, 0]
-        domain = float(xs.max() - xs.min())
+        domain = float(vertices[:, 0].max() - vertices[:, 0].min())
     else:
-        domain = 0.0
-        for ic, c in enumerate(cells):
-            k = len(c)
-            for j in range(k):
-                a, b = c[j], c[(j + 1) % k]
-                key = tuple(sorted((a, b)))
-                if len(sides[key]) == 1:
-                    pa, pb = vertices[a], vertices[b]
-                    domain += 0.5 * (pa[0] * pb[1] - pb[0] * pa[1])
+        walk = 0.5 * wedge[~shared[np.searchsorted(keys, side_key)]]
+        domain = float(np.cumsum(np.r_[0.0, walk])[-1])
     total = float(area.sum())
     if not math.isclose(total, domain, rel_tol=_AREA_RTOL, abs_tol=0.0):
         raise GeometryError(
             f"cell areas sum to {total!r} but the boundary encloses {domain!r}"
         )
 
-    # face arrays; periodic pairs are emitted once, by their smaller key
-    fl, fr, fn, flen, fml, fmr, fkind = [], [], [], [], [], [], []
-    perimeter = np.zeros(n_c)
-    for key, owners in sorted(sides.items()):
-        for ic, _, ell, _ in owners:
-            perimeter[ic] += ell
-        if len(owners) == 2:
-            (c0, n0, ell, mid), (c1, _, _, _) = owners
-            fl.append(c0)
-            fr.append(c1)
-            fn.append(n0)
-            flen.append(ell)
-            fml.append(mid)
-            fmr.append(mid)
-            fkind.append(INTERIOR)
-            continue
-        if key not in pairs:
-            ic, nrm, ell, mid = owners[0]
-            fl.append(ic)
-            fr.append(-1)
-            fn.append(nrm)
-            flen.append(ell)
-            fml.append(mid)
-            fmr.append(mid)
-            fkind.append(OUTFLOW)
-            continue
-        partner = pairs[key]
-        if partner < key:
-            continue  # emitted when the partner was visited
-        ic, nrm, ell, mid = owners[0]
-        jc, prm, pell, pmid = sides[partner][0]
-        if not math.isclose(ell, pell, rel_tol=_GEOM_RTOL, abs_tol=0.0):
-            raise TopologyError(
-                f"periodic faces {key} and {partner} differ in length"
-            )
-        if np.abs(nrm + prm).max() > 1e-9:
-            raise TopologyError(
-                f"periodic faces {key} and {partner} are not antiparallel"
-            )
-        fl.append(ic)
-        fr.append(jc)
-        fn.append(nrm)
-        flen.append(ell)
-        fml.append(mid)
-        fmr.append(pmid)
-        fkind.append(PERIODIC)
-
-    mesh = Mesh(
+    left = left[keep]
+    return Mesh(
         dim=dim,
         vertices=vertices,
         cells=cells,
@@ -444,32 +417,18 @@ def _assemble(dim: int, vertices: np.ndarray, cells, boundary: dict | None) -> M
         cell_centroid=centroid,
         cell_perimeter=perimeter,
         cell_diameter=diameter,
-        face_left=np.array(fl, dtype=int),
-        face_right=np.array(fr, dtype=int),
-        face_normal=np.array(fn, dtype=float).reshape(len(fn), dim),
-        face_length=np.array(flen, dtype=float),
-        face_midpoint_left=np.array(fml, dtype=float).reshape(len(fml), dim),
-        face_midpoint_right=np.array(fmr, dtype=float).reshape(len(fmr), dim),
-        face_kind=np.array(fkind, dtype=object),
+        face_left=side_cell[left],
+        face_right=face_right[keep],
+        face_normal=side_normal[left],
+        face_length=side_length[left],
+        face_midpoint_left=side_mid[left],
+        face_midpoint_right=mid_right[keep],
+        face_kind=kind[keep],
         h=float(diameter.max()),
         domain_measure=domain,
         _boundary_spec={k: v for k, v in boundary.items() if v == OUTFLOW}
         | {k: (PERIODIC, v) for k, v in pairs.items()},
     )
-    _validate_closure(mesh)
-    return mesh
-
-
-def _validate_closure(mesh: Mesh):
-    """Per-cell divergence closure: sum of length-weighted outward normals."""
-    if mesh.dim == 1:
-        return  # closure is exact by construction: (+1) + (-1)
-    for ic, c in enumerate(mesh.cells):
-        pts = mesh.vertices[list(c)]
-        t = np.roll(pts, -1, axis=0) - pts
-        resid = np.array([t[:, 1].sum(), -t[:, 0].sum()])
-        if np.abs(resid).max() > _GEOM_RTOL * mesh.cell_perimeter[ic]:
-            raise GeometryError(f"cell {ic} fails the normal closure identity")
 
 
 # ---------------------------------------------------------------------------
@@ -758,24 +717,28 @@ def _triangle_inradius(pts: np.ndarray, area: float) -> float:
 
 
 def _chebyshev_inradius(pts: np.ndarray) -> float:
-    # largest inscribed circle of a convex polygon, as a tiny LP
-    from scipy.optimize import linprog
+    """Radius of the largest circle inside a convex polygon.
 
-    k = len(pts)
-    a_ub = np.empty((k, 3))
-    b_ub = np.empty(k)
-    for j in range(k):
-        p, q = pts[j], pts[(j + 1) % k]
-        t = q - p
-        n = np.array([t[1], -t[0]]) / np.linalg.norm(t)  # outward
-        a_ub[j] = [n[0], n[1], 1.0]
-        b_ub[j] = n @ p
-    res = linprog(c=[0.0, 0.0, -1.0], A_ub=a_ub, b_ub=b_ub,
-                  bounds=[(None, None), (None, None), (0, None)],
-                  method="highs")
-    if not res.success:
+    The circle (c, r) lies inside edge j when n_j . c + r <= n_j . p_j.
+    That is a linear program in (c, r), and an optimum sits where three
+    of the constraints are tight, so the answer is the largest feasible
+    circle tangent to three edge lines.  Coordinates are taken from the
+    vertex mean, so the feasibility tolerance scales with the cell.
+    """
+    pts = pts - pts.mean(axis=0)
+    t = np.roll(pts, -1, axis=0) - pts
+    n = np.stack([t[:, 1], -t[:, 0]], axis=1) / np.hypot(t[:, 0], t[:, 1])[:, None]
+    lhs = np.column_stack([n, np.ones(len(pts))])
+    rhs = (n * pts).sum(axis=1)
+    triples = np.array(list(combinations(range(len(pts)), 3)))
+    a = lhs[triples]
+    solvable = np.abs(np.linalg.det(a)) > 1e-12
+    circles = np.linalg.solve(a[solvable], rhs[triples[solvable], None])[..., 0]
+    inside = (circles @ lhs.T - rhs <= 1e-12 * np.abs(pts).max()).all(axis=1)
+    radii = circles[inside & (circles[:, 2] >= 0.0), 2]
+    if not len(radii):
         raise GeometryError("inscribed-circle problem failed; cell may be nonconvex")
-    return float(res.x[2])
+    return float(radii.max())
 
 
 def regularity(mesh: Mesh, bins: int = 16) -> RegularityReport:

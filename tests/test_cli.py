@@ -185,6 +185,17 @@ def test_entropy_audit_buckley_leverett(tmp_path, capsys):
     assert "FAIL" not in out
 
 
+def test_entropy_audit_with_no_steps(tmp_path, capsys):
+    # t_final=0 takes no steps: nothing to audit is a pass, not a usage error
+    rc = main(["entropy-audit", "--set", "t_final=0", "--set", "levels=2",
+               "--out", str(tmp_path)])
+    assert rc == 0, capsys.readouterr().err
+    assert "entropy inequality: worst=0.000e+00" in capsys.readouterr().out
+    lines = _read(tmp_path, "entropy-audit", "entropy_report.csv")
+    assert [l for l in lines if not l.startswith("#")] == \
+        ["level,step,max_positive_residual"]
+
+
 def test_kinetic_audit_csv(tmp_path):
     # the 10x frozen-baseline separation needs the fan reasonably resolved
     rc = main(["kinetic-audit", "--set", "problem=expansion_shock",
@@ -292,18 +303,34 @@ def test_python_dash_m_entry(tmp_path):
     assert "cells 4" in proc.stdout
 
 
-def test_converge_does_not_import_scipy(tmp_path):
-    # scipy would add its import time and memory to every 1-D run
-    code = ("import sys\n"
-            "from fvaudit.cli import main\n"
-            "rc = main(['converge', '--set', 'base_n=10', '--set', 'levels=2',"
-            " '--set', 't_final=0.1', '--out', sys.argv[1], '--quiet'])\n"
-            "assert rc == 0, rc\n"
-            "assert 'scipy' not in sys.modules\n")
+def _run_without_scipy(code, *args):
+    """Run ``code`` in a fresh interpreter, then assert scipy was never imported."""
     src = str(Path(fvaudit.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(
                    [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+    code += "assert 'scipy' not in sys.modules\n"
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
                           capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_converge_does_not_import_scipy(tmp_path):
+    # scipy would add its import time and memory to every 1-D run
+    _run_without_scipy(
+        "import sys\n"
+        "from fvaudit.cli import main\n"
+        "rc = main(['converge', '--set', 'base_n=10', '--set', 'levels=2',"
+        " '--set', 't_final=0.1', '--out', sys.argv[1], '--quiet'])\n"
+        "assert rc == 0, rc\n", tmp_path)
+
+
+def test_mesh_info_on_quads_does_not_import_scipy(tmp_path):
+    # quad cells take the inscribed-circle path of the regularity report
+    path = tmp_path / "quads.mesh"
+    path.write_text("dim 2\nvertices 6\n0 0\n1 0\n2 0\n2 1\n1 1\n0 1\n"
+                    "cells 2\n4 0 1 4 5\n4 1 2 3 4\n")
+    _run_without_scipy(
+        "import sys\n"
+        "from fvaudit.cli import main\n"
+        "assert main(['mesh-info', sys.argv[1]]) == 0\n", path)

@@ -1,11 +1,15 @@
 """Mesh construction, geometry, refinement, and text-format validation."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from fvaudit import (
     GeometryError,
     MeshFormatError,
+    TopologyError,
     build_mesh,
     load_mesh,
     refine,
@@ -14,6 +18,9 @@ from fvaudit import (
     triangulated_rectangle,
     uniform_interval_mesh,
 )
+from fvaudit import mesh as mesh_mod
+from fvaudit.mesh import (_AREA_RTOL, _GEOM_RTOL, INTERIOR, OUTFLOW, PERIODIC, Mesh,
+                          _assemble, _chebyshev_inradius)
 
 TWO_TRIANGLE_SQUARE = """
 dim 2
@@ -151,6 +158,306 @@ def test_neighbor_range_matches_ufunc_at(builder):
     assert np.array_equal(got_lo, lo) and np.array_equal(got_hi, hi)
 
 
+# ---------------------------------------------------------------------------
+# reference: the assembly the array-built side table replaced
+
+def _ref_polygon_area_centroid(pts: np.ndarray) -> tuple[float, np.ndarray]:
+    x, y = pts[:, 0], pts[:, 1]
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    cross = x * yn - xn * y
+    a2 = float(cross.sum())
+    area = 0.5 * a2
+    if area <= 0.0:
+        raise GeometryError("cell has non-positive area; vertices must be CCW")
+    cx = float(((x + xn) * cross).sum()) / (3.0 * a2)
+    cy = float(((y + yn) * cross).sum()) / (3.0 * a2)
+    return area, np.array([cx, cy])
+
+
+def _ref_segments_intersect(p1, p2, p3, p4) -> bool:
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    d1 = orient(p3, p4, p1)
+    d2 = orient(p3, p4, p2)
+    d3 = orient(p1, p2, p3)
+    d4 = orient(p1, p2, p4)
+    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
+
+
+def _ref_check_simple(pts: np.ndarray):
+    k = len(pts)
+    if k < 4:
+        return
+    for i in range(k):
+        a1, a2 = pts[i], pts[(i + 1) % k]
+        for j in range(i + 1, k):
+            if j == i or (j + 1) % k == i or (i + 1) % k == j:
+                continue
+            if _ref_segments_intersect(a1, a2, pts[j], pts[(j + 1) % k]):
+                raise GeometryError("non-simple polygon cell")
+
+
+def _ref_max_pairwise_distance(pts: np.ndarray) -> float:
+    d = pts[:, None, :] - pts[None, :, :]
+    return float(np.sqrt((d * d).sum(-1)).max())
+
+
+def reference_assemble(dim: int, vertices: np.ndarray, cells, boundary: dict | None) -> Mesh:
+    """The per-cell dict-of-sides assembly that ``_assemble`` replaced.
+
+    Kept verbatim as the reference the array assembly must match bit for
+    bit.
+
+    ``boundary`` maps a canonical face key (sorted vertex tuple) to either
+    the string "outflow" or a tuple ("periodic", partner_key).
+    """
+    vertices = np.asarray(vertices, dtype=float)
+    if vertices.ndim == 1:
+        vertices = vertices[:, None]
+    if vertices.shape[1] != dim:
+        raise GeometryError(f"vertex coordinates have {vertices.shape[1]} components, expected {dim}")
+    if not np.all(np.isfinite(vertices)):
+        raise GeometryError("non-finite vertex coordinate")
+    boundary = dict(boundary or {})
+    cells = tuple(tuple(int(v) for v in c) for c in cells)
+    n_v = len(vertices)
+    for c in cells:
+        if len(set(c)) != len(c):
+            raise GeometryError(f"cell {c} repeats a vertex")
+        if min(c) < 0 or max(c) >= n_v:
+            raise TopologyError(f"cell {c} references a missing vertex")
+
+    n_c = len(cells)
+    area = np.empty(n_c)
+    centroid = np.empty((n_c, dim))
+    diameter = np.empty(n_c)
+
+    # directed per-cell boundary walk: key -> list of (cell, normal, length, midpoint)
+    sides: dict[tuple, list] = {}
+
+    if dim == 1:
+        for ic, c in enumerate(cells):
+            if len(c) != 2:
+                raise GeometryError("1-D cells are vertex pairs")
+            xa, xb = float(vertices[c[0], 0]), float(vertices[c[1], 0])
+            if xb <= xa:
+                raise GeometryError(f"1-D cell {c} is not positively oriented")
+            area[ic] = xb - xa
+            centroid[ic] = 0.5 * (xa + xb)
+            diameter[ic] = xb - xa
+            for key, nrm, mid in (((c[0],), -1.0, xa), ((c[1],), 1.0, xb)):
+                sides.setdefault(key, []).append(
+                    (ic, np.array([nrm]), 1.0, np.array([mid]))
+                )
+    elif dim == 2:
+        for ic, c in enumerate(cells):
+            pts = vertices[list(c)]
+            if len(c) < 3:
+                raise GeometryError("2-D cells need at least 3 vertices")
+            _ref_check_simple(pts)
+            area[ic], centroid[ic] = _ref_polygon_area_centroid(pts)
+            diameter[ic] = _ref_max_pairwise_distance(pts)
+            k = len(c)
+            for j in range(k):
+                a, b = c[j], c[(j + 1) % k]
+                pa, pb = vertices[a], vertices[b]
+                t = pb - pa
+                ell = float(np.hypot(t[0], t[1]))
+                if ell <= 0.0:
+                    raise GeometryError("zero-length edge")
+                nrm = np.array([t[1], -t[0]]) / ell  # outward for CCW cells
+                sides.setdefault(tuple(sorted((a, b))), []).append(
+                    (ic, nrm, ell, 0.5 * (pa + pb))
+                )
+    else:
+        raise GeometryError(f"unsupported dimension {dim}")
+
+    # topology: every face belongs to one or two cells
+    boundary_keys = []
+    for key, owners in sides.items():
+        if len(owners) > 2:
+            raise TopologyError(f"face {key} is shared by {len(owners)} cells")
+        if len(owners) == 1:
+            boundary_keys.append(key)
+        else:
+            n0, n1 = owners[0][1], owners[1][1]
+            if np.abs(n0 + n1).max() > _GEOM_RTOL:
+                raise TopologyError(f"interior face {key} has non-opposing normals")
+
+    for key in boundary:
+        if key not in sides:
+            raise TopologyError(f"boundary tag names unknown face {key}")
+        if len(sides[key]) != 1:
+            raise TopologyError(f"boundary tag names interior face {key}")
+
+    # complete one-sided periodic declarations, then validate the involution
+    pairs = {k: v[1] for k, v in boundary.items() if isinstance(v, tuple) and v[0] == PERIODIC}
+    for key, partner in list(pairs.items()):
+        if partner not in sides or len(sides[partner]) != 1:
+            raise TopologyError(f"periodic partner {partner} of {key} is not a boundary face")
+        back = pairs.get(partner)
+        if back is None:
+            pairs[partner] = key
+        elif back != key:
+            raise TopologyError(f"inconsistent periodic pairing at {key} / {partner}")
+    for key, partner in pairs.items():
+        if key == partner:
+            raise TopologyError(f"face {key} cannot pair with itself")
+        if sides[key][0][0] == sides[partner][0][0]:
+            raise TopologyError("periodic pair lives on a single cell; refine the mesh first")
+
+    # domain measure from the boundary walk; interior faces cancel by
+    # construction, so agreement with sum(cell_area) checks orientation
+    # consistency and cell overlap at the same time.
+    if dim == 1:
+        xs = vertices[:, 0]
+        domain = float(xs.max() - xs.min())
+    else:
+        domain = 0.0
+        for ic, c in enumerate(cells):
+            k = len(c)
+            for j in range(k):
+                a, b = c[j], c[(j + 1) % k]
+                key = tuple(sorted((a, b)))
+                if len(sides[key]) == 1:
+                    pa, pb = vertices[a], vertices[b]
+                    domain += 0.5 * (pa[0] * pb[1] - pb[0] * pa[1])
+    total = float(area.sum())
+    if not math.isclose(total, domain, rel_tol=_AREA_RTOL, abs_tol=0.0):
+        raise GeometryError(
+            f"cell areas sum to {total!r} but the boundary encloses {domain!r}"
+        )
+
+    # face arrays; periodic pairs are emitted once, by their smaller key
+    fl, fr, fn, flen, fml, fmr, fkind = [], [], [], [], [], [], []
+    perimeter = np.zeros(n_c)
+    for key, owners in sorted(sides.items()):
+        for ic, _, ell, _ in owners:
+            perimeter[ic] += ell
+        if len(owners) == 2:
+            (c0, n0, ell, mid), (c1, _, _, _) = owners
+            fl.append(c0)
+            fr.append(c1)
+            fn.append(n0)
+            flen.append(ell)
+            fml.append(mid)
+            fmr.append(mid)
+            fkind.append(INTERIOR)
+            continue
+        if key not in pairs:
+            ic, nrm, ell, mid = owners[0]
+            fl.append(ic)
+            fr.append(-1)
+            fn.append(nrm)
+            flen.append(ell)
+            fml.append(mid)
+            fmr.append(mid)
+            fkind.append(OUTFLOW)
+            continue
+        partner = pairs[key]
+        if partner < key:
+            continue  # emitted when the partner was visited
+        ic, nrm, ell, mid = owners[0]
+        jc, prm, pell, pmid = sides[partner][0]
+        if not math.isclose(ell, pell, rel_tol=_GEOM_RTOL, abs_tol=0.0):
+            raise TopologyError(
+                f"periodic faces {key} and {partner} differ in length"
+            )
+        if np.abs(nrm + prm).max() > 1e-9:
+            raise TopologyError(
+                f"periodic faces {key} and {partner} are not antiparallel"
+            )
+        fl.append(ic)
+        fr.append(jc)
+        fn.append(nrm)
+        flen.append(ell)
+        fml.append(mid)
+        fmr.append(pmid)
+        fkind.append(PERIODIC)
+
+    mesh = Mesh(
+        dim=dim,
+        vertices=vertices,
+        cells=cells,
+        cell_area=area,
+        cell_centroid=centroid,
+        cell_perimeter=perimeter,
+        cell_diameter=diameter,
+        face_left=np.array(fl, dtype=int),
+        face_right=np.array(fr, dtype=int),
+        face_normal=np.array(fn, dtype=float).reshape(len(fn), dim),
+        face_length=np.array(flen, dtype=float),
+        face_midpoint_left=np.array(fml, dtype=float).reshape(len(fml), dim),
+        face_midpoint_right=np.array(fmr, dtype=float).reshape(len(fmr), dim),
+        face_kind=np.array(fkind, dtype=object),
+        h=float(diameter.max()),
+        domain_measure=domain,
+        _boundary_spec={k: v for k, v in boundary.items() if v == OUTFLOW}
+        | {k: (PERIODIC, v) for k, v in pairs.items()},
+    )
+    _ref_validate_closure(mesh)
+    return mesh
+
+
+def _ref_validate_closure(mesh: Mesh):
+    """Per-cell divergence closure: sum of length-weighted outward normals."""
+    if mesh.dim == 1:
+        return  # closure is exact by construction: (+1) + (-1)
+    for ic, c in enumerate(mesh.cells):
+        pts = mesh.vertices[list(c)]
+        t = np.roll(pts, -1, axis=0) - pts
+        resid = np.array([t[:, 1].sum(), -t[:, 0].sum()])
+        if np.abs(resid).max() > _GEOM_RTOL * mesh.cell_perimeter[ic]:
+            raise GeometryError(f"cell {ic} fails the normal closure identity")
+
+
+def _assemblies(builder, monkeypatch):
+    """Every (arguments, mesh) pair ``_assemble`` sees while ``builder`` runs."""
+    calls = []
+
+    def spy(*args):
+        mesh = real(*args)
+        calls.append((args, mesh))
+        return mesh
+
+    real = mesh_mod._assemble
+    monkeypatch.setattr(mesh_mod, "_assemble", spy)
+    builder()
+    monkeypatch.undo()
+    return calls
+
+
+def assert_same_mesh(got, want):
+    """Equal fields; arrays equal bit for bit, with equal dtype and shape."""
+    for f in dataclasses.fields(Mesh):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, f.name
+            same = np.array_equal(a, b) if b.dtype == object \
+                else a.tobytes() == b.tobytes()
+            assert same, f.name
+        elif isinstance(b, float):
+            # the reference's 2-D domain measure is an np.float64
+            assert float(a).hex() == float(b).hex(), f.name
+        else:
+            assert a == b, f.name
+
+
+@pytest.mark.parametrize("builder", MESH_BUILDERS + [
+    lambda: triangulated_rectangle(48, 48, -0.5, 0.0, 1.0, 1.0),
+    lambda: triangulated_rectangle(128, 128, periodic=True),
+    lambda: triangulated_rectangle(20, 13, periodic=True, jitter=0.3, seed=2),
+    lambda: uniform_interval_mesh(777, -0.5, 1.0, periodic=False),
+    lambda: refine(triangulated_rectangle(16, 16, periodic=True), 2),
+])
+def test_assembly_matches_reference(builder, monkeypatch):
+    calls = _assemblies(builder, monkeypatch)
+    assert calls
+    for args, mesh in calls:
+        assert_same_mesh(mesh, reference_assemble(*args))
+
+
 def test_uniform_interval_geometry():
     mesh = uniform_interval_mesh(4, 0.0, 1.0, periodic=False)
     assert mesh.dim == 1
@@ -228,6 +535,71 @@ def test_missing_vertex_index_rejected():
         build_mesh("dim 1\nvertices 2\n0\n1\ncells 1\n2 0 5\n")
 
 
+def _text(dim, verts, cells, tags=()):
+    """Mesh text from vertex lines, cell vertex lists and boundary lines."""
+    lines = [f"dim {dim}", f"vertices {len(verts)}", *verts,
+             f"cells {len(cells)}", *(f"{len(c.split())} {c}" for c in cells)]
+    if tags:
+        lines += [f"boundary {len(tags)}", *tags]
+    return "\n".join(lines) + "\n"
+
+
+SQUARE = ["0 0", "1 0", "1 1", "0 1"]
+TWO_TRIANGLES = ["0 1 2", "0 2 3"]
+
+
+# each input has exactly one defect
+@pytest.mark.parametrize("source,exc,fragment", [
+    (_text(2, SQUARE, ["0 1 1"]), GeometryError, "repeats a vertex"),
+    (_text(2, SQUARE, ["0 1 7"]), TopologyError, "references a missing vertex"),
+    (_text(2, SQUARE, ["0 1 -1"]), TopologyError, "references a missing vertex"),
+    (_text(1, ["0", "0.5", "1"], ["0 1 2"]), GeometryError, "vertex pairs"),
+    (_text(1, ["0", "1"], ["1 0"]), GeometryError, "not positively oriented"),
+    (_text(1, ["0", "1", "2", "3"], ["0 1", "2 3"]), GeometryError,
+     "cell areas sum to"),
+    (_text(2, SQUARE, ["0 1"]), GeometryError, "at least 3 vertices"),
+    (_text(2, SQUARE, ["0 2 1 3"]), GeometryError, "non-simple polygon"),
+    (_text(2, SQUARE, ["0 2 1"]), GeometryError, "non-positive area"),
+    (_text(2, ["0 0", "2 0", "2 2", "1 1", "1 1", "0 2"], ["0 1 2 3 4 5"]),
+     GeometryError, "zero-length edge"),
+    (_text(2, ["0 0", "1 0", "0.5 1", "0.5 -1", "0.5 2"],
+           ["0 1 2", "1 0 3", "0 1 4"]), TopologyError, "shared by 3 cells"),
+    (_text(2, ["0 0", "1 0", "0.5 1", "0.5 2"], ["0 1 2", "0 1 3"]),
+     TopologyError, "non-opposing normals"),
+    (_text(2, SQUARE, TWO_TRIANGLES, ["1 3 outflow"]), TopologyError,
+     "unknown face"),
+    # 0 * 4 + 6 would alias edge (1, 2) if keys were not range-checked
+    (_text(2, SQUARE, TWO_TRIANGLES, ["0 6 outflow"]), TopologyError,
+     "unknown face"),
+    (lambda: _assemble(2, np.eye(3)[:, :2], [(0, 1, 2)], {(1, 0): OUTFLOW}),
+     TopologyError, "unknown face"),
+    (_text(1, ["0", "1"], ["0 1"], ["5 outflow"]), TopologyError, "unknown face"),
+    (_text(2, SQUARE, TWO_TRIANGLES, ["0 2 outflow"]), TopologyError,
+     "interior face"),
+    (_text(2, SQUARE, TWO_TRIANGLES, ["0 1 periodic 0 2"]), TopologyError,
+     "is not a boundary face"),
+    (_text(2, SQUARE, TWO_TRIANGLES, ["0 1 periodic 2 3", "2 3 periodic 1 2"]),
+     TopologyError, "inconsistent periodic pairing"),
+    (_text(2, SQUARE, TWO_TRIANGLES, ["0 1 periodic 0 1"]), TopologyError,
+     "cannot pair with itself"),
+    (_text(2, SQUARE, ["0 1 2 3"], ["0 1 periodic 2 3"]), TopologyError,
+     "single cell"),
+    (_text(2, ["0 0", "2 0", "1 1", "0 1"], TWO_TRIANGLES, ["0 1 periodic 2 3"]),
+     TopologyError, "differ in length"),
+    (_text(2, SQUARE, TWO_TRIANGLES, ["0 1 periodic 0 3"]), TopologyError,
+     "not antiparallel"),
+    (_text(2, ["0 0", "nan 0", "0 1"], ["0 1 2"]), GeometryError, "non-finite"),
+    (lambda: _assemble(2, np.zeros((3, 3)), [(0, 1, 2)], {}), GeometryError,
+     "3 components, expected 2"),
+    (lambda: _assemble(3, np.eye(3), [(0, 1, 2)], {}), GeometryError,
+     "unsupported dimension 3"),
+])
+def test_assembly_rejections(source, exc, fragment):
+    with pytest.raises(exc) as err:
+        source() if callable(source) else build_mesh(source)
+    assert fragment in str(err.value)
+
+
 def test_load_mesh_roundtrip(tmp_path):
     path = tmp_path / "square.mesh"
     path.write_text(TWO_TRIANGLE_SQUARE)
@@ -262,6 +634,36 @@ def test_regularity_equilateral():
 def test_regularity_unit_square_cell():
     rep = regularity(build_mesh(UNIT_SQUARE_CELL))
     assert rep.max_ratio == pytest.approx(np.sqrt(2.0), rel=1e-7)
+
+
+def _linprog_inradius(pts, linprog):
+    """Largest inscribed circle of a convex polygon, as a linear program."""
+    t = np.roll(pts, -1, axis=0) - pts
+    n = np.column_stack([t[:, 1], -t[:, 0]]) / np.linalg.norm(t, axis=1)[:, None]
+    res = linprog(c=[0.0, 0.0, -1.0], A_ub=np.column_stack([n, np.ones(len(pts))]),
+                  b_ub=(n * pts).sum(axis=1),
+                  bounds=[(None, None), (None, None), (0, None)], method="highs")
+    assert res.success
+    return float(res.x[2])
+
+
+def test_chebyshev_inradius_matches_linprog():
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(4)
+    polygons = [build_mesh(UNIT_SQUARE_CELL).cell_polygon(0),
+                build_mesh(MIXED_POLYGONS).cell_polygon(0)]
+    for k in range(4, 10):
+        theta = 2.0 * np.pi * np.arange(k) / k
+        polygons.append(np.column_stack([np.cos(theta), np.sin(theta)]))
+        for _ in range(10):
+            # points on an ellipse, in angle order, are a convex CCW polygon
+            theta = np.sort(rng.uniform(0.0, 2.0 * np.pi, k))
+            a, b = rng.uniform(0.1, 3.0, 2)
+            polygons.append(np.column_stack([a * np.cos(theta), b * np.sin(theta)])
+                            + rng.uniform(-5.0, 5.0, 2))
+    for pts in polygons:
+        want = _linprog_inradius(pts, linprog)
+        assert _chebyshev_inradius(pts) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_regularity_sliver_blows_up():
