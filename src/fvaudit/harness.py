@@ -203,6 +203,16 @@ class StudyConfig:
             raise ValueError("base_n must be at least 2")
         if self.levels < 1:
             raise ValueError("levels must be at least 1")
+        # audit sizes fail here, before any level is solved, with the
+        # messages of the layers that use them
+        if self.n_v < 8:
+            raise ValueError("velocity grid needs at least 8 nodes")
+        if self.k_points < 2:
+            raise ValueError("need at least two grid points")
+        if self.bins < 2:
+            raise ValueError("need at least two bins")
+        if self.patches < 1:
+            raise ValueError("need at least one patch per axis")
         # scheme parameters are validated where they are used
         self.scheme()
 

@@ -22,11 +22,17 @@ a fully periodic mesh so the spatial flux terms telescope exactly; open
 boundaries are unsupported because the lifted profile has no ghost
 closure there.  Riemann data still fits: on a periodic interval the wrap
 face carries a standing jump with equal flux on both sides.
+
+The audit streams: ``defect_measure`` draws one step's residual at a time
+from ``KineticResidual.steps``, so besides the trajectory it holds
+O(n_cells * n_v) floats and an (n_steps, n_cells) positive-mass table.
+Reading ``KineticResidual.values`` or ``DefectMeasure.M`` rebuilds every
+step and costs O(n_steps * n_cells * n_v) memory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -135,19 +141,44 @@ def frozen_trajectory(field: CellField, dt: float, n_steps: int) -> Trajectory:
 
 @dataclass
 class KineticResidual:
-    """Transport residual of the lifted trajectory.
+    """Transport residual of the lifted trajectory, one step at a time.
 
-    ``values`` has shape (n_steps, n_cells, n_v): for step n it holds
+    For step n the residual is the (n_cells, n_v) array
 
         (rho^{n+1} - rho^n) / dt_n + (1 / |K|) sum_e |e| c_e rho_up
 
-    with c_e = f'(v_j) . n_e and rho_up the upwind copy of rho^n.
+    with c_e = f'(v_j) . n_e (the (n_faces, n_v) table ``c``) and rho_up
+    the upwind copy of rho^n.  :meth:`steps` computes them in order and
+    keeps only the current pair of lifted states; ``values`` stacks all of
+    them into (n_steps, n_cells, n_v) and costs that much memory to read.
     """
 
-    values: np.ndarray
+    traj: Trajectory
+    c: np.ndarray
     dts: np.ndarray
     grid: VGrid
     mesh: Mesh
+
+    def steps(self):
+        """Yield each step's (n_cells, n_v) residual as a new array."""
+        mesh = self.mesh
+        upwind_left = self.c >= 0.0
+        flow = mesh.face_length[:, None] * self.c
+        rho_old = lift(self.traj.fields[0], self.grid).rho
+        for later, dt in zip(self.traj.fields[1:], self.dts):
+            rho_new = lift(later, self.grid).rho
+            rho_up = np.where(upwind_left, rho_old[mesh.face_left],
+                              rho_old[mesh.face_right]).astype(float)
+            div = mesh.divergence(flow * rho_up)
+            yield (rho_new - rho_old) / dt + div / mesh.cell_area[:, None]
+            rho_old = rho_new
+
+    @property
+    def values(self) -> np.ndarray:
+        out = np.empty((len(self.dts), self.mesh.n_cells, self.grid.n))
+        for s, r in enumerate(self.steps()):
+            out[s] = r
+        return out
 
 
 def kinetic_residual(traj: Trajectory, flux, grid: VGrid | None = None) -> KineticResidual:
@@ -158,22 +189,16 @@ def kinetic_residual(traj: Trajectory, flux, grid: VGrid | None = None) -> Kinet
         raise ValueError("need at least one step")
     if grid is None:
         grid = VGrid.for_range(*state_range(traj))
-
     c = flux.dfn(grid.centers[None, :], mesh.face_normal)  # (n_f, n_v)
-    upwind_left = c >= 0.0
+    return KineticResidual(traj=traj, c=c, dts=np.diff(traj.times),
+                           grid=grid, mesh=mesh)
 
-    n_steps = len(traj) - 1
-    out = np.empty((n_steps, mesh.n_cells, grid.n))
-    dts = np.diff(traj.times)
-    rho_old = lift(traj.fields[0], grid).rho
-    for s in range(n_steps):
-        rho_new = lift(traj.fields[s + 1], grid).rho
-        rho_up = np.where(upwind_left, rho_old[mesh.face_left],
-                          rho_old[mesh.face_right]).astype(float)
-        div = mesh.divergence(mesh.face_length[:, None] * c * rho_up)
-        out[s] = (rho_new - rho_old) / dts[s] + div / mesh.cell_area[:, None]
-        rho_old = rho_new
-    return KineticResidual(values=out, dts=dts, grid=grid, mesh=mesh)
+
+def _antiderivative(r: np.ndarray, dv: float, out: np.ndarray) -> None:
+    """Write M of one step's residual at the velocity edges, M(v_min) = 0."""
+    out[:, 0] = 0.0
+    np.cumsum(r, axis=-1, out=out[:, 1:])
+    out[:, 1:] *= dv
 
 
 @dataclass
@@ -181,13 +206,16 @@ class DefectMeasure:
     """Velocity antiderivative M of the kinetic residual, with summaries.
 
     ``M`` has shape (n_steps, n_cells, n_v + 1), evaluated at the velocity
-    grid edges with M(v_min) = 0.  It approximates the defect density only
+    grid edges with M(v_min) = 0; it is rebuilt from the residual each
+    time it is read.  It approximates the defect density only
     in a distributional sense: an upwind step splits the defect of a jump
     sitting on a face into a positive part in one cell and a negative part
     in its neighbor, and per-step values carry O(dv/dt) quantization, so
     raw cell values at shocks grow like 1/h no matter how entropic the
     evolution is.  That raw undershoot is still reported as
-    ``pointwise_negativity``.
+    ``pointwise_negativity``, and ``worst_step``, ``worst_cell`` and
+    ``worst_v`` (a velocity-edge index) locate the minimum of M, the first
+    one in (step, cell, velocity) order on ties.
 
     ``negativity_score`` therefore tests M the way a measure is tested:
     integrated over the run (the time-difference terms telescope away) and
@@ -201,11 +229,22 @@ class DefectMeasure:
     M(v_max), a conservation cross-check that vanishes with dv.
     """
 
-    M: np.ndarray
+    residual: KineticResidual = field(repr=False)
     negativity_score: float
     pointwise_negativity: float
     total_mass: float
     edge_mass: float
+    worst_step: int
+    worst_cell: int
+    worst_v: int
+
+    @property
+    def M(self) -> np.ndarray:
+        res = self.residual
+        out = np.empty((len(res.dts), res.mesh.n_cells, res.grid.n + 1))
+        for s, r in enumerate(res.steps()):
+            _antiderivative(r, res.grid.dv, out[s])
+        return out
 
 
 def _tent_windows(mesh: Mesh, per_axis: int, frac: float) -> np.ndarray:
@@ -229,24 +268,40 @@ def _tent_windows(mesh: Mesh, per_axis: int, frac: float) -> np.ndarray:
 
 def defect_measure(res: KineticResidual, windows_per_axis: int | None = None,
                    window_frac: float = 0.125) -> DefectMeasure:
+    """Summarize M in one pass over the steps, in O(n_cells * n_v) memory.
+
+    Besides one step's M, the pass keeps its time integral ``acc``, the
+    running minimum and the (n_steps, n_cells) positive mass.
+    """
     dv = res.grid.dv
-    cum = dv * np.cumsum(res.values, axis=-1)
-    M = np.concatenate([np.zeros(cum.shape[:-1] + (1,)), cum], axis=-1)
-    pointwise = float(max(0.0, -M.min()))
-    pos = np.maximum(M, 0.0).sum(axis=-1) * dv            # (n_steps, n_cells)
+    M = np.empty((res.mesh.n_cells, res.grid.n + 1))
+    part = np.empty_like(M)
+    acc = np.zeros_like(M)
+    pos = np.empty((len(res.dts), res.mesh.n_cells))
+    lowest, worst = np.inf, (0, 0, 0)
+    for s, r in enumerate(res.steps()):
+        _antiderivative(r, dv, M)
+        i = int(M.argmin())
+        if M.flat[i] < lowest:          # strict: ties keep the earliest step
+            lowest, worst = M.flat[i], (s, *divmod(i, M.shape[1]))
+        np.maximum(M, 0.0, out=part).sum(axis=-1, out=pos[s])
+        acc += np.multiply(res.dts[s], M, out=part)
+    pointwise = float(max(0.0, -lowest))
+    pos *= dv
     total = float((pos @ res.mesh.cell_area) @ res.dts)
 
     if windows_per_axis is None:
         windows_per_axis = 33 if res.mesh.dim == 1 else 9
     elapsed = float(res.dts.sum())
-    acc = np.tensordot(res.dts, M, axes=(0, 0))           # (n_cells, n_v + 1)
     weighted = _tent_windows(res.mesh, windows_per_axis, window_frac) @ acc
     weighted /= elapsed
     negativity = float(max(0.0, -weighted.min()))
     edge = float(res.mesh.cell_area @ acc[:, -1]) / elapsed
-    return DefectMeasure(M=M, negativity_score=negativity,
+    worst_step, worst_cell, worst_v = worst
+    return DefectMeasure(residual=res, negativity_score=negativity,
                          pointwise_negativity=pointwise, total_mass=total,
-                         edge_mass=edge)
+                         edge_mass=edge, worst_step=worst_step,
+                         worst_cell=worst_cell, worst_v=worst_v)
 
 
 @dataclass

@@ -268,6 +268,8 @@ def _assemble(dim: int, vertices: np.ndarray, cells, boundary: dict | None) -> M
     boundary = dict(boundary or {})
     cells = tuple(tuple(map(int, c)) for c in cells)
     n_v, n_c = len(vertices), len(cells)
+    if n_c == 0:
+        raise GeometryError("mesh has no cells")
     size = np.fromiter(map(len, cells), dtype=int, count=n_c)
     if dim == 1 and np.any(size != 2):
         raise GeometryError("1-D cells are vertex pairs")

@@ -74,6 +74,25 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                  "--quiet"]) == 2
 
 
+@pytest.mark.parametrize("command,override,fragment", [
+    ("converge", "k_points=1", "at least two grid points"),
+    ("entropy-audit", "k_points=1", "at least two grid points"),
+    ("kinetic-audit", "n_v=4", "at least 8 nodes"),
+    ("young-audit", "bins=1", "at least two bins"),
+    ("young-audit", "patches=0", "at least one patch"),
+])
+def test_invalid_audit_size_exits_2_before_solving(tmp_path, capsys,
+                                                   monkeypatch, command,
+                                                   override, fragment):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a level was solved for an invalid request")
+    monkeypatch.setattr(harness, "solve_level", refuse)
+    rc = main([command, "--set", "problem=expansion_shock", "--set", override,
+               "--out", str(tmp_path), "--quiet"])
+    assert rc == 2
+    assert fragment in capsys.readouterr().err
+
+
 def test_numerical_blow_up_exits_1(tmp_path, capsys, monkeypatch):
     # data so large that the flux overflows in the first step; the
     # overflow is reported once, as an error, not as runtime warnings

@@ -89,6 +89,12 @@ def test_study_config_validation():
         StudyConfig(base_n=1)
     with pytest.raises(Exception):
         StudyConfig(flux_rule="not_a_rule")
+    for key, bad, fragment in (("n_v", 7, "at least 8 nodes"),
+                               ("k_points", 1, "at least two grid points"),
+                               ("bins", 1, "at least two bins"),
+                               ("patches", 0, "at least one patch")):
+        with pytest.raises(ValueError, match=fragment):
+            StudyConfig(**{key: bad})
 
 
 def test_parse_config_lines_and_comments():

@@ -5,7 +5,9 @@ residual of lifted trajectories, the weak negativity score that separates
 entropic from non-entropic evolutions, and the flux nondegeneracy probe.
 """
 
+import tracemalloc
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,8 +26,11 @@ from fvaudit import (
     make_flux,
     nondegeneracy,
     run,
+    triangulated_rectangle,
     uniform_interval_mesh,
 )
+from fvaudit.kinetic import _tent_windows
+from fvaudit.scheme import state_range
 
 GODUNOV = SchemeConfig(flux_rule="godunov", reconstruction="constant",
                        time_integrator="euler", cfl_number=0.45)
@@ -215,22 +220,29 @@ def test_defect_measure_antiderivative_shape():
 # negativity scores on evolved trajectories
 
 
+def _sign_step(n):
+    mesh = uniform_interval_mesh(n, -1.0, 1.0, periodic=True)
+    return CellField(mesh, cell_averages(mesh, lambda x: np.sign(x[:, 0])))
+
+
+@lru_cache(maxsize=None)
+def _expansion_run(n, t_final=0.4):
+    """The evolved periodic sign-step (fan + wrap shock)."""
+    return run(_sign_step(n), make_flux("burgers"), GODUNOV, t_final)
+
+
 @lru_cache(maxsize=None)
 def _expansion_score(n, t_final=0.4, n_v=128):
-    """Weak negativity of the evolved periodic sign-step (fan + wrap shock)."""
-    mesh = uniform_interval_mesh(n, -1.0, 1.0, periodic=True)
-    u0 = cell_averages(mesh, lambda x: np.sign(x[:, 0]))
-    traj = run(CellField(mesh, u0), make_flux("burgers"), GODUNOV, t_final)
+    """Weak negativity of the evolved periodic sign-step."""
     grid = VGrid.for_range(-1.0, 1.0, n=n_v)
-    return defect_measure(kinetic_residual(traj, make_flux("burgers"), grid))
+    return defect_measure(kinetic_residual(_expansion_run(n, t_final),
+                                           make_flux("burgers"), grid))
 
 
 @lru_cache(maxsize=None)
 def _frozen_expansion_score(n, n_v=128):
     """Weak negativity of the standing sign-step held fixed in time."""
-    mesh = uniform_interval_mesh(n, -1.0, 1.0, periodic=True)
-    base = CellField(mesh, cell_averages(mesh, lambda x: np.sign(x[:, 0])))
-    traj = frozen_trajectory(base, dt=1e-3, n_steps=1)
+    traj = frozen_trajectory(_sign_step(n), dt=1e-3, n_steps=1)
     grid = VGrid.for_range(-1.0, 1.0, n=n_v)
     return defect_measure(kinetic_residual(traj, make_flux("burgers"), grid))
 
@@ -333,6 +345,146 @@ def test_edge_mass_bounded_by_velocity_cell():
     dm = _expansion_score(80)
     grid_dv = VGrid.for_range(-1.0, 1.0, n=128).dv
     assert abs(dm.edge_mass) <= grid_dv
+
+
+# ---------------------------------------------------------------------------
+# streaming audit against the bulk computation it replaced
+
+
+def reference_kinetic_residual(traj, flux, grid=None):
+    """Every step's residual at once, as one (n_steps, n_cells, n_v) array."""
+    mesh = traj.mesh
+    if not mesh.is_periodic:
+        raise ValueError("kinetic transport audit needs a fully periodic mesh")
+    if len(traj) < 2:
+        raise ValueError("need at least one step")
+    if grid is None:
+        grid = VGrid.for_range(*state_range(traj))
+
+    c = flux.dfn(grid.centers[None, :], mesh.face_normal)  # (n_f, n_v)
+    upwind_left = c >= 0.0
+
+    n_steps = len(traj) - 1
+    out = np.empty((n_steps, mesh.n_cells, grid.n))
+    dts = np.diff(traj.times)
+    rho_old = lift(traj.fields[0], grid).rho
+    for s in range(n_steps):
+        rho_new = lift(traj.fields[s + 1], grid).rho
+        rho_up = np.where(upwind_left, rho_old[mesh.face_left],
+                          rho_old[mesh.face_right]).astype(float)
+        div = mesh.divergence(mesh.face_length[:, None] * c * rho_up)
+        out[s] = (rho_new - rho_old) / dts[s] + div / mesh.cell_area[:, None]
+        rho_old = rho_new
+    return SimpleNamespace(values=out, dts=dts, grid=grid, mesh=mesh)
+
+
+def reference_defect_measure(res, windows_per_axis=None, window_frac=0.125):
+    """M and its summaries from the whole (n_steps, n_cells, n_v) residual."""
+    dv = res.grid.dv
+    cum = dv * np.cumsum(res.values, axis=-1)
+    M = np.concatenate([np.zeros(cum.shape[:-1] + (1,)), cum], axis=-1)
+    pointwise = float(max(0.0, -M.min()))
+    pos = np.maximum(M, 0.0).sum(axis=-1) * dv            # (n_steps, n_cells)
+    total = float((pos @ res.mesh.cell_area) @ res.dts)
+
+    if windows_per_axis is None:
+        windows_per_axis = 33 if res.mesh.dim == 1 else 9
+    elapsed = float(res.dts.sum())
+    acc = np.tensordot(res.dts, M, axes=(0, 0))           # (n_cells, n_v + 1)
+    weighted = _tent_windows(res.mesh, windows_per_axis, window_frac) @ acc
+    weighted /= elapsed
+    negativity = float(max(0.0, -weighted.min()))
+    edge = float(res.mesh.cell_area @ acc[:, -1]) / elapsed
+    return SimpleNamespace(M=M, negativity_score=negativity,
+                           pointwise_negativity=pointwise, total_mass=total,
+                           edge_mass=edge)
+
+
+def _sine_run():
+    flux = make_flux("linear_advection", a=1.0)
+    mesh = uniform_interval_mesh(40, 0.0, 1.0, periodic=True)
+    u0 = cell_averages(mesh, lambda x: np.sin(2.0 * np.pi * x[:, 0]))
+    return (run(CellField(mesh, u0), flux, GODUNOV, 0.5), flux,
+            VGrid.for_range(-1.0, 1.0, n=64))
+
+
+def _rotated_bump_run():
+    flux = make_flux("rotated_burgers_2d", angle=np.pi / 5.0)
+    mesh = triangulated_rectangle(6, 6, periodic=True)
+    u0 = cell_averages(mesh, lambda x: np.exp(-20.0 * ((x[:, 0] - 0.4) ** 2
+                                                       + (x[:, 1] - 0.5) ** 2)))
+    return run(CellField(mesh, u0), flux, GODUNOV, 0.3), flux, None
+
+
+STREAMING_CASES = {
+    "constant": lambda: (_constant_run(), make_flux("burgers"),
+                         VGrid(-1.0, 1.0, 64)),
+    **{f"expansion_{n}": (lambda n=n: (_expansion_run(n), make_flux("burgers"),
+                                       VGrid.for_range(-1.0, 1.0, n=128)))
+       for n in (40, 80, 160)},
+    "linear_advection": _sine_run,
+    # three identical steps: the minimum of M ties across steps
+    "frozen": lambda: (frozen_trajectory(_sign_step(160), dt=1e-3, n_steps=3),
+                       make_flux("burgers"), VGrid.for_range(-1.0, 1.0, n=128)),
+    "rotated_burgers_2d": _rotated_bump_run,
+}
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("case", list(STREAMING_CASES))
+def test_streaming_audit_matches_bulk_reference(case):
+    traj, flux, grid = STREAMING_CASES[case]()
+    res = kinetic_residual(traj, flux, grid)
+    ref_res = reference_kinetic_residual(traj, flux, grid)
+    dm, ref = defect_measure(res), reference_defect_measure(ref_res)
+    assert _same_bits(res.values, ref_res.values)
+    assert _same_bits(dm.M, ref.M)
+    assert dm.pointwise_negativity.hex() == ref.pointwise_negativity.hex()
+    assert dm.total_mass.hex() == ref.total_mass.hex()
+    # the time integral of M is summed step by step instead of by BLAS,
+    # so these two may move by rounding only; edge_mass is a cancelling
+    # sum that is pure rounding on some runs, so it is held to the size
+    # of its terms
+    assert abs(dm.negativity_score - ref.negativity_score) \
+        <= 1e-13 * abs(ref.negativity_score)
+    terms = np.tensordot(ref_res.dts, np.abs(ref.M[..., -1]), axes=(0, 0))
+    edge_scale = float(res.mesh.cell_area @ terms) / float(res.dts.sum())
+    assert abs(dm.edge_mass - ref.edge_mass) <= 1e-13 * edge_scale
+    worst = np.unravel_index(np.argmin(ref.M), ref.M.shape)
+    assert (dm.worst_step, dm.worst_cell, dm.worst_v) == tuple(map(int, worst))
+
+
+def test_streaming_worst_location_takes_the_first_tie():
+    traj, flux, grid = STREAMING_CASES["frozen"]()
+    dm = defect_measure(kinetic_residual(traj, flux, grid))
+    M = dm.M
+    assert dm.worst_step == 0
+    assert np.array_equal(M[0], M[2])
+    assert M[0, dm.worst_cell, dm.worst_v] == -dm.pointwise_negativity < 0.0
+
+
+def test_audit_memory_does_not_grow_with_steps():
+    # only the (n_steps, n_cells) positive-mass table and per-step times
+    # may grow with the run; one steps x cells x n_v array would not fit
+    base = _sign_step(64)
+    flux, grid = make_flux("burgers"), VGrid.for_range(-1.0, 1.0, n=128)
+
+    def peak(n_steps):
+        traj = frozen_trajectory(base, dt=1e-3, n_steps=n_steps)
+        tracemalloc.start()
+        try:
+            defect_measure(kinetic_residual(traj, flux, grid))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    few, many = peak(10), peak(200)
+    tables = 8 * (200 - 10) * (base.mesh.n_cells + 2)
+    assert many - few <= 2 * tables
+    assert 2 * tables < 8 * (200 - 10) * base.mesh.n_cells * grid.n // 10
 
 
 # ---------------------------------------------------------------------------

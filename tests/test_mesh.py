@@ -593,6 +593,7 @@ TWO_TRIANGLES = ["0 1 2", "0 2 3"]
      "3 components, expected 2"),
     (lambda: _assemble(3, np.eye(3), [(0, 1, 2)], {}), GeometryError,
      "unsupported dimension 3"),
+    (_text(2, SQUARE, []), GeometryError, "mesh has no cells"),
 ])
 def test_assembly_rejections(source, exc, fragment):
     with pytest.raises(exc) as err:
