@@ -10,6 +10,7 @@ files; wall-clock timings go to a separate file for that reason.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
@@ -203,6 +204,9 @@ class StudyConfig:
             raise ValueError("base_n must be at least 2")
         if self.levels < 1:
             raise ValueError("levels must be at least 1")
+        if self.t_final is not None and not (math.isfinite(self.t_final)
+                                             and self.t_final >= 0.0):
+            raise ValueError("t_final must be finite and nonnegative")
         # audit sizes fail here, before any level is solved, with the
         # messages of the layers that use them
         if self.n_v < 8:

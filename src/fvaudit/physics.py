@@ -76,8 +76,16 @@ class FluxModel:
         return np.multiply.outer(self.dphi(np.asarray(u, dtype=float)), self.direction)
 
     def _along(self, n, like) -> np.ndarray:
-        """``c = d . n`` with trailing axes added to broadcast against ``like``."""
-        c = (np.asarray(n, dtype=float) * self.direction).sum(axis=-1)
+        """``c = d . n`` with trailing axes added to broadcast against ``like``.
+
+        The products are added left to right onto 0.0, which is the order,
+        and so the bits (signed zeros included), of ``(n * d).sum(-1)``
+        without numpy's slow reduction over a short last axis.
+        """
+        n = np.asarray(n, dtype=float)
+        c = 0.0 + n[..., 0] * self.direction[0]
+        for j in range(1, self.dim):
+            c = c + n[..., j] * self.direction[j]
         return c.reshape(c.shape + (1,) * (np.ndim(like) - c.ndim))
 
     def fn(self, u, n) -> np.ndarray:
@@ -99,7 +107,7 @@ class FluxModel:
         low, high = g(lo), g(hi)
         low, high = np.minimum(low, high), np.maximum(low, high)
         for z in points:
-            g_z = g(np.clip(z, lo, hi))
+            g_z = g(np.minimum(np.maximum(z, lo), hi))
             low, high = np.minimum(low, g_z), np.maximum(high, g_z)
         return low, high
 

@@ -188,9 +188,11 @@ def numerical_flux(rule: str, flux, a, b, n, lam=None) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if rule == "godunov":
-        gmin = flux.interval_extremum(a, b, n, "min")
-        gmax = flux.interval_extremum(a, b, n, "max")
-        return np.where(a <= b, gmin, gmax)
+        # Osher's form: the min of c phi over the hull when a <= b, else the
+        # max, and c phi takes its min at the max of phi when c = d . n < 0
+        low, high = flux._hull_range(flux.phi, a, b, flux.critical_points)
+        c = flux._along(n, low)
+        return c * np.where((c >= 0.0) == (a <= b), low, high)
     if rule == "engquist_osher":
         f_plus_a, _ = flux.split_fluxes(a, n)
         _, f_minus_b = flux.split_fluxes(b, n)
@@ -393,6 +395,13 @@ def state_range(traj: Trajectory) -> tuple[float, float]:
 _MAX_STEPS = 10_000_000
 
 
+def _check_t_final(t_final: float):
+    # a nan or infinite horizon is never reached: the march would run
+    # until the step budget is spent
+    if not math.isfinite(t_final):
+        raise ValueError(f"t_final must be finite, got {t_final!r}")
+
+
 def run(initial: CellField, flux, config: SchemeConfig, t_final: float,
         output_times=()) -> Trajectory:
     """March to ``t_final``, clipping steps to land on requested times.
@@ -401,6 +410,7 @@ def run(initial: CellField, flux, config: SchemeConfig, t_final: float,
     full discrete history.  ``t_final`` equal to the initial time returns
     a single-entry trajectory.
     """
+    _check_t_final(t_final)
     tol = 1e-12 * max(1.0, abs(t_final))
     if t_final < initial.t - tol:
         raise ValueError("t_final lies before the initial time")
@@ -430,6 +440,7 @@ def twin_run(initial_a: CellField, initial_b: CellField, flux,
     """
     if initial_a.mesh is not initial_b.mesh:
         raise ValueError("twin runs need a shared mesh")
+    _check_t_final(t_final)
     tol = 1e-12 * max(1.0, abs(t_final))
     fa, fb = [initial_a], [initial_b]
     a, b = initial_a, initial_b

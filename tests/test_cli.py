@@ -93,6 +93,20 @@ def test_invalid_audit_size_exits_2_before_solving(tmp_path, capsys,
     assert fragment in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t_final", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", ["run", "converge", "entropy-audit",
+                                     "kinetic-audit", "young-audit"])
+def test_invalid_t_final_exits_2_before_solving(tmp_path, capsys, monkeypatch,
+                                                command, t_final):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a level was solved for an invalid request")
+    monkeypatch.setattr(harness, "solve_level", refuse)
+    rc = main([command, "--set", "problem=expansion_shock",
+               "--set", f"t_final={t_final}", "--out", str(tmp_path), "--quiet"])
+    assert rc == 2
+    assert "t_final must be finite and nonnegative" in capsys.readouterr().err
+
+
 def test_numerical_blow_up_exits_1(tmp_path, capsys, monkeypatch):
     # data so large that the flux overflows in the first step; the
     # overflow is reported once, as an error, not as runtime warnings

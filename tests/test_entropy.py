@@ -1,12 +1,17 @@
 """Clipped-state entropy fluxes, residual audits, and E-flux verification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fvaudit import (
     PROBLEMS,
     CellField,
+    EntropyResidualField,
     SchemeConfig,
+    Trajectory,
+    build_mesh,
     numerical_flux,
     check_e_flux,
     entropy_residuals,
@@ -23,7 +28,8 @@ from fvaudit import (
     uniform_interval_mesh,
 )
 from fvaudit.harness import initial_field
-from fvaudit.scheme import _face_states
+from fvaudit.scheme import _face_states, state_range
+from test_mesh import MIXED_POLYGONS
 
 RIGHT = np.ones(1)
 E_RULES = ("godunov", "lax_friedrichs", "engquist_osher")
@@ -257,15 +263,9 @@ def test_shortcut_matches_full_clipped_evaluation(problem, rule, mode):
             field = after
 
 
-def test_audit_locates_worst_residual():
-    """The reported location is the brute-force argmax over (step, k, cell)."""
-    flux = burgers()
-    mesh = uniform_interval_mesh(30, 0.0, 1.0, periodic=True)
-    cfg = SchemeConfig(flux_rule="central")
-    field = CellField.from_function(
-        mesh, lambda x: 0.5 + 0.25 * np.sin(2.0 * np.pi * x[:, 0]))
-    traj = run(field, flux, cfg, t_final=0.1)
-    k = kruzkov_k_grid(0.2, 0.8, n=17)
+def assert_locates_worst(traj, flux, cfg, k):
+    """The audit's location is the first argmax over (step, k, cell) of the
+    expanded residuals, and its worst value their maximum."""
     rpt = run_entropy_audit(traj, flux, cfg, k)
     assert not rpt.passed
     stacked = np.array([
@@ -274,6 +274,102 @@ def test_audit_locates_worst_residual():
     s, ik, cell = np.unravel_index(int(stacked.argmax()), stacked.shape)
     assert (rpt.worst_step, rpt.worst_cell, rpt.worst_k) == (s, cell, k[ik])
     assert rpt.worst == stacked.max() == rpt.per_step[s]
+
+
+def test_audit_locates_worst_residual():
+    """The reported location is the brute-force argmax over (step, k, cell)."""
+    flux = burgers()
+    mesh = uniform_interval_mesh(30, 0.0, 1.0, periodic=True)
+    cfg = SchemeConfig(flux_rule="central")
+    field = CellField.from_function(
+        mesh, lambda x: 0.5 + 0.25 * np.sin(2.0 * np.pi * x[:, 0]))
+    traj = run(field, flux, cfg, t_final=0.1)
+    assert_locates_worst(traj, flux, cfg, kruzkov_k_grid(0.2, 0.8, n=17))
+
+
+@pytest.mark.parametrize("case", ["rotated_shock_2d", "quad_triangle",
+                                  "limited_linear"])
+def test_audit_locates_worst_residual_off_uniform_meshes(case):
+    """Where the cell closure C_i is not exactly zero (triangles), on a
+    padded incidence table, and with a hull taken from reconstructed face
+    traces."""
+    if case == "quad_triangle":     # one quad and two triangles: padded rows
+        mesh = build_mesh(MIXED_POLYGONS)
+        flux = make_flux("rotated_burgers_2d", angle=0.5)
+        field = CellField(mesh, [1.0, 0.2, 0.6])
+    else:
+        spec = PROBLEMS["rotated_shock_2d"]
+        mesh, flux = spec.mesh_fn(6), spec.flux_fn()
+        field = CellField.from_function(
+            mesh, lambda x: 0.5 + 0.4 * np.sin(3.0 * x[:, 0] + 2.0 * x[:, 1]))
+    cfg = (SchemeConfig(reconstruction="limited_linear") if case == "limited_linear"
+           else SchemeConfig(flux_rule="central"))
+    traj = run(field, flux, cfg, t_final=0.05)
+    if case == "quad_triangle":
+        assert np.any(mesh.cell_face_sign == 0.0)
+    else:
+        closure = entropy_residuals(traj.fields[0], traj.fields[1],
+                                    traj.times[1], flux, cfg, 0.5).closure
+        assert np.any(closure != 0.0)
+    lo, hi = state_range(traj)
+    assert_locates_worst(traj, flux, cfg, kruzkov_k_grid(lo, hi, n=17))
+
+
+def test_field_max_and_argmax_match_expansion():
+    """max() and argmax() of the sparse-plus-affine form equal
+    residual.max() and the first residual.argmax(), bit for bit, with ties
+    in phi and in the residuals, both signs of C, unsorted k and a per-k r."""
+    rng = np.random.default_rng(5)
+    n_k, n_cells = 9, 40
+    for trial in range(60):
+        phi = rng.choice([-1.0, 0.0, 0.5, 2.0], n_k) + rng.choice([0.0, 1e-3], n_k)
+        below = rng.integers(0, n_k + 1, n_cells)
+        above = np.maximum(below, rng.integers(0, n_k + 1, n_cells))
+        count = above - below
+        cell = np.repeat(np.arange(n_cells), count)
+        kpos = np.arange(cell.size) - (np.cumsum(count) - count)[cell] + below[cell]
+        shape = (n_k, n_cells) if trial % 3 == 0 else (n_cells,)
+        field = EntropyResidualField(
+            k=np.zeros(n_k), dt=1.0, h=1.0, phi=phi, rank=rng.permutation(n_k),
+            r=rng.choice([-1.0, -0.25, 0.0, 1.0], shape),
+            closure=rng.choice([-3.0, -1.0, 0.0, 1.0, 0.1], n_cells),
+            below=below, above=above, hull_cell=cell, hull_k=kpos,
+            hull_value=rng.choice([0.0, 1.0, 2.5], cell.size))
+        dense = field.residual
+        assert np.float64(field.max()).tobytes() == dense.max().tobytes()
+        assert field.argmax() == np.unravel_index(int(dense.argmax()), dense.shape)
+
+
+def test_audit_memory_does_not_grow_with_k():
+    """Out-of-hull k cost O(1) memory each: only the grid, phi(k), its prefix
+    extremes and the in-hull pairs grow with the number of k values."""
+    flux, cfg = burgers(), SchemeConfig()
+    mesh = uniform_interval_mesh(200, 0.0, 1.0, periodic=True)
+    field = CellField.from_function(
+        mesh, lambda x: 0.5 + 0.25 * np.sin(2.0 * np.pi * x[:, 0]))
+    traj = Trajectory(run(field, flux, cfg, t_final=0.3).fields[:21])
+
+    def peak(k):
+        tracemalloc.start()
+        try:
+            run_entropy_audit(traj, flux, cfg, k)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    few, many = kruzkov_k_grid(0.25, 0.75, n=33), kruzkov_k_grid(0.25, 0.75, n=2049)
+    # (cell, k) pairs with k strictly inside the hull of u, u' and the
+    # neighbor means: the pairs that still go through the clipped flux
+    pairs = 0
+    for b, a in zip(traj.fields[:-1], traj.fields[1:]):
+        lo, hi = mesh.neighbor_range(b.values)
+        lo, hi = np.minimum(lo, a.values), np.maximum(hi, a.values)
+        inside = np.searchsorted(many, hi, "left") - np.searchsorted(many, lo, "right")
+        pairs = max(pairs, int(np.maximum(inside, 0).sum()))
+    width = mesh.cell_faces.shape[0]
+    bound = 8 * (64 * many.size + 32 * width * pairs)
+    assert peak(many) - peak(few) <= bound
+    assert bound < 8 * (mesh.n_faces + mesh.n_cells) * many.size
 
 
 # ---------------------------------------------------------------------------

@@ -92,9 +92,13 @@ def test_study_config_validation():
     for key, bad, fragment in (("n_v", 7, "at least 8 nodes"),
                                ("k_points", 1, "at least two grid points"),
                                ("bins", 1, "at least two bins"),
-                               ("patches", 0, "at least one patch")):
+                               ("patches", 0, "at least one patch"),
+                               ("t_final", -1.0, "t_final must be finite"),
+                               ("t_final", float("inf"), "t_final must be finite"),
+                               ("t_final", float("nan"), "t_final must be finite")):
         with pytest.raises(ValueError, match=fragment):
             StudyConfig(**{key: bad})
+    assert StudyConfig(t_final=0.0).resolved_t_final == 0.0
 
 
 def test_parse_config_lines_and_comments():

@@ -73,6 +73,22 @@ def test_derivative_matches_finite_difference(name, params, rng_range):
 
 
 @pytest.mark.parametrize("name,params,rng_range", FLUX_CASES)
+def test_along_matches_summed_product(name, params, rng_range):
+    """c = d . n bit for bit as ``(n * d).sum(-1)``, signed zeros included."""
+    flux = make_flux(name, **params)
+    rng = np.random.default_rng(29)
+    n = rng.standard_normal((2, 50, flux.dim))
+    n[:, ::5] = 0.0
+    n[:, 1::5] = -0.0
+    n[1, ::3, 0] = -0.0
+    for normals in (n, n[0], n[0, 7]):
+        want = (normals * flux.direction).sum(axis=-1)
+        got = flux._along(normals, want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert flux._along(n[0], np.zeros((50, 3))).shape == (50, 1)
+
+
+@pytest.mark.parametrize("name,params,rng_range", FLUX_CASES)
 def test_interval_extremum_against_brute_force(name, params, rng_range):
     flux = make_flux(name, **params)
     rng = np.random.default_rng(5)

@@ -52,6 +52,34 @@ def test_godunov_riemann_values():
         == pytest.approx(0.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("name,params", [
+    ("burgers", {}), ("linear_advection", {"a": (1.0, -0.5)}),
+    ("buckley_leverett", {}), ("rotated_burgers_2d", {"angle": 0.5})])
+def test_godunov_matches_min_max_form(name, params):
+    """One hull evaluation per face gives the two-extremum form bit for bit,
+    signed zeros included, also where d . n = 0 and under broadcasting."""
+    flux = make_flux(name, **params)
+    rng = np.random.default_rng(23)
+    a, b = rng.uniform(-1.5, 1.5, (2, 300))
+    b[:40] = a[:40]
+    n = rng.standard_normal((300, flux.dim))
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    d = np.asarray(flux.direction)
+    across = np.array([-d[1], d[0]]) if flux.dim == 2 else np.zeros(1)
+    n[40:70], n[70:100], n[100:110] = across, -across, -0.0
+
+    def two_extremum(a, b):
+        return np.where(a <= b, flux.interval_extremum(a, b, n, "min"),
+                        flux.interval_extremum(a, b, n, "max"))
+
+    assert np.any(flux._along(n, a) == 0.0)
+    for aa, bb in ((a, b), (a[:, None], b[:, None] + rng.uniform(-1.0, 1.0, (300, 7)))):
+        got = numerical_flux("godunov", flux, aa, bb, n)
+        want = two_extremum(aa, bb)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_lax_friedrichs_value():
     got = numerical_flux("lax_friedrichs", burgers(), 1.0, -1.0, RIGHT,
                          lam=1.0)
@@ -389,6 +417,16 @@ def test_run_zero_horizon_returns_initial():
     traj = run(field, burgers(), constant_cfg(), t_final=0.0)
     assert len(traj) == 1
     assert np.array_equal(traj.final.values, field.values)
+
+
+@pytest.mark.parametrize("t_final", [np.nan, np.inf, -np.inf])
+def test_runs_reject_non_finite_t_final(t_final):
+    mesh = uniform_interval_mesh(10, 0.0, 1.0, periodic=True)
+    field = CellField(mesh, np.zeros(10))
+    with pytest.raises(ValueError, match="t_final must be finite"):
+        run(field, burgers(), constant_cfg(), t_final=t_final)
+    with pytest.raises(ValueError, match="t_final must be finite"):
+        twin_run(field, field, burgers(), constant_cfg(), t_final=t_final)
 
 
 def test_run_rarefaction_respects_bounds():
