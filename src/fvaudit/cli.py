@@ -220,6 +220,10 @@ def _cmd_kinetic_audit(args) -> int:
     spec = harness.PROBLEMS[cfg.problem]
     if not spec.periodic:
         raise ValueError("kinetic-audit needs a periodic problem")
+    if not cfg.resolved_t_final > 0.0:
+        # the defect measure is taken over the steps of each level
+        raise ValueError("kinetic-audit needs t_final > 0: the defect "
+                         "measure needs at least one step")
     rows = []
     scores = []
     finest_traj = None

@@ -133,18 +133,28 @@ class Mesh:
     cell_face_sign: np.ndarray = field(init=False, repr=False, compare=False)
     cell_neighbors: np.ndarray = field(init=False, repr=False, compare=False)
     _signed_slots: np.ndarray = field(init=False, repr=False, compare=False)
+    # (n_faces,) the cell across each face from its left cell: face_right,
+    # or face_left itself on an outflow face, whose ghost copies the inside
+    face_across: np.ndarray = field(init=False, repr=False, compare=False)
+    # arrays other layers derive from the geometry alone, cached by key;
+    # the mesh is immutable, so they never go stale
+    _derived: dict = field(init=False, repr=False, compare=False,
+                           default_factory=dict)
 
     def __post_init__(self):
         tables = _incidence(self.n_cells, self.face_left, self.face_right)
         for name, value in zip(("cell_faces", "cell_face_sign", "cell_neighbors",
                                 "_signed_slots"), tables):
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "face_across", np.where(
+            self.face_right >= 0, self.face_right, self.face_left))
         for name in (
             "vertices", "cell_area", "cell_centroid", "cell_perimeter",
             "cell_diameter", "face_left", "face_right",
             "face_normal", "face_length", "face_midpoint_left",
             "face_midpoint_right", "face_kind",
             "cell_faces", "cell_face_sign", "cell_neighbors", "_signed_slots",
+            "face_across",
         ):
             getattr(self, name).setflags(write=False)
 

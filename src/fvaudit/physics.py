@@ -10,6 +10,11 @@ endpoints and the critical points inside, the sharp wave-speed bound
 inside, and the monotone/antitone split of ``f' . n`` (flux splitting) from
 ``phi`` on the pieces between critical points where it rises.
 
+Every oracle takes the normals ``n`` either as vectors or as an
+:class:`Along`, the projections ``c = d . n`` computed once by
+:meth:`FluxModel.along`, so callers that reuse one set of normals (the faces
+of a mesh) do not recompute them.
+
 Sign convention: ``sgn(0) = 0`` throughout, which ``np.sign`` honors.
 """
 
@@ -22,6 +27,7 @@ import numpy as np
 
 __all__ = [
     "FluxModel",
+    "Along",
     "EntropyPair",
     "ReferenceSolution",
     "make_flux",
@@ -31,6 +37,18 @@ __all__ = [
 
 FLUX_NAMES = ("burgers", "linear_advection", "buckley_leverett", "rotated_burgers_2d")
 CONVEXITY_CLASSES = ("strictly-convex", "linear", "nonconvex")
+
+
+@dataclass(frozen=True, eq=False)
+class Along:
+    """Normals projected on a flux direction, ``c = d . n``.
+
+    Made by :meth:`FluxModel.along`; any flux with the same direction
+    accepts it in place of the normals it was made from.
+    """
+
+    direction: tuple[float, ...]
+    c: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -75,6 +93,10 @@ class FluxModel:
         """Componentwise derivative ``phi'(u) d``."""
         return np.multiply.outer(self.dphi(np.asarray(u, dtype=float)), self.direction)
 
+    def along(self, n) -> Along:
+        """The projections ``d . n`` of normals of shape B + (dim,)."""
+        return Along(self.direction, self._along(n, 0.0))
+
     def _along(self, n, like) -> np.ndarray:
         """``c = d . n`` with trailing axes added to broadcast against ``like``.
 
@@ -82,10 +104,15 @@ class FluxModel:
         and so the bits (signed zeros included), of ``(n * d).sum(-1)``
         without numpy's slow reduction over a short last axis.
         """
-        n = np.asarray(n, dtype=float)
-        c = 0.0 + n[..., 0] * self.direction[0]
-        for j in range(1, self.dim):
-            c = c + n[..., j] * self.direction[j]
+        if isinstance(n, Along):
+            if n.direction != self.direction:
+                raise ValueError("normals projected on another flux direction")
+            c = n.c
+        else:
+            n = np.asarray(n, dtype=float)
+            c = 0.0 + n[..., 0] * self.direction[0]
+            for j in range(1, self.dim):
+                c = c + n[..., j] * self.direction[j]
         return c.reshape(c.shape + (1,) * (np.ndim(like) - c.ndim))
 
     def fn(self, u, n) -> np.ndarray:

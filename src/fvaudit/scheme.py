@@ -9,7 +9,9 @@ the reconstruction on both sides of the face and ``g`` is a two-point
 numerical flux.  Everything is assembled face-wise and summed into cells
 by :meth:`Mesh.divergence`, so a periodic face (stored once) contributes
 with opposite signs to its two cells and conservation holds to rounding.
-Per-cell neighbor bounds come from the same incidence table.
+Per-cell neighbor bounds come from the same incidence table.  The flux
+direction as each face and table entry sees it, c = d . n, depends only on
+the mesh and the flux, so it is computed once and cached on the mesh.
 
 Outflow boundaries copy the inside trace to the ghost side.
 """
@@ -23,6 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .mesh import Mesh
+from .physics import Along
 
 __all__ = [
     "CellField",
@@ -227,17 +230,25 @@ class Reconstruction:
     gradient: np.ndarray  # (n_cells, dim)
 
     def trace(self, cell_idx: np.ndarray, at: np.ndarray) -> np.ndarray:
-        mesh = self.field.mesh
-        offs = at - mesh.cell_centroid[cell_idx]
-        return self.field.values[cell_idx] + (self.gradient[cell_idx] * offs).sum(-1)
+        return _trace(self.field.mesh, self.field.values, self.gradient,
+                      cell_idx, at)
+
+
+def _trace(mesh: Mesh, u: np.ndarray, gradient: np.ndarray,
+           cell_idx: np.ndarray, at: np.ndarray) -> np.ndarray:
+    offs = at - mesh.cell_centroid[cell_idx]
+    return u[cell_idx] + (gradient[cell_idx] * offs).sum(-1)
 
 
 def reconstruct(field: CellField, config: SchemeConfig) -> Reconstruction:
-    mesh = field.mesh
-    if config.reconstruction == "constant":
-        return Reconstruction(field, np.zeros((mesh.n_cells, mesh.dim)))
+    return Reconstruction(field, _gradient(field.mesh, field.values, config))
 
-    u = field.values
+
+def _gradient(mesh: Mesh, u: np.ndarray, config: SchemeConfig) -> np.ndarray:
+    """The limited cellwise gradient of ``config``'s reconstruction."""
+    if config.reconstruction == "constant":
+        return np.zeros((mesh.n_cells, mesh.dim))
+
     faces, sign, nbr = mesh.cell_faces, mesh.cell_face_sign, mesh.cell_neighbors
     cen = mesh.cell_centroid
 
@@ -268,43 +279,71 @@ def reconstruct(field: CellField, config: SchemeConfig) -> Reconstruction:
     ratio = np.where(small | (sign == 0.0), 1.0,
                      np.clip(room / np.where(small, 1.0, delta), 0.0, 1.0))
     theta = np.minimum(1.0, ratio.min(axis=0))
-    return Reconstruction(field, gradient * theta[:, None])
+    return gradient * theta[:, None]
 
 
-def _face_states(field: CellField, config: SchemeConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Traces on the two sides of every face; outflow ghosts copy inside."""
-    mesh = field.mesh
+def _face_states(mesh: Mesh, u: np.ndarray,
+                 config: SchemeConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Traces on the two sides of every face of cell values ``u``; outflow
+    ghosts copy the inside trace."""
     L, R = mesh.face_left, mesh.face_right
-    interior = R >= 0
     if config.reconstruction == "constant":
-        a = field.values[L]
-        b = np.where(interior, field.values[np.where(interior, R, 0)], a)
-        return a, b
-    rec = reconstruct(field, config)
-    a = rec.trace(L, mesh.face_midpoint_left)
+        return u[L], u[mesh.face_across]
+    interior = R >= 0
+    gradient = _gradient(mesh, u, config)
+    a = _trace(mesh, u, gradient, L, mesh.face_midpoint_left)
     b = a.copy()
-    b[interior] = rec.trace(R[interior], mesh.face_midpoint_right[interior])
+    b[interior] = _trace(mesh, u, gradient, R[interior],
+                         mesh.face_midpoint_right[interior])
     return a, b
 
 
 # ---------------------------------------------------------------------------
 # time stepping
 
+def _geometry(mesh: Mesh, flux) -> tuple[Along, Along]:
+    """The flux direction as the mesh sees it: c = d . n of every face, and
+    |d . n| of every incidence-table entry (0 on pads).
+
+    Both depend on the mesh and ``flux.direction`` alone, so they are
+    computed on first use and kept on the mesh.
+    """
+    key = ("flux_geometry", flux.direction)
+    geometry = mesh._derived.get(key)
+    if geometry is None:
+        # pads carry a zero normal, hence a zero speed
+        normals = (mesh.face_normal[mesh.cell_faces]
+                   * np.abs(mesh.cell_face_sign)[..., None])
+        face = flux.along(mesh.face_normal)
+        table = Along(flux.direction, np.abs(flux.along(normals).c))
+        for projected in (face, table):
+            projected.c.setflags(write=False)
+        geometry = mesh._derived[key] = (face, table)
+    return geometry
+
+
+def _lf_coefficient(flux, config: SchemeConfig, a: np.ndarray, b: np.ndarray,
+                    n) -> np.ndarray | None:
+    """The dissipation coefficient the scheme uses on every face: ``None``
+    unless the rule is Lax-Friedrichs."""
+    if config.flux_rule != "lax_friedrichs":
+        return None
+    if config.lf_dissipation_mode == "local":
+        return lf_lambda(flux, a, b, n, "local")
+    rng = (float(min(a.min(), b.min())), float(max(a.max(), b.max())))
+    return lf_lambda(flux, a, b, n, "global", rng)
+
+
 def _face_flux(mesh: Mesh, flux, config: SchemeConfig,
                a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    lam = None
-    if config.flux_rule == "lax_friedrichs":
-        if config.lf_dissipation_mode == "local":
-            lam = lf_lambda(flux, a, b, mesh.face_normal, "local")
-        else:
-            rng = (float(min(a.min(), b.min())), float(max(a.max(), b.max())))
-            lam = lf_lambda(flux, a, b, mesh.face_normal, "global", rng)
-    return numerical_flux(config.flux_rule, flux, a, b, mesh.face_normal, lam)
+    n, _ = _geometry(mesh, flux)
+    return numerical_flux(config.flux_rule, flux, a, b, n,
+                          _lf_coefficient(flux, config, a, b, n))
 
 
 def _euler_values(mesh: Mesh, flux, config: SchemeConfig,
-                  values: np.ndarray, t: float, dt: float) -> np.ndarray:
-    a, b = _face_states(CellField(mesh, values, t), config)
+                  values: np.ndarray, dt: float) -> np.ndarray:
+    a, b = _face_states(mesh, values, config)
     g = _face_flux(mesh, flux, config, a, b)
     div = mesh.divergence(mesh.face_length * g)
     return values - dt * div / mesh.cell_area
@@ -319,9 +358,9 @@ def max_stable_dt(field: CellField, flux, config: SchemeConfig) -> float:
     """
     mesh = field.mesh
     lo, hi = mesh.neighbor_range(field.values)
-    # one speed per (face, cell) table entry; pads carry a zero normal
-    normals = mesh.face_normal[mesh.cell_faces] * np.abs(mesh.cell_face_sign)[..., None]
-    s = np.maximum(flux.max_wave_speed(lo, hi, normals).max(axis=0), _SPEED_FLOOR)
+    # one speed per (face, cell) table entry; pads have zero speed
+    _, table = _geometry(mesh, flux)
+    s = np.maximum(flux.max_wave_speed(lo, hi, table).max(axis=0), _SPEED_FLOOR)
     return config.cfl_number * float((mesh.cell_area / (mesh.cell_perimeter * s)).min())
 
 
@@ -338,10 +377,10 @@ def step(field: CellField, flux, config: SchemeConfig, dt: float,
     # naming the step, not as a stream of runtime warnings
     with np.errstate(over="ignore", invalid="ignore"):
         if config.time_integrator == "euler":
-            new = _finite(_euler_values(mesh, flux, config, u, t, dt), t)
+            new = _finite(_euler_values(mesh, flux, config, u, dt), t)
         else:  # ssp_rk2: average of the identity and a doubly advanced state
-            v1 = _finite(_euler_values(mesh, flux, config, u, t, dt), t)
-            v2 = _euler_values(mesh, flux, config, v1, t + dt, dt)
+            v1 = _finite(_euler_values(mesh, flux, config, u, dt), t)
+            v2 = _euler_values(mesh, flux, config, v1, dt)
             new = _finite(0.5 * (u + v2), t)
     return CellField(mesh, new, t + dt)
 

@@ -93,18 +93,25 @@ def test_invalid_audit_size_exits_2_before_solving(tmp_path, capsys,
     assert fragment in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("t_final", ["nan", "inf", "-1"])
-@pytest.mark.parametrize("command", ["run", "converge", "entropy-audit",
-                                     "kinetic-audit", "young-audit"])
+INVALID_T_FINAL = [(command, t_final, "t_final must be finite and nonnegative")
+                   for command in ("run", "converge", "entropy-audit",
+                                   "kinetic-audit", "young-audit")
+                   for t_final in ("nan", "inf", "-1")] + [
+    # no step, so no defect measure
+    ("kinetic-audit", "0", "kinetic-audit needs t_final > 0")]
+
+
+@pytest.mark.parametrize("command,t_final,message", INVALID_T_FINAL,
+                         ids=[f"{c}-{t}" for c, t, _ in INVALID_T_FINAL])
 def test_invalid_t_final_exits_2_before_solving(tmp_path, capsys, monkeypatch,
-                                                command, t_final):
+                                                command, t_final, message):
     def refuse(*args, **kwargs):
         raise AssertionError("a level was solved for an invalid request")
     monkeypatch.setattr(harness, "solve_level", refuse)
     rc = main([command, "--set", "problem=expansion_shock",
                "--set", f"t_final={t_final}", "--out", str(tmp_path), "--quiet"])
     assert rc == 2
-    assert "t_final must be finite and nonnegative" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_numerical_blow_up_exits_1(tmp_path, capsys, monkeypatch):

@@ -27,6 +27,8 @@ from fvaudit import (
     step,
     uniform_interval_mesh,
 )
+from fvaudit import cli
+from fvaudit import entropy as entropy_mod
 from fvaudit.harness import initial_field
 from fvaudit.scheme import _face_states, state_range
 from test_mesh import MIXED_POLYGONS
@@ -211,16 +213,12 @@ def reference_residuals(before, after, dt, flux, config, k_arr):
     for every k, summed into cells with ``np.add.at``/``np.subtract.at``.
     """
     mesh = before.mesh
-    a, b = _face_states(before, config)
+    a, b = _face_states(mesh, before.values, config)
     lam = None
     if config.flux_rule == "lax_friedrichs" and config.lf_dissipation_mode == "global":
-        lo = np.minimum(float(min(a.min(), b.min())), k_arr)
-        hi = np.maximum(float(max(a.max(), b.max())), k_arr)
-        speeds = flux.max_wave_speed(
-            np.broadcast_to(lo, (mesh.n_faces, k_arr.size)),
-            np.broadcast_to(hi, (mesh.n_faces, k_arr.size)),
-            mesh.face_normal)
-        lam = speeds.max(axis=0, keepdims=True)
+        # the coefficient the scheme advanced every face with
+        rng = (float(min(a.min(), b.min())), float(max(a.max(), b.max())))
+        lam = lf_lambda(flux, a, b, mesh.face_normal, "global", rng)[:, None]
     G = numerical_entropy_flux(config.flux_rule, flux, k_arr[None, :],
                                a[:, None], b[:, None], mesh.face_normal, lam)
     flw = mesh.face_length[:, None] * G
@@ -261,6 +259,72 @@ def test_shortcut_matches_full_clipped_evaluation(problem, rule, mode):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-15
             field = after
+
+
+def per_step_audit(traj, flux, cfg, k):
+    """The audit as a loop of one-step residuals: per-step maxima, worst
+    value and the first argmax over (step, k, cell)."""
+    per_step = np.zeros(len(traj) - 1)
+    top, where = -np.inf, (-1, -1, float("nan"))
+    for i, (before, after) in enumerate(zip(traj.fields[:-1], traj.fields[1:])):
+        res = entropy_residuals(before, after, after.t - before.t, flux, cfg, k)
+        m = res.max()
+        per_step[i] = max(m, 0.0)
+        if m > top:
+            ik, cell = res.argmax()
+            top, where = m, (i, cell, float(k[ik]))
+    worst = float(per_step.max()) if per_step.size else 0.0
+    return per_step, worst, where
+
+
+@pytest.mark.parametrize("problem", sorted(PROBLEMS))
+@pytest.mark.parametrize("rule,mode", RULE_MODES,
+                         ids=[f"{r}-{m}" for r, m in RULE_MODES])
+def test_blocked_audit_matches_per_step_loop(monkeypatch, problem, rule, mode):
+    """Blocks of B steps give the per-step maxima, the worst value and its
+    location of one-step residuals, bit for bit, for runs of 0, 1, B - 1,
+    B and B + 1 steps.  A small element budget makes B = 3 and splits the
+    in-hull pairs of a block into many chunks."""
+    spec = PROBLEMS[problem]
+    mesh = spec.mesh_fn(3 if spec.dim == 2 else 12)
+    flux = spec.flux_fn()
+    monkeypatch.setattr(entropy_mod, "_BLOCK", 3 * mesh.n_faces + 1)
+    block = 3
+    for reconstruction in ("constant", "limited_linear"):
+        cfg = SchemeConfig(flux_rule=rule, reconstruction=reconstruction,
+                           lf_dissipation_mode=mode)
+        fields = [initial_field(spec, mesh)]
+        for _ in range(block + 1):
+            f = fields[-1]
+            fields.append(step(f, flux, cfg, 0.9 * max_stable_dt(f, flux, cfg)))
+        lo, hi = state_range(Trajectory(fields))
+        k = kruzkov_k_grid(lo - 0.1, hi + 0.1, n=11, extra=spec.states)
+        for n_steps in (0, 1, block - 1, block, block + 1):
+            traj = Trajectory(fields[:n_steps + 1])
+            rpt = run_entropy_audit(traj, flux, cfg, k)
+            per_step, worst, where = per_step_audit(traj, flux, cfg, k)
+            assert rpt.per_step.tobytes() == per_step.tobytes()
+            assert np.float64(rpt.worst).tobytes() == np.float64(worst).tobytes()
+            assert (rpt.worst_step, rpt.worst_cell) == where[:2]
+            assert np.float64(rpt.worst_k).tobytes() == np.float64(where[2]).tobytes()
+
+
+def test_global_lax_friedrichs_audit_passes(tmp_path, capsys):
+    """Under the global LF coefficient the audit takes the scheme's own
+    per-face coefficient, so first-order runs satisfy the inequality to
+    rounding; a per-k coefficient over the range widened to k did not
+    (worst residuals 1.6e-5 on smooth_sine, 4.9e-2 on rotated_shock_2d)."""
+    lf = ["--set", "flux_rule=lax_friedrichs", "--set", "lf_dissipation_mode=global",
+          "--out", str(tmp_path)]
+    cli.main(["converge", "--set", "problem=smooth_sine", *lf])
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if "audit entropy" in line]
+    assert len(lines) == 4
+    assert all(line.endswith("PASS") for line in lines)
+    rc = cli.main(["entropy-audit", "--set", "problem=rotated_shock_2d",
+                   "--set", "base_n=16", "--set", "levels=1", *lf])
+    assert rc == 0
+    assert "entropy inequality: worst=" in capsys.readouterr().out
 
 
 def assert_locates_worst(traj, flux, cfg, k):
@@ -318,7 +382,7 @@ def test_audit_locates_worst_residual_off_uniform_meshes(case):
 def test_field_max_and_argmax_match_expansion():
     """max() and argmax() of the sparse-plus-affine form equal
     residual.max() and the first residual.argmax(), bit for bit, with ties
-    in phi and in the residuals, both signs of C, unsorted k and a per-k r."""
+    in phi and in the residuals, both signs of C and unsorted k."""
     rng = np.random.default_rng(5)
     n_k, n_cells = 9, 40
     for trial in range(60):
@@ -328,10 +392,9 @@ def test_field_max_and_argmax_match_expansion():
         count = above - below
         cell = np.repeat(np.arange(n_cells), count)
         kpos = np.arange(cell.size) - (np.cumsum(count) - count)[cell] + below[cell]
-        shape = (n_k, n_cells) if trial % 3 == 0 else (n_cells,)
         field = EntropyResidualField(
             k=np.zeros(n_k), dt=1.0, h=1.0, phi=phi, rank=rng.permutation(n_k),
-            r=rng.choice([-1.0, -0.25, 0.0, 1.0], shape),
+            r=rng.choice([-1.0, -0.25, 0.0, 1.0], n_cells),
             closure=rng.choice([-3.0, -1.0, 0.0, 1.0, 0.1], n_cells),
             below=below, above=above, hull_cell=cell, hull_k=kpos,
             hull_value=rng.choice([0.0, 1.0, 2.5], cell.size))
