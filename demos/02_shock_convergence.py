@@ -17,7 +17,7 @@ from fvaudit import StudyConfig, run_study, write_study_report
 cfg = StudyConfig(problem="riemann_shock", flux_rule="godunov",
                   base_n=50, levels=5, t_final=0.4)
 
-result = run_study(cfg, keep_trajectories=True)
+result = run_study(cfg)
 
 print("level   cells        h      steps        L1 error     observed rate")
 print("-" * 70)
@@ -41,8 +41,7 @@ for lv in result.levels:
         print(f"  level {lv.level} {audit.name:14s} value={audit.value:.3e} "
               f"threshold={audit.threshold:.0e} {tag}")
 
-files = write_study_report(result, "demo_out/shock_convergence",
-                           trajectories=result.trajectories)
+files = write_study_report(result, "demo_out/shock_convergence")
 print()
 print("reports written:")
 for key, path in sorted(files.items()):

@@ -31,8 +31,8 @@ from .young import (EmpiricalYoungMeasure, build_young, checkerboard_values,
                     nonlinearity_gap)
 from .harness import (PROBLEMS, AuditResult, LevelResult, ProblemSpec,
                       StudyConfig, StudyResult, config_echo, fit_rate,
-                      l1_error, parse_config, run_audits, run_study,
-                      solve_level, write_study_report)
+                      l1_error, parse_config, run_study, solve_level,
+                      write_study_report)
 from .vtkio import write_vtk
 
 __version__ = "0.1.0"

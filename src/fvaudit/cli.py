@@ -12,9 +12,11 @@ Subcommands::
 Every solver subcommand reads a ``--config`` file of ``key = value`` lines
 and repeatable ``--set key=value`` overrides.  Reports land in ``--out``,
 the ``FVAUDIT_OUT`` environment variable, or ``./fvaudit_out``.  Exit code
-0 means every gated check passed, 1 means a check failed or the solve
-broke down numerically (non-finite values, an unstable step), 2 means the
-request itself was invalid.
+0 means every gated check passed, 1 means a check failed or a level failed
+(``level N: FAILED <Type>: <message>``, a numerical breakdown or any other
+error once solving began), 2 means the request itself was invalid and was
+refused before any step.  Each solver subcommand is a set of step
+observers for :func:`harness.run_study` plus a report writer.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from . import young as young_mod
 from .mesh import (GeometryError, MeshFormatError, TopologyError, load_mesh,
                    regularity, triangulated_rectangle, uniform_interval_mesh)
 from .physics import make_flux
-from .scheme import (CellField, NumericalError, StabilityError, cell_averages,
-                     state_range)
+from .scheme import (CellField, NumericalError, StabilityError, _time_tol,
+                     cell_averages)
 from .vtkio import write_vtk
 
 __all__ = ["main"]
@@ -117,11 +119,23 @@ def _audit_lines(levels) -> list[str]:
     return out
 
 
+def _run_audit(args, cfg, observe, report) -> int:
+    """Solve every level into the audit's observers, then write its report;
+    a failed level is named and exits 1 without a report."""
+    result = harness.run_study(cfg, observe)
+    failed = [f"level {lv.level}: FAILED {lv.error_message}"
+              for lv in result.levels if lv.failed]
+    if failed:
+        _say(args, *failed)
+        return _CHECK_FAILED
+    return report(args, cfg, result.levels)
+
+
 def _cmd_run(args) -> int:
     cfg = replace(_load_config(args), levels=1)
-    result = harness.run_study(cfg, keep_trajectories=True)
+    result = harness.run_study(cfg)
     out = _out_dir(args, "run")
-    harness.write_study_report(result, out, trajectories=result.trajectories)
+    harness.write_study_report(result, out)
     lv = result.levels[0]
     _say(args, f"problem {cfg.problem}: {lv.n_cells} cells, {lv.steps} steps",
          *( [f"l1_error {lv.l1:.6e}"] if np.isfinite(lv.l1) else [] ),
@@ -134,9 +148,9 @@ def _cmd_converge(args) -> int:
     cfg = _load_config(args)
     if cfg.levels < 2:
         raise ValueError("converge needs at least 2 levels")
-    result = harness.run_study(cfg, keep_trajectories=True)
+    result = harness.run_study(cfg)
     out = _out_dir(args, "converge")
-    harness.write_study_report(result, out, trajectories=result.trajectories)
+    harness.write_study_report(result, out)
     lines = [f"level {lv.level}: n={lv.n_cells} h={lv.h:.4e} "
              + (f"l1={lv.l1:.6e}" if np.isfinite(lv.l1) else "l1=nan")
              for lv in result.levels]
@@ -153,21 +167,19 @@ def _cmd_converge(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_entropy_audit(args) -> int:
-    cfg = _load_config(args)
-    spec = harness.PROBLEMS[cfg.problem]
-    exact_regime = harness.exact_regime(cfg)
-    reports = []
-    hs = []
-    flux = None
-    for lvl in range(cfg.levels):
-        traj, flux = harness.solve_level(cfg, lvl)
-        k_grid = entropy_mod.kruzkov_k_grid(*state_range(traj), n=cfg.k_points,
-                                            extra=spec.states)
-        reports.append(entropy_mod.run_entropy_audit(
-            traj, flux, cfg.scheme(), k_grid))
-        hs.append(traj.mesh.h)
-    ef = entropy_mod.check_e_flux(cfg.flux_rule, flux, seed=cfg.seed)
+def _entropy_observers(cfg, level, flux) -> list:
+    spec, scheme = harness.PROBLEMS[cfg.problem], cfg.scheme()
+    return [lambda lo, hi: entropy_mod.EntropyAudit(
+        flux, scheme, entropy_mod.kruzkov_k_grid(lo, hi, n=cfg.k_points,
+                                                 extra=spec.states))]
+
+
+def _entropy_report(args, cfg, levels) -> int:
+    reports = [lv.audits[0] for lv in levels]
+    hs = [lv.h for lv in levels]
+    ef = entropy_mod.check_e_flux(cfg.flux_rule,
+                                  harness.PROBLEMS[cfg.problem].flux_fn(),
+                                  seed=cfg.seed)
 
     # h-exponent of the worst positive residual; roundoff-level residuals
     # (the first-order E-flux regime) carry no rate information
@@ -194,6 +206,7 @@ def _cmd_entropy_audit(args) -> int:
             for i, v in enumerate(rpt.per_step):
                 fh.write(f"{lvl},{i},{v:.17g}\n")
 
+    exact_regime = harness.exact_regime(cfg)
     residual_ok = all(r.passed for r in reports) if exact_regime else True
     passed = residual_ok and ef.passed
     lines = [f"entropy inequality: worst={worst:.3e} tol={tol:.3e} "
@@ -215,32 +228,22 @@ def _cmd_entropy_audit(args) -> int:
     return 0 if passed else 1
 
 
-def _cmd_kinetic_audit(args) -> int:
-    cfg = _load_config(args)
-    spec = harness.PROBLEMS[cfg.problem]
-    if not spec.periodic:
-        raise ValueError("kinetic-audit needs a periodic problem")
-    if not cfg.resolved_t_final > 0.0:
-        # the defect measure is taken over the steps of each level
-        raise ValueError("kinetic-audit needs t_final > 0: the defect "
-                         "measure needs at least one step")
-    rows = []
-    scores = []
-    finest_traj = None
-    flux = None
-    for lvl in range(cfg.levels):
-        traj, flux = harness.solve_level(cfg, lvl)
-        grid = kinetic_mod.VGrid.for_range(*state_range(traj), n=cfg.n_v)
-        dm = kinetic_mod.defect_measure(
-            kinetic_mod.kinetic_residual(traj, flux, grid))
-        scores.append(dm.negativity_score)
-        rows.append((lvl, traj.mesh.n_cells, traj.mesh.h,
-                     dm.negativity_score, dm.total_mass))
-        finest_traj = traj
+def _cmd_entropy_audit(args) -> int:
+    return _run_audit(args, _load_config(args), _entropy_observers,
+                      _entropy_report)
+
+
+def _kinetic_observers(cfg, level, flux) -> list:
+    return [lambda lo, hi: kinetic_mod.DefectAudit(
+        flux, kinetic_mod.VGrid.for_range(lo, hi, n=cfg.n_v))]
+
+
+def _kinetic_report(args, cfg, levels) -> int:
+    scores = [lv.audits[0].negativity_score for lv in levels]
+    finest = levels[-1]
 
     # fixed non-entropic baseline: a standing expansion profile, frozen
-    n_fine = finest_traj.mesh.n_cells
-    base_mesh = uniform_interval_mesh(n_fine, -1.0, 1.0, periodic=True)
+    base_mesh = uniform_interval_mesh(finest.n_cells, -1.0, 1.0, periodic=True)
     base_flux = make_flux("burgers")
     base_field = CellField(
         base_mesh, cell_averages(base_mesh, lambda x: np.sign(x[:, 0])))
@@ -248,7 +251,8 @@ def _cmd_kinetic_audit(args) -> int:
     base_dm = kinetic_mod.defect_measure(kinetic_mod.kinetic_residual(
         frozen, base_flux, kinetic_mod.VGrid.for_range(-1.0, 1.0, n=cfg.n_v)))
 
-    lo, hi = state_range(finest_traj)
+    flux = harness.PROBLEMS[cfg.problem].flux_fn()
+    lo, hi = finest.state_range
     nd = None
     if hi - lo > 1e-8:
         nd = kinetic_mod.nondegeneracy(flux, (lo, hi), seed=cfg.seed)
@@ -264,8 +268,10 @@ def _cmd_kinetic_audit(args) -> int:
         if nd is not None:
             fh.write(f"# nondegeneracy_tol {nd.tol:.17g}\n")
         fh.write("level,n_cells,h,negativity,total_mass,nondegeneracy\n")
-        for lvl, n_c, h, neg, tot in rows:
-            fh.write(f"{lvl},{n_c},{h:.17g},{neg:.17g},{tot:.17g},"
+        for lv in levels:
+            dm = lv.audits[0]
+            fh.write(f"{lv.level},{lv.n_cells},{lv.h:.17g},"
+                     f"{dm.negativity_score:.17g},{dm.total_mass:.17g},"
                      f"{nd_val:.17g}\n")
 
     decreasing = all(scores[i + 1] < scores[i] for i in range(len(scores) - 1))
@@ -293,25 +299,50 @@ def _cmd_kinetic_audit(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_young_audit(args) -> int:
+def _cmd_kinetic_audit(args) -> int:
     cfg = _load_config(args)
-    trajs = []
-    for lvl in range(cfg.levels):
-        traj, _ = harness.solve_level(cfg, lvl)
-        trajs.append(traj)
+    t_final = cfg.resolved_t_final
+    if not t_final > _time_tol(t_final):
+        # the defect measure is taken over the steps of each level
+        raise ValueError("kinetic-audit needs t_final > 0: the defect "
+                         "measure needs at least one step")
+    return _run_audit(args, cfg, _kinetic_observers, _kinetic_report)
+
+
+class _YoungLevel(young_mod.InitialConsistency):
+    """The initial-consistency score of a level.  Starting level 0 builds
+    its histograms, which refuses a patch grid too fine before any step;
+    finer levels keep level 0's cells per patch."""
+
+    def __init__(self, cfg, level):
+        super().__init__()
+        self.cfg, self.level = cfg, level
+
+    def start(self, field0):
+        if self.level == 0:
+            young_mod.build_young(field0, self.cfg.patches, self.cfg.bins)
+        super().start(field0)
+
+
+def _young_observers(cfg, level, flux) -> list:
+    return [_YoungLevel(cfg, level)]
+
+
+def _young_report(args, cfg, levels) -> int:
     # monotone schemes compactify: any evolved sequence loses its oscillation,
     # so the persistence fixture is audited on the data sequence itself (t=0)
+    spec = harness.PROBLEMS[cfg.problem]
     if cfg.problem == "checkerboard":
-        fields = [t.fields[0] for t in trajs]
+        fields = [harness.initial_field(spec, lv.final.mesh) for lv in levels]
     else:
-        fields = [t.final for t in trajs]
-    flux = harness.PROBLEMS[cfg.problem].flux_fn()
+        fields = [lv.final for lv in levels]
+    flux = spec.flux_fn()
     measures = young_mod.level_measures(fields, base_patches=cfg.patches,
                                         bins=cfg.bins)
     trend = np.array([float(ym.variance.max()) for ym in measures])
     gaps = np.array([float(young_mod.nonlinearity_gap(ym, flux).max())
                      for ym in measures])
-    consistency = young_mod.initial_consistency(trajs)
+    consistency = [lv.audits[0] for lv in levels]
 
     # fixed oscillation baseline at the finest resolution
     n_fine = fields[-1].mesh.n_cells
@@ -352,6 +383,11 @@ def _cmd_young_audit(args) -> int:
          + ("PASS" if gap_ok else "FAIL"),
          f"report in {path}")
     return 0 if ok else 1
+
+
+def _cmd_young_audit(args) -> int:
+    return _run_audit(args, _load_config(args), _young_observers,
+                      _young_report)
 
 
 def _builtin_mesh(source: str, args):

@@ -47,7 +47,7 @@ inside the face's own hull go through :func:`numerical_entropy_flux`.  A
 step therefore costs O(faces + cells log n_k + in-hull pairs), not
 O(faces n_k).
 
-:func:`run_entropy_audit` evaluates blocks of consecutive steps at once,
+:class:`EntropyAudit` evaluates blocks of consecutive steps at once,
 the step index the trailing axis of every per-face and per-cell array:
 phi(k) with its prefix and suffix extremes and sum_e s_e |e| c_e are
 computed once per run, the face states and g one step at a time, and the
@@ -70,6 +70,7 @@ from .scheme import (CellField, ConfigurationError, SchemeConfig,
 __all__ = [
     "EntropyResidualField",
     "EntropyAuditReport",
+    "EntropyAudit",
     "EFluxReport",
     "numerical_entropy_flux",
     "entropy_residuals",
@@ -250,7 +251,9 @@ class _Kernel:
         self.ks = self.k[order]
         self.rank = np.empty_like(order)
         self.rank[order] = np.arange(order.size)
-        self.phi = flux.phi(self.ks)
+        # data that overflows phi overflows the step, which reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.phi = flux.phi(self.ks)
         self.extremes = _phi_extremes(self.phi)
         self.face, _ = _geometry(mesh, flux)      # c = d . n per face
         self.closure_sum = mesh.divergence(mesh.face_length * self.face.c)
@@ -411,42 +414,76 @@ class EntropyAuditReport:
     worst_k: float = float("nan")
 
 
+class EntropyAudit:
+    """The cell entropy audit of one run, fed ``start(field0)`` and then
+    every accepted step; ``finish()`` gives the :class:`EntropyAuditReport`.
+
+    Steps are evaluated _BLOCK // n_faces at a time.  Besides that block it
+    keeps one value per step and the fields of the worst step so far.
+    """
+
+    def __init__(self, flux, config: SchemeConfig, k_grid, tol: float = 1e-12):
+        self.flux, self.config, self.tol = flux, config, tol
+        self.k_grid = np.asarray(k_grid, dtype=float)
+
+    def start(self, field0: CellField):
+        self._kernel = _Kernel(field0.mesh, self.flux, self.config, self.k_grid)
+        self._size = max(1, _BLOCK // field0.mesh.n_faces)
+        self._fields, self._dts = [field0], []
+        self._per_step = []
+        self._top, self._worst = -np.inf, None
+
+    def step(self, before: CellField, after: CellField, dt: float):
+        self._fields.append(after)
+        self._dts.append(dt)
+        if len(self._dts) == self._size:
+            self._evaluate()
+
+    def _evaluate(self):
+        if not self._dts:
+            return
+        # the last block stays referenced until the next one is built, so
+        # that it allocates while the memory is held; freed first, it would
+        # go back to the system and be paged in again for every block
+        self._block = block = _Block(self._kernel, self._fields,
+                                     np.array(self._dts))
+        for i, m in enumerate(block.cell_max().max(axis=0).tolist()):
+            self._per_step.append(max(m, 0.0))
+            if m > self._top:
+                self._top = m
+                self._worst = (len(self._per_step) - 1, self._fields[i],
+                               self._fields[i + 1], self._dts[i])
+        self._fields, self._dts = self._fields[-1:], []
+
+    def finish(self) -> EntropyAuditReport:
+        self._evaluate()
+        per_step = np.array(self._per_step, dtype=float)
+        ks = self._kernel.k
+        where = (-1, -1, float("nan"))
+        if self._worst is not None:
+            s, before, after, dt = self._worst
+            ik, cell = entropy_residuals(before, after, dt, self.flux,
+                                         self.config, ks).argmax()
+            where = (s, cell, float(ks[ik]))
+        worst = float(per_step.max()) if per_step.size else 0.0
+        return EntropyAuditReport(per_step=per_step, k_grid=self.k_grid,
+                                  worst=worst, tol=self.tol,
+                                  passed=bool(worst <= self.tol),
+                                  worst_step=where[0], worst_cell=where[1],
+                                  worst_k=where[2])
+
+
 def run_entropy_audit(traj, flux, config: SchemeConfig, k_grid=None,
                       tol: float = 1e-12) -> EntropyAuditReport:
-    """Check the cell entropy inequality on every accepted step of a run.
-
-    The steps are evaluated _BLOCK // n_faces at a time; the worst location
-    comes from expanding the one step that holds the worst residual.
-    """
+    """Check the cell entropy inequality on every accepted step of a run,
+    by feeding its fields to an :class:`EntropyAudit`."""
     if k_grid is None:
         k_grid = kruzkov_k_grid(*state_range(traj))
-    k_grid = np.asarray(k_grid, dtype=float)
-    ks = np.atleast_1d(k_grid)
-    fields = traj.fields
-    per_step = np.zeros(max(len(fields) - 1, 0))
-    kernel = _Kernel(traj.mesh, flux, config, ks)
-    size = max(1, _BLOCK // traj.mesh.n_faces)
-    top, worst_step = -np.inf, -1
-    for start in range(0, per_step.size, size):
-        stop = min(start + size, per_step.size)
-        dt = np.array([after.t - before.t for before, after
-                       in zip(fields[start:stop], fields[start + 1:stop + 1])])
-        block = _Block(kernel, fields[start:stop + 1], dt)
-        for i, m in enumerate(block.cell_max().max(axis=0).tolist(), start):
-            per_step[i] = max(m, 0.0)
-            if m > top:
-                top, worst_step = m, i
-    where = (-1, -1, float("nan"))
-    if worst_step >= 0:
-        before, after = fields[worst_step], fields[worst_step + 1]
-        ik, cell = entropy_residuals(before, after, after.t - before.t,
-                                     flux, config, ks).argmax()
-        where = (worst_step, cell, float(ks[ik]))
-    worst = float(per_step.max()) if per_step.size else 0.0
-    return EntropyAuditReport(per_step=per_step, k_grid=k_grid, worst=worst,
-                              tol=tol, passed=bool(worst <= tol),
-                              worst_step=where[0], worst_cell=where[1],
-                              worst_k=where[2])
+    audit = EntropyAudit(flux, config, k_grid, tol)
+    audit.start(traj.fields[0])
+    for before, after in zip(traj.fields, traj.fields[1:]):
+        audit.step(before, after, after.t - before.t)
+    return audit.finish()
 
 
 @dataclass

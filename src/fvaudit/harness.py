@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -22,8 +22,7 @@ from . import entropy as entropy_mod
 from . import young as young_mod
 from .mesh import Mesh, triangulated_rectangle, uniform_interval_mesh
 from .physics import FluxModel, ReferenceSolution, make_flux, reference
-from .scheme import (CellField, SchemeConfig, Trajectory, cell_averages, run,
-                     state_range, twin_run)
+from .scheme import CellField, SchemeConfig, _march, cell_averages, step
 from .vtkio import write_vtk
 
 __all__ = [
@@ -40,8 +39,9 @@ __all__ = [
     "exact_regime",
     "build_problem_mesh",
     "initial_field",
+    "InvalidRequest",
+    "study_observers",
     "solve_level",
-    "run_audits",
     "run_study",
     "write_study_report",
 ]
@@ -332,17 +332,8 @@ def initial_field(spec: ProblemSpec, mesh: Mesh) -> CellField:
     return CellField(mesh, spec.initial_fn(mesh), 0.0)
 
 
-def solve_level(cfg: StudyConfig, level: int, output_times=()) -> tuple[Trajectory, FluxModel]:
-    spec = PROBLEMS[cfg.problem]
-    flux = spec.flux_fn()
-    mesh = build_problem_mesh(cfg, level)
-    traj = run(initial_field(spec, mesh), flux, cfg.scheme(),
-               cfg.resolved_t_final, output_times)
-    return traj, flux
-
-
 # ---------------------------------------------------------------------------
-# audits
+# audits: observers of one level's steps
 
 @dataclass(frozen=True)
 class AuditResult:
@@ -353,24 +344,33 @@ class AuditResult:
     detail: str = ""
 
 
-def _audit_conservation(traj: Trajectory) -> AuditResult:
-    masses = np.array([f.total_mass for f in traj.fields])
-    scale = max(1.0, float(np.abs(masses[0])))
-    drift = float(np.abs(masses - masses[0]).max()) / scale
-    return AuditResult("conservation", drift, _EXACT_TOL, drift <= _EXACT_TOL,
-                       "relative drift of total mass over the run")
+class _Conservation:
+    def start(self, field0: CellField):
+        self.mass0 = field0.total_mass
+        self.drift = 0.0
+
+    def step(self, before, after, dt):
+        self.drift = max(self.drift, abs(after.total_mass - self.mass0))
+
+    def finish(self) -> AuditResult:
+        drift = self.drift / max(1.0, abs(self.mass0))
+        return AuditResult("conservation", drift, _EXACT_TOL, drift <= _EXACT_TOL,
+                           "relative drift of total mass over the run")
 
 
-def _audit_max_principle(traj: Trajectory) -> AuditResult:
-    u0 = traj.fields[0].values
-    lo, hi = float(u0.min()), float(u0.max())
-    over = 0.0
-    for f in traj.fields[1:]:
-        over = max(over, float(f.values.max()) - hi, lo - float(f.values.min()))
-    over = max(over, 0.0)
-    tol = _EXACT_TOL * max(1.0, hi - lo)
-    return AuditResult("max_principle", over, tol, over <= tol,
-                       "largest escape from the initial data range")
+class _MaxPrinciple:
+    def start(self, field0: CellField):
+        self.lo, self.hi = float(field0.values.min()), float(field0.values.max())
+        self.over = 0.0
+
+    def step(self, before, after, dt):
+        self.over = max(self.over, float(after.values.max()) - self.hi,
+                        self.lo - float(after.values.min()))
+
+    def finish(self) -> AuditResult:
+        tol = _EXACT_TOL * max(1.0, self.hi - self.lo)
+        return AuditResult("max_principle", self.over, tol, self.over <= tol,
+                           "largest escape from the initial data range")
 
 
 def _total_variation(field: CellField) -> float:
@@ -381,58 +381,145 @@ def _total_variation(field: CellField) -> float:
     return float(jumps.sum())
 
 
-def _audit_tv(traj: Trajectory) -> AuditResult:
-    tvs = np.array([_total_variation(f) for f in traj.fields])
-    growth = float(np.diff(tvs).max()) if len(tvs) > 1 else 0.0
-    growth = max(growth, 0.0)
-    tol = _EXACT_TOL * max(1.0, tvs[0])
-    return AuditResult("tv", growth, tol, growth <= tol,
-                       "largest one-step growth of total variation")
+class _TotalVariation:
+    def start(self, field0: CellField):
+        self.tv0 = self.tv = _total_variation(field0)
+        self.growth = 0.0
+
+    def step(self, before, after, dt):
+        tv = _total_variation(after)
+        self.growth = max(self.growth, tv - self.tv)
+        self.tv = tv
+
+    def finish(self) -> AuditResult:
+        tol = _EXACT_TOL * max(1.0, self.tv0)
+        return AuditResult("tv", self.growth, tol, self.growth <= tol,
+                           "largest one-step growth of total variation")
 
 
-def _audit_contraction(traj: Trajectory, flux, scheme_cfg: SchemeConfig) -> AuditResult:
-    initial = traj.fields[0]
-    mesh = initial.mesh
-    center = float(mesh.vertices[:, 0].mean())
-    bump = cell_averages(
-        mesh, lambda x: 0.1 * np.exp(-((x[:, 0] - center) / 0.1) ** 2))
-    twin = CellField(mesh, initial.values + bump, initial.t)
-    ta, tb = twin_run(initial, twin, flux, scheme_cfg, traj.final.t)
-    dist = np.array([float(mesh.cell_area @ np.abs(a.values - b.values))
-                     for a, b in zip(ta.fields, tb.fields)])
-    growth = float(np.diff(dist).max()) if len(dist) > 1 else 0.0
-    growth = max(growth, 0.0)
-    tol = _EXACT_TOL * max(1.0, dist[0])
-    return AuditResult("contraction", growth, tol, growth <= tol,
-                       "largest one-step growth of the L1 distance to a twin run")
+class _Contraction:
+    """L1 distance to a twin run from bumped data, marched to the run's
+    final time when it has finished; keeps no field of either twin."""
+
+    def __init__(self, flux, config: SchemeConfig):
+        self.flux, self.config = flux, config
+
+    def start(self, field0: CellField):
+        self.initial, self.t = field0, field0.t
+
+    def step(self, before, after, dt):
+        self.t = after.t
+
+    def finish(self) -> AuditResult:
+        initial = self.initial
+        mesh = initial.mesh
+        center = float(mesh.vertices[:, 0].mean())
+        bump = cell_averages(
+            mesh, lambda x: 0.1 * np.exp(-((x[:, 0] - center) / 0.1) ** 2))
+        twin = CellField(mesh, initial.values + bump, initial.t)
+        first = last = float(mesh.cell_area @ np.abs(initial.values - twin.values))
+        growth = 0.0
+        for _, (a, b), _ in _march((initial, twin), self.flux, self.config, self.t):
+            dist = float(mesh.cell_area @ np.abs(a.values - b.values))
+            growth, last = max(growth, dist - last), dist
+        tol = _EXACT_TOL * max(1.0, first)
+        return AuditResult("contraction", growth, tol, growth <= tol,
+                           "largest one-step growth of the L1 distance to a twin run")
 
 
-def _audit_entropy(traj: Trajectory, flux, scheme_cfg: SchemeConfig,
-                   spec: ProblemSpec, k_points: int) -> AuditResult:
-    k_grid = entropy_mod.kruzkov_k_grid(*state_range(traj), n=k_points,
-                                        extra=spec.states)
-    rpt = entropy_mod.run_entropy_audit(traj, flux, scheme_cfg, k_grid,
-                                        tol=_EXACT_TOL)
-    return AuditResult("entropy", rpt.worst, rpt.tol, rpt.passed,
-                       f"worst positive cell entropy residual over {k_grid.size} k values")
+class _Entropy(entropy_mod.EntropyAudit):
+    def finish(self) -> AuditResult:
+        rpt = super().finish()
+        return AuditResult("entropy", rpt.worst, rpt.tol, rpt.passed,
+                           "worst positive cell entropy residual over "
+                           f"{rpt.k_grid.size} k values")
 
 
-def run_audits(traj: Trajectory, flux, cfg: StudyConfig) -> list[AuditResult]:
+def study_observers(cfg: StudyConfig, level: int, flux) -> list:
+    """The audits ``cfg.audit_names()`` selects, in that order, each
+    finishing with an :class:`AuditResult`."""
     spec = PROBLEMS[cfg.problem]
-    scheme_cfg = cfg.scheme()
-    out = []
-    for name in cfg.audit_names():
-        if name == "conservation":
-            out.append(_audit_conservation(traj))
-        elif name == "max_principle":
-            out.append(_audit_max_principle(traj))
-        elif name == "tv":
-            out.append(_audit_tv(traj))
-        elif name == "contraction":
-            out.append(_audit_contraction(traj, flux, scheme_cfg))
-        elif name == "entropy":
-            out.append(_audit_entropy(traj, flux, scheme_cfg, spec, cfg.k_points))
-    return out
+    scheme = cfg.scheme()
+
+    def entropy(lo, hi):
+        k_grid = entropy_mod.kruzkov_k_grid(lo, hi, n=cfg.k_points,
+                                            extra=spec.states)
+        return _Entropy(flux, scheme, k_grid, tol=_EXACT_TOL)
+
+    make = {"conservation": _Conservation, "max_principle": _MaxPrinciple,
+            "tv": _TotalVariation,
+            "contraction": lambda: _Contraction(flux, scheme),
+            "entropy": lambda: entropy}
+    return [make[name]() for name in cfg.audit_names()]
+
+
+# ---------------------------------------------------------------------------
+# the level driver
+
+class InvalidRequest(ValueError):
+    """Level 0's observers refused to start: nothing has been solved."""
+
+
+def _started(entries, field0: CellField, rng: tuple[float, float]) -> list:
+    observers = [e(*rng) if callable(e) else e for e in entries]
+    for obs in observers:
+        obs.start(field0)
+    return observers
+
+
+def solve_level(cfg: StudyConfig, level: int, observe=study_observers) -> LevelResult:
+    """Solve one level in one march, streaming its steps into observers.
+
+    ``observe(cfg, level, flux)`` lists observers, objects with
+    ``start(field0)``, ``step(before, after, dt)`` (``dt`` the elapsed time)
+    and ``finish()``, or functions of the state range ``(lo, hi)`` that
+    build one from the initial data's range.  When the level's range ends
+    up different from that, its recorded steps are replayed through the
+    deterministic ``step`` into observers started afresh, those functions
+    called with the true range.  The level keeps its final field, step
+    sizes and range, never its trajectory.  A failure while level 0's
+    observers are built or started is an :class:`InvalidRequest`.
+    """
+    spec = PROBLEMS[cfg.problem]
+    flux = spec.flux_fn()
+    mesh = build_problem_mesh(cfg, level)
+    initial = initial_field(spec, mesh)
+    scheme = cfg.scheme()
+    rng = lo, hi = float(initial.values.min()), float(initial.values.max())
+    try:
+        entries = observe(cfg, level, flux)
+        observers = _started(entries, initial, rng)
+    except Exception as exc:
+        if level == 0:
+            raise InvalidRequest(str(exc)) from exc
+        raise
+    ranged = any(callable(e) for e in entries)
+
+    dts, final = [], initial
+    for (before,), (after,), dt in _march((initial,), flux, scheme,
+                                          cfg.resolved_t_final):
+        dts.append(dt)
+        lo = min(lo, float(after.values.min()))
+        hi = max(hi, float(after.values.max()))
+        if (lo, hi) == rng or not ranged:   # else replayed below
+            for obs in observers:
+                obs.step(before, after, after.t - before.t)
+        final = after
+
+    if (lo, hi) != rng and ranged:
+        observers = _started(entries, initial, (lo, hi))
+        before = initial
+        for dt in dts:
+            # the march accepted dt against the stable bound already
+            after = step(before, flux, scheme, dt, _stable_dt=dt)
+            for obs in observers:
+                obs.step(before, after, after.t - before.t)
+            before = after
+
+    return LevelResult(level=level, n_cells=mesh.n_cells, h=mesh.h,
+                       steps=len(dts), l1=float("nan"),
+                       audits=[obs.finish() for obs in observers], runtime=0.0,
+                       final=final, state_range=(lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +532,11 @@ class LevelResult:
     h: float
     steps: int
     l1: float           # nan when no reference or the level failed
-    audits: list
+    audits: list        # what each observer's finish() returned, in order
     runtime: float
     error_message: str = ""
+    final: CellField | None = None    # None when the level failed
+    state_range: tuple = (float("nan"), float("nan"))
 
     @property
     def failed(self) -> bool:
@@ -459,7 +548,6 @@ class StudyResult:
     config: StudyConfig
     levels: list
     fitted_rate: float  # nan when fewer than two measurable levels
-    trajectories: list = dc_field(default_factory=list)  # only when kept
 
     @property
     def audits_pass(self) -> bool:
@@ -472,41 +560,37 @@ class StudyResult:
                 if not lv.failed and np.isfinite(lv.l1) and lv.l1 > 0.0]
 
 
-def run_study(cfg: StudyConfig, keep_trajectories: bool = False) -> StudyResult:
-    """Solve every level, audit it and fit the L1 convergence rate.
+def run_study(cfg: StudyConfig, observe=study_observers) -> StudyResult:
+    """Solve every level with :func:`solve_level`, measure its L1 error and
+    fit the L1 convergence rate; this is the one level loop.
 
     A level that raises is recorded as failed and the study continues;
     the report marks the failure and the rate uses the surviving levels.
+    Only an :class:`InvalidRequest` ends the study.
     """
     spec = PROBLEMS[cfg.problem]
     ref = spec.reference_fn(spec.flux_fn()) if spec.reference_fn else None
     levels: list[LevelResult] = []
-    trajectories = []
     for lvl in range(cfg.levels):
         start = time.perf_counter()
         try:
-            traj, flux = solve_level(cfg, lvl)
-            err = l1_error(traj.final, ref) if ref is not None else float("nan")
-            audits = run_audits(traj, flux, cfg)
-            levels.append(LevelResult(
-                level=lvl, n_cells=traj.mesh.n_cells, h=traj.mesh.h,
-                steps=len(traj) - 1, l1=err, audits=audits,
-                runtime=time.perf_counter() - start))
-            if keep_trajectories:
-                trajectories.append(traj)
+            lv = solve_level(cfg, lvl, observe)
+            if ref is not None:
+                lv.l1 = l1_error(lv.final, ref)
+        except InvalidRequest:
+            raise
         except Exception as exc:  # record and continue with the next level
             mesh = build_problem_mesh(cfg, lvl)
-            levels.append(LevelResult(
-                level=lvl, n_cells=mesh.n_cells, h=mesh.h, steps=0,
-                l1=float("nan"), audits=[],
-                runtime=time.perf_counter() - start,
-                error_message=f"{type(exc).__name__}: {exc}"))
+            lv = LevelResult(level=lvl, n_cells=mesh.n_cells, h=mesh.h,
+                             steps=0, l1=float("nan"), audits=[], runtime=0.0,
+                             error_message=f"{type(exc).__name__}: {exc}")
+        lv.runtime = time.perf_counter() - start
+        levels.append(lv)
     pairs = [(lv.h, lv.l1) for lv in levels
              if not lv.failed and np.isfinite(lv.l1) and lv.l1 > 0.0]
     rate = (fit_rate([p[0] for p in pairs], [p[1] for p in pairs])
             if len(pairs) >= 2 else float("nan"))
-    return StudyResult(config=cfg, levels=levels, fitted_rate=rate,
-                       trajectories=trajectories)
+    return StudyResult(config=cfg, levels=levels, fitted_rate=rate)
 
 
 # ---------------------------------------------------------------------------
@@ -516,9 +600,9 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def write_study_report(result: StudyResult, out_dir,
-                       trajectories=None) -> dict[str, Path]:
-    """Write report.csv, rate.dat, timings.csv and optional field dumps.
+def write_study_report(result: StudyResult, out_dir) -> dict[str, Path]:
+    """Write report.csv, rate.dat, timings.csv and the final field of every
+    level that did not fail (and its VTK dump with ``vtk = true``).
 
     Everything except timings.csv depends only on the configuration and
     the arithmetic, so reruns are byte-identical.
@@ -566,15 +650,17 @@ def write_study_report(result: StudyResult, out_dir,
             fh.write(f"{lv.level},{lv.n_cells},{lv.steps},{lv.runtime:.6f}\n")
     files["timings"] = timings
 
-    if trajectories:
-        for lvl, traj in enumerate(trajectories):
-            files[f"field_{lvl}"] = _write_field_dump(
-                out / f"field_level{lvl}.txt", traj.final)
-            if cfg.vtk:
-                vtk_path = out / f"field_level{lvl}.vtk"
-                write_vtk(vtk_path, traj.mesh, {"u": traj.final.values},
-                          title=f"{cfg.problem} level {lvl}")
-                files[f"vtk_{lvl}"] = vtk_path
+    for lv in result.levels:
+        if lv.final is None:
+            continue
+        lvl = lv.level
+        files[f"field_{lvl}"] = _write_field_dump(
+            out / f"field_level{lvl}.txt", lv.final)
+        if cfg.vtk:
+            vtk_path = out / f"field_level{lvl}.vtk"
+            write_vtk(vtk_path, lv.final.mesh, {"u": lv.final.values},
+                      title=f"{cfg.problem} level {lvl}")
+            files[f"vtk_{lvl}"] = vtk_path
     return files
 
 

@@ -23,8 +23,8 @@ boundaries are unsupported because the lifted profile has no ghost
 closure there.  Riemann data still fits: on a periodic interval the wrap
 face carries a standing jump with equal flux on both sides.
 
-The audit streams: ``defect_measure`` draws one step's residual at a time
-from ``KineticResidual.steps``, so besides the trajectory it holds
+The audit streams: :class:`DefectAudit` takes one step at a time (so does
+``defect_measure``, from ``KineticResidual.steps``) and holds
 O(n_cells * n_v) floats and an (n_steps, n_cells) positive-mass table.
 Reading ``KineticResidual.values`` or ``DefectMeasure.M`` rebuilds every
 step and costs O(n_steps * n_cells * n_v) memory.
@@ -44,6 +44,7 @@ __all__ = [
     "KineticDensity",
     "KineticResidual",
     "DefectMeasure",
+    "DefectAudit",
     "NondegeneracyReport",
     "chi",
     "lift",
@@ -161,23 +162,41 @@ class KineticResidual:
 
     def steps(self):
         """Yield each step's (n_cells, n_v) residual as a new array."""
-        mesh = self.mesh
-        upwind_left = self.c >= 0.0
-        flow = mesh.face_length[:, None] * self.c
-        rho_old = lift(self.traj.fields[0], self.grid).rho
+        transport = _Transport(self.mesh, self.c, self.grid, self.traj.fields[0])
         for later, dt in zip(self.traj.fields[1:], self.dts):
-            rho_new = lift(later, self.grid).rho
-            rho_up = np.where(upwind_left, rho_old[mesh.face_left],
-                              rho_old[mesh.face_right]).astype(float)
-            div = mesh.divergence(flow * rho_up)
-            yield (rho_new - rho_old) / dt + div / mesh.cell_area[:, None]
-            rho_old = rho_new
+            yield transport.step(later, dt)
 
     @property
     def values(self) -> np.ndarray:
         out = np.empty((len(self.dts), self.mesh.n_cells, self.grid.n))
         for s, r in enumerate(self.steps()):
             out[s] = r
+        return out
+
+
+class _Transport:
+    """The lifted transport residual of consecutive fields, one step at a
+    time; keeps only the lift of the last field."""
+
+    def __init__(self, mesh: Mesh, c: np.ndarray, grid: VGrid, field0: CellField):
+        self.mesh, self.grid = mesh, grid
+        self.upwind_left = c >= 0.0
+        self.flow = mesh.face_length[:, None] * c
+        self.rho = lift(field0, grid).rho
+
+    def step(self, later: CellField, dt: float) -> np.ndarray:
+        mesh, rho_old = self.mesh, self.rho
+        self.rho = lift(later, self.grid).rho
+        rho_up = np.where(self.upwind_left, rho_old[mesh.face_left],
+                          rho_old[mesh.face_right])
+        # the step's flow and divergence stay referenced until the next step
+        # replaces them, so that it allocates while their memory is held;
+        # freed first, it would go back to the system and be paged in again
+        self.face_flow = self.flow * rho_up
+        self.div = div = mesh.divergence(self.face_flow)
+        div /= mesh.cell_area[:, None]
+        out = (self.rho - rho_old) / dt
+        out += div
         return out
 
 
@@ -207,7 +226,7 @@ class DefectMeasure:
 
     ``M`` has shape (n_steps, n_cells, n_v + 1), evaluated at the velocity
     grid edges with M(v_min) = 0; it is rebuilt from the residual each
-    time it is read.  It approximates the defect density only
+    time it is read, unless streamed.  It approximates the defect density only
     in a distributional sense: an upwind step splits the defect of a jump
     sitting on a face into a positive part in one cell and a negative part
     in its neighbor, and per-step values carry O(dv/dt) quantization, so
@@ -229,7 +248,7 @@ class DefectMeasure:
     M(v_max), a conservation cross-check that vanishes with dv.
     """
 
-    residual: KineticResidual = field(repr=False)
+    residual: KineticResidual | None = field(repr=False)
     negativity_score: float
     pointwise_negativity: float
     total_mass: float
@@ -266,42 +285,85 @@ def _tent_windows(mesh: Mesh, per_axis: int, frac: float) -> np.ndarray:
     return phi * mesh.cell_area[None, :]
 
 
+class DefectAudit:
+    """The :class:`DefectMeasure` of one run, fed ``start(field0)`` and then
+    every accepted step; ``finish()`` gives what ``defect_measure`` gives
+    for the kept trajectory, with ``residual`` None.
+
+    Besides one step's M it keeps its time integral ``acc``, the running
+    minimum, the step sizes and the (n_steps, n_cells) positive mass.
+    """
+
+    def __init__(self, flux, grid: VGrid, windows_per_axis: int | None = None,
+                 window_frac: float = 0.125):
+        self.flux, self.grid = flux, grid
+        self.windows_per_axis, self.window_frac = windows_per_axis, window_frac
+
+    def start(self, field0: CellField):
+        mesh = field0.mesh
+        if not mesh.is_periodic:
+            raise ValueError("kinetic transport audit needs a fully periodic mesh")
+        c = self.flux.dfn(self.grid.centers[None, :], mesh.face_normal)
+        self._transport = _Transport(mesh, c, self.grid, field0)
+        self._begin(mesh)
+
+    def _begin(self, mesh: Mesh):
+        self.mesh = mesh
+        self.M = np.empty((mesh.n_cells, self.grid.n + 1))
+        self.part = np.empty_like(self.M)
+        self.acc = np.zeros_like(self.M)
+        self.pos, self.dts = np.empty((0, mesh.n_cells)), []
+        self.lowest, self.worst = np.inf, (0, 0, 0)
+
+    def step(self, before: CellField, after: CellField, dt: float):
+        self._add(self._transport.step(after, dt), dt)
+
+    def _add(self, r: np.ndarray, dt: float):
+        M, part, s = self.M, self.part, len(self.dts)
+        _antiderivative(r, self.grid.dv, M)
+        i = int(M.argmin())
+        if M.flat[i] < self.lowest:     # strict: ties keep the earliest step
+            self.lowest, self.worst = M.flat[i], (s, *divmod(i, M.shape[1]))
+        if s == len(self.pos):
+            # grown by doubling: a small array kept per step would sit
+            # between the step's large temporaries and fragment the heap
+            grown = np.empty((max(16, 2 * s), M.shape[0]))
+            grown[:s] = self.pos
+            self.pos = grown
+        np.maximum(M, 0.0, out=part).sum(axis=-1, out=self.pos[s])
+        self.acc += np.multiply(dt, M, out=part)
+        self.dts.append(dt)
+
+    def finish(self, residual: KineticResidual | None = None) -> DefectMeasure:
+        if not self.dts:
+            raise ValueError("need at least one step")
+        mesh, acc, dts = self.mesh, self.acc, np.array(self.dts, dtype=float)
+        pos = self.pos[:dts.size] * self.grid.dv
+        total = float((pos @ mesh.cell_area) @ dts)
+        windows_per_axis = self.windows_per_axis
+        if windows_per_axis is None:
+            windows_per_axis = 33 if mesh.dim == 1 else 9
+        elapsed = float(dts.sum())
+        weighted = _tent_windows(mesh, windows_per_axis, self.window_frac) @ acc
+        weighted /= elapsed
+        negativity = float(max(0.0, -weighted.min()))
+        edge = float(mesh.cell_area @ acc[:, -1]) / elapsed
+        worst_step, worst_cell, worst_v = self.worst
+        return DefectMeasure(residual=residual, negativity_score=negativity,
+                             pointwise_negativity=float(max(0.0, -self.lowest)),
+                             total_mass=total, edge_mass=edge,
+                             worst_step=worst_step, worst_cell=worst_cell,
+                             worst_v=worst_v)
+
+
 def defect_measure(res: KineticResidual, windows_per_axis: int | None = None,
                    window_frac: float = 0.125) -> DefectMeasure:
-    """Summarize M in one pass over the steps, in O(n_cells * n_v) memory.
-
-    Besides one step's M, the pass keeps its time integral ``acc``, the
-    running minimum and the (n_steps, n_cells) positive mass.
-    """
-    dv = res.grid.dv
-    M = np.empty((res.mesh.n_cells, res.grid.n + 1))
-    part = np.empty_like(M)
-    acc = np.zeros_like(M)
-    pos = np.empty((len(res.dts), res.mesh.n_cells))
-    lowest, worst = np.inf, (0, 0, 0)
-    for s, r in enumerate(res.steps()):
-        _antiderivative(r, dv, M)
-        i = int(M.argmin())
-        if M.flat[i] < lowest:          # strict: ties keep the earliest step
-            lowest, worst = M.flat[i], (s, *divmod(i, M.shape[1]))
-        np.maximum(M, 0.0, out=part).sum(axis=-1, out=pos[s])
-        acc += np.multiply(res.dts[s], M, out=part)
-    pointwise = float(max(0.0, -lowest))
-    pos *= dv
-    total = float((pos @ res.mesh.cell_area) @ res.dts)
-
-    if windows_per_axis is None:
-        windows_per_axis = 33 if res.mesh.dim == 1 else 9
-    elapsed = float(res.dts.sum())
-    weighted = _tent_windows(res.mesh, windows_per_axis, window_frac) @ acc
-    weighted /= elapsed
-    negativity = float(max(0.0, -weighted.min()))
-    edge = float(res.mesh.cell_area @ acc[:, -1]) / elapsed
-    worst_step, worst_cell, worst_v = worst
-    return DefectMeasure(residual=res, negativity_score=negativity,
-                         pointwise_negativity=pointwise, total_mass=total,
-                         edge_mass=edge, worst_step=worst_step,
-                         worst_cell=worst_cell, worst_v=worst_v)
+    """Summarize M in one pass over the steps, as :class:`DefectAudit` does."""
+    audit = DefectAudit(None, res.grid, windows_per_axis, window_frac)
+    audit._begin(res.mesh)
+    for r, dt in zip(res.steps(), res.dts):
+        audit._add(r, dt)
+    return audit.finish(res)
 
 
 @dataclass

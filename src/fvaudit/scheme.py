@@ -323,28 +323,34 @@ def _geometry(mesh: Mesh, flux) -> tuple[Along, Along]:
 
 
 def _lf_coefficient(flux, config: SchemeConfig, a: np.ndarray, b: np.ndarray,
-                    n) -> np.ndarray | None:
+                    n, lf_range: tuple[float, float] | None = None
+                    ) -> np.ndarray | None:
     """The dissipation coefficient the scheme uses on every face: ``None``
-    unless the rule is Lax-Friedrichs."""
+    unless the rule is Lax-Friedrichs.  The global one covers the range of
+    the face states and ``lf_range``, that of fields marched together."""
     if config.flux_rule != "lax_friedrichs":
         return None
     if config.lf_dissipation_mode == "local":
         return lf_lambda(flux, a, b, n, "local")
     rng = (float(min(a.min(), b.min())), float(max(a.max(), b.max())))
+    if lf_range is not None:
+        rng = (min(rng[0], lf_range[0]), max(rng[1], lf_range[1]))
     return lf_lambda(flux, a, b, n, "global", rng)
 
 
 def _face_flux(mesh: Mesh, flux, config: SchemeConfig,
-               a: np.ndarray, b: np.ndarray) -> np.ndarray:
+               a: np.ndarray, b: np.ndarray,
+               lf_range: tuple[float, float] | None = None) -> np.ndarray:
     n, _ = _geometry(mesh, flux)
     return numerical_flux(config.flux_rule, flux, a, b, n,
-                          _lf_coefficient(flux, config, a, b, n))
+                          _lf_coefficient(flux, config, a, b, n, lf_range))
 
 
 def _euler_values(mesh: Mesh, flux, config: SchemeConfig,
-                  values: np.ndarray, dt: float) -> np.ndarray:
+                  values: np.ndarray, dt: float,
+                  lf_range: tuple[float, float] | None = None) -> np.ndarray:
     a, b = _face_states(mesh, values, config)
-    g = _face_flux(mesh, flux, config, a, b)
+    g = _face_flux(mesh, flux, config, a, b, lf_range)
     div = mesh.divergence(mesh.face_length * g)
     return values - dt * div / mesh.cell_area
 
@@ -365,8 +371,10 @@ def max_stable_dt(field: CellField, flux, config: SchemeConfig) -> float:
 
 
 def step(field: CellField, flux, config: SchemeConfig, dt: float,
-         _stable_dt: float | None = None) -> CellField:
-    """One explicit step; refuses time steps beyond the stable bound."""
+         _stable_dt: float | None = None,
+         _lf_range: tuple[float, float] | None = None) -> CellField:
+    """One explicit step; refuses time steps beyond the stable bound.
+    ``_lf_range`` is the state range of the fields marched together."""
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ValueError("dt must be positive and finite")
     stable = max_stable_dt(field, flux, config) if _stable_dt is None else _stable_dt
@@ -377,10 +385,10 @@ def step(field: CellField, flux, config: SchemeConfig, dt: float,
     # naming the step, not as a stream of runtime warnings
     with np.errstate(over="ignore", invalid="ignore"):
         if config.time_integrator == "euler":
-            new = _finite(_euler_values(mesh, flux, config, u, dt), t)
+            new = _finite(_euler_values(mesh, flux, config, u, dt, _lf_range), t)
         else:  # ssp_rk2: average of the identity and a doubly advanced state
-            v1 = _finite(_euler_values(mesh, flux, config, u, dt), t)
-            v2 = _euler_values(mesh, flux, config, v1, dt)
+            v1 = _finite(_euler_values(mesh, flux, config, u, dt, _lf_range), t)
+            v2 = _euler_values(mesh, flux, config, v1, dt, _lf_range)
             new = _finite(0.5 * (u + v2), t)
     return CellField(mesh, new, t + dt)
 
@@ -441,6 +449,48 @@ def _check_t_final(t_final: float):
         raise ValueError(f"t_final must be finite, got {t_final!r}")
 
 
+def _time_tol(t_final: float) -> float:
+    """How close to ``t_final`` a march counts as arrived."""
+    return 1e-12 * max(1.0, abs(t_final))
+
+
+def _march(initial: tuple, flux, config: SchemeConfig, t_final: float,
+           output_times=()):
+    """The one marching loop: advance the fields of ``initial`` together
+    to ``t_final`` and yield ``(before, after, dt)`` tuples per step.
+
+    All take the smallest stable step, clipped to land on every output
+    time, and under global Lax-Friedrichs one coefficient over all their
+    ranges, so that they are advanced by one monotone map.
+    """
+    fields = tuple(initial)
+    if any(f.mesh is not fields[0].mesh for f in fields):
+        raise ValueError("fields marched together need a shared mesh")
+    _check_t_final(t_final)
+    tol = _time_tol(t_final)
+    t0 = fields[0].t
+    if t_final < t0 - tol:
+        raise ValueError("t_final lies before the initial time")
+    targets = sorted({float(t) for t in output_times
+                      if t0 + tol < t <= t_final + tol} | {float(t_final)})
+    joint = (len(fields) > 1 and config.flux_rule == "lax_friedrichs"
+             and config.lf_dissipation_mode == "global")
+    for _ in range(_MAX_STEPS):
+        t = fields[0].t
+        if t >= t_final - tol:
+            return
+        stable = min(max_stable_dt(f, flux, config) for f in fields)
+        dt = min(stable, min(s for s in targets if s > t + tol) - t)
+        lf_range = ((min(float(f.values.min()) for f in fields),
+                     max(float(f.values.max()) for f in fields))
+                    if joint else None)
+        after = tuple(step(f, flux, config, dt, _stable_dt=stable,
+                           _lf_range=lf_range) for f in fields)
+        yield fields, after, dt
+        fields = after
+    raise StabilityError("step budget exhausted before reaching t_final")
+
+
 def run(initial: CellField, flux, config: SchemeConfig, t_final: float,
         output_times=()) -> Trajectory:
     """March to ``t_final``, clipping steps to land on requested times.
@@ -449,24 +499,10 @@ def run(initial: CellField, flux, config: SchemeConfig, t_final: float,
     full discrete history.  ``t_final`` equal to the initial time returns
     a single-entry trajectory.
     """
-    _check_t_final(t_final)
-    tol = 1e-12 * max(1.0, abs(t_final))
-    if t_final < initial.t - tol:
-        raise ValueError("t_final lies before the initial time")
-    targets = sorted({float(t) for t in output_times
-                      if initial.t + tol < t <= t_final + tol} | {float(t_final)})
     fields = [initial]
-    f = initial
-    for _ in range(_MAX_STEPS):
-        if f.t >= t_final - tol:
-            break
-        stable = max_stable_dt(f, flux, config)
-        next_target = min(t for t in targets if t > f.t + tol)
-        dt = min(stable, next_target - f.t)
-        f = step(f, flux, config, dt, _stable_dt=stable)
-        fields.append(f)
-    else:
-        raise StabilityError("step budget exhausted before reaching t_final")
+    for _, (after,), _ in _march((initial,), flux, config, t_final,
+                                 output_times):
+        fields.append(after)
     return Trajectory(fields)
 
 
@@ -474,24 +510,12 @@ def twin_run(initial_a: CellField, initial_b: CellField, flux,
              config: SchemeConfig, t_final: float) -> tuple[Trajectory, Trajectory]:
     """Advance two fields with a shared time step sequence.
 
-    Sharing the step keeps the pair comparable at every level, which is
-    what contraction measurements need.
+    Sharing the step (and, under global Lax-Friedrichs, the coefficient)
+    keeps the pair comparable at every level, which is what contraction
+    measurements need.
     """
-    if initial_a.mesh is not initial_b.mesh:
-        raise ValueError("twin runs need a shared mesh")
-    _check_t_final(t_final)
-    tol = 1e-12 * max(1.0, abs(t_final))
     fa, fb = [initial_a], [initial_b]
-    a, b = initial_a, initial_b
-    for _ in range(_MAX_STEPS):
-        if a.t >= t_final - tol:
-            break
-        stable = min(max_stable_dt(a, flux, config), max_stable_dt(b, flux, config))
-        dt = min(stable, t_final - a.t)
-        a = step(a, flux, config, dt, _stable_dt=stable)
-        b = step(b, flux, config, dt, _stable_dt=stable)
+    for _, (a, b), _ in _march((initial_a, initial_b), flux, config, t_final):
         fa.append(a)
         fb.append(b)
-    else:
-        raise StabilityError("step budget exhausted before reaching t_final")
     return Trajectory(fa), Trajectory(fb)

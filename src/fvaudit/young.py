@@ -27,6 +27,7 @@ __all__ = [
     "build_young",
     "nonlinearity_gap",
     "dirac_trend",
+    "InitialConsistency",
     "initial_consistency",
     "checkerboard_values",
 ]
@@ -155,27 +156,49 @@ def level_measures(fields, base_patches: int = 8, bins: int = 64):
     return out
 
 
-def initial_consistency(trajs, u0: Callable | None = None) -> np.ndarray:
-    """Early-time L1 distance to the projected initial data, per trajectory.
+class InitialConsistency:
+    """Early-time L1 distance to the projected initial data of one run, fed
+    ``start(field0)`` and then its steps; ``finish()`` gives the score.
 
-    For each trajectory the score is the trapezoid average of
+    The score is the trapezoid average of
 
         E(s) = sum_K |K| |u_K(s) - avg_K(u0)|
 
     between the initial time and the first accepted step.  With ``u0``
-    omitted the projection is the trajectory's own initial field, so the
-    score reduces to half the first-step L1 displacement.  Weak-* initial
-    consistency shows up as scores vanishing under refinement.
+    omitted the projection is the run's own initial field, so the score
+    reduces to half the first-step L1 displacement.
     """
+
+    def __init__(self, u0: Callable | None = None):
+        self.u0 = u0
+
+    def start(self, field0: CellField):
+        self.ubar = (field0.values if self.u0 is None
+                     else cell_averages(field0.mesh, self.u0))
+        self.e = []
+        self.step(None, field0, 0.0)
+
+    def step(self, before, after: CellField, dt: float):
+        if len(self.e) < 2:
+            self.e.append(float(after.mesh.cell_area
+                                @ np.abs(after.values - self.ubar)))
+
+    def finish(self) -> float:
+        e = self.e
+        return e[0] if len(e) == 1 else 0.5 * (e[0] + e[1])
+
+
+def initial_consistency(trajs, u0: Callable | None = None) -> np.ndarray:
+    """:class:`InitialConsistency` of every trajectory.  Weak-* initial
+    consistency shows up as scores vanishing under refinement."""
     trajs = list(trajs)
     scores = np.empty(len(trajs))
     for i, traj in enumerate(trajs):
-        mesh = traj.mesh
-        ubar = (traj.fields[0].values if u0 is None
-                else cell_averages(mesh, u0))
-        e = [float(mesh.cell_area @ np.abs(f.values - ubar))
-             for f in traj.fields[:2]]
-        scores[i] = e[0] if len(e) == 1 else 0.5 * (e[0] + e[1])
+        score = InitialConsistency(u0)
+        score.start(traj.fields[0])
+        for before, after in zip(traj.fields, traj.fields[1:2]):
+            score.step(before, after, after.t - before.t)
+        scores[i] = score.finish()
     return scores
 
 

@@ -4,6 +4,8 @@ Everything drives ``main(argv)`` in process except one subprocess smoke
 test for the ``python -m`` entry point.
 """
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -12,6 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fvaudit
 from fvaudit import harness
@@ -74,6 +77,14 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                  "--quiet"]) == 2
 
 
+@pytest.fixture
+def refuse_to_solve(monkeypatch):
+    """Every level and twin run marches through ``harness._march``."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a level was solved for an invalid request")
+    monkeypatch.setattr(harness, "_march", refuse)
+
+
 @pytest.mark.parametrize("command,override,fragment", [
     ("converge", "k_points=1", "at least two grid points"),
     ("entropy-audit", "k_points=1", "at least two grid points"),
@@ -82,14 +93,28 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     ("young-audit", "patches=0", "at least one patch"),
 ])
 def test_invalid_audit_size_exits_2_before_solving(tmp_path, capsys,
-                                                   monkeypatch, command,
+                                                   refuse_to_solve, command,
                                                    override, fragment):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a level was solved for an invalid request")
-    monkeypatch.setattr(harness, "solve_level", refuse)
     rc = main([command, "--set", "problem=expansion_shock", "--set", override,
                "--out", str(tmp_path), "--quiet"])
     assert rc == 2
+    assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,overrides,fragment", [
+    # 8 x 8 patches over 128 triangles hold two cells each
+    ("young-audit", ["problem=rotated_shock_2d", "base_n=8"],
+     "patch grid too fine"),
+    ("kinetic-audit", ["problem=riemann_shock"], "periodic"),
+    ("run", ["audits=conservation,bogus"], "unknown audits"),
+])
+def test_observer_refusal_exits_2_before_solving(tmp_path, capsys,
+                                                 refuse_to_solve, command,
+                                                 overrides, fragment):
+    argv = [command, "--out", str(tmp_path), "--quiet"]
+    for pair in overrides:
+        argv += ["--set", pair]
+    assert main(argv) == 2
     assert fragment in capsys.readouterr().err
 
 
@@ -97,17 +122,17 @@ INVALID_T_FINAL = [(command, t_final, "t_final must be finite and nonnegative")
                    for command in ("run", "converge", "entropy-audit",
                                    "kinetic-audit", "young-audit")
                    for t_final in ("nan", "inf", "-1")] + [
-    # no step, so no defect measure
-    ("kinetic-audit", "0", "kinetic-audit needs t_final > 0")]
+    # no step, so no defect measure; the march counts a horizon within
+    # 1e-12 of the start as reached
+    ("kinetic-audit", t_final, "kinetic-audit needs t_final > 0")
+    for t_final in ("0", "1e-13")]
 
 
 @pytest.mark.parametrize("command,t_final,message", INVALID_T_FINAL,
                          ids=[f"{c}-{t}" for c, t, _ in INVALID_T_FINAL])
-def test_invalid_t_final_exits_2_before_solving(tmp_path, capsys, monkeypatch,
+def test_invalid_t_final_exits_2_before_solving(tmp_path, capsys,
+                                                refuse_to_solve,
                                                 command, t_final, message):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a level was solved for an invalid request")
-    monkeypatch.setattr(harness, "solve_level", refuse)
     rc = main([command, "--set", "problem=expansion_shock",
                "--set", f"t_final={t_final}", "--out", str(tmp_path), "--quiet"])
     assert rc == 2
@@ -116,7 +141,7 @@ def test_invalid_t_final_exits_2_before_solving(tmp_path, capsys, monkeypatch,
 
 def test_numerical_blow_up_exits_1(tmp_path, capsys, monkeypatch):
     # data so large that the flux overflows in the first step; the
-    # overflow is reported once, as an error, not as runtime warnings
+    # overflow is reported once, as a failed level, not as runtime warnings
     spec = harness.PROBLEMS["smooth_sine"]
     monkeypatch.setitem(harness.PROBLEMS, "overflowing", replace(
         spec, name="overflowing",
@@ -127,8 +152,91 @@ def test_numerical_blow_up_exits_1(tmp_path, capsys, monkeypatch):
                    "--set", "levels=1", "--set", "base_n=8",
                    "--out", str(tmp_path)])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: non-finite cell values in the step from t=0")
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out.startswith("level 0: FAILED NumericalError: non-finite "
+                              "cell values in the step from t=0")
+    assert not (tmp_path / "entropy-audit").exists()
+
+
+def _failing_problems():
+    """Valid requests whose solve fails: data that overflows in the first
+    step, and data that raises on any mesh finer than three cells."""
+    spec = harness.PROBLEMS["smooth_sine"]
+
+    def coarse_only(mesh):
+        if mesh.n_cells > 3:
+            raise ValueError("no data on this level")
+        return spec.initial_fn(mesh)
+
+    return {"overflowing": replace(spec, name="overflowing",
+                                   initial_fn=lambda m: 1e200 * spec.initial_fn(m)),
+            "coarse_only": replace(spec, name="coarse_only",
+                                   initial_fn=coarse_only)}
+
+
+# valid values of config keys, as the text a user would pass; small sizes
+# keep every run short
+VALID_SETS = {
+    "problem": sorted(harness.PROBLEMS) + sorted(_failing_problems()),
+    "flux_rule": ["godunov", "lax_friedrichs", "engquist_osher", "central"],
+    "reconstruction": ["constant", "limited_linear"],
+    "time_integrator": ["euler", "ssp_rk2"],
+    "lf_dissipation_mode": ["local", "global"],
+    "cfl_number": ["0.45", "0.9"],
+    "base_n": ["3", "6"],
+    "levels": ["1", "2"],
+    "t_final": ["0", "0.02", "0.05"],
+    "audits": ["auto", "none", "tv,entropy", "contraction"],
+    "k_points": ["2", "5"],
+    "n_v": ["8", "16"],
+    "patches": ["1", "2"],
+    "bins": ["2", "8"],
+}
+INVALID_SETS = [("problem", "nope"), ("flux_rule", "bogus"),
+                ("reconstruction", "cubic"), ("lf_dissipation_mode", "often"),
+                ("cfl_number", "1.5"), ("base_n", "1"), ("levels", "0"),
+                ("levels", "two"), ("t_final", "-1"), ("t_final", "nan"),
+                ("t_final", "1e-13"), ("audits", "bogus"), ("k_points", "1"),
+                ("n_v", "4"), ("patches", "0"), ("bins", "1")]
+
+
+# about two examples in three take valid values only; combinations of
+# valid values can still be refused (kinetic-audit of an open problem)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["run", "converge", "entropy-audit",
+                                "kinetic-audit", "young-audit"]),
+       pairs=st.fixed_dictionaries({key: st.sampled_from(values)
+                                    for key, values in VALID_SETS.items()}),
+       invalid=st.none() | st.none() | st.sampled_from(INVALID_SETS))
+def test_exit_code_contract(tmp_path_factory, command, pairs, invalid):
+    """Exit 0, 1 or 2, never an uncaught exception, and 2 only when no
+    level has taken a step."""
+    if invalid is not None:
+        pairs = {**pairs, invalid[0]: invalid[1]}
+    argv = [command, "--out", str(tmp_path_factory.mktemp("fuzz")), "--quiet"]
+    for key, value in pairs.items():
+        argv += ["--set", f"{key}={value}"]
+    marches = []
+    march = harness._march
+
+    def counted(*args, **kwargs):
+        marches.append(args)
+        return march(*args, **kwargs)
+
+    failing = _failing_problems()
+    harness._march = counted
+    harness.PROBLEMS.update(failing)
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            rc = main(argv)
+    finally:
+        harness._march = march
+        for name in failing:
+            del harness.PROBLEMS[name]
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert marches == [], argv
 
 
 def test_quiet_suppresses_stdout(tmp_path, capsys):

@@ -1,24 +1,37 @@
 """Study harness tests: rates, configs, audit gating, reports on disk."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fvaudit import (
     CellField,
     StudyConfig,
+    VGrid,
     cell_averages,
     config_echo,
+    defect_measure,
     fit_rate,
+    kinetic_residual,
+    kruzkov_k_grid,
     l1_error,
     make_flux,
     parse_config,
     reference,
+    run,
+    run_entropy_audit,
     run_study,
     solve_level,
+    twin_run,
     uniform_interval_mesh,
     write_study_report,
 )
+from fvaudit import entropy as entropy_mod
 from fvaudit import harness
+from fvaudit import kinetic as kinetic_mod
+from fvaudit.harness import build_problem_mesh
+from fvaudit.scheme import state_range
 
 
 # ---------------------------------------------------------------------------
@@ -173,13 +186,6 @@ def _small_cfg(**kw):
     return StudyConfig(**base)
 
 
-def test_solve_level_hits_output_times():
-    traj, flux = solve_level(_small_cfg(), 0, output_times=(0.1,))
-    assert flux.name == "burgers"
-    assert any(abs(t - 0.1) <= 1e-12 for t in traj.times)
-    assert traj.final.t == pytest.approx(0.2)
-
-
 def test_run_study_shock_levels_and_rate():
     result = run_study(_small_cfg(levels=3))
     assert [lv.level for lv in result.levels] == [0, 1, 2]
@@ -189,13 +195,13 @@ def test_run_study_shock_levels_and_rate():
     assert result.audits_pass
     assert 0.4 <= result.fitted_rate <= 1.5
     assert len(result.rate_pairs) == 3
-    assert result.trajectories == []
 
 
-def test_run_study_keeps_trajectories_on_request():
-    result = run_study(_small_cfg(), keep_trajectories=True)
-    assert len(result.trajectories) == 2
-    assert result.trajectories[1].mesh.n_cells == 40
+def test_run_study_keeps_final_fields():
+    result = run_study(_small_cfg())
+    finals = [lv.final for lv in result.levels]
+    assert [f.mesh.n_cells for f in finals] == [20, 40]
+    assert all(f.t == pytest.approx(0.2) for f in finals)
 
 
 def test_run_study_without_reference_reports_nan():
@@ -238,8 +244,8 @@ def test_run_study_records_level_failure_and_continues():
 
 
 def test_write_study_report_files_and_columns(tmp_path):
-    result = run_study(_small_cfg(), keep_trajectories=True)
-    files = write_study_report(result, tmp_path, trajectories=result.trajectories)
+    result = run_study(_small_cfg())
+    files = write_study_report(result, tmp_path)
     text = files["report"].read_text().splitlines()
     assert text[0].startswith("# config: problem=riemann_shock")
     assert text[1] == "# seed: 0"
@@ -298,8 +304,174 @@ def test_report_marks_failed_level(tmp_path):
 def test_vtk_dump_when_enabled(tmp_path):
     cfg = StudyConfig(problem="rotated_shock_2d", base_n=6, levels=1,
                       t_final=0.05, vtk=True, audits="none")
-    result = run_study(cfg, keep_trajectories=True)
-    files = write_study_report(result, tmp_path, trajectories=result.trajectories)
+    result = run_study(cfg)
+    files = write_study_report(result, tmp_path)
     vtk_text = files["vtk_0"].read_text()
     assert vtk_text.startswith("# vtk DataFile Version 3.0")
     assert "CELL_DATA" in vtk_text
+
+
+# ---------------------------------------------------------------------------
+# the level driver: streamed audits against the library functions over the
+# kept trajectory
+
+
+def _reference_audits(traj, flux, scheme_cfg):
+    """Conservation, max principle, TV and contraction values computed from
+    every field of a kept trajectory, as the audits did before they streamed."""
+    fields = traj.fields
+    masses = np.array([f.total_mass for f in fields])
+    conservation = float(np.abs(masses - masses[0]).max()) \
+        / max(1.0, float(np.abs(masses[0])))
+    lo, hi = float(fields[0].values.min()), float(fields[0].values.max())
+    over = 0.0
+    for f in fields[1:]:
+        over = max(over, float(f.values.max()) - hi, lo - float(f.values.min()))
+    tvs = np.array([harness._total_variation(f) for f in fields])
+    tv = max(float(np.diff(tvs).max()) if len(tvs) > 1 else 0.0, 0.0)
+    mesh, initial = traj.mesh, fields[0]
+    center = float(mesh.vertices[:, 0].mean())
+    bump = cell_averages(
+        mesh, lambda x: 0.1 * np.exp(-((x[:, 0] - center) / 0.1) ** 2))
+    ta, tb = twin_run(initial, CellField(mesh, initial.values + bump),
+                      flux, scheme_cfg, traj.final.t)
+    dist = np.array([float(mesh.cell_area @ np.abs(a.values - b.values))
+                     for a, b in zip(ta.fields, tb.fields)])
+    contraction = max(float(np.diff(dist).max()) if len(dist) > 1 else 0.0, 0.0)
+    return {"conservation": conservation, "max_principle": max(over, 0.0),
+            "tv": tv, "contraction": contraction}
+
+
+EQUIVALENCE_CASES = {
+    # first-order E-flux: the range never leaves the data's, no replay
+    "exact": dict(problem="smooth_sine", flux_rule="godunov", base_n=60,
+                  t_final=0.2),
+    # the central rule overshoots: the range grows and the level replays
+    "central_shock": dict(problem="riemann_shock", flux_rule="central",
+                          base_n=60, t_final=0.2),
+    "central_sine": dict(problem="smooth_sine", flux_rule="central",
+                         base_n=60, t_final=0.2),
+}
+
+
+@pytest.mark.parametrize("case", list(EQUIVALENCE_CASES))
+def test_streamed_level_matches_library_functions(case, monkeypatch):
+    cfg = StudyConfig(levels=1, n_v=32,
+                      audits="conservation,max_principle,tv,contraction,entropy",
+                      **EQUIVALENCE_CASES[case])
+    spec = harness.PROBLEMS[cfg.problem]
+
+    def observe(cfg, level, flux):
+        out = harness.study_observers(cfg, level, flux)
+        out.append(lambda lo, hi: entropy_mod.EntropyAudit(
+            flux, cfg.scheme(), kruzkov_k_grid(lo, hi, n=cfg.k_points,
+                                               extra=spec.states)))
+        if spec.periodic:
+            out.append(lambda lo, hi: kinetic_mod.DefectAudit(
+                flux, VGrid.for_range(lo, hi, n=cfg.n_v)))
+        return out
+
+    replayed = []
+    step_fn = harness.step
+    monkeypatch.setattr(harness, "step",
+                        lambda *a, **k: replayed.append(1) or step_fn(*a, **k))
+    lv = solve_level(cfg, 0, observe)
+
+    flux, scheme_cfg = spec.flux_fn(), cfg.scheme()
+    initial = harness.initial_field(spec, build_problem_mesh(cfg, 0))
+    traj = run(initial, flux, scheme_cfg, cfg.resolved_t_final)
+    lo, hi = state_range(traj)
+    grows = (lo, hi) != (float(initial.values.min()), float(initial.values.max()))
+    assert grows == (case != "exact")
+    assert len(replayed) == (lv.steps if grows else 0)
+    assert lv.steps == len(traj) - 1
+    assert lv.state_range == (lo, hi)
+    assert lv.final.values.tobytes() == traj.final.values.tobytes()
+    assert lv.final.t == traj.final.t
+
+    audits = lv.audits
+    ref = _reference_audits(traj, flux, scheme_cfg)
+    for a in audits[:4]:
+        assert a.value.hex() == ref[a.name].hex(), a.name
+
+    k_grid = kruzkov_k_grid(lo, hi, n=cfg.k_points, extra=spec.states)
+    want = run_entropy_audit(traj, flux, scheme_cfg, k_grid, tol=1e-12)
+    study_entropy, rpt = audits[4], audits[5]
+    assert study_entropy.value.hex() == want.worst.hex()
+    assert study_entropy.passed == want.passed
+    assert rpt.per_step.tobytes() == want.per_step.tobytes()
+    assert rpt.k_grid.tobytes() == want.k_grid.tobytes()
+    assert (rpt.worst.hex(), rpt.worst_step, rpt.worst_cell, repr(rpt.worst_k)) \
+        == (want.worst.hex(), want.worst_step, want.worst_cell, repr(want.worst_k))
+
+    if spec.periodic:
+        got = audits[6]
+        dm = defect_measure(kinetic_residual(traj, flux,
+                                             VGrid.for_range(lo, hi, n=cfg.n_v)))
+        for name in ("negativity_score", "pointwise_negativity", "total_mass",
+                     "edge_mass", "worst_step", "worst_cell", "worst_v"):
+            assert getattr(got, name) == getattr(dm, name), name
+
+
+def test_observers_built_from_a_range_see_only_fields_inside_it():
+    class Inside:
+        def __init__(self, lo, hi):
+            self.lo, self.hi = lo, hi
+
+        def start(self, field0):
+            self.step(None, field0, 0.0)
+
+        def step(self, before, after, dt):
+            assert self.lo <= after.values.min() <= after.values.max() <= self.hi
+
+        def finish(self):
+            return self.lo, self.hi
+
+    # the central rule overshoots the data: the level is replayed
+    cfg = StudyConfig(problem="riemann_shock", flux_rule="central", base_n=60,
+                      levels=1, t_final=0.2)
+    lv = solve_level(cfg, 0, lambda cfg, level, flux: [Inside])
+    assert lv.audits == [lv.state_range] and lv.state_range != (0.0, 1.0)
+
+
+def test_first_level_observer_refusal_is_an_invalid_request():
+    def refusing(cfg, level, flux):
+        if level == 0:
+            raise ValueError("refused")
+        return []
+
+    with pytest.raises(harness.InvalidRequest, match="refused"):
+        run_study(_small_cfg(), refusing)
+
+
+def test_later_level_observer_failure_is_a_failed_level():
+    def refusing(cfg, level, flux):
+        if level == 1:
+            raise ValueError("refused at level 1")
+        return []
+
+    result = run_study(_small_cfg(), refusing)
+    assert not result.levels[0].failed
+    assert result.levels[1].error_message == "ValueError: refused at level 1"
+
+
+def test_level_memory_does_not_grow_with_steps():
+    # a level keeps its final field and O(1) or O(steps) scalars; one field
+    # per step kept by the run, its audits or the contraction twins would
+    # add 8 * n_cells bytes per step
+    n_cells = 1000
+
+    def peak(t_final):
+        cfg = StudyConfig(problem="smooth_sine", base_n=n_cells, levels=1,
+                          t_final=t_final)
+        tracemalloc.start()
+        try:
+            lv = solve_level(cfg, 0)
+            return tracemalloc.get_traced_memory()[1], lv.steps
+        finally:
+            tracemalloc.stop()
+
+    peak(0.05)  # first-call allocations of the interpreter and numpy
+    (short, few), (long, many) = peak(0.05), peak(0.1)
+    assert many >= 2 * few - 1
+    assert long - short <= 8 * n_cells * (many - few) // 4
