@@ -168,10 +168,7 @@ def _cmd_converge(args) -> int:
 
 
 def _entropy_observers(cfg, level, flux) -> list:
-    spec, scheme = harness.PROBLEMS[cfg.problem], cfg.scheme()
-    return [lambda lo, hi: entropy_mod.EntropyAudit(
-        flux, scheme, entropy_mod.kruzkov_k_grid(lo, hi, n=cfg.k_points,
-                                                 extra=spec.states))]
+    return [harness._entropy_observer(cfg, flux)]
 
 
 def _entropy_report(args, cfg, levels) -> int:
@@ -309,23 +306,15 @@ def _cmd_kinetic_audit(args) -> int:
     return _run_audit(args, cfg, _kinetic_observers, _kinetic_report)
 
 
-class _YoungLevel(young_mod.InitialConsistency):
-    """The initial-consistency score of a level.  Starting level 0 builds
-    its histograms, which refuses a patch grid too fine before any step;
-    finer levels keep level 0's cells per patch."""
-
-    def __init__(self, cfg, level):
-        super().__init__()
-        self.cfg, self.level = cfg, level
-
-    def start(self, field0):
-        if self.level == 0:
-            young_mod.build_young(field0, self.cfg.patches, self.cfg.bins)
-        super().start(field0)
-
-
 def _young_observers(cfg, level, flux) -> list:
-    return [_YoungLevel(cfg, level)]
+    # building level 0's histograms refuses a patch grid too fine before any
+    # step; finer levels keep level 0's cells per patch
+    if level == 0:
+        spec = harness.PROBLEMS[cfg.problem]
+        mesh = harness.build_problem_mesh(cfg, 0)
+        young_mod.build_young(harness.initial_field(spec, mesh), cfg.patches,
+                              cfg.bins)
+    return [young_mod.InitialConsistency()]
 
 
 def _young_report(args, cfg, levels) -> int:

@@ -65,7 +65,7 @@ import numpy as np
 
 from .scheme import (CellField, ConfigurationError, SchemeConfig,
                      numerical_flux, state_range, _face_flux, _face_states,
-                     _geometry, _lf_coefficient)
+                     _geometry, _lf_coefficient, _replay)
 
 __all__ = [
     "EntropyResidualField",
@@ -479,11 +479,7 @@ def run_entropy_audit(traj, flux, config: SchemeConfig, k_grid=None,
     by feeding its fields to an :class:`EntropyAudit`."""
     if k_grid is None:
         k_grid = kruzkov_k_grid(*state_range(traj))
-    audit = EntropyAudit(flux, config, k_grid, tol)
-    audit.start(traj.fields[0])
-    for before, after in zip(traj.fields, traj.fields[1:]):
-        audit.step(before, after, after.t - before.t)
-    return audit.finish()
+    return _replay(traj.fields, [EntropyAudit(flux, config, k_grid, tol)])[0]
 
 
 @dataclass

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable
 
@@ -22,7 +23,8 @@ from . import entropy as entropy_mod
 from . import young as young_mod
 from .mesh import Mesh, triangulated_rectangle, uniform_interval_mesh
 from .physics import FluxModel, ReferenceSolution, make_flux, reference
-from .scheme import CellField, SchemeConfig, _march, cell_averages, step
+from .scheme import (CellField, SchemeConfig, _march, _replay, cell_averages,
+                     step)
 from .vtkio import write_vtk
 
 __all__ = [
@@ -435,21 +437,25 @@ class _Entropy(entropy_mod.EntropyAudit):
                            f"{rpt.k_grid.size} k values")
 
 
+def _entropy_observer(cfg: StudyConfig, flux, audit=entropy_mod.EntropyAudit):
+    """A level's cell entropy ``audit`` as a function of its state range:
+    ``cfg.k_points`` Kruzkov states over the range plus the problem's
+    landmark states."""
+    spec, scheme = PROBLEMS[cfg.problem], cfg.scheme()
+    return lambda lo, hi: audit(
+        flux, scheme, entropy_mod.kruzkov_k_grid(lo, hi, n=cfg.k_points,
+                                                 extra=spec.states),
+        tol=_EXACT_TOL)
+
+
 def study_observers(cfg: StudyConfig, level: int, flux) -> list:
     """The audits ``cfg.audit_names()`` selects, in that order, each
     finishing with an :class:`AuditResult`."""
-    spec = PROBLEMS[cfg.problem]
     scheme = cfg.scheme()
-
-    def entropy(lo, hi):
-        k_grid = entropy_mod.kruzkov_k_grid(lo, hi, n=cfg.k_points,
-                                            extra=spec.states)
-        return _Entropy(flux, scheme, k_grid, tol=_EXACT_TOL)
-
     make = {"conservation": _Conservation, "max_principle": _MaxPrinciple,
             "tv": _TotalVariation,
             "contraction": lambda: _Contraction(flux, scheme),
-            "entropy": lambda: entropy}
+            "entropy": lambda: _entropy_observer(cfg, flux, _Entropy)}
     return [make[name]() for name in cfg.audit_names()]
 
 
@@ -460,11 +466,8 @@ class InvalidRequest(ValueError):
     """Level 0's observers refused to start: nothing has been solved."""
 
 
-def _started(entries, field0: CellField, rng: tuple[float, float]) -> list:
-    observers = [e(*rng) if callable(e) else e for e in entries]
-    for obs in observers:
-        obs.start(field0)
-    return observers
+def _built(entries, rng: tuple[float, float]) -> list:
+    return [e(*rng) if callable(e) else e for e in entries]
 
 
 def solve_level(cfg: StudyConfig, level: int, observe=study_observers) -> LevelResult:
@@ -488,7 +491,9 @@ def solve_level(cfg: StudyConfig, level: int, observe=study_observers) -> LevelR
     rng = lo, hi = float(initial.values.min()), float(initial.values.max())
     try:
         entries = observe(cfg, level, flux)
-        observers = _started(entries, initial, rng)
+        observers = _built(entries, rng)
+        for obs in observers:
+            obs.start(initial)
     except Exception as exc:
         if level == 0:
             raise InvalidRequest(str(exc)) from exc
@@ -507,19 +512,17 @@ def solve_level(cfg: StudyConfig, level: int, observe=study_observers) -> LevelR
         final = after
 
     if (lo, hi) != rng and ranged:
-        observers = _started(entries, initial, (lo, hi))
-        before = initial
-        for dt in dts:
-            # the march accepted dt against the stable bound already
-            after = step(before, flux, scheme, dt, _stable_dt=dt)
-            for obs in observers:
-                obs.step(before, after, after.t - before.t)
-            before = after
+        # the march accepted every dt against the stable bound already
+        fields = accumulate(dts, lambda f, dt: step(f, flux, scheme, dt,
+                                                    _stable_dt=dt),
+                            initial=initial)
+        audits = _replay(fields, _built(entries, (lo, hi)))
+    else:
+        audits = [obs.finish() for obs in observers]
 
     return LevelResult(level=level, n_cells=mesh.n_cells, h=mesh.h,
-                       steps=len(dts), l1=float("nan"),
-                       audits=[obs.finish() for obs in observers], runtime=0.0,
-                       final=final, state_range=(lo, hi))
+                       steps=len(dts), l1=float("nan"), audits=audits,
+                       runtime=0.0, final=final, state_range=(lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -586,11 +589,11 @@ def run_study(cfg: StudyConfig, observe=study_observers) -> StudyResult:
                              error_message=f"{type(exc).__name__}: {exc}")
         lv.runtime = time.perf_counter() - start
         levels.append(lv)
-    pairs = [(lv.h, lv.l1) for lv in levels
-             if not lv.failed and np.isfinite(lv.l1) and lv.l1 > 0.0]
-    rate = (fit_rate([p[0] for p in pairs], [p[1] for p in pairs])
-            if len(pairs) >= 2 else float("nan"))
-    return StudyResult(config=cfg, levels=levels, fitted_rate=rate)
+    result = StudyResult(config=cfg, levels=levels, fitted_rate=float("nan"))
+    pairs = result.rate_pairs
+    if len(pairs) >= 2:
+        result.fitted_rate = fit_rate(*zip(*pairs))
+    return result
 
 
 # ---------------------------------------------------------------------------

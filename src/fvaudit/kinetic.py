@@ -23,8 +23,8 @@ boundaries are unsupported because the lifted profile has no ghost
 closure there.  Riemann data still fits: on a periodic interval the wrap
 face carries a standing jump with equal flux on both sides.
 
-The audit streams: :class:`DefectAudit` takes one step at a time (so does
-``defect_measure``, from ``KineticResidual.steps``) and holds
+The audit streams: :class:`DefectAudit` takes one step at a time
+(``defect_measure`` replays a kept trajectory into it) and holds
 O(n_cells * n_v) floats and an (n_steps, n_cells) positive-mass table.
 Reading ``KineticResidual.values`` or ``DefectMeasure.M`` rebuilds every
 step and costs O(n_steps * n_cells * n_v) memory.
@@ -37,7 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mesh import Mesh
-from .scheme import CellField, Trajectory, state_range
+from .physics import FluxModel
+from .scheme import CellField, Trajectory, _replay, state_range
 
 __all__ = [
     "VGrid",
@@ -148,27 +149,34 @@ class KineticResidual:
 
         (rho^{n+1} - rho^n) / dt_n + (1 / |K|) sum_e |e| c_e rho_up
 
-    with c_e = f'(v_j) . n_e (the (n_faces, n_v) table ``c``) and rho_up
-    the upwind copy of rho^n.  :meth:`steps` computes them in order and
-    keeps only the current pair of lifted states; ``values`` stacks all of
-    them into (n_steps, n_cells, n_v) and costs that much memory to read.
+    with c_e = f'(v_j) . n_e and rho_up the upwind copy of rho^n.
+    :meth:`steps` computes them in order and keeps only the current pair of
+    lifted states; ``values`` stacks all of them into (n_steps, n_cells, n_v)
+    and costs that much memory to read.  Built by :func:`kinetic_residual`.
     """
 
     traj: Trajectory
-    c: np.ndarray
-    dts: np.ndarray
+    flux: FluxModel
     grid: VGrid
-    mesh: Mesh
+
+    @property
+    def mesh(self) -> Mesh:
+        return self.traj.mesh
+
+    @property
+    def dts(self) -> np.ndarray:
+        return np.diff(self.traj.times)
 
     def steps(self):
         """Yield each step's (n_cells, n_v) residual as a new array."""
-        transport = _Transport(self.mesh, self.c, self.grid, self.traj.fields[0])
-        for later, dt in zip(self.traj.fields[1:], self.dts):
-            yield transport.step(later, dt)
+        fields = self.traj.fields
+        transport = _Transport(self.flux, self.grid, fields[0])
+        for before, after in zip(fields, fields[1:]):
+            yield transport.step(after, after.t - before.t)
 
     @property
     def values(self) -> np.ndarray:
-        out = np.empty((len(self.dts), self.mesh.n_cells, self.grid.n))
+        out = np.empty((len(self.traj) - 1, self.mesh.n_cells, self.grid.n))
         for s, r in enumerate(self.steps()):
             out[s] = r
         return out
@@ -176,9 +184,15 @@ class KineticResidual:
 
 class _Transport:
     """The lifted transport residual of consecutive fields, one step at a
-    time; keeps only the lift of the last field."""
+    time; keeps only the lift of the last field.  The velocity table
+    c_e = f'(v_j) . n_e is (n_faces, n_v); the spatial flux terms telescope
+    only on a fully periodic mesh, so any other is refused."""
 
-    def __init__(self, mesh: Mesh, c: np.ndarray, grid: VGrid, field0: CellField):
+    def __init__(self, flux, grid: VGrid, field0: CellField):
+        mesh = field0.mesh
+        if not mesh.is_periodic:
+            raise ValueError("kinetic transport audit needs a fully periodic mesh")
+        c = flux.dfn(grid.centers[None, :], mesh.face_normal)
         self.mesh, self.grid = mesh, grid
         self.upwind_left = c >= 0.0
         self.flow = mesh.face_length[:, None] * c
@@ -201,16 +215,12 @@ class _Transport:
 
 
 def kinetic_residual(traj: Trajectory, flux, grid: VGrid | None = None) -> KineticResidual:
-    mesh = traj.mesh
-    if not mesh.is_periodic:
-        raise ValueError("kinetic transport audit needs a fully periodic mesh")
-    if len(traj) < 2:
-        raise ValueError("need at least one step")
     if grid is None:
         grid = VGrid.for_range(*state_range(traj))
-    c = flux.dfn(grid.centers[None, :], mesh.face_normal)  # (n_f, n_v)
-    return KineticResidual(traj=traj, c=c, dts=np.diff(traj.times),
-                           grid=grid, mesh=mesh)
+    _Transport(flux, grid, traj.fields[0])      # refuses a mesh it cannot audit
+    if len(traj) < 2:
+        raise ValueError("need at least one step")
+    return KineticResidual(traj=traj, flux=flux, grid=grid)
 
 
 def _antiderivative(r: np.ndarray, dv: float, out: np.ndarray) -> None:
@@ -248,7 +258,6 @@ class DefectMeasure:
     M(v_max), a conservation cross-check that vanishes with dv.
     """
 
-    residual: KineticResidual | None = field(repr=False)
     negativity_score: float
     pointwise_negativity: float
     total_mass: float
@@ -256,14 +265,21 @@ class DefectMeasure:
     worst_step: int
     worst_cell: int
     worst_v: int
+    residual: KineticResidual | None = field(default=None, repr=False)
 
     @property
     def M(self) -> np.ndarray:
         res = self.residual
-        out = np.empty((len(res.dts), res.mesh.n_cells, res.grid.n + 1))
+        out = np.empty((len(res.traj) - 1, res.mesh.n_cells, res.grid.n + 1))
         for s, r in enumerate(res.steps()):
             _antiderivative(r, res.grid.dv, out[s])
         return out
+
+
+# tent test functions of the negativity score: window centers per axis by
+# mesh dimension, and the tent half-width as a fraction of the extent
+_TENTS_PER_AXIS = {1: 33, 2: 9}
+_TENT_WIDTH = 0.125
 
 
 def _tent_windows(mesh: Mesh, per_axis: int, frac: float) -> np.ndarray:
@@ -287,39 +303,27 @@ def _tent_windows(mesh: Mesh, per_axis: int, frac: float) -> np.ndarray:
 
 class DefectAudit:
     """The :class:`DefectMeasure` of one run, fed ``start(field0)`` and then
-    every accepted step; ``finish()`` gives what ``defect_measure`` gives
-    for the kept trajectory, with ``residual`` None.
+    every accepted step; ``finish()`` gives it with ``residual`` None.
 
     Besides one step's M it keeps its time integral ``acc``, the running
     minimum, the step sizes and the (n_steps, n_cells) positive mass.
     """
 
-    def __init__(self, flux, grid: VGrid, windows_per_axis: int | None = None,
-                 window_frac: float = 0.125):
+    def __init__(self, flux, grid: VGrid):
         self.flux, self.grid = flux, grid
-        self.windows_per_axis, self.window_frac = windows_per_axis, window_frac
 
     def start(self, field0: CellField):
-        mesh = field0.mesh
-        if not mesh.is_periodic:
-            raise ValueError("kinetic transport audit needs a fully periodic mesh")
-        c = self.flux.dfn(self.grid.centers[None, :], mesh.face_normal)
-        self._transport = _Transport(mesh, c, self.grid, field0)
-        self._begin(mesh)
-
-    def _begin(self, mesh: Mesh):
-        self.mesh = mesh
-        self.M = np.empty((mesh.n_cells, self.grid.n + 1))
+        self._transport = _Transport(self.flux, self.grid, field0)
+        n_cells = field0.mesh.n_cells
+        self.M = np.empty((n_cells, self.grid.n + 1))
         self.part = np.empty_like(self.M)
         self.acc = np.zeros_like(self.M)
-        self.pos, self.dts = np.empty((0, mesh.n_cells)), []
+        self.pos, self._dts = np.empty((0, n_cells)), []
         self.lowest, self.worst = np.inf, (0, 0, 0)
 
     def step(self, before: CellField, after: CellField, dt: float):
-        self._add(self._transport.step(after, dt), dt)
-
-    def _add(self, r: np.ndarray, dt: float):
-        M, part, s = self.M, self.part, len(self.dts)
+        r = self._transport.step(after, dt)
+        M, part, s = self.M, self.part, len(self._dts)
         _antiderivative(r, self.grid.dv, M)
         i = int(M.argmin())
         if M.flat[i] < self.lowest:     # strict: ties keep the earliest step
@@ -332,38 +336,35 @@ class DefectAudit:
             self.pos = grown
         np.maximum(M, 0.0, out=part).sum(axis=-1, out=self.pos[s])
         self.acc += np.multiply(dt, M, out=part)
-        self.dts.append(dt)
+        self._dts.append(dt)
 
-    def finish(self, residual: KineticResidual | None = None) -> DefectMeasure:
-        if not self.dts:
+    def finish(self) -> DefectMeasure:
+        if not self._dts:
             raise ValueError("need at least one step")
-        mesh, acc, dts = self.mesh, self.acc, np.array(self.dts, dtype=float)
+        mesh, acc = self._transport.mesh, self.acc
+        dts = np.array(self._dts, dtype=float)
         pos = self.pos[:dts.size] * self.grid.dv
         total = float((pos @ mesh.cell_area) @ dts)
-        windows_per_axis = self.windows_per_axis
-        if windows_per_axis is None:
-            windows_per_axis = 33 if mesh.dim == 1 else 9
         elapsed = float(dts.sum())
-        weighted = _tent_windows(mesh, windows_per_axis, self.window_frac) @ acc
+        weighted = _tent_windows(mesh, _TENTS_PER_AXIS[mesh.dim],
+                                 _TENT_WIDTH) @ acc
         weighted /= elapsed
         negativity = float(max(0.0, -weighted.min()))
         edge = float(mesh.cell_area @ acc[:, -1]) / elapsed
         worst_step, worst_cell, worst_v = self.worst
-        return DefectMeasure(residual=residual, negativity_score=negativity,
+        return DefectMeasure(negativity_score=negativity,
                              pointwise_negativity=float(max(0.0, -self.lowest)),
                              total_mass=total, edge_mass=edge,
                              worst_step=worst_step, worst_cell=worst_cell,
                              worst_v=worst_v)
 
 
-def defect_measure(res: KineticResidual, windows_per_axis: int | None = None,
-                   window_frac: float = 0.125) -> DefectMeasure:
-    """Summarize M in one pass over the steps, as :class:`DefectAudit` does."""
-    audit = DefectAudit(None, res.grid, windows_per_axis, window_frac)
-    audit._begin(res.mesh)
-    for r, dt in zip(res.steps(), res.dts):
-        audit._add(r, dt)
-    return audit.finish(res)
+def defect_measure(res: KineticResidual) -> DefectMeasure:
+    """Summarize M in one pass over the steps: the run replayed into a
+    :class:`DefectAudit`, with ``residual`` attached."""
+    dm = _replay(res.traj.fields, [DefectAudit(res.flux, res.grid)])[0]
+    dm.residual = res
+    return dm
 
 
 @dataclass

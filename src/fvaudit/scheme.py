@@ -424,19 +424,27 @@ class Trajectory:
     def __len__(self):
         return len(self.fields)
 
-    def at_time(self, t: float, tol: float = 1e-9) -> CellField:
-        err = np.abs(self.times - t)
-        i = int(err.argmin())
-        if err[i] > tol:
-            raise ValueError(f"no recorded field at t={t}")
-        return self.fields[i]
-
 
 def state_range(traj: Trajectory) -> tuple[float, float]:
     """Smallest and largest cell average over every level of a run."""
     lo = min(float(f.values.min()) for f in traj.fields)
     hi = max(float(f.values.max()) for f in traj.fields)
     return lo, hi
+
+
+def _replay(fields, observers) -> list:
+    """Feed the consecutive ``fields`` of a run to observers: start each on
+    the first field, step it through every pair with ``dt`` the elapsed
+    time, and return what their ``finish()`` give, in order."""
+    fields = iter(fields)
+    before = next(fields)
+    for obs in observers:
+        obs.start(before)
+    for after in fields:
+        for obs in observers:
+            obs.step(before, after, after.t - before.t)
+        before = after
+    return [obs.finish() for obs in observers]
 
 
 _MAX_STEPS = 10_000_000
@@ -454,25 +462,21 @@ def _time_tol(t_final: float) -> float:
     return 1e-12 * max(1.0, abs(t_final))
 
 
-def _march(initial: tuple, flux, config: SchemeConfig, t_final: float,
-           output_times=()):
+def _march(initial: tuple, flux, config: SchemeConfig, t_final: float):
     """The one marching loop: advance the fields of ``initial`` together
     to ``t_final`` and yield ``(before, after, dt)`` tuples per step.
 
-    All take the smallest stable step, clipped to land on every output
-    time, and under global Lax-Friedrichs one coefficient over all their
-    ranges, so that they are advanced by one monotone map.
+    All take the smallest stable step, clipped to land on ``t_final``, and
+    under global Lax-Friedrichs one coefficient over all their ranges, so
+    that they are advanced by one monotone map.
     """
     fields = tuple(initial)
     if any(f.mesh is not fields[0].mesh for f in fields):
         raise ValueError("fields marched together need a shared mesh")
     _check_t_final(t_final)
     tol = _time_tol(t_final)
-    t0 = fields[0].t
-    if t_final < t0 - tol:
+    if t_final < fields[0].t - tol:
         raise ValueError("t_final lies before the initial time")
-    targets = sorted({float(t) for t in output_times
-                      if t0 + tol < t <= t_final + tol} | {float(t_final)})
     joint = (len(fields) > 1 and config.flux_rule == "lax_friedrichs"
              and config.lf_dissipation_mode == "global")
     for _ in range(_MAX_STEPS):
@@ -480,7 +484,7 @@ def _march(initial: tuple, flux, config: SchemeConfig, t_final: float,
         if t >= t_final - tol:
             return
         stable = min(max_stable_dt(f, flux, config) for f in fields)
-        dt = min(stable, min(s for s in targets if s > t + tol) - t)
+        dt = min(stable, float(t_final) - t)
         lf_range = ((min(float(f.values.min()) for f in fields),
                      max(float(f.values.max()) for f in fields))
                     if joint else None)
@@ -491,17 +495,16 @@ def _march(initial: tuple, flux, config: SchemeConfig, t_final: float,
     raise StabilityError("step budget exhausted before reaching t_final")
 
 
-def run(initial: CellField, flux, config: SchemeConfig, t_final: float,
-        output_times=()) -> Trajectory:
-    """March to ``t_final``, clipping steps to land on requested times.
+def run(initial: CellField, flux, config: SchemeConfig,
+        t_final: float) -> Trajectory:
+    """March to ``t_final``, the last step clipped to land on it.
 
     Every accepted step is recorded, so downstream audits can replay the
     full discrete history.  ``t_final`` equal to the initial time returns
     a single-entry trajectory.
     """
     fields = [initial]
-    for _, (after,), _ in _march((initial,), flux, config, t_final,
-                                 output_times):
+    for _, (after,), _ in _march((initial,), flux, config, t_final):
         fields.append(after)
     return Trajectory(fields)
 

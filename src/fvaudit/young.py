@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .mesh import Mesh
-from .scheme import CellField, cell_averages
+from .scheme import CellField, _replay, cell_averages
 
 __all__ = [
     "EmpiricalYoungMeasure",
@@ -191,15 +191,8 @@ class InitialConsistency:
 def initial_consistency(trajs, u0: Callable | None = None) -> np.ndarray:
     """:class:`InitialConsistency` of every trajectory.  Weak-* initial
     consistency shows up as scores vanishing under refinement."""
-    trajs = list(trajs)
-    scores = np.empty(len(trajs))
-    for i, traj in enumerate(trajs):
-        score = InitialConsistency(u0)
-        score.start(traj.fields[0])
-        for before, after in zip(traj.fields, traj.fields[1:2]):
-            score.step(before, after, after.t - before.t)
-        scores[i] = score.finish()
-    return scores
+    return np.array([_replay(traj.fields[:2], [InitialConsistency(u0)])[0]
+                     for traj in trajs], dtype=float)
 
 
 def checkerboard_values(mesh: Mesh, amplitude: float = 1.0) -> np.ndarray:

@@ -413,6 +413,22 @@ def test_streamed_level_matches_library_functions(case, monkeypatch):
             assert getattr(got, name) == getattr(dm, name), name
 
 
+def test_entropy_k_grid_adds_the_problem_states():
+    # smooth_sine's cell averages miss its landmark states 0.25 and 0.75;
+    # the study audit and the entropy-audit subcommand share one k grid
+    from fvaudit import cli
+
+    cfg = StudyConfig(problem="smooth_sine", levels=1, base_n=20,
+                      t_final=0.05, audits="entropy")
+    spec = harness.PROBLEMS[cfg.problem]
+    lv = solve_level(cfg, 0)
+    want = kruzkov_k_grid(*lv.state_range, n=cfg.k_points, extra=spec.states)
+    assert want.size == cfg.k_points + 2
+    assert lv.audits[0].detail.endswith(f"over {want.size} k values")
+    rpt = solve_level(cfg, 0, cli._entropy_observers).audits[0]
+    assert rpt.k_grid.tobytes() == want.tobytes()
+
+
 def test_observers_built_from_a_range_see_only_fields_inside_it():
     class Inside:
         def __init__(self, lo, hi):
