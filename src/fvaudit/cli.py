@@ -81,7 +81,8 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--open", dest="open_bc", action="store_true",
                        help="builtin meshes: force outflow boundaries")
     mi.add_argument("--jitter", type=float, default=0.0,
-                    help="builtin square: perturb interior vertices")
+                    help="builtin square: perturb interior vertices by at most "
+                         "this fraction of the spacing, in [0, 0.25]")
     mi.add_argument("--vtk", metavar="PATH", help="also write the mesh as VTK")
     return ap
 

@@ -270,6 +270,10 @@ class DefectMeasure:
     @property
     def M(self) -> np.ndarray:
         res = self.residual
+        if res is None:
+            raise ValueError("a measure streamed during a solve keeps no residual, "
+                             "so M cannot be rebuilt; read it from "
+                             "defect_measure(kinetic_residual(...)) of a kept trajectory")
         out = np.empty((len(res.traj) - 1, res.mesh.n_cells, res.grid.n + 1))
         for s, r in enumerate(res.steps()):
             _antiderivative(r, res.grid.dv, out[s])

@@ -572,50 +572,47 @@ def triangulated_rectangle(nx: int, ny: int | None = None,
     """Structured triangulation: each grid quad is split along one diagonal.
 
     ``jitter`` moves interior vertices by a uniform fraction of the local
-    spacing (at most 0.3) to produce irregular but valid triangulations.
+    spacing, at most 0.25, to produce irregular but valid triangulations.
+    Twice a triangle's area is affine in each vertex, so its minimum over
+    the jitter box sits at a corner.  At every cell aspect ratio the first
+    zero-area corner appears at jitter 0.25, and it needs a displacement of
+    +jitter, which the half-open uniform draw never makes.
     """
     if ny is None:
         ny = nx
     if nx < 1 or ny < 1 or x1 <= x0 or y1 <= y0:
         raise GeometryError("bad rectangle parameters")
-    if not 0.0 <= jitter <= 0.3:
-        raise GeometryError("jitter must sit in [0, 0.3]")
+    if not 0.0 <= jitter <= 0.25:
+        raise GeometryError("jitter must sit in [0, 0.25]")
+    # vertex (i, j) of the (nx + 1) x (ny + 1) grid has index i * (ny + 1) + j
     xs = np.linspace(x0, x1, nx + 1)
     ys = np.linspace(y0, y1, ny + 1)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     verts = np.column_stack([gx.ravel(), gy.ravel()])
 
-    def vid(i, j):
-        return i * (ny + 1) + j
-
     if jitter > 0.0:
         rng = np.random.default_rng(seed)
         dx, dy = (x1 - x0) / nx, (y1 - y0) / ny
-        interior = np.ones(len(verts), dtype=bool)
-        for i in range(nx + 1):
-            interior[vid(i, 0)] = interior[vid(i, ny)] = False
-        for j in range(ny + 1):
-            interior[vid(0, j)] = interior[vid(nx, j)] = False
+        interior = np.zeros((nx + 1, ny + 1), dtype=bool)
+        interior[1:-1, 1:-1] = True
+        interior = interior.ravel()
         verts[interior] += rng.uniform(-jitter, jitter, (interior.sum(), 2)) * (dx, dy)
 
-    cells = []
-    for i in range(nx):
-        for j in range(ny):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v11, v01 = vid(i + 1, j + 1), vid(i, j + 1)
-            cells.append((v00, v10, v11))
-            cells.append((v00, v11, v01))
+    # quad (i, j) in i-major order: corners v00, v10 = v00 + ny + 1, and
+    # v01, v11 one row up; two triangles share the v00-v11 diagonal
+    v00 = (np.arange(nx)[:, None] * (ny + 1) + np.arange(ny)).ravel()
+    v10 = v00 + ny + 1
+    cells = np.column_stack([v00, v10, v10 + 1, v00, v10 + 1, v00 + 1]).reshape(-1, 3)
     boundary: dict = {}
     if periodic:
-        for j in range(ny):
-            left = tuple(sorted((vid(0, j), vid(0, j + 1))))
-            right = tuple(sorted((vid(nx, j), vid(nx, j + 1))))
-            boundary[left] = (PERIODIC, right)
-        for i in range(nx):
-            bottom = tuple(sorted((vid(i, 0), vid(i + 1, 0))))
-            top = tuple(sorted((vid(i, ny), vid(i + 1, ny))))
-            boundary[bottom] = (PERIODIC, top)
-    return _assemble(2, verts, cells, boundary)
+        # left edges pair with right edges, then bottom edges with top ones
+        j, i = np.arange(ny), np.arange(nx) * (ny + 1)
+        west = np.column_stack([j, j + 1])
+        south = np.column_stack([i, i + ny + 1])
+        tags = np.concatenate([west, south]).tolist()
+        partners = np.concatenate([west + nx * (ny + 1), south + ny]).tolist()
+        boundary = {tuple(a): (PERIODIC, tuple(b)) for a, b in zip(tags, partners)}
+    return _assemble(2, verts, cells.tolist(), boundary)
 
 
 def sliver_triangle_mesh(eps: float) -> Mesh:
@@ -641,71 +638,65 @@ def refine(mesh: Mesh, levels: int = 1) -> Mesh:
 
 
 def _refine_once(mesh: Mesh) -> Mesh:
-    if mesh.dim == 1:
-        old = mesh.vertices[:, 0]
-        mids = np.array([0.5 * (old[a] + old[b]) for a, b in mesh.cells])
-        verts = np.concatenate([old, mids])[:, None]
-        cells = []
-        for i, (a, b) in enumerate(mesh.cells):
-            m = len(old) + i
-            cells.extend([(a, m), (m, b)])
-        # endpoint vertex indices survive, so boundary keys carry over
-        return _assemble(1, verts, cells, dict(mesh._boundary_spec))
-
-    for c in mesh.cells:
-        if len(c) != 3:
-            raise RefinementError("midpoint refinement needs an all-triangle mesh")
-
     old = mesh.vertices
-    new_pts = list(old)
-    midpoint_of: dict[tuple, int] = {}
+    n_v, spec = len(old), mesh._boundary_spec
+    if mesh.dim == 1:
+        ends = np.array(mesh.cells)
+        mids = 0.5 * (old[ends[:, 0]] + old[ends[:, 1]])
+        m = n_v + np.arange(len(ends))
+        cells = np.column_stack([ends[:, 0], m, m, ends[:, 1]]).reshape(-1, 2)
+        # endpoint vertex indices survive, so boundary keys carry over
+        return _assemble(1, np.concatenate([old, mids]), cells.tolist(), dict(spec))
 
-    def midpoint(a: int, b: int) -> int:
-        key = (a, b) if a < b else (b, a)
-        idx = midpoint_of.get(key)
-        if idx is None:
-            idx = len(new_pts)
-            new_pts.append(0.5 * (old[a] + old[b]))
-            midpoint_of[key] = idx
-        return idx
+    if set(map(len, mesh.cells)) != {3}:
+        raise RefinementError("midpoint refinement needs an all-triangle mesh")
 
-    cells = []
-    for v0, v1, v2 in mesh.cells:
-        m01, m12, m02 = midpoint(v0, v1), midpoint(v1, v2), midpoint(v0, v2)
-        cells.extend([(v0, m01, m02), (m01, v1, m12), (m02, m12, v2), (m01, m12, m02)])
+    # edges 01, 12, 02 of every cell, keyed lo * n_v + hi as in assembly;
+    # midpoints are numbered in the order the cells first meet their edges
+    tri = np.array(mesh.cells)
+    a, b = tri[:, [0, 1, 0]], tri[:, [1, 2, 2]]
+    lo, hi = np.minimum(a, b).ravel(), np.maximum(a, b).ravel()
+    keys, first, inverse = np.unique(lo * n_v + hi, return_index=True,
+                                     return_inverse=True)
+    seen = np.argsort(first)
+    rank = np.empty_like(seen)
+    rank[seen] = np.arange(len(seen))
+    side = first[seen]                  # first side of each edge, by number
+    verts = np.concatenate([old, 0.5 * (old[lo[side]] + old[hi[side]])])
+    m01, m12, m02 = (n_v + rank[inverse]).reshape(-1, 3).T
+    v0, v1, v2 = tri.T
+    cells = np.stack([v0, m01, m02, m01, v1, m12, m02, m12, v2, m01, m12, m02],
+                     axis=1).reshape(-1, 3)
 
-    verts = np.array(new_pts)
+    # boundary edge (p, q) splits into (p, m) and (q, m); m > q as a new vertex
+    tagged = np.array(list(spec), dtype=int).reshape(-1, 2)
+    m = n_v + rank[np.searchsorted(keys, tagged[:, 0] * n_v + tagged[:, 1])]
+    halves = np.stack([tagged, np.column_stack([m, m])], axis=-1)   # (tag, half, end)
+    half_mid = 0.5 * (verts[halves[..., 0]] + verts[halves[..., 1]])
+    slot = {key: s for s, key in enumerate(spec)}
+    partner = np.array([-1 if tag == OUTFLOW else slot[tag[1]] for tag in spec.values()],
+                       dtype=int)
 
-    def child_keys(key):
-        a, b = key
-        m = midpoint(a, b)
-        return [tuple(sorted((a, m))), tuple(sorted((m, b)))]
+    # periodic pairs, each once from the side listed first; a half matches
+    # the partner half its midpoint lands on after the pairing shift
+    own = np.flatnonzero(np.arange(len(spec)) < partner)
+    other = partner[own]
+    tag_mid = 0.5 * (verts[tagged[:, 0]] + verts[tagged[:, 1]])
+    target = half_mid[own] - (tag_mid[own] - tag_mid[other])[:, None]
+    gap = np.abs(half_mid[other][:, None, :, :] - target[:, :, None, :]).max(axis=-1)
+    hit = gap <= 1e-9 * max(mesh.h, 1.0)                       # (pair, own half, half)
+    if np.any(hit.sum(axis=-1) != 1):
+        raise TopologyError("periodic pairing does not survive refinement")
+    matched = halves[other[:, None], hit.argmax(axis=-1)]
+    pair_keys = np.stack([halves[own], matched], axis=2).reshape(-1, 2, 2).tolist()
 
-    def key_mid(key):
-        return 0.5 * (verts[key[0]] + verts[key[1]])
-
-    boundary: dict = {}
-    done = set()
-    for key, tag in mesh._boundary_spec.items():
-        if tag == OUTFLOW:
-            for ck in child_keys(key):
-                boundary[ck] = OUTFLOW
-            continue
-        partner = tag[1]
-        if key in done or partner in done:
-            continue
-        done.update((key, partner))
-        shift = key_mid(key) - key_mid(partner)
-        tol = 1e-9 * max(mesh.h, 1.0)
-        for ck in child_keys(key):
-            target = key_mid(ck) - shift
-            matched = [pk for pk in child_keys(partner)
-                       if np.abs(key_mid(pk) - target).max() <= tol]
-            if len(matched) != 1:
-                raise TopologyError("periodic pairing does not survive refinement")
-            boundary[ck] = (PERIODIC, matched[0])
-            boundary[matched[0]] = (PERIODIC, ck)
-    return _assemble(2, verts, cells, boundary)
+    # outflow halves, then each half beside its match: the tag order fixes
+    # the order of the refined mesh's boundary spec
+    boundary: dict = {tuple(k): OUTFLOW for k in halves[partner < 0].reshape(-1, 2).tolist()}
+    for ck, pk in pair_keys:
+        boundary[tuple(ck)] = (PERIODIC, tuple(pk))
+        boundary[tuple(pk)] = (PERIODIC, tuple(ck))
+    return _assemble(2, verts, cells.tolist(), boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -719,13 +710,6 @@ class RegularityReport:
     max_ratio: float
     hist_counts: np.ndarray
     hist_edges: np.ndarray
-
-
-def _triangle_inradius(pts: np.ndarray, area: float) -> float:
-    a = np.linalg.norm(pts[1] - pts[0])
-    b = np.linalg.norm(pts[2] - pts[1])
-    c = np.linalg.norm(pts[0] - pts[2])
-    return 2.0 * area / (a + b + c)
 
 
 def _chebyshev_inradius(pts: np.ndarray) -> float:
@@ -754,21 +738,24 @@ def _chebyshev_inradius(pts: np.ndarray) -> float:
 
 
 def regularity(mesh: Mesh, bins: int = 16) -> RegularityReport:
-    n = mesh.n_cells
-    ratio = np.empty(n)
     if mesh.dim == 1:
-        ratio[:] = 1.0
+        ratio = np.ones(mesh.n_cells)
     else:
-        for i, c in enumerate(mesh.cells):
-            pts = mesh.vertices[list(c)]
-            if len(c) == 3:
-                r = _triangle_inradius(pts, mesh.cell_area[i])
-            else:
-                r = _chebyshev_inradius(pts)
-            if r <= 0.0:
-                raise GeometryError(f"cell {i} has a degenerate inscribed circle")
-            ratio[i] = mesh.cell_diameter[i] / (2.0 * r)
-    counts, edges = np.histogram(ratio, bins=bins)
+        # a triangle's inradius is 2|K| / perimeter(K); other polygons
+        # solve the inscribed-circle problem one cell at a time
+        radius = 2.0 * mesh.cell_area / mesh.cell_perimeter
+        size = np.fromiter(map(len, mesh.cells), dtype=int, count=mesh.n_cells)
+        for i in np.flatnonzero(size != 3).tolist():
+            radius[i] = _chebyshev_inradius(mesh.cell_polygon(i))
+        flat = radius <= 0.0
+        if flat.any():
+            raise GeometryError(f"cell {flat.argmax()} has a degenerate inscribed circle")
+        ratio = mesh.cell_diameter / (2.0 * radius)
+    # ratios that differ by rounding only leave no room for finite bins:
+    # bin them as equal values, which numpy centres in a unit range
+    edges = np.linspace(ratio.min(), ratio.max(), bins + 1)
+    binned = ratio if np.all(np.diff(edges) > 0.0) else np.full_like(ratio, ratio.max())
+    counts, edges = np.histogram(binned, bins=bins)
     return RegularityReport(
         ratio=ratio,
         max_ratio=float(ratio.max()),

@@ -19,7 +19,7 @@ Outflow boundaries copy the inside trace to the ghost side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np

@@ -420,6 +420,13 @@ def test_mesh_info_builtin_square(capsys, tmp_path):
     assert "regularity_max" in capsys.readouterr().out
 
 
+def test_mesh_info_jitter_bound(capsys):
+    assert main(["mesh-info", "square:16", "--jitter", "0.3"]) == 2
+    assert "jitter must sit in [0, 0.25]" in capsys.readouterr().err
+    assert main(["mesh-info", "square:16", "--jitter", "0.25"]) == 0
+    assert "regularity_max" in capsys.readouterr().out
+
+
 def test_mesh_info_from_file(tmp_path, capsys):
     path = tmp_path / "three.mesh"
     path.write_text(MESH_FILE)

@@ -29,7 +29,7 @@ from fvaudit import (
     triangulated_rectangle,
     uniform_interval_mesh,
 )
-from fvaudit.kinetic import _tent_windows
+from fvaudit.kinetic import DefectAudit, _tent_windows
 from fvaudit.scheme import state_range
 
 GODUNOV = SchemeConfig(flux_rule="godunov", reconstruction="constant",
@@ -214,6 +214,19 @@ def test_defect_measure_antiderivative_shape():
     dm = defect_measure(res)
     assert dm.M.shape == (2, 16, 33)
     assert np.all(dm.M[..., 0] == 0.0)
+
+
+def test_streamed_defect_measure_has_no_M():
+    flux = make_flux("burgers")
+    fields = _constant_run(2).fields
+    audit = DefectAudit(flux, VGrid(-1.0, 1.0, 32))
+    audit.start(fields[0])
+    for before, after in zip(fields, fields[1:]):
+        audit.step(before, after, 0.01)
+    dm = audit.finish()
+    assert dm.residual is None
+    with pytest.raises(ValueError, match=r"keeps no residual.*defect_measure\(kinetic_residual"):
+        dm.M
 
 
 # ---------------------------------------------------------------------------

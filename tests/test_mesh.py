@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from fvaudit import (
     MeshFormatError,
     TopologyError,
     build_mesh,
+    cell_averages,
     load_mesh,
     refine,
     regularity,
@@ -20,7 +22,8 @@ from fvaudit import (
 )
 from fvaudit import mesh as mesh_mod
 from fvaudit.mesh import (_AREA_RTOL, _GEOM_RTOL, INTERIOR, OUTFLOW, PERIODIC, Mesh,
-                          _assemble, _chebyshev_inradius)
+                          RefinementError, RegularityReport, _assemble,
+                          _chebyshev_inradius)
 
 TWO_TRIANGLE_SQUARE = """
 dim 2
@@ -70,6 +73,19 @@ vertices 3
 cells 1
 3 0 1 2
 """
+
+
+def _text(dim, verts, cells, tags=()):
+    """Mesh text from vertex lines, cell vertex lists and boundary lines."""
+    lines = [f"dim {dim}", f"vertices {len(verts)}", *verts,
+             f"cells {len(cells)}", *(f"{len(c.split())} {c}" for c in cells)]
+    if tags:
+        lines += [f"boundary {len(tags)}", *tags]
+    return "\n".join(lines) + "\n"
+
+
+SQUARE = ["0 0", "1 0", "1 1", "0 1"]
+TWO_TRIANGLES = ["0 1 2", "0 2 3"]
 
 
 def check_mesh_invariants(mesh):
@@ -447,7 +463,7 @@ def assert_same_mesh(got, want):
 @pytest.mark.parametrize("builder", MESH_BUILDERS + [
     lambda: triangulated_rectangle(48, 48, -0.5, 0.0, 1.0, 1.0),
     lambda: triangulated_rectangle(128, 128, periodic=True),
-    lambda: triangulated_rectangle(20, 13, periodic=True, jitter=0.3, seed=2),
+    lambda: triangulated_rectangle(20, 13, periodic=True, jitter=0.25, seed=2),
     lambda: uniform_interval_mesh(777, -0.5, 1.0, periodic=False),
     lambda: refine(triangulated_rectangle(16, 16, periodic=True), 2),
 ])
@@ -456,6 +472,353 @@ def test_assembly_matches_reference(builder, monkeypatch):
     assert calls
     for args, mesh in calls:
         assert_same_mesh(mesh, reference_assemble(*args))
+
+
+# ---------------------------------------------------------------------------
+# reference: the per-cell builders, refinement and regularity that the
+# array code replaced, kept verbatim as the bit-for-bit references
+
+def reference_triangulated_rectangle(nx: int, ny: int | None = None,
+                                     x0: float = 0.0, y0: float = 0.0,
+                                     x1: float = 1.0, y1: float = 1.0,
+                                     periodic: bool = False,
+                                     jitter: float = 0.0, seed: int = 0) -> Mesh:
+    """Structured triangulation: each grid quad is split along one diagonal.
+
+    ``jitter`` moves interior vertices by a uniform fraction of the local
+    spacing (at most 0.3) to produce irregular but valid triangulations.
+    """
+    if ny is None:
+        ny = nx
+    if nx < 1 or ny < 1 or x1 <= x0 or y1 <= y0:
+        raise GeometryError("bad rectangle parameters")
+    if not 0.0 <= jitter <= 0.3:
+        raise GeometryError("jitter must sit in [0, 0.3]")
+    xs = np.linspace(x0, x1, nx + 1)
+    ys = np.linspace(y0, y1, ny + 1)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    verts = np.column_stack([gx.ravel(), gy.ravel()])
+
+    def vid(i, j):
+        return i * (ny + 1) + j
+
+    if jitter > 0.0:
+        rng = np.random.default_rng(seed)
+        dx, dy = (x1 - x0) / nx, (y1 - y0) / ny
+        interior = np.ones(len(verts), dtype=bool)
+        for i in range(nx + 1):
+            interior[vid(i, 0)] = interior[vid(i, ny)] = False
+        for j in range(ny + 1):
+            interior[vid(0, j)] = interior[vid(nx, j)] = False
+        verts[interior] += rng.uniform(-jitter, jitter, (interior.sum(), 2)) * (dx, dy)
+
+    cells = []
+    for i in range(nx):
+        for j in range(ny):
+            v00, v10 = vid(i, j), vid(i + 1, j)
+            v11, v01 = vid(i + 1, j + 1), vid(i, j + 1)
+            cells.append((v00, v10, v11))
+            cells.append((v00, v11, v01))
+    boundary: dict = {}
+    if periodic:
+        for j in range(ny):
+            left = tuple(sorted((vid(0, j), vid(0, j + 1))))
+            right = tuple(sorted((vid(nx, j), vid(nx, j + 1))))
+            boundary[left] = (PERIODIC, right)
+        for i in range(nx):
+            bottom = tuple(sorted((vid(i, 0), vid(i + 1, 0))))
+            top = tuple(sorted((vid(i, ny), vid(i + 1, ny))))
+            boundary[bottom] = (PERIODIC, top)
+    return _assemble(2, verts, cells, boundary)
+
+
+def reference_refine_once(mesh: Mesh) -> Mesh:
+    if mesh.dim == 1:
+        old = mesh.vertices[:, 0]
+        mids = np.array([0.5 * (old[a] + old[b]) for a, b in mesh.cells])
+        verts = np.concatenate([old, mids])[:, None]
+        cells = []
+        for i, (a, b) in enumerate(mesh.cells):
+            m = len(old) + i
+            cells.extend([(a, m), (m, b)])
+        # endpoint vertex indices survive, so boundary keys carry over
+        return _assemble(1, verts, cells, dict(mesh._boundary_spec))
+
+    for c in mesh.cells:
+        if len(c) != 3:
+            raise RefinementError("midpoint refinement needs an all-triangle mesh")
+
+    old = mesh.vertices
+    new_pts = list(old)
+    midpoint_of: dict[tuple, int] = {}
+
+    def midpoint(a: int, b: int) -> int:
+        key = (a, b) if a < b else (b, a)
+        idx = midpoint_of.get(key)
+        if idx is None:
+            idx = len(new_pts)
+            new_pts.append(0.5 * (old[a] + old[b]))
+            midpoint_of[key] = idx
+        return idx
+
+    cells = []
+    for v0, v1, v2 in mesh.cells:
+        m01, m12, m02 = midpoint(v0, v1), midpoint(v1, v2), midpoint(v0, v2)
+        cells.extend([(v0, m01, m02), (m01, v1, m12), (m02, m12, v2), (m01, m12, m02)])
+
+    verts = np.array(new_pts)
+
+    def child_keys(key):
+        a, b = key
+        m = midpoint(a, b)
+        return [tuple(sorted((a, m))), tuple(sorted((m, b)))]
+
+    def key_mid(key):
+        return 0.5 * (verts[key[0]] + verts[key[1]])
+
+    boundary: dict = {}
+    done = set()
+    for key, tag in mesh._boundary_spec.items():
+        if tag == OUTFLOW:
+            for ck in child_keys(key):
+                boundary[ck] = OUTFLOW
+            continue
+        partner = tag[1]
+        if key in done or partner in done:
+            continue
+        done.update((key, partner))
+        shift = key_mid(key) - key_mid(partner)
+        tol = 1e-9 * max(mesh.h, 1.0)
+        for ck in child_keys(key):
+            target = key_mid(ck) - shift
+            matched = [pk for pk in child_keys(partner)
+                       if np.abs(key_mid(pk) - target).max() <= tol]
+            if len(matched) != 1:
+                raise TopologyError("periodic pairing does not survive refinement")
+            boundary[ck] = (PERIODIC, matched[0])
+            boundary[matched[0]] = (PERIODIC, ck)
+    return _assemble(2, verts, cells, boundary)
+
+
+def _ref_triangle_inradius(pts: np.ndarray, area: float) -> float:
+    a = np.linalg.norm(pts[1] - pts[0])
+    b = np.linalg.norm(pts[2] - pts[1])
+    c = np.linalg.norm(pts[0] - pts[2])
+    return 2.0 * area / (a + b + c)
+
+
+def reference_regularity(mesh: Mesh, bins: int = 16) -> RegularityReport:
+    n = mesh.n_cells
+    ratio = np.empty(n)
+    if mesh.dim == 1:
+        ratio[:] = 1.0
+    else:
+        for i, c in enumerate(mesh.cells):
+            pts = mesh.vertices[list(c)]
+            if len(c) == 3:
+                r = _ref_triangle_inradius(pts, mesh.cell_area[i])
+            else:
+                r = _chebyshev_inradius(pts)
+            if r <= 0.0:
+                raise GeometryError(f"cell {i} has a degenerate inscribed circle")
+            ratio[i] = mesh.cell_diameter[i] / (2.0 * r)
+    counts, edges = np.histogram(ratio, bins=bins)
+    return RegularityReport(
+        ratio=ratio,
+        max_ratio=float(ratio.max()),
+        hist_counts=counts,
+        hist_edges=edges,
+    )
+
+
+def _grid_text(nx, ny, dx, dy, tags):
+    """Mesh text of the i-major triangulated grid with vertex i * (ny + 1) + j."""
+    verts = [f"{i * dx} {j * dy}" for i in range(nx + 1) for j in range(ny + 1)]
+    cells = []
+    for i in range(nx):
+        for j in range(ny):
+            v00, v10 = i * (ny + 1) + j, (i + 1) * (ny + 1) + j
+            cells += [f"{v00} {v10} {v10 + 1}", f"{v00} {v10 + 1} {v00 + 1}"]
+    return _text(2, verts, cells, tags)
+
+
+# explicit outflow tags on two of the four sides; the rest default
+OUTFLOW_TAGGED = TWO_TRIANGLE_SQUARE + "boundary 2\n0 1 outflow\n2 3 outflow\n"
+# periodic in x, declared one side per pair, with an outflow-tagged bottom
+PERIODIC_TAGGED = _grid_text(2, 2, 0.5, 0.25, [
+    "0 1 periodic 6 7", "7 8 periodic 1 2", "0 3 outflow", "3 6 outflow"])
+
+RECTANGLES = [
+    dict(nx=4, periodic=True),
+    dict(nx=4, ny=3, x0=-1.0, x1=2.0, y1=0.5, periodic=True),
+    dict(nx=3, ny=4),
+    dict(nx=5, ny=2, x1=3.0, y0=-1.0),
+    dict(nx=1, ny=1, periodic=True),
+]
+JITTERED = [dict(kw, jitter=0.25, seed=seed)
+            for seed, kw in enumerate(RECTANGLES[:4])]
+
+REFINE_BASES = {
+    **{f"rectangle{i}": (lambda kw=kw: triangulated_rectangle(**kw))
+       for i, kw in enumerate(RECTANGLES + JITTERED)},
+    "two-triangles": lambda: build_mesh(TWO_TRIANGLE_SQUARE),
+    "outflow-tags": lambda: build_mesh(OUTFLOW_TAGGED),
+    "periodic-tags": lambda: build_mesh(PERIODIC_TAGGED),
+    "interval-open": lambda: uniform_interval_mesh(5, -1.0, 2.0, periodic=False),
+    "interval-periodic": lambda: uniform_interval_mesh(6, periodic=True),
+}
+
+
+@pytest.mark.parametrize("kw", RECTANGLES + JITTERED + [
+    dict(nx=128, periodic=True), dict(nx=48, x0=-0.5),
+    dict(nx=20, ny=13, periodic=True, jitter=0.25, seed=2),
+])
+def test_triangulated_rectangle_matches_reference(kw):
+    assert_same_mesh(triangulated_rectangle(**kw), reference_triangulated_rectangle(**kw))
+
+
+@pytest.mark.parametrize("name", REFINE_BASES)
+def test_refine_matches_reference(name):
+    got = want = REFINE_BASES[name]()
+    for _ in range(3):
+        got, want = refine(got), reference_refine_once(want)
+        assert_same_mesh(got, want)
+        # the tags come out in the same order, so do the pairing errors
+        assert list(got._boundary_spec.items()) == list(want._boundary_spec.items())
+
+
+def test_refine_carries_loaded_tags():
+    outflow = refine(build_mesh(OUTFLOW_TAGGED), 2)
+    assert set(outflow._boundary_spec.values()) == {OUTFLOW}
+    assert len(outflow._boundary_spec) == 8
+    periodic = refine(build_mesh(PERIODIC_TAGGED), 2)
+    assert sum(periodic.face_kind == PERIODIC) == 8
+    assert sum(tag == OUTFLOW for tag in periodic._boundary_spec.values()) == 8
+
+
+def test_refine_rejects_non_triangles():
+    for text in (UNIT_SQUARE_CELL, MIXED_POLYGONS):
+        for refine_once in (mesh_mod._refine_once, reference_refine_once):
+            with pytest.raises(RefinementError):
+                refine_once(build_mesh(text))
+
+
+def test_refine_rejects_pairing_that_does_not_survive():
+    # the left side (length 1) paired with a bottom edge (length 1/2):
+    # assembly never builds this, so the spec is swapped in afterwards
+    mesh = triangulated_rectangle(2, 1)
+    left, bottom = (0, 1), (0, 2)
+    bad = dataclasses.replace(mesh, _boundary_spec={
+        left: (PERIODIC, bottom), bottom: (PERIODIC, left)})
+    for refine_once in (mesh_mod._refine_once, reference_refine_once):
+        with pytest.raises(TopologyError, match="does not survive refinement"):
+            refine_once(bad)
+
+
+def test_jitter_past_bound_is_refused_before_assembly(monkeypatch):
+    def no_assembly(*args):
+        raise AssertionError("assembled a mesh")
+
+    monkeypatch.setattr(mesh_mod, "_assemble", no_assembly)
+    for jitter in (0.3, 0.2500001, -0.1):
+        with pytest.raises(GeometryError, match=r"\[0, 0.25\]"):
+            triangulated_rectangle(8, jitter=jitter)
+
+
+def test_jitter_at_bound_builds():
+    for seed in range(20):
+        mesh = triangulated_rectangle(16, 9, periodic=seed % 2 == 0, jitter=0.25, seed=seed)
+        assert mesh.cell_area.min() > 0.0
+
+
+def _assert_same_regularity(got, want, rtol=0.0):
+    assert isinstance(got, RegularityReport)
+    if rtol == 0.0:
+        assert got.ratio.tobytes() == want.ratio.tobytes()
+        assert got.max_ratio.hex() == want.max_ratio.hex()
+        assert np.array_equal(got.hist_counts, want.hist_counts)
+        assert got.hist_edges.tobytes() == want.hist_edges.tobytes()
+    else:
+        assert np.abs(got.ratio - want.ratio).max() <= rtol * want.ratio.max()
+        assert got.max_ratio == pytest.approx(want.max_ratio, rel=rtol, abs=0.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: triangulated_rectangle(128, periodic=True),
+    lambda: triangulated_rectangle(8, 8, 0.0, 0.0, 1.0, 1.0),
+    lambda: refine(triangulated_rectangle(8, 8, 0.0, 0.0, 1.0, 1.0), 2),
+    lambda: triangulated_rectangle(16, 16, -1.0, -1.0, 1.0, 1.0, periodic=True),
+    lambda: build_mesh(UNIT_SQUARE_CELL),
+    lambda: build_mesh(MIXED_POLYGONS),
+    lambda: uniform_interval_mesh(9, periodic=False),
+])
+def test_regularity_matches_reference_bit_for_bit(build):
+    """Power-of-two squares, polygons and intervals: no ratio moves."""
+    mesh = build()
+    _assert_same_regularity(regularity(mesh), reference_regularity(mesh))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: triangulated_rectangle(7, 7, 0.0, 0.0, 1.0, 1.0),
+    lambda: triangulated_rectangle(48, 48, -0.5, 0.0, 1.0, 1.0),
+    lambda: triangulated_rectangle(10, 4, 0.0, 0.0, 2.0, 0.5, periodic=True),
+    lambda: triangulated_rectangle(12, 5, 0.0, 0.0, 3.0, 0.7),
+    lambda: triangulated_rectangle(64, periodic=True, jitter=0.25, seed=3),
+    lambda: triangulated_rectangle(20, 13, 0.0, 0.0, 2.0, 1.0, jitter=0.2, seed=1),
+    lambda: refine(triangulated_rectangle(5, 5, jitter=0.25, seed=4), 2),
+    lambda: build_mesh(EQUILATERAL),
+    lambda: build_mesh(PERIODIC_TAGGED),
+    lambda: sliver_triangle_mesh(1e-3),
+])
+def test_regularity_matches_reference_to_rounding(build):
+    """Elsewhere the perimeter adds its sides in face order, so a ratio
+    may move by rounding."""
+    mesh = build()
+    _assert_same_regularity(regularity(mesh), reference_regularity(mesh), rtol=1e-15)
+
+
+def test_regularity_bins_ratios_equal_to_rounding():
+    # the 3 x 3 square's ratios differ in the last bit, too little for 16
+    # finite bins; they are binned as one value, as numpy bins equal ones
+    mesh = triangulated_rectangle(3)
+    rep = regularity(mesh)
+    assert np.ptp(rep.ratio) > 0.0
+    assert rep.ratio == pytest.approx(1.0 + math.sqrt(2.0), rel=1e-15)
+    assert rep.hist_counts.tolist() == [0] * 8 + [mesh.n_cells] + [0] * 7
+    assert rep.hist_edges[0] == pytest.approx(rep.max_ratio - 0.5, rel=1e-15)
+
+
+def _exact_polygon_average(pts, coeffs):
+    """Average of c0 + c1 x + c2 y + c3 x^2 + c4 xy over an integer-vertex
+    polygon, from Green's-theorem moment sums in exact rationals."""
+    p = [(Fraction(int(x)), Fraction(int(y))) for x, y in pts]
+    sums = [Fraction(0)] * 5
+    for (x0, y0), (x1, y1) in zip(p, p[1:] + p[:1]):
+        w = x0 * y1 - x1 * y0
+        sums[0] += w / 2
+        sums[1] += w * (x0 + x1) / 6
+        sums[2] += w * (y0 + y1) / 6
+        sums[3] += w * (x0 * x0 + x0 * x1 + x1 * x1) / 12
+        sums[4] += w * (x0 * y1 + 2 * x0 * y0 + 2 * x1 * y1 + x1 * y0) / 24
+    return float(sum(Fraction(c) * m for c, m in zip(coeffs, sums)) / sums[0])
+
+
+@pytest.mark.parametrize("text", [UNIT_SQUARE_CELL, MIXED_POLYGONS])
+@pytest.mark.parametrize("coeffs", [
+    (0, 0, 0, 1, 0),              # x^2
+    (0, 0, 0, 0, 1),              # xy
+    (0.5, 2.0, -1.25, 0, 0),      # affine
+    (1.0, -0.5, 0.75, 3.0, -2.0),
+])
+def test_cell_averages_polygons_exact_for_quadratics(text, coeffs):
+    """The centroid fan of general polygons is exact for quadratics."""
+    mesh = build_mesh(text)
+    c0, c1, c2, c3, c4 = coeffs
+    got = cell_averages(mesh, lambda x: c0 + c1 * x[:, 0] + c2 * x[:, 1]
+                        + c3 * x[:, 0] ** 2 + c4 * x[:, 0] * x[:, 1])
+    want = [_exact_polygon_average(mesh.cell_polygon(i), coeffs)
+            for i in range(mesh.n_cells)]
+    assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * max(1.0, np.abs(want).max())
 
 
 def test_uniform_interval_geometry():
@@ -518,34 +881,41 @@ cells 1
         build_mesh(bad)
 
 
+INTERVAL = "dim 1\nvertices 2\n0\n1\ncells 1\n2 0 1\n"
+
+
+# each input ends at its defect, so the error names the last line
 @pytest.mark.parametrize("text,fragment", [
     ("dim 3\n", "dimension"),
     ("dim 2\nvertices x\n", "count"),
     ("dim 2\nvertices 2\n0 0\n1 1\n", "cells"),
+    ("dimension 2\n", "expected 'dim <d>'"),
+    ("dim two\n", "bad dimension 'two'"),
+    ("dim 2\nverts 3\n", "expected 'vertices <count>'"),
+    ("# a comment line\n\ndim 2\nvertices -1\n", "negative count -1"),
+    ("dim 2\nvertices 1\n0\n", "expected 2 coordinate(s)"),
+    ("dim 2\nvertices 1\n0 y\n", "bad coordinate"),
+    ("dim 1\nvertices 2\n0\n1\ncells 1\n2 0 b\n", "bad cell line"),
+    ("dim 1\nvertices 2\n0\n1\ncells 1\n3 0 1\n", "declares 3 vertices but lists 2"),
+    (INTERVAL + "bounds 1\n", "expected 'boundary <count>'"),
+    (INTERVAL + "boundary 1\nx outflow\n", "bad face indices"),
+    (INTERVAL + "boundary 1\n0\n", "missing boundary tag"),
+    (INTERVAL + "boundary 1\n0 periodic y\n", "bad partner face"),
+    (INTERVAL + "boundary 1\n0 periodic\n", "unrecognized boundary tag"),
+    (INTERVAL + "boundary 1\n0 inflow\n", "unrecognized boundary tag"),
+    (INTERVAL + "boundary 1\n0 outflow\n1 outflow\n", "trailing content '1 outflow'"),
 ])
 def test_format_errors(text, fragment):
     with pytest.raises(MeshFormatError) as err:
         build_mesh(text)
     assert fragment in str(err.value)
+    assert err.value.line == len(text.splitlines())
 
 
 def test_missing_vertex_index_rejected():
     from fvaudit import TopologyError
     with pytest.raises(TopologyError):
         build_mesh("dim 1\nvertices 2\n0\n1\ncells 1\n2 0 5\n")
-
-
-def _text(dim, verts, cells, tags=()):
-    """Mesh text from vertex lines, cell vertex lists and boundary lines."""
-    lines = [f"dim {dim}", f"vertices {len(verts)}", *verts,
-             f"cells {len(cells)}", *(f"{len(c.split())} {c}" for c in cells)]
-    if tags:
-        lines += [f"boundary {len(tags)}", *tags]
-    return "\n".join(lines) + "\n"
-
-
-SQUARE = ["0 0", "1 0", "1 1", "0 1"]
-TWO_TRIANGLES = ["0 1 2", "0 2 3"]
 
 
 # each input has exactly one defect
