@@ -44,7 +44,7 @@ for rule in ("godunov", "lax_friedrichs", "engquist_osher", "central"):
     print(f"{rule:16s} worst residual {rpt.worst: .3e}   {verdict}")
 
 print()
-print("why: the E-flux property, sampled at 10^4 random trace pairs")
+print("why: the E-flux property at 10^4 random trace pairs, exact in w")
 print("-" * 68)
 for rule in ("godunov", "lax_friedrichs", "engquist_osher", "central"):
     rpt = check_e_flux(rule, flux, n_samples=10_000, seed=0)

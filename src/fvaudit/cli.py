@@ -253,7 +253,7 @@ def _kinetic_report(args, cfg, levels) -> int:
     lo, hi = finest.state_range
     nd = None
     if hi - lo > 1e-8:
-        nd = kinetic_mod.nondegeneracy(flux, (lo, hi), seed=cfg.seed)
+        nd = kinetic_mod.nondegeneracy(flux, (lo, hi))
 
     out = _out_dir(args, "kinetic-audit")
     out.mkdir(parents=True, exist_ok=True)

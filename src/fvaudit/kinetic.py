@@ -379,59 +379,59 @@ class NondegeneracyReport:
     tol: float
     interval: tuple[float, float]
     worst_direction: np.ndarray
-    n_directions: int
     v_samples: int
     flux_name: str
 
 
-def nondegeneracy(flux, interval: tuple[float, float], n_directions: int = 256,
-                  tol: float = 1e-3, v_samples: int = 16_384,
-                  seed: int = 0) -> NondegeneracyReport:
-    """Measure sup over directions of |{v : |tau + xi . f'(v)| <= tol}| / |I|.
+# midpoint velocity samples of the interval that the 1-D measure counts
+_V_SAMPLES = 16_384
 
-    Directions (tau, xi) live on the unit sphere.  A genuinely nonlinear
-    flux keeps the measure O(tol); a linear flux has a direction that
-    annihilates every v, driving the measure to 1.  Structured candidates
-    aligned with f' at sampled states are mixed into the random draw so
-    the degenerate directions of linear and piecewise-affine fluxes are
-    found, not just approached.
+
+def nondegeneracy(flux, interval: tuple[float, float], tol: float = 1e-3,
+                  seed: int | None = None) -> NondegeneracyReport:
+    """Exact sup over unit (tau, xi) of |{v : |tau + xi . f'(v)| <= tol}| / |I|.
+
+    ``seed`` is accepted and ignored.  In two or more dimensions tau = 0 with
+    xi orthogonal to d zeroes the phase of f = phi d at every v: the flux
+    moves states along d only and is degenerate (Lions-Perthame-Tadmor,
+    J. AMS 7, 1994), measure 1.  So is any flux for tol >= 1, by (1, 0).
+    In 1-D it is the largest fraction of the speeds s = d phi'(v) at
+    ``_V_SAMPLES`` midpoints within tol sqrt(1 + c^2) of a c = -tau / xi.
+    For tol < 1 both edges of that window rise with c, so a largest one has
+    its left edge on a speed s_i: c_i is the larger root of
+    (1 - tol^2) c^2 - 2 s_i c + s_i^2 - tol^2 = 0, the right edge
+    2 c_i - s_i.  A genuinely nonlinear flux keeps the measure O(tol); a
+    linear one reaches 1.
     """
-    if n_directions < 100:
-        raise ValueError("need at least 100 directions for a usable estimate")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     lo, hi = float(interval[0]), float(interval[1])
     if not hi > lo:
         raise ValueError("empty state interval")
-    rng = np.random.default_rng(seed)
-    d = flux.dim
+    direction, measure = np.zeros(flux.dim + 1), 1.0
+    if tol >= 1.0:
+        direction[0] = 1.0
+    elif flux.dim >= 2:
+        d, xi = flux.direction, np.zeros(flux.dim)
+        xi[:2] = -d[1], d[0]
+        if not xi.any():        # d is off the first two axes, or 0
+            xi[0] = 1.0
+        direction[1:] = xi / np.linalg.norm(xi)
+    else:
+        def center(s, side):    # the c whose left (+1) or right (-1) edge is s
+            return (s + side * tol * np.sqrt(s * s + 1.0 - tol * tol)) / (1.0 - tol * tol)
 
-    v = lo + (np.arange(v_samples) + 0.5) * (hi - lo) / v_samples
-    speeds = flux.df(v)                                   # (m, d)
-
-    dirs = rng.normal(size=(n_directions, d + 1))
-    dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-12)
-
-    # structured candidates: (tau, xi) with tau = -xi . f'(v_i), which zeroes
-    # the phase exactly at v_i (and at every v when f' is constant)
-    xis = list(np.eye(d)) + [x / np.linalg.norm(x)
-                             for x in rng.normal(size=(8, d))]
-    probe = speeds[:: max(1, v_samples // 64)]
-    cands = []
-    for xi in xis:
-        taus = -(probe @ xi)
-        for tau in taus:
-            vec = np.concatenate([[tau], xi])
-            cands.append(vec / np.linalg.norm(vec))
-    dirs = np.concatenate([dirs, np.asarray(cands)])
-
-    frac = np.empty(len(dirs))
-    for start in range(0, len(dirs), 64):  # chunked: the phase matrix is large
-        blk = dirs[start:start + 64]
-        phase = blk[:, :1] + blk[:, 1:] @ speeds.T
-        frac[start:start + 64] = (np.abs(phase) <= tol).mean(axis=1)
-    i = int(frac.argmax())
-    return NondegeneracyReport(measure=float(frac[i]), tol=tol,
-                               interval=(lo, hi), worst_direction=dirs[i].copy(),
-                               n_directions=len(dirs), v_samples=v_samples,
-                               flux_name=flux.name)
+        v = lo + (np.arange(_V_SAMPLES) + 0.5) * (hi - lo) / _V_SAMPLES
+        s = np.sort(flux.df(v)[:, 0])
+        c = center(s, 1.0)
+        counts = np.searchsorted(s, 2.0 * c - s, side="right") - np.arange(s.size)
+        i = int(counts.argmax())
+        measure = counts[i] / s.size
+        # at c_i rounding can drop s_i from |tau + xi s| <= tol; halfway to
+        # the c whose right edge is the last counted speed, both have margin
+        mid = 0.5 * (c[i] + center(s[i + counts[i] - 1], -1.0))
+        direction[:] = -mid, 1.0
+        direction /= np.sqrt(1.0 + mid * mid)
+    return NondegeneracyReport(measure=float(measure), tol=tol,
+                               interval=(lo, hi), worst_direction=direction,
+                               v_samples=_V_SAMPLES, flux_name=flux.name)

@@ -18,6 +18,7 @@ Outflow boundaries copy the inside trace to the ghost side.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -447,12 +448,14 @@ def _replay(fields, observers) -> list:
     return [obs.finish() for obs in observers]
 
 
-_MAX_STEPS = 10_000_000
+# a march may take this many times the steps its first stable step would
+# need to reach t_final; on the shipped problems no march of a rule other
+# than central took more than 1x, and no completing central one over 3.7x
+_BUDGET_FACTOR = 16
 
 
 def _check_t_final(t_final: float):
-    # a nan or infinite horizon is never reached: the march would run
-    # until the step budget is spent
+    # a nan or infinite horizon is never reached
     if not math.isfinite(t_final):
         raise ValueError(f"t_final must be finite, got {t_final!r}")
 
@@ -468,7 +471,10 @@ def _march(initial: tuple, flux, config: SchemeConfig, t_final: float):
 
     All take the smallest stable step, clipped to land on ``t_final``, and
     under global Lax-Friedrichs one coefficient over all their ranges, so
-    that they are advanced by one monotone map.
+    that they are advanced by one monotone map.  A march whose values grow
+    shrinks its steps without end, so it raises :class:`NumericalError`
+    past ``_BUDGET_FACTOR`` times the ceil((t_final - t0) / dt0) steps its
+    first stable step dt0 would need, or at a step too small to advance t.
     """
     fields = tuple(initial)
     if any(f.mesh is not fields[0].mesh for f in fields):
@@ -479,12 +485,22 @@ def _march(initial: tuple, flux, config: SchemeConfig, t_final: float):
         raise ValueError("t_final lies before the initial time")
     joint = (len(fields) > 1 and config.flux_rule == "lax_friedrichs"
              and config.lf_dissipation_mode == "global")
-    for _ in range(_MAX_STEPS):
+    budget = None
+    for n in itertools.count():
         t = fields[0].t
         if t >= t_final - tol:
             return
         stable = min(max_stable_dt(f, flux, config) for f in fields)
         dt = min(stable, float(t_final) - t)
+        if budget is None:
+            budget = _BUDGET_FACTOR * math.ceil((t_final - t) / stable)
+        if n >= budget or t + dt == t:
+            lo = min(float(f.values.min()) for f in fields)
+            hi = max(float(f.values.max()) for f in fields)
+            why = (f"step budget of {budget} steps spent" if n >= budget
+                   else "the step no longer advances t")
+            raise NumericalError(f"{why} at step {n}: t={t!r} dt={dt!r}, "
+                                 f"values in [{lo!r}, {hi!r}]")
         lf_range = ((min(float(f.values.min()) for f in fields),
                      max(float(f.values.max()) for f in fields))
                     if joint else None)
@@ -492,7 +508,6 @@ def _march(initial: tuple, flux, config: SchemeConfig, t_final: float):
                            _lf_range=lf_range) for f in fields)
         yield fields, after, dt
         fields = after
-    raise StabilityError("step budget exhausted before reaching t_final")
 
 
 def run(initial: CellField, flux, config: SchemeConfig,

@@ -159,6 +159,40 @@ def test_numerical_blow_up_exits_1(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "entropy-audit").exists()
 
 
+def _central_shock(tmp_path, base_n):
+    return main(["entropy-audit", "--set", "problem=riemann_shock",
+                 "--set", "flux_rule=central", "--set", f"base_n={base_n}",
+                 "--set", "levels=1", "--out", str(tmp_path)])
+
+
+def test_diverging_level_spends_its_step_budget(tmp_path, capsys):
+    # the undissipated rule blows up on the shock at 400 cells; its first
+    # stable step would reach t_final in 475 steps, so the level stops at
+    # 16 x 475 instead of shrinking dt until the values overflow
+    assert _central_shock(tmp_path, 400) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("level 0: FAILED NumericalError: step budget of "
+                          "7600 steps spent at step 7600: t=0.21")
+    assert " dt=" in out and "values in [" in out
+    assert not (tmp_path / "entropy-audit").exists()
+
+
+def test_growing_level_with_bounded_dt_completes(tmp_path, capsys):
+    # at 200 cells the central rule's values grow too, but it reaches
+    # t_final in 878 steps, 3.7x what its first step would need
+    assert _central_shock(tmp_path, 200) == 1
+    out = capsys.readouterr().out
+    assert "FAILED" not in out
+    assert out.startswith("entropy inequality: worst=1.680e+00 ")
+    assert "e-flux sampling (10004 cases): worst=1.100e+00 FAIL" in out
+    lines = _read(tmp_path, "entropy-audit", "entropy_report.csv")
+    rows = [l.split(",") for l in lines if not l.startswith("#")][1:]
+    assert len(rows) == 878
+    assert max(float(r[2]) for r in rows) == pytest.approx(
+        1.6803932362128737, rel=1e-12)
+    assert float(rows[-1][2]) == pytest.approx(1.4128615976933481, rel=1e-12)
+
+
 def _failing_problems():
     """Valid requests whose solve fails: data that overflows in the first
     step, and data that raises on any mesh finer than three cells."""
@@ -359,6 +393,23 @@ def test_kinetic_audit_csv(tmp_path):
     assert len(body) == 1 + 3
     nd = float(body[1].split(",")[5])
     assert 0.0 < nd < 0.01  # burgers is genuinely nonlinear
+
+
+def test_kinetic_audit_is_seedless(tmp_path):
+    # the nondegeneracy measure is exact, so only the config echo names
+    # the seed (a sampled measure read 1.404e-03 at seed 0, 1.465e-03 at 9)
+    reports = []
+    for seed in (0, 9):
+        out = tmp_path / f"seed{seed}"
+        rc = main(["kinetic-audit", "--set", "problem=expansion_shock",
+                   "--set", "base_n=20", "--set", "levels=2",
+                   "--set", f"seed={seed}", "--out", str(out), "--quiet"])
+        assert rc in (0, 1)
+        lines = _read(out, "kinetic-audit", "kinetic_report.csv")
+        assert f" seed={seed} " in lines[0]
+        reports.append([lines[0].replace(f" seed={seed} ", " seed=_ "),
+                        *lines[1:]])
+    assert reports[0] == reports[1]
 
 
 def test_kinetic_audit_rejects_open_boundaries(tmp_path, capsys):

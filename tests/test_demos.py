@@ -16,3 +16,23 @@ def test_mesh_tour_demo(tmp_path, monkeypatch, capsys):
     assert all("regularity= 2.414" in line for line in levels)
     assert (tmp_path / "demo_out" / "square.mesh").exists()
     assert (tmp_path / "demo_out" / "jittered.vtk").exists()
+
+
+def _demo_output(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(DEMOS / name), run_name="__main__")
+    return capsys.readouterr().out.splitlines()
+
+
+def test_entropy_inequality_demo(tmp_path, monkeypatch, capsys):
+    out = _demo_output("03_entropy_inequality.py", tmp_path, monkeypatch, capsys)
+    rejected = [line.split()[0] for line in out if "NOT an E-flux" in line]
+    assert rejected == ["central"]
+
+
+def test_kinetic_defect_demo(tmp_path, monkeypatch, capsys):
+    out = _demo_output("04_kinetic_defect.py", tmp_path, monkeypatch, capsys)
+    rows = {line.split()[0]: line.split()[-1] for line in out
+            if " concentration " in line}
+    assert rows == {"burgers": "1.4648e-03", "linear_advection": "1.0000e+00",
+                    "rotated_burgers_2d": "1.0000e+00"}

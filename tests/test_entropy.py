@@ -471,3 +471,65 @@ def test_e_flux_2d_flux():
     flux = make_flux("rotated_burgers_2d", angle=np.pi / 3.0)
     assert check_e_flux("godunov", flux, n_samples=2000, seed=1).passed
     assert not check_e_flux("central", flux, n_samples=2000, seed=1).passed
+
+
+def test_e_flux_worst_case_is_the_interval_extremum():
+    # the recorded w attains the extremum of f(w) . n over the trace hull:
+    # the minimum when b > a, the maximum when b < a
+    flux = make_flux("buckley_leverett")
+    for rule in ("central", "lax_friedrichs"):
+        rpt = check_e_flux(rule, flux, n_samples=2000, seed=3)
+        a, b, w, normal = rpt.worst_case
+        assert min(a, b) <= w <= max(a, b)
+        which = "min" if b > a else "max"
+        extreme = flux.interval_extremum(a, b, normal, which)
+        assert flux.fn(w, normal) == extreme
+
+
+def swept_e_flux(rule, flux, n_samples=10_000, seed=0,
+                 state_range=(-1.5, 1.5), n_intermediate=65, tol=1e-12):
+    """The 65-state sweep that :func:`check_e_flux` replaced, verbatim but
+    for returning (worst violation, passed): kept as the slow reference."""
+    rng = np.random.default_rng(seed)
+    lo, hi = state_range
+    a = rng.uniform(lo, hi, n_samples)
+    b = rng.uniform(lo, hi, n_samples)
+    normals = rng.normal(size=(n_samples, flux.dim))
+    norms = np.linalg.norm(normals, axis=1)
+    normals[norms < 1e-12] = 0.0
+    normals[norms < 1e-12, 0] = 1.0
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+
+    # adversarial pairs: symmetric states around the sonic point
+    axis = np.zeros(flux.dim)
+    axis[0] = 1.0
+    a = np.concatenate([a, [-1.0, 1.0, -1.0, 1.0]])
+    b = np.concatenate([b, [1.0, -1.0, 1.0, -1.0]])
+    normals = np.concatenate([normals, [axis, axis, -axis, -axis]])
+
+    lam = None
+    if rule == "lax_friedrichs":
+        lam = flux.max_wave_speed(a, b, normals)
+    g = numerical_flux(rule, flux, a, b, normals, lam)
+
+    tau = np.linspace(0.0, 1.0, n_intermediate)
+    w_lo, w_hi = np.minimum(a, b), np.maximum(a, b)
+    W = w_lo[:, None] + (w_hi - w_lo)[:, None] * tau[None, :]
+    fw = flux.fn(W, normals)
+    viol = np.sign(b - a)[:, None] * (g[:, None] - fw)
+    worst = float(viol.max())
+    return worst, bool(worst <= tol)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("flux_name", ["burgers", "buckley_leverett",
+                                       "rotated_burgers_2d", "linear_advection"])
+@pytest.mark.parametrize("rule", E_RULES + ("central",))
+def test_e_flux_exact_against_sweep(rule, flux_name, seed):
+    flux = make_flux(flux_name)
+    rpt = check_e_flux(rule, flux, seed=seed)
+    worst, passed = swept_e_flux(rule, flux, seed=seed)
+    assert rpt.passed == passed
+    assert rpt.samples == 10_004
+    # the exact extremum is at least as bad as any swept state
+    assert rpt.worst_violation >= worst - 1e-14
