@@ -14,8 +14,8 @@ flux g:
 (v = max, ^ = min).  The inequality is an exact consequence of the update
 being a monotone function of the participating states, so a conforming
 solver must satisfy it to rounding, not merely to truncation order.  The
-audits below recompute the face traces, assemble G and report the largest
-positive residual; anything beyond rounding noise is a solver bug.
+audits below take the face traces and g the step advanced with, assemble G
+and report the largest positive residual; anything beyond rounding is a bug.
 
 For the Lax-Friedrichs rule with locally chosen dissipation, the
 coefficient is a function of the face states, so G must re-evaluate it at
@@ -50,8 +50,8 @@ O(faces n_k).
 :class:`EntropyAudit` evaluates blocks of consecutive steps at once,
 the step index the trailing axis of every per-face and per-cell array:
 phi(k) with its prefix and suffix extremes and sum_e s_e |e| c_e are
-computed once per run, the face states and g one step at a time, and the
-in-hull pairs in chunks.  Every operation is elementwise and in the order
+computed once per run, each step's face record is kept as it arrives, and
+the in-hull pairs in chunks.  Every operation is elementwise and in the order
 of the one-step evaluation :func:`entropy_residuals`, the same kernel on
 one step, so both give the same bits.
 """
@@ -64,8 +64,8 @@ from functools import cached_property
 import numpy as np
 
 from .scheme import (CellField, ConfigurationError, SchemeConfig,
-                     numerical_flux, state_range, _face_flux, _face_states,
-                     _geometry, _lf_coefficient, _replay)
+                     numerical_flux, state_range, _face_record, _geometry,
+                     _replay)
 
 __all__ = [
     "EntropyResidualField",
@@ -246,6 +246,8 @@ class _Kernel:
 
     def __init__(self, mesh, flux, config: SchemeConfig, k):
         self.mesh, self.flux, self.config = mesh, flux, config
+        self.global_lf = (config.flux_rule == "lax_friedrichs"
+                          and config.lf_dissipation_mode == "global")
         self.k = np.atleast_1d(np.asarray(k, dtype=float))
         order = np.argsort(self.k, kind="stable")
         self.ks = self.k[order]
@@ -258,6 +260,20 @@ class _Kernel:
         self.face, _ = _geometry(mesh, flux)      # c = d . n per face
         self.closure_sum = mesh.divergence(mesh.face_length * self.face.c)
 
+    def records(self, n_steps: int) -> list:
+        """(faces, n_steps) arrays for a, b, g and, under global LF only, lam."""
+        shape = (self.mesh.n_faces, n_steps)
+        return [np.empty(shape) if i < 3 or self.global_lf else None
+                for i in range(4)]
+
+    def keep(self, records: list, s: int, before: CellField, faces):
+        """Write the step's face record ``faces`` to column ``s``; None rebuilds it."""
+        if faces is None:
+            faces = _face_record(self.mesh, self.flux, self.config, before.values)
+        for out, x in zip(records, faces):
+            if out is not None:
+                out[:, s] = x
+
 
 class _Block:
     """Sparse-plus-affine residuals of the B steps between consecutive
@@ -269,27 +285,15 @@ class _Block:
     pair's group is ``cell * B + step``.
     """
 
-    def __init__(self, kernel: _Kernel, fields, dt: np.ndarray):
-        mesh, flux, config = kernel.mesh, kernel.flux, kernel.config
+    def __init__(self, kernel: _Kernel, fields, dt: np.ndarray, records):
+        mesh = kernel.mesh
         if any(f.mesh is not mesh for f in fields):
             raise ValueError("before and after live on different meshes")
         if not np.all(dt > 0.0):
             raise ValueError("dt must be positive")
         self.kernel, self.dt = kernel, dt
-        n_steps = dt.size
-        global_lf = (config.flux_rule == "lax_friedrichs"
-                     and config.lf_dissipation_mode == "global")
-        # face states and the scheme's flux, one step at a time
-        shape = (mesh.n_faces, n_steps)
-        self.a, self.b, g = np.empty(shape), np.empty(shape), np.empty(shape)
-        self.lam = np.empty(shape) if global_lf else None
-        for s, f in enumerate(fields[:-1]):
-            a, b = _face_states(mesh, f.values, config)
-            self.a[:, s], self.b[:, s] = a, b
-            g[:, s] = _face_flux(mesh, flux, config, a, b)
-            if global_lf:
-                self.lam[:, s] = _lf_coefficient(flux, config, a, b, kernel.face)
-        self.g = g
+        self.a, self.b, self.g, self.lam = (
+            None if x is None else x[:, :dt.size] for x in records)
         u = np.stack([f.values for f in fields], axis=1)
         self.u, self.u_new = u[:, :-1], u[:, 1:]
 
@@ -297,7 +301,7 @@ class _Block:
         area = mesh.cell_area[:, None]
         self.closure = kernel.closure_sum[:, None] * dt
         self.closure /= area
-        div = mesh.divergence(mesh.face_length[:, None] * g)
+        div = mesh.divergence(mesh.face_length[:, None] * self.g)
         div *= dt
         div /= area
         self.r = (self.u_new - self.u) + div
@@ -375,7 +379,9 @@ def entropy_residuals(before: CellField, after: CellField, dt: float,
     still get a report, just no guarantee of nonpositivity.
     """
     kernel = _Kernel(before.mesh, flux, config, k)
-    block = _Block(kernel, [before, after], np.array([dt], dtype=float))
+    records = kernel.records(1)
+    kernel.keep(records, 0, before, None)
+    block = _Block(kernel, [before, after], np.array([dt], dtype=float), records)
     # one step, so a pair's group is its cell
     cell, kpos, value = (np.concatenate(part)
                          for part in zip(*block.hull_chunks()))
@@ -433,7 +439,10 @@ class EntropyAudit:
         self._per_step = []
         self._top, self._worst = -np.inf, None
 
-    def step(self, before: CellField, after: CellField, dt: float):
+    def step(self, before: CellField, after: CellField, dt: float, faces):
+        if not self._dts:   # a block's arrays are its own, held with it
+            self._records = self._kernel.records(self._size)
+        self._kernel.keep(self._records, len(self._dts), before, faces)
         self._fields.append(after)
         self._dts.append(dt)
         if len(self._dts) == self._size:
@@ -446,7 +455,7 @@ class EntropyAudit:
         # that it allocates while the memory is held; freed first, it would
         # go back to the system and be paged in again for every block
         self._block = block = _Block(self._kernel, self._fields,
-                                     np.array(self._dts))
+                                     np.array(self._dts), self._records)
         for i, m in enumerate(block.cell_max().max(axis=0).tolist()):
             self._per_step.append(max(m, 0.0))
             if m > self._top:

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import accumulate
 from pathlib import Path
-from typing import Callable
+from typing import Callable, get_args, get_type_hints
 
 import numpy as np
 
@@ -157,26 +157,6 @@ _register(ProblemSpec(
 # ---------------------------------------------------------------------------
 # configuration
 
-_CONFIG_FIELDS: dict[str, Callable] = {
-    "problem": str,
-    "t_final": float,
-    "flux_rule": str,
-    "reconstruction": str,
-    "time_integrator": str,
-    "cfl_number": float,
-    "lf_dissipation_mode": str,
-    "base_n": int,
-    "levels": int,
-    "audits": str,     # "auto", "none" or comma-separated names
-    "seed": int,
-    "n_v": int,
-    "k_points": int,
-    "patches": int,
-    "bins": int,
-    "vtk": lambda s: s.lower() in ("1", "true", "yes", "on"),
-}
-
-
 @dataclass(frozen=True)
 class StudyConfig:
     """Everything a study needs; parsable from key=value text."""
@@ -190,7 +170,7 @@ class StudyConfig:
     base_n: int = 50
     levels: int = 4
     t_final: float | None = None
-    audits: str = "auto"
+    audits: str = "auto"     # "auto", "none" or comma-separated names
     seed: int = 0
     n_v: int = 128
     k_points: int = 33
@@ -257,6 +237,20 @@ class StudyConfig:
         return tuple(names)
 
 
+def _parsers() -> dict[str, Callable]:
+    """Every :class:`StudyConfig` field in declaration order, with how
+    ``key=value`` text becomes it; an optional field parses as its type."""
+    hints, out = get_type_hints(StudyConfig), {}
+    for f in fields(StudyConfig):
+        kind = hints[f.name]
+        out[f.name] = ((lambda s: s.lower() in ("1", "true", "yes", "on"))
+                       if kind is bool else (get_args(kind) or (kind,))[0])
+    return out
+
+
+_CONFIG_FIELDS = _parsers()
+
+
 def exact_regime(cfg: StudyConfig) -> bool:
     """First-order E-flux runs, where the exact audits must hold to rounding."""
     return (cfg.reconstruction == "constant" and cfg.time_integrator == "euler"
@@ -284,17 +278,13 @@ def parse_config(pairs, base: StudyConfig | None = None) -> StudyConfig:
 
 
 def config_echo(cfg: StudyConfig) -> str:
-    """Canonical one-line rendering, stable across runs."""
-    parts = [f"problem={cfg.problem}", f"flux_rule={cfg.flux_rule}",
-             f"reconstruction={cfg.reconstruction}",
-             f"time_integrator={cfg.time_integrator}",
-             f"cfl_number={cfg.cfl_number:.17g}",
-             f"lf_dissipation_mode={cfg.lf_dissipation_mode}",
-             f"base_n={cfg.base_n}", f"levels={cfg.levels}",
-             f"t_final={cfg.resolved_t_final:.17g}", f"audits={cfg.audits}",
-             f"seed={cfg.seed}", f"n_v={cfg.n_v}", f"k_points={cfg.k_points}",
-             f"patches={cfg.patches}", f"bins={cfg.bins}",
-             f"vtk={str(cfg.vtk).lower()}"]
+    """Canonical one-line rendering in field order, stable across runs:
+    floats as ``.17g``, ``t_final`` resolved, bools in lower case."""
+    parts = []
+    for name, parse in _CONFIG_FIELDS.items():
+        value = cfg.resolved_t_final if name == "t_final" else getattr(cfg, name)
+        text = f"{value:.17g}" if parse is float else str(value)
+        parts.append(f"{name}={text.lower() if type(value) is bool else text}")
     return " ".join(parts)
 
 
@@ -351,7 +341,7 @@ class _Conservation:
         self.mass0 = field0.total_mass
         self.drift = 0.0
 
-    def step(self, before, after, dt):
+    def step(self, before, after, dt, faces):
         self.drift = max(self.drift, abs(after.total_mass - self.mass0))
 
     def finish(self) -> AuditResult:
@@ -365,7 +355,7 @@ class _MaxPrinciple:
         self.lo, self.hi = float(field0.values.min()), float(field0.values.max())
         self.over = 0.0
 
-    def step(self, before, after, dt):
+    def step(self, before, after, dt, faces):
         self.over = max(self.over, float(after.values.max()) - self.hi,
                         self.lo - float(after.values.min()))
 
@@ -388,7 +378,7 @@ class _TotalVariation:
         self.tv0 = self.tv = _total_variation(field0)
         self.growth = 0.0
 
-    def step(self, before, after, dt):
+    def step(self, before, after, dt, faces):
         tv = _total_variation(after)
         self.growth = max(self.growth, tv - self.tv)
         self.tv = tv
@@ -409,7 +399,7 @@ class _Contraction:
     def start(self, field0: CellField):
         self.initial, self.t = field0, field0.t
 
-    def step(self, before, after, dt):
+    def step(self, before, after, dt, faces):
         self.t = after.t
 
     def finish(self) -> AuditResult:
@@ -421,7 +411,7 @@ class _Contraction:
         twin = CellField(mesh, initial.values + bump, initial.t)
         first = last = float(mesh.cell_area @ np.abs(initial.values - twin.values))
         growth = 0.0
-        for _, (a, b), _ in _march((initial, twin), self.flux, self.config, self.t):
+        for _, (a, b), _, _ in _march((initial, twin), self.flux, self.config, self.t):
             dist = float(mesh.cell_area @ np.abs(a.values - b.values))
             growth, last = max(growth, dist - last), dist
         tol = _EXACT_TOL * max(1.0, first)
@@ -474,10 +464,11 @@ def solve_level(cfg: StudyConfig, level: int, observe=study_observers) -> LevelR
     """Solve one level in one march, streaming its steps into observers.
 
     ``observe(cfg, level, flux)`` lists observers, objects with
-    ``start(field0)``, ``step(before, after, dt)`` (``dt`` the elapsed time)
-    and ``finish()``, or functions of the state range ``(lo, hi)`` that
-    build one from the initial data's range.  When the level's range ends
-    up different from that, its recorded steps are replayed through the
+    ``start(field0)``, ``step(before, after, dt, faces)`` (``dt`` the
+    elapsed time, ``faces`` the step's first-stage face record or None) and
+    ``finish()``, or functions of the state range ``(lo, hi)`` that build
+    one from the initial data's range.  When the level's range ends up
+    different from that, its recorded steps are replayed through the
     deterministic ``step`` into observers started afresh, those functions
     called with the true range.  The level keeps its final field, step
     sizes and range, never its trajectory.  A failure while level 0's
@@ -501,14 +492,14 @@ def solve_level(cfg: StudyConfig, level: int, observe=study_observers) -> LevelR
     ranged = any(callable(e) for e in entries)
 
     dts, final = [], initial
-    for (before,), (after,), dt in _march((initial,), flux, scheme,
-                                          cfg.resolved_t_final):
+    for (before,), (after,), dt, (faces,) in _march(
+            (initial,), flux, scheme, cfg.resolved_t_final):
         dts.append(dt)
         lo = min(lo, float(after.values.min()))
         hi = max(hi, float(after.values.max()))
         if (lo, hi) == rng or not ranged:   # else replayed below
             for obs in observers:
-                obs.step(before, after, after.t - before.t)
+                obs.step(before, after, after.t - before.t, faces)
         final = after
 
     if (lo, hi) != rng and ranged:

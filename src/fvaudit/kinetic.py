@@ -325,7 +325,7 @@ class DefectAudit:
         self.pos, self._dts = np.empty((0, n_cells)), []
         self.lowest, self.worst = np.inf, (0, 0, 0)
 
-    def step(self, before: CellField, after: CellField, dt: float):
+    def step(self, before: CellField, after: CellField, dt: float, faces):
         r = self._transport.step(after, dt)
         M, part, s = self.M, self.part, len(self._dts)
         _antiderivative(r, self.grid.dv, M)

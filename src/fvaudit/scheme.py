@@ -323,35 +323,27 @@ def _geometry(mesh: Mesh, flux) -> tuple[Along, Along]:
     return geometry
 
 
-def _lf_coefficient(flux, config: SchemeConfig, a: np.ndarray, b: np.ndarray,
-                    n, lf_range: tuple[float, float] | None = None
-                    ) -> np.ndarray | None:
-    """The dissipation coefficient the scheme uses on every face: ``None``
-    unless the rule is Lax-Friedrichs.  The global one covers the range of
-    the face states and ``lf_range``, that of fields marched together."""
-    if config.flux_rule != "lax_friedrichs":
-        return None
-    if config.lf_dissipation_mode == "local":
-        return lf_lambda(flux, a, b, n, "local")
-    rng = (float(min(a.min(), b.min())), float(max(a.max(), b.max())))
-    if lf_range is not None:
-        rng = (min(rng[0], lf_range[0]), max(rng[1], lf_range[1]))
-    return lf_lambda(flux, a, b, n, "global", rng)
-
-
-def _face_flux(mesh: Mesh, flux, config: SchemeConfig,
-               a: np.ndarray, b: np.ndarray,
-               lf_range: tuple[float, float] | None = None) -> np.ndarray:
+def _face_record(mesh: Mesh, flux, config: SchemeConfig, u: np.ndarray,
+                 lf_range: tuple[float, float] | None = None) -> tuple:
+    """What a stage of the step advances cell values ``u`` with: the face
+    traces, the numerical flux and the Lax-Friedrichs coefficient, ``None``
+    for other rules.  The global one covers the range of the face states
+    and ``lf_range``, that of fields marched together."""
+    a, b = _face_states(mesh, u, config)
     n, _ = _geometry(mesh, flux)
-    return numerical_flux(config.flux_rule, flux, a, b, n,
-                          _lf_coefficient(flux, config, a, b, n, lf_range))
+    lam = None
+    if config.flux_rule == "lax_friedrichs":
+        rng = None
+        if config.lf_dissipation_mode == "global":
+            rng = (float(min(a.min(), b.min())), float(max(a.max(), b.max())))
+            if lf_range is not None:
+                rng = (min(rng[0], lf_range[0]), max(rng[1], lf_range[1]))
+        lam = lf_lambda(flux, a, b, n, config.lf_dissipation_mode, rng)
+    return a, b, numerical_flux(config.flux_rule, flux, a, b, n, lam), lam
 
 
-def _euler_values(mesh: Mesh, flux, config: SchemeConfig,
-                  values: np.ndarray, dt: float,
-                  lf_range: tuple[float, float] | None = None) -> np.ndarray:
-    a, b = _face_states(mesh, values, config)
-    g = _face_flux(mesh, flux, config, a, b, lf_range)
+def _euler_values(mesh: Mesh, values: np.ndarray, dt: float,
+                  g: np.ndarray) -> np.ndarray:
     div = mesh.divergence(mesh.face_length * g)
     return values - dt * div / mesh.cell_area
 
@@ -373,9 +365,11 @@ def max_stable_dt(field: CellField, flux, config: SchemeConfig) -> float:
 
 def step(field: CellField, flux, config: SchemeConfig, dt: float,
          _stable_dt: float | None = None,
-         _lf_range: tuple[float, float] | None = None) -> CellField:
+         _lf_range: tuple[float, float] | None = None,
+         _faces: tuple | None = None) -> CellField:
     """One explicit step; refuses time steps beyond the stable bound.
-    ``_lf_range`` is the state range of the fields marched together."""
+    ``_lf_range`` is the state range of the fields marched together and
+    ``_faces`` the first stage's :func:`_face_record`, when known."""
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ValueError("dt must be positive and finite")
     stable = max_stable_dt(field, flux, config) if _stable_dt is None else _stable_dt
@@ -385,12 +379,12 @@ def step(field: CellField, flux, config: SchemeConfig, dt: float,
     # a blow-up overflows inside the flux: report it as one NumericalError
     # naming the step, not as a stream of runtime warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        if config.time_integrator == "euler":
-            new = _finite(_euler_values(mesh, flux, config, u, dt, _lf_range), t)
-        else:  # ssp_rk2: average of the identity and a doubly advanced state
-            v1 = _finite(_euler_values(mesh, flux, config, u, dt, _lf_range), t)
-            v2 = _euler_values(mesh, flux, config, v1, dt, _lf_range)
-            new = _finite(0.5 * (u + v2), t)
+        g = (_faces or _face_record(mesh, flux, config, u, _lf_range))[2]
+        new = _finite(_euler_values(mesh, u, dt, g), t)
+        if config.time_integrator == "ssp_rk2":
+            # the average of the identity and a doubly advanced state
+            g = _face_record(mesh, flux, config, new, _lf_range)[2]
+            new = _finite(0.5 * (u + _euler_values(mesh, new, dt, g)), t)
     return CellField(mesh, new, t + dt)
 
 
@@ -436,14 +430,14 @@ def state_range(traj: Trajectory) -> tuple[float, float]:
 def _replay(fields, observers) -> list:
     """Feed the consecutive ``fields`` of a run to observers: start each on
     the first field, step it through every pair with ``dt`` the elapsed
-    time, and return what their ``finish()`` give, in order."""
+    time and no face record, and return their ``finish()`` values."""
     fields = iter(fields)
     before = next(fields)
     for obs in observers:
         obs.start(before)
     for after in fields:
         for obs in observers:
-            obs.step(before, after, after.t - before.t)
+            obs.step(before, after, after.t - before.t, None)
         before = after
     return [obs.finish() for obs in observers]
 
@@ -466,8 +460,9 @@ def _time_tol(t_final: float) -> float:
 
 
 def _march(initial: tuple, flux, config: SchemeConfig, t_final: float):
-    """The one marching loop: advance the fields of ``initial`` together
-    to ``t_final`` and yield ``(before, after, dt)`` tuples per step.
+    """The one marching loop: advance the fields of ``initial`` together to
+    ``t_final``, yielding per step ``(before, after, dt, faces)`` with
+    ``faces`` each field's first-stage :func:`_face_record`.
 
     All take the smallest stable step, clipped to land on ``t_final``, and
     under global Lax-Friedrichs one coefficient over all their ranges, so
@@ -504,9 +499,14 @@ def _march(initial: tuple, flux, config: SchemeConfig, t_final: float):
         lf_range = ((min(float(f.values.min()) for f in fields),
                      max(float(f.values.max()) for f in fields))
                     if joint else None)
+        with np.errstate(over="ignore", invalid="ignore"):
+            faces = tuple(_face_record(f.mesh, flux, config, f.values,
+                                       lf_range) for f in fields)
         after = tuple(step(f, flux, config, dt, _stable_dt=stable,
-                           _lf_range=lf_range) for f in fields)
-        yield fields, after, dt
+                           _lf_range=lf_range, _faces=rec)
+                      for f, rec in zip(fields, faces))
+        yield fields, after, dt, faces
+        del faces       # not held while the next record is built
         fields = after
 
 
@@ -519,7 +519,7 @@ def run(initial: CellField, flux, config: SchemeConfig,
     a single-entry trajectory.
     """
     fields = [initial]
-    for _, (after,), _ in _march((initial,), flux, config, t_final):
+    for _, (after,), _, _ in _march((initial,), flux, config, t_final):
         fields.append(after)
     return Trajectory(fields)
 
@@ -533,7 +533,7 @@ def twin_run(initial_a: CellField, initial_b: CellField, flux,
     measurements need.
     """
     fa, fb = [initial_a], [initial_b]
-    for _, (a, b), _ in _march((initial_a, initial_b), flux, config, t_final):
+    for _, (a, b), _, _ in _march((initial_a, initial_b), flux, config, t_final):
         fa.append(a)
         fb.append(b)
     return Trajectory(fa), Trajectory(fb)

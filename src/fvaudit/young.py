@@ -176,9 +176,9 @@ class InitialConsistency:
         self.ubar = (field0.values if self.u0 is None
                      else cell_averages(field0.mesh, self.u0))
         self.e = []
-        self.step(None, field0, 0.0)
+        self.step(None, field0, 0.0, None)
 
-    def step(self, before, after: CellField, dt: float):
+    def step(self, before, after: CellField, dt: float, faces):
         if len(self.e) < 2:
             self.e.append(float(after.mesh.cell_area
                                 @ np.abs(after.values - self.ubar)))

@@ -149,6 +149,28 @@ def test_config_echo_round_trip():
     assert parse_config(config_echo(cfg).split()) == cfg
 
 
+def test_config_echo_is_pinned():
+    # report headers carry this line, so its format must not drift
+    assert config_echo(StudyConfig()) == (
+        "problem=riemann_shock flux_rule=godunov reconstruction=constant "
+        "time_integrator=euler cfl_number=0.45000000000000001 "
+        "lf_dissipation_mode=local base_n=50 levels=4 "
+        "t_final=0.40000000000000002 audits=auto seed=0 n_v=128 k_points=33 "
+        "patches=8 bins=64 vtk=false")
+    every = parse_config([
+        "problem=rotated_shock_2d", "flux_rule=lax_friedrichs",
+        "reconstruction=limited_linear", "time_integrator=ssp_rk2",
+        "cfl_number=0.3", "lf_dissipation_mode=global", "base_n=6",
+        "levels=2", "t_final=0.125", "audits=entropy,tv", "seed=7", "n_v=16",
+        "k_points=5", "patches=2", "bins=4", "vtk=yes"])
+    assert config_echo(every) == (
+        "problem=rotated_shock_2d flux_rule=lax_friedrichs "
+        "reconstruction=limited_linear time_integrator=ssp_rk2 "
+        "cfl_number=0.29999999999999999 lf_dissipation_mode=global base_n=6 "
+        "levels=2 t_final=0.125 audits=entropy,tv seed=7 n_v=16 k_points=5 "
+        "patches=2 bins=4 vtk=true")
+
+
 def test_audit_names_gating():
     # non-periodic first-order E-flux run: no conservation/contraction
     cfg = StudyConfig(problem="riemann_shock")
@@ -351,7 +373,24 @@ EQUIVALENCE_CASES = {
                           base_n=60, t_final=0.2),
     "central_sine": dict(problem="smooth_sine", flux_rule="central",
                          base_n=60, t_final=0.2),
+    # no replay: the entropy audit takes the face record the march advanced
+    # with, and run_entropy_audit rebuilds it from the kept trajectory
+    "lf_local": dict(problem="smooth_sine", flux_rule="lax_friedrichs",
+                     base_n=60, t_final=0.2),
+    "lf_global": dict(problem="riemann_shock", flux_rule="lax_friedrichs",
+                      lf_dissipation_mode="global", base_n=60, t_final=0.2),
+    "engquist_osher": dict(problem="expansion_shock",
+                           flux_rule="engquist_osher", base_n=60,
+                           t_final=0.2),
+    "ssp_rk2": dict(problem="smooth_sine", time_integrator="ssp_rk2",
+                    base_n=60, t_final=0.2),
+    "limited_linear": dict(problem="riemann_shock",
+                           reconstruction="limited_linear", base_n=60,
+                           t_final=0.2),
+    "rotated_shock_2d": dict(problem="rotated_shock_2d", base_n=6,
+                             t_final=0.2),
 }
+REPLAYING_CASES = ("central_shock", "central_sine")
 
 
 @pytest.mark.parametrize("case", list(EQUIVALENCE_CASES))
@@ -382,7 +421,7 @@ def test_streamed_level_matches_library_functions(case, monkeypatch):
     traj = run(initial, flux, scheme_cfg, cfg.resolved_t_final)
     lo, hi = state_range(traj)
     grows = (lo, hi) != (float(initial.values.min()), float(initial.values.max()))
-    assert grows == (case != "exact")
+    assert grows == (case in REPLAYING_CASES)
     assert len(replayed) == (lv.steps if grows else 0)
     assert lv.steps == len(traj) - 1
     assert lv.state_range == (lo, hi)
@@ -413,6 +452,23 @@ def test_streamed_level_matches_library_functions(case, monkeypatch):
             assert getattr(got, name) == getattr(dm, name), name
 
 
+def test_entropy_audit_takes_the_face_flux_the_step_advanced_with(monkeypatch):
+    # the scheme's face flux goes through scheme.numerical_flux, the clipped
+    # entropy flux through entropy's own binding: one call per step, plus
+    # one to rebuild the worst step's record for its location
+    from fvaudit import scheme as scheme_mod
+
+    calls = []
+    flux_fn = scheme_mod.numerical_flux
+    monkeypatch.setattr(scheme_mod, "numerical_flux",
+                        lambda *a, **k: calls.append(1) or flux_fn(*a, **k))
+    cfg = StudyConfig(problem="smooth_sine", base_n=40, levels=1,
+                      t_final=0.1, audits="entropy")
+    lv = solve_level(cfg, 0)
+    assert lv.steps > 1 and lv.audits[0].passed
+    assert len(calls) == lv.steps + 1
+
+
 def test_entropy_k_grid_adds_the_problem_states():
     # smooth_sine's cell averages miss its landmark states 0.25 and 0.75;
     # the study audit and the entropy-audit subcommand share one k grid
@@ -435,9 +491,9 @@ def test_observers_built_from_a_range_see_only_fields_inside_it():
             self.lo, self.hi = lo, hi
 
         def start(self, field0):
-            self.step(None, field0, 0.0)
+            self.step(None, field0, 0.0, None)
 
-        def step(self, before, after, dt):
+        def step(self, before, after, dt, faces):
             assert self.lo <= after.values.min() <= after.values.max() <= self.hi
 
         def finish(self):

@@ -222,7 +222,7 @@ def test_streamed_defect_measure_has_no_M():
     audit = DefectAudit(flux, VGrid(-1.0, 1.0, 32))
     audit.start(fields[0])
     for before, after in zip(fields, fields[1:]):
-        audit.step(before, after, 0.01)
+        audit.step(before, after, 0.01, None)
     dm = audit.finish()
     assert dm.residual is None
     with pytest.raises(ValueError, match=r"keeps no residual.*defect_measure\(kinetic_residual"):
