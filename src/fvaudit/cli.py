@@ -96,9 +96,11 @@ def _load_config(args) -> harness.StudyConfig:
     return cfg
 
 
-def _out_dir(args, sub: str) -> Path:
-    root = args.out or os.environ.get("FVAUDIT_OUT") or "fvaudit_out"
-    return Path(root) / sub
+def _out_dir(args) -> Path:
+    """The subcommand's report directory; its root is made before any march."""
+    root = Path(args.out or os.environ.get("FVAUDIT_OUT") or "fvaudit_out")
+    root.mkdir(parents=True, exist_ok=True)
+    return root / args.command
 
 
 def _say(args, *lines):
@@ -123,19 +125,21 @@ def _audit_lines(levels) -> list[str]:
 def _run_audit(args, cfg, observe, report) -> int:
     """Solve every level into the audit's observers, then write its report;
     a failed level is named and exits 1 without a report."""
+    out = _out_dir(args)
     result = harness.run_study(cfg, observe)
     failed = [f"level {lv.level}: FAILED {lv.error_message}"
               for lv in result.levels if lv.failed]
     if failed:
         _say(args, *failed)
         return _CHECK_FAILED
-    return report(args, cfg, result.levels)
+    out.mkdir(exist_ok=True)
+    return report(args, cfg, result.levels, out)
 
 
 def _cmd_run(args) -> int:
     cfg = replace(_load_config(args), levels=1)
+    out = _out_dir(args)
     result = harness.run_study(cfg)
-    out = _out_dir(args, "run")
     harness.write_study_report(result, out)
     lv = result.levels[0]
     _say(args, f"problem {cfg.problem}: {lv.n_cells} cells, {lv.steps} steps",
@@ -149,8 +153,8 @@ def _cmd_converge(args) -> int:
     cfg = _load_config(args)
     if cfg.levels < 2:
         raise ValueError("converge needs at least 2 levels")
+    out = _out_dir(args)
     result = harness.run_study(cfg)
-    out = _out_dir(args, "converge")
     harness.write_study_report(result, out)
     lines = [f"level {lv.level}: n={lv.n_cells} h={lv.h:.4e} "
              + (f"l1={lv.l1:.6e}" if np.isfinite(lv.l1) else "l1=nan")
@@ -172,7 +176,7 @@ def _entropy_observers(cfg, level, flux) -> list:
     return [harness._entropy_observer(cfg, flux)]
 
 
-def _entropy_report(args, cfg, levels) -> int:
+def _entropy_report(args, cfg, levels, out) -> int:
     reports = [lv.audits[0] for lv in levels]
     hs = [lv.h for lv in levels]
     ef = entropy_mod.check_e_flux(cfg.flux_rule,
@@ -186,8 +190,6 @@ def _entropy_report(args, cfg, levels) -> int:
     if len(worsts) >= 2 and all(w > reports[0].tol for w in worsts):
         exponent = harness.fit_rate(hs, worsts)
 
-    out = _out_dir(args, "entropy-audit")
-    out.mkdir(parents=True, exist_ok=True)
     path = out / "entropy_report.csv"
     worst = max(worsts)
     tol = reports[0].tol
@@ -236,7 +238,7 @@ def _kinetic_observers(cfg, level, flux) -> list:
         flux, kinetic_mod.VGrid.for_range(lo, hi, n=cfg.n_v))]
 
 
-def _kinetic_report(args, cfg, levels) -> int:
+def _kinetic_report(args, cfg, levels, out) -> int:
     scores = [lv.audits[0].negativity_score for lv in levels]
     finest = levels[-1]
 
@@ -255,8 +257,6 @@ def _kinetic_report(args, cfg, levels) -> int:
     if hi - lo > 1e-8:
         nd = kinetic_mod.nondegeneracy(flux, (lo, hi))
 
-    out = _out_dir(args, "kinetic-audit")
-    out.mkdir(parents=True, exist_ok=True)
     path = out / "kinetic_report.csv"
     nd_val = nd.measure if nd is not None else float("nan")
     with open(path, "w") as fh:
@@ -318,7 +318,7 @@ def _young_observers(cfg, level, flux) -> list:
     return [young_mod.InitialConsistency()]
 
 
-def _young_report(args, cfg, levels) -> int:
+def _young_report(args, cfg, levels, out) -> int:
     # monotone schemes compactify: any evolved sequence loses its oscillation,
     # so the persistence fixture is audited on the data sequence itself (t=0)
     spec = harness.PROBLEMS[cfg.problem]
@@ -342,8 +342,6 @@ def _young_report(args, cfg, levels) -> int:
     base_var = float(ym.variance.max())
     gap = float(young_mod.nonlinearity_gap(ym, make_flux("burgers")).max())
 
-    out = _out_dir(args, "young-audit")
-    out.mkdir(parents=True, exist_ok=True)
     path = out / "young_report.csv"
     with open(path, "w") as fh:
         fh.write(f"# config: {harness.config_echo(cfg)}\n")

@@ -63,9 +63,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .scheme import (CellField, ConfigurationError, SchemeConfig,
-                     numerical_flux, state_range, _face_record, _geometry,
-                     _replay)
+from .scheme import (CellField, SchemeConfig, numerical_flux, state_range,
+                     _checked_lf, _face_record, _geometry, _replay)
 
 __all__ = [
     "EntropyResidualField",
@@ -104,12 +103,8 @@ def numerical_entropy_flux(rule: str, flux, k, a, b, n, lam=None) -> np.ndarray:
     if rule == "lax_friedrichs" and lam is None:
         lam = flux.max_wave_speed(sa, sb, sn)
     elif rule == "lax_friedrichs":
-        lam = np.asarray(lam, dtype=float)
-        bound = flux.max_wave_speed(a, b, n)
-        if np.any(lam < bound * (1.0 - 1e-12) - 1e-13):
-            raise ConfigurationError(
-                "LF dissipation coefficient is below the local wave speed")
-        lam = np.maximum(lam, flux.max_wave_speed(sa, sb, sn))
+        lam = np.maximum(_checked_lf(flux, lam, a, b, n),
+                         flux.max_wave_speed(sa, sb, sn))
     g = numerical_flux(rule, flux, sa, sb, sn, lam)
     return g[0] - g[1]
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, fields, replace
-from itertools import accumulate
 from pathlib import Path
 from typing import Callable, get_args, get_type_hints
 
@@ -23,8 +22,7 @@ from . import entropy as entropy_mod
 from . import young as young_mod
 from .mesh import Mesh, triangulated_rectangle, uniform_interval_mesh
 from .physics import FluxModel, ReferenceSolution, make_flux, reference
-from .scheme import (CellField, SchemeConfig, _march, _replay, cell_averages,
-                     step)
+from .scheme import CellField, SchemeConfig, _march, _value_range, cell_averages
 from .vtkio import write_vtk
 
 __all__ = [
@@ -352,7 +350,7 @@ class _Conservation:
 
 class _MaxPrinciple:
     def start(self, field0: CellField):
-        self.lo, self.hi = float(field0.values.min()), float(field0.values.max())
+        self.lo, self.hi = _value_range(field0.values)
         self.over = 0.0
 
     def step(self, before, after, dt, faces):
@@ -456,64 +454,64 @@ class InvalidRequest(ValueError):
     """Level 0's observers refused to start: nothing has been solved."""
 
 
-def _built(entries, rng: tuple[float, float]) -> list:
-    return [e(*rng) if callable(e) else e for e in entries]
+def _started(entries, rng: tuple[float, float], field0: CellField) -> list:
+    observers = [e(*rng) if callable(e) else e for e in entries]
+    for obs in observers:
+        obs.start(field0)
+    return observers
 
 
 def solve_level(cfg: StudyConfig, level: int, observe=study_observers) -> LevelResult:
-    """Solve one level in one march, streaming its steps into observers.
+    """Solve one level, streaming its steps into observers.
 
     ``observe(cfg, level, flux)`` lists observers, objects with
     ``start(field0)``, ``step(before, after, dt, faces)`` (``dt`` the
-    elapsed time, ``faces`` the step's first-stage face record or None) and
-    ``finish()``, or functions of the state range ``(lo, hi)`` that build
-    one from the initial data's range.  When the level's range ends up
-    different from that, its recorded steps are replayed through the
-    deterministic ``step`` into observers started afresh, those functions
-    called with the true range.  The level keeps its final field, step
-    sizes and range, never its trajectory.  A failure while level 0's
-    observers are built or started is an :class:`InvalidRequest`.
+    elapsed time, ``faces`` the first-stage face record the step advanced
+    with) and ``finish()``, or functions of the state range ``(lo, hi)``
+    that build one from the initial data's range.  A level whose range
+    leaves that one is marched again, deterministically, into observers
+    started afresh from the true range.  The level keeps its final field
+    and range, never its trajectory.  A failure while level 0's observers
+    are built or started is an :class:`InvalidRequest`.
     """
+    return _solve_on(build_problem_mesh(cfg, level), cfg, level, observe)
+
+
+def _solve_on(mesh: Mesh, cfg: StudyConfig, level: int, observe) -> LevelResult:
+    """:func:`solve_level` on the level's ``mesh``, already built."""
     spec = PROBLEMS[cfg.problem]
     flux = spec.flux_fn()
-    mesh = build_problem_mesh(cfg, level)
     initial = initial_field(spec, mesh)
-    scheme = cfg.scheme()
-    rng = lo, hi = float(initial.values.min()), float(initial.values.max())
+    rng = _value_range(initial.values)
     try:
         entries = observe(cfg, level, flux)
-        observers = _built(entries, rng)
-        for obs in observers:
-            obs.start(initial)
+        observers = _started(entries, rng, initial)
     except Exception as exc:
         if level == 0:
             raise InvalidRequest(str(exc)) from exc
         raise
     ranged = any(callable(e) for e in entries)
 
-    dts, final = [], initial
-    for (before,), (after,), dt, (faces,) in _march(
-            (initial,), flux, scheme, cfg.resolved_t_final):
-        dts.append(dt)
-        lo = min(lo, float(after.values.min()))
-        hi = max(hi, float(after.values.max()))
-        if (lo, hi) == rng or not ranged:   # else replayed below
-            for obs in observers:
-                obs.step(before, after, after.t - before.t, faces)
-        final = after
+    def feed(observers, built):
+        # a pass feeds its observers while the range is the one they were built for
+        reached, steps, final = built, 0, initial
+        for (before,), (after,), _, (faces,) in _march(
+                (initial,), flux, cfg.scheme(), cfg.resolved_t_final):
+            reached = _value_range(after.values, within=reached)
+            if reached == built or not ranged:
+                for obs in observers:
+                    obs.step(before, after, after.t - before.t, faces)
+            steps, final = steps + 1, after
+        return reached, steps, final
 
-    if (lo, hi) != rng and ranged:
-        # the march accepted every dt against the stable bound already
-        fields = accumulate(dts, lambda f, dt: step(f, flux, scheme, dt,
-                                                    _stable_dt=dt),
-                            initial=initial)
-        audits = _replay(fields, _built(entries, (lo, hi)))
-    else:
-        audits = [obs.finish() for obs in observers]
+    reached, steps, final = feed(observers, rng)
+    if reached != rng and ranged:
+        observers = _started(entries, reached, initial)
+        feed(observers, reached)
 
-    return LevelResult(level=level, n_cells=mesh.n_cells, h=mesh.h,
-                       steps=len(dts), l1=float("nan"), audits=audits,
-                       runtime=0.0, final=final, state_range=(lo, hi))
+    return LevelResult(level=level, n_cells=mesh.n_cells, h=mesh.h, steps=steps,
+                       l1=float("nan"), audits=[obs.finish() for obs in observers],
+                       runtime=0.0, final=final, state_range=reached)
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +553,7 @@ class StudyResult:
 
 
 def run_study(cfg: StudyConfig, observe=study_observers) -> StudyResult:
-    """Solve every level with :func:`solve_level`, measure its L1 error and
+    """Solve every level as :func:`solve_level` does, measure its L1 error and
     fit the L1 convergence rate; this is the one level loop.
 
     A level that raises is recorded as failed and the study continues;
@@ -567,16 +565,19 @@ def run_study(cfg: StudyConfig, observe=study_observers) -> StudyResult:
     levels: list[LevelResult] = []
     for lvl in range(cfg.levels):
         start = time.perf_counter()
+        mesh = None
         try:
-            lv = solve_level(cfg, lvl, observe)
+            mesh = build_problem_mesh(cfg, lvl)
+            lv = _solve_on(mesh, cfg, lvl, observe)
             if ref is not None:
                 lv.l1 = l1_error(lv.final, ref)
         except InvalidRequest:
             raise
         except Exception as exc:  # record and continue with the next level
-            mesh = build_problem_mesh(cfg, lvl)
-            lv = LevelResult(level=lvl, n_cells=mesh.n_cells, h=mesh.h,
-                             steps=0, l1=float("nan"), audits=[], runtime=0.0,
+            # a mesh that could not be built has no cells and no size
+            lv = LevelResult(level=lvl, n_cells=getattr(mesh, "n_cells", 0),
+                             h=getattr(mesh, "h", float("nan")), steps=0,
+                             l1=float("nan"), audits=[], runtime=0.0,
                              error_message=f"{type(exc).__name__}: {exc}")
         lv.runtime = time.perf_counter() - start
         levels.append(lv)

@@ -205,15 +205,20 @@ def numerical_flux(rule: str, flux, a, b, n, lam=None) -> np.ndarray:
     if rule == "lax_friedrichs":
         if lam is None:
             raise ConfigurationError("lax_friedrichs needs a dissipation coefficient")
-        lam = np.asarray(lam, dtype=float)
-        bound = flux.max_wave_speed(a, b, n)
-        if np.any(lam < bound * (1.0 - 1e-12) - 1e-13):
-            raise ConfigurationError(
-                "LF dissipation coefficient is below the local wave speed")
+        lam = _checked_lf(flux, lam, a, b, n)
         return 0.5 * (flux.fn(a, n) + flux.fn(b, n)) - 0.5 * lam * (b - a)
     if rule == "central":
         return 0.5 * (flux.fn(a, n) + flux.fn(b, n))
     raise ConfigurationError(f"unknown flux rule {rule!r}")
+
+
+def _checked_lf(flux, lam, a, b, n) -> np.ndarray:
+    """``lam`` as an array, refused below the wave speed over the (a, b) hull."""
+    lam = np.asarray(lam, dtype=float)
+    if np.any(lam < flux.max_wave_speed(a, b, n) * (1.0 - 1e-12) - 1e-13):
+        raise ConfigurationError(
+            "LF dissipation coefficient is below the local wave speed")
+    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -333,11 +338,8 @@ def _face_record(mesh: Mesh, flux, config: SchemeConfig, u: np.ndarray,
     n, _ = _geometry(mesh, flux)
     lam = None
     if config.flux_rule == "lax_friedrichs":
-        rng = None
-        if config.lf_dissipation_mode == "global":
-            rng = (float(min(a.min(), b.min())), float(max(a.max(), b.max())))
-            if lf_range is not None:
-                rng = (min(rng[0], lf_range[0]), max(rng[1], lf_range[1]))
+        rng = (_value_range(a, b, within=lf_range)
+               if config.lf_dissipation_mode == "global" else None)
         lam = lf_lambda(flux, a, b, n, config.lf_dissipation_mode, rng)
     return a, b, numerical_flux(config.flux_rule, flux, a, b, n, lam), lam
 
@@ -420,11 +422,18 @@ class Trajectory:
         return len(self.fields)
 
 
+def _value_range(*arrays, within=None) -> tuple[float, float]:
+    """Smallest and largest value of ``arrays``, widened to cover the range
+    ``within`` when one is known.  On a tie the known bound is kept."""
+    lo, hi = within or (math.inf, -math.inf)
+    for x in arrays:
+        lo, hi = min(lo, float(x.min())), max(hi, float(x.max()))
+    return lo, hi
+
+
 def state_range(traj: Trajectory) -> tuple[float, float]:
     """Smallest and largest cell average over every level of a run."""
-    lo = min(float(f.values.min()) for f in traj.fields)
-    hi = max(float(f.values.max()) for f in traj.fields)
-    return lo, hi
+    return _value_range(*(f.values for f in traj.fields))
 
 
 def _replay(fields, observers) -> list:
@@ -490,15 +499,12 @@ def _march(initial: tuple, flux, config: SchemeConfig, t_final: float):
         if budget is None:
             budget = _BUDGET_FACTOR * math.ceil((t_final - t) / stable)
         if n >= budget or t + dt == t:
-            lo = min(float(f.values.min()) for f in fields)
-            hi = max(float(f.values.max()) for f in fields)
+            lo, hi = _value_range(*(f.values for f in fields))
             why = (f"step budget of {budget} steps spent" if n >= budget
                    else "the step no longer advances t")
             raise NumericalError(f"{why} at step {n}: t={t!r} dt={dt!r}, "
                                  f"values in [{lo!r}, {hi!r}]")
-        lf_range = ((min(float(f.values.min()) for f in fields),
-                     max(float(f.values.max()) for f in fields))
-                    if joint else None)
+        lf_range = _value_range(*(f.values for f in fields)) if joint else None
         with np.errstate(over="ignore", invalid="ignore"):
             faces = tuple(_face_record(f.mesh, flux, config, f.values,
                                        lf_range) for f in fields)

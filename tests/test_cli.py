@@ -79,10 +79,15 @@ def test_usage_errors_exit_2(tmp_path, capsys):
 
 @pytest.fixture
 def refuse_to_solve(monkeypatch):
-    """Every level and twin run marches through ``harness._march``."""
+    """Every level and twin run marches through ``harness._march``; the
+    list returned holds one entry per march attempted."""
+    attempts = []
+
     def refuse(*args, **kwargs):
+        attempts.append(args)
         raise AssertionError("a level was solved for an invalid request")
     monkeypatch.setattr(harness, "_march", refuse)
+    return attempts
 
 
 @pytest.mark.parametrize("command,override,fragment", [
@@ -116,6 +121,19 @@ def test_observer_refusal_exits_2_before_solving(tmp_path, capsys,
         argv += ["--set", pair]
     assert main(argv) == 2
     assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "converge", "entropy-audit",
+                                     "kinetic-audit", "young-audit"])
+def test_output_root_that_cannot_exist_exits_2_before_solving(
+        tmp_path, capsys, refuse_to_solve, command):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    rc = main([command, "--set", "problem=expansion_shock", "--set", "levels=2",
+               "--out", str(blocker / "reports")])
+    assert rc == 2 and refuse_to_solve == []
+    out = capsys.readouterr()
+    assert out.out == "" and str(blocker) in out.err
 
 
 INVALID_T_FINAL = [(command, t_final, "t_final must be finite and nonnegative")
@@ -157,6 +175,34 @@ def test_numerical_blow_up_exits_1(tmp_path, capsys, monkeypatch):
     assert out.out.startswith("level 0: FAILED NumericalError: non-finite "
                               "cell values in the step from t=0")
     assert not (tmp_path / "entropy-audit").exists()
+
+
+def test_level_whose_mesh_cannot_be_built_is_a_failed_level(tmp_path, capsys,
+                                                           monkeypatch):
+    spec = harness.PROBLEMS["smooth_sine"]
+
+    def coarse_mesh_only(n):
+        if n > 20:
+            raise MemoryError("no mesh this fine")
+        return spec.mesh_fn(n)
+
+    def converge(problem):
+        rc = main(["converge", "--set", f"problem={problem}",
+                   "--set", "base_n=20", "--set", "levels=2",
+                   "--out", str(tmp_path / problem)])
+        return (rc, capsys.readouterr().out,
+                _read(tmp_path / problem, "converge", "report.csv"))
+
+    rc, _, whole = converge("smooth_sine")
+    assert rc == 0
+    monkeypatch.setitem(harness.PROBLEMS, "coarse_mesh_only", replace(
+        spec, name="coarse_mesh_only", mesh_fn=coarse_mesh_only))
+    rc, out, cut = converge("coarse_mesh_only")
+    assert rc == 1 and "level 1: FAILED MemoryError: no mesh this fine" in out
+    # four comment lines and the header, then one row per level
+    assert cut[5] == whole[5]
+    assert cut[6].startswith("1,0,nan,0,nan,")
+    assert cut[6].endswith(",failed:MemoryError: no mesh this fine")
 
 
 def _central_shock(tmp_path, base_n):

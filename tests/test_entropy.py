@@ -30,7 +30,7 @@ from fvaudit import (
 from fvaudit import cli
 from fvaudit import entropy as entropy_mod
 from fvaudit.harness import initial_field
-from fvaudit.scheme import _face_states, state_range
+from fvaudit.scheme import ConfigurationError, _face_states, state_range
 from test_mesh import MIXED_POLYGONS
 
 RIGHT = np.ones(1)
@@ -86,6 +86,14 @@ def test_entropy_flux_conservativity(rule):
     fwd = numerical_entropy_flux(rule, flux, k, a, b, n, lam)
     rev = numerical_entropy_flux(rule, flux, k, b, a, -n, lam)
     assert np.abs(fwd + rev).max() <= 1e-12
+
+
+def test_entropy_flux_lf_rejects_insufficient_dissipation():
+    # both clipped pairs at k = 0 have wave speed 1, so widening lam = 0.5
+    # to their speeds would hide it; it is refused against the pair (a, b)
+    with pytest.raises(ConfigurationError, match="below the local wave speed"):
+        numerical_entropy_flux("lax_friedrichs", burgers(), 0.0, 1.0, -1.0,
+                               RIGHT, lam=0.5)
 
 
 def test_entropy_flux_lf_recomputes_local_lambda():

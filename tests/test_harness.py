@@ -1,6 +1,7 @@
 """Study harness tests: rates, configs, audit gating, reports on disk."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -410,10 +411,10 @@ def test_streamed_level_matches_library_functions(case, monkeypatch):
                 flux, VGrid.for_range(lo, hi, n=cfg.n_v)))
         return out
 
-    replayed = []
-    step_fn = harness.step
-    monkeypatch.setattr(harness, "step",
-                        lambda *a, **k: replayed.append(1) or step_fn(*a, **k))
+    marches = []
+    march_fn = harness._march
+    monkeypatch.setattr(harness, "_march",
+                        lambda *a, **k: marches.append(1) or march_fn(*a, **k))
     lv = solve_level(cfg, 0, observe)
 
     flux, scheme_cfg = spec.flux_fn(), cfg.scheme()
@@ -422,7 +423,8 @@ def test_streamed_level_matches_library_functions(case, monkeypatch):
     lo, hi = state_range(traj)
     grows = (lo, hi) != (float(initial.values.min()), float(initial.values.max()))
     assert grows == (case in REPLAYING_CASES)
-    assert len(replayed) == (lv.steps if grows else 0)
+    # a level whose range grows is marched again; the twin marches once
+    assert len(marches) == (2 if grows else 1) + 1
     assert lv.steps == len(traj) - 1
     assert lv.state_range == (lo, hi)
     assert lv.final.values.tobytes() == traj.final.values.tobytes()
@@ -454,8 +456,8 @@ def test_streamed_level_matches_library_functions(case, monkeypatch):
 
 def test_entropy_audit_takes_the_face_flux_the_step_advanced_with(monkeypatch):
     # the scheme's face flux goes through scheme.numerical_flux, the clipped
-    # entropy flux through entropy's own binding: one call per step, plus
-    # one to rebuild the worst step's record for its location
+    # entropy flux through entropy's own binding: one call per step of each
+    # march, plus one to rebuild the worst step's record for its location
     from fvaudit import scheme as scheme_mod
 
     calls = []
@@ -467,6 +469,46 @@ def test_entropy_audit_takes_the_face_flux_the_step_advanced_with(monkeypatch):
     lv = solve_level(cfg, 0)
     assert lv.steps > 1 and lv.audits[0].passed
     assert len(calls) == lv.steps + 1
+
+    # the central rule leaves the data range: the level is marched twice,
+    # and the second march hands the audit its records too
+    calls.clear()
+    lv = solve_level(replace(cfg, problem="riemann_shock", flux_rule="central",
+                             base_n=60, t_final=0.2), 0)
+    assert lv.steps == 50 and lv.state_range != (0.0, 1.0)
+    assert len(calls) == 2 * lv.steps + 1
+
+
+def test_marched_again_level_hands_observers_every_face_record():
+    from fvaudit.scheme import _face_record
+
+    def observe(cfg, level, flux):
+        class Records:
+            """Whether each step's record is the one that step advanced with."""
+
+            def __init__(self, lo, hi):
+                self.same = []
+
+            def start(self, field0):
+                pass
+
+            def step(self, before, after, dt, faces):
+                want = _face_record(before.mesh, flux, cfg.scheme(),
+                                    before.values)
+                self.same.append(faces is not None and all(
+                    x.tobytes() == y.tobytes() for x, y in zip(faces[:3], want)))
+
+            def finish(self):
+                return self.same
+
+        return [Records]
+
+    # the central rule overshoots the data: the level is marched twice
+    cfg = StudyConfig(problem="riemann_shock", flux_rule="central", base_n=60,
+                      levels=1, t_final=0.2)
+    lv = solve_level(cfg, 0, observe)
+    assert lv.state_range != (0.0, 1.0)
+    assert len(lv.audits[0]) == lv.steps == 50 and all(lv.audits[0])
 
 
 def test_entropy_k_grid_adds_the_problem_states():
