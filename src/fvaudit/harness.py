@@ -11,6 +11,8 @@ files; wall-clock timings go to a separate file for that reason.
 from __future__ import annotations
 
 import math
+import os
+import pickle
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -22,7 +24,8 @@ from . import entropy as entropy_mod
 from . import young as young_mod
 from .mesh import Mesh, triangulated_rectangle, uniform_interval_mesh
 from .physics import FluxModel, ReferenceSolution, make_flux, reference
-from .scheme import CellField, SchemeConfig, _march, _value_range, cell_averages
+from .scheme import (CellField, SchemeConfig, StepCapError, _march, _value_range,
+                     cell_averages)
 from .vtkio import write_vtk
 
 __all__ = [
@@ -327,11 +330,18 @@ def initial_field(spec: ProblemSpec, mesh: Mesh) -> CellField:
 
 @dataclass(frozen=True)
 class AuditResult:
+    """One audit's verdict.  ``worst_step`` and ``worst_cell`` locate the
+    largest signed violation (max principle: step and cell; TV and
+    contraction: step), the first one in (step, cell) order on ties, and
+    are -1 where the audit has no such location or the run no step."""
+
     name: str
     value: float        # the measured violation / drift (0 is perfect)
     threshold: float
     passed: bool
     detail: str = ""
+    worst_step: int = -1
+    worst_cell: int = -1
 
 
 class _Conservation:
@@ -351,16 +361,21 @@ class _Conservation:
 class _MaxPrinciple:
     def start(self, field0: CellField):
         self.lo, self.hi = _value_range(field0.values)
-        self.over = 0.0
+        self.steps, self.worst, self.where = 0, -math.inf, (-1, -1)
 
     def step(self, before, after, dt, faces):
-        self.over = max(self.over, float(after.values.max()) - self.hi,
-                        self.lo - float(after.values.min()))
+        escape = np.maximum(after.values - self.hi, self.lo - after.values)
+        cell = int(escape.argmax())
+        if escape[cell] > self.worst:   # strict: ties keep the earliest step
+            self.worst, self.where = float(escape[cell]), (self.steps, cell)
+        self.steps += 1
 
     def finish(self) -> AuditResult:
+        over = max(0.0, self.worst)
         tol = _EXACT_TOL * max(1.0, self.hi - self.lo)
-        return AuditResult("max_principle", self.over, tol, self.over <= tol,
-                           "largest escape from the initial data range")
+        return AuditResult("max_principle", over, tol, over <= tol,
+                           "largest escape from the initial data range",
+                           *self.where)
 
 
 def _total_variation(field: CellField) -> float:
@@ -374,17 +389,20 @@ def _total_variation(field: CellField) -> float:
 class _TotalVariation:
     def start(self, field0: CellField):
         self.tv0 = self.tv = _total_variation(field0)
-        self.growth = 0.0
+        self.steps, self.growth, self.where = 0, -math.inf, -1
 
     def step(self, before, after, dt, faces):
         tv = _total_variation(after)
-        self.growth = max(self.growth, tv - self.tv)
-        self.tv = tv
+        if tv - self.tv > self.growth:  # strict: ties keep the earliest step
+            self.growth, self.where = tv - self.tv, self.steps
+        self.tv, self.steps = tv, self.steps + 1
 
     def finish(self) -> AuditResult:
+        growth = max(0.0, self.growth)
         tol = _EXACT_TOL * max(1.0, self.tv0)
-        return AuditResult("tv", self.growth, tol, self.growth <= tol,
-                           "largest one-step growth of total variation")
+        return AuditResult("tv", growth, tol, growth <= tol,
+                           "largest one-step growth of total variation",
+                           self.where)
 
 
 class _Contraction:
@@ -408,13 +426,18 @@ class _Contraction:
             mesh, lambda x: 0.1 * np.exp(-((x[:, 0] - center) / 0.1) ** 2))
         twin = CellField(mesh, initial.values + bump, initial.t)
         first = last = float(mesh.cell_area @ np.abs(initial.values - twin.values))
-        growth = 0.0
-        for _, (a, b), _, _ in _march((initial, twin), self.flux, self.config, self.t):
+        growth, where = -math.inf, -1
+        marched = _march((initial, twin), self.flux, self.config, self.t)
+        for n, (_, (a, b), _, _) in enumerate(marched):
             dist = float(mesh.cell_area @ np.abs(a.values - b.values))
-            growth, last = max(growth, dist - last), dist
+            if dist - last > growth:    # strict: ties keep the earliest step
+                growth, where = dist - last, n
+            last = dist
+        growth = max(0.0, growth)
         tol = _EXACT_TOL * max(1.0, first)
         return AuditResult("contraction", growth, tol, growth <= tol,
-                           "largest one-step growth of the L1 distance to a twin run")
+                           "largest one-step growth of the L1 distance to a twin run",
+                           where)
 
 
 class _Entropy(entropy_mod.EntropyAudit):
@@ -451,7 +474,8 @@ def study_observers(cfg: StudyConfig, level: int, flux) -> list:
 # the level driver
 
 class InvalidRequest(ValueError):
-    """Level 0's observers refused to start: nothing has been solved."""
+    """Level 0's observers or march refused to start: nothing has been
+    solved."""
 
 
 def _started(entries, rng: tuple[float, float], field0: CellField) -> list:
@@ -472,7 +496,8 @@ def solve_level(cfg: StudyConfig, level: int, observe=study_observers) -> LevelR
     leaves that one is marched again, deterministically, into observers
     started afresh from the true range.  The level keeps its final field
     and range, never its trajectory.  A failure while level 0's observers
-    are built or started is an :class:`InvalidRequest`.
+    are built or started, or a march of level 0 refused before its first
+    step (:class:`StepCapError`), is an :class:`InvalidRequest`.
     """
     return _solve_on(build_problem_mesh(cfg, level), cfg, level, observe)
 
@@ -504,7 +529,12 @@ def _solve_on(mesh: Mesh, cfg: StudyConfig, level: int, observe) -> LevelResult:
             steps, final = steps + 1, after
         return reached, steps, final
 
-    reached, steps, final = feed(observers, rng)
+    try:
+        reached, steps, final = feed(observers, rng)
+    except StepCapError as exc:
+        if level == 0:
+            raise InvalidRequest(str(exc)) from exc
+        raise
     if reached != rng and ranged:
         observers = _started(entries, reached, initial)
         feed(observers, reached)
@@ -554,16 +584,27 @@ class StudyResult:
 
 def run_study(cfg: StudyConfig, observe=study_observers) -> StudyResult:
     """Solve every level as :func:`solve_level` does, measure its L1 error and
-    fit the L1 convergence rate; this is the one level loop.
+    fit the L1 convergence rate.
 
     A level that raises is recorded as failed and the study continues;
     the report marks the failure and the rate uses the surviving levels.
-    Only an :class:`InvalidRequest` ends the study.
+    Only an :class:`InvalidRequest` ends the study, and only level 0 raises
+    one, so level 0 is solved first, alone, in this process.  With at
+    least two levels left, at least two usable CPUs and ``os.fork``, the
+    rest are solved side by side (:func:`_solve_split`): the finest in this
+    process, all the others in one forked child.  Only level indices go
+    into the child, which inherits ``cfg``, ``observe`` and the reference
+    solution; only its pickled :class:`LevelResult` values come back,
+    through a pipe, so what the observers' ``finish()`` return must pickle
+    (if it does not, the child's levels fail with the pickling error).
+    Otherwise every level is solved here, by the same per-level function.
+    Every level's ``runtime`` is measured in the process that solved it.
     """
     spec = PROBLEMS[cfg.problem]
     ref = spec.reference_fn(spec.flux_fn()) if spec.reference_fn else None
-    levels: list[LevelResult] = []
-    for lvl in range(cfg.levels):
+
+    def solve(lvl: int) -> LevelResult:
+        """The one per-level function, in whichever process runs the level."""
         start = time.perf_counter()
         mesh = None
         try:
@@ -574,18 +615,103 @@ def run_study(cfg: StudyConfig, observe=study_observers) -> StudyResult:
         except InvalidRequest:
             raise
         except Exception as exc:  # record and continue with the next level
-            # a mesh that could not be built has no cells and no size
-            lv = LevelResult(level=lvl, n_cells=getattr(mesh, "n_cells", 0),
-                             h=getattr(mesh, "h", float("nan")), steps=0,
-                             l1=float("nan"), audits=[], runtime=0.0,
-                             error_message=f"{type(exc).__name__}: {exc}")
+            lv = _failed_level(lvl, exc, mesh)
         lv.runtime = time.perf_counter() - start
-        levels.append(lv)
+        return lv
+
+    levels = [solve(0)] + _solve_split(solve, list(range(1, cfg.levels)))
     result = StudyResult(config=cfg, levels=levels, fitted_rate=float("nan"))
     pairs = result.rate_pairs
     if len(pairs) >= 2:
         result.fitted_rate = fit_rate(*zip(*pairs))
     return result
+
+
+def _failed_level(lvl: int, exc: BaseException, mesh: Mesh | None = None) -> LevelResult:
+    # a mesh that could not be built has no cells and no size
+    return LevelResult(level=lvl, n_cells=getattr(mesh, "n_cells", 0),
+                       h=getattr(mesh, "h", float("nan")), steps=0,
+                       l1=float("nan"), audits=[], runtime=0.0,
+                       error_message=f"{type(exc).__name__}: {exc}")
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity is not None else 1
+
+
+def _solve_split(solve, rest: list[int]) -> list[LevelResult]:
+    """``solve`` every level of ``rest``, in order, the finest here and the
+    others in one forked child where the process may use at least two
+    CPUs and can fork.
+
+    A level costs about cells x steps, 2^(level (dim + 1)) up to a
+    constant, so the finest costs more than all coarser ones together and
+    a second child could not shorten the run.  The child writes its pickled
+    results to a pipe and leaves with ``os._exit``; if it dies its levels
+    fail with its exit status, and if it cannot be forked they are solved
+    here.  The pipe is read and the child reaped before this returns; if
+    this process raises, the child is killed and reaped first.
+    """
+    if len(rest) < 2 or _cpus() < 2 or not hasattr(os, "fork"):
+        return [solve(lvl) for lvl in rest]
+    *others, finest = rest
+    try:
+        pid, fd = _fork_levels(solve, others)
+    except OSError:
+        return [solve(lvl) for lvl in rest]
+    status = None
+    try:
+        last = solve(finest)
+        with open(fd, "rb", closefd=False) as pipe:
+            payload = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+    finally:
+        if status is None:      # this process raised
+            import signal
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        os.close(fd)
+    code = os.waitstatus_to_exitcode(status)
+    if code == 0:
+        return pickle.loads(payload) + [last]
+    how = (f"exited with status {code}" if code > 0
+           else f"was killed by signal {-code}")
+    died = ChildProcessError("the process solving levels "
+                             f"{', '.join(map(str, others))} {how}")
+    return [_failed_level(lvl, died) for lvl in others] + [last]
+
+
+def _fork_levels(solve, share: list[int]) -> tuple[int, int]:
+    """Fork a child that solves ``share`` and writes the pickled list of its
+    results to a pipe; (the child's pid, the pipe's read end).  A child
+    that raises, or whose results do not pickle, sends its levels failed
+    with that error."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            try:
+                payload = pickle.dumps([solve(lvl) for lvl in share],
+                                       pickle.HIGHEST_PROTOCOL)
+            except BaseException as exc:    # named, as the serial path would
+                payload = pickle.dumps([_failed_level(lvl, exc) for lvl in share],
+                                       pickle.HIGHEST_PROTOCOL)
+            with open(write, "wb") as pipe:
+                pipe.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, read
 
 
 # ---------------------------------------------------------------------------

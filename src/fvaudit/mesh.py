@@ -148,6 +148,9 @@ class Mesh:
             object.__setattr__(self, name, value)
         object.__setattr__(self, "face_across", np.where(
             self.face_right >= 0, self.face_right, self.face_left))
+        self._freeze()
+
+    def _freeze(self):
         for name in (
             "vertices", "cell_area", "cell_centroid", "cell_perimeter",
             "cell_diameter", "face_left", "face_right",
@@ -157,6 +160,15 @@ class Mesh:
             "face_across",
         ):
             getattr(self, name).setflags(write=False)
+
+    def __getstate__(self):
+        # the derived arrays are rebuilt on first use
+        return {**self.__dict__, "_derived": {}}
+
+    def __setstate__(self, state):
+        # unpickled arrays come back writeable
+        self.__dict__.update(state)
+        self._freeze()
 
     @property
     def n_cells(self) -> int:

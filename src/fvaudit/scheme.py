@@ -37,6 +37,7 @@ __all__ = [
     "ConfigurationError",
     "StabilityError",
     "NumericalError",
+    "StepCapError",
     "cell_averages",
     "numerical_flux",
     "lf_lambda",
@@ -65,6 +66,11 @@ class StabilityError(RuntimeError):
 
 class NumericalError(ArithmeticError):
     """A step produced non-finite cell values."""
+
+
+class StepCapError(ValueError):
+    """A march would need more than ``_STEP_CAP`` steps: refused before any
+    step is taken."""
 
 
 @dataclass(frozen=True)
@@ -109,6 +115,11 @@ class CellField:
                 f"expected {self.mesh.n_cells} cell values, got {self.values.shape}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("cell values must be finite")
+        self.values.setflags(write=False)
+
+    def __setstate__(self, state):
+        # an unpickled array comes back writeable
+        self.__dict__.update(state)
         self.values.setflags(write=False)
 
     @classmethod
@@ -455,6 +466,14 @@ def _replay(fields, observers) -> list:
 # need to reach t_final; on the shipped problems no march of a rule other
 # than central took more than 1x, and no completing central one over 3.7x
 _BUDGET_FACTOR = 16
+# a march whose first stable step would need more steps than this to reach
+# t_final is refused before any step is taken.  It bounds t_final times the
+# resolution: no shipped problem at its default t_final needs more than 1778
+# (any rule, reconstruction, integrator and LF mode at cfl 0.45, 1-D levels
+# up to 800 cells, 2-D up to 80 000 triangles), so runs over 10**5 times
+# longer still pass, while 10**9 steps of the cheapest march (smooth_sine on
+# 8 cells, about 120 us a step on a 2-CPU Xeon) would take more than a day
+_STEP_CAP = 10 ** 9
 
 
 def _check_t_final(t_final: float):
@@ -479,6 +498,10 @@ def _march(initial: tuple, flux, config: SchemeConfig, t_final: float):
     shrinks its steps without end, so it raises :class:`NumericalError`
     past ``_BUDGET_FACTOR`` times the ceil((t_final - t0) / dt0) steps its
     first stable step dt0 would need, or at a step too small to advance t.
+    A march that would need more than ``_STEP_CAP`` such steps raises
+    :class:`StepCapError` instead of yielding its first step, once that
+    step has been computed: a first step that already breaks down is a
+    :class:`NumericalError`.
     """
     fields = tuple(initial)
     if any(f.mesh is not fields[0].mesh for f in fields):
@@ -497,7 +520,8 @@ def _march(initial: tuple, flux, config: SchemeConfig, t_final: float):
         stable = min(max_stable_dt(f, flux, config) for f in fields)
         dt = min(stable, float(t_final) - t)
         if budget is None:
-            budget = _BUDGET_FACTOR * math.ceil((t_final - t) / stable)
+            need = (t_final - t) / stable    # past the cap, refused below
+            budget = _BUDGET_FACTOR * math.ceil(min(need, _STEP_CAP))
         if n >= budget or t + dt == t:
             lo, hi = _value_range(*(f.values for f in fields))
             why = (f"step budget of {budget} steps spent" if n >= budget
@@ -511,6 +535,11 @@ def _march(initial: tuple, flux, config: SchemeConfig, t_final: float):
         after = tuple(step(f, flux, config, dt, _stable_dt=stable,
                            _lf_range=lf_range, _faces=rec)
                       for f, rec in zip(fields, faces))
+        if n == 0 and need > _STEP_CAP:
+            raise StepCapError(
+                f"reaching t_final={t_final!r} from t={t!r} with the first "
+                f"stable step dt={stable!r} takes about {need:.3e} steps, "
+                f"more than the cap of {_STEP_CAP} steps")
         yield fields, after, dt, faces
         del faces       # not held while the next record is built
         fields = after

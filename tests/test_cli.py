@@ -80,13 +80,15 @@ def test_usage_errors_exit_2(tmp_path, capsys):
 @pytest.fixture
 def refuse_to_solve(monkeypatch):
     """Every level and twin run marches through ``harness._march``; the
-    list returned holds one entry per march attempted."""
+    list returned holds one entry per march attempted.  The study runs on
+    one CPU, so every march is attempted in this process."""
     attempts = []
 
     def refuse(*args, **kwargs):
         attempts.append(args)
         raise AssertionError("a level was solved for an invalid request")
     monkeypatch.setattr(harness, "_march", refuse)
+    monkeypatch.setattr(harness, "_cpus", lambda: 1)
     return attempts
 
 
@@ -203,6 +205,37 @@ def test_level_whose_mesh_cannot_be_built_is_a_failed_level(tmp_path, capsys,
     assert cut[5] == whole[5]
     assert cut[6].startswith("1,0,nan,0,nan,")
     assert cut[6].endswith(",failed:MemoryError: no mesh this fine")
+
+
+def test_march_past_the_step_cap_exits_2_within_seconds(tmp_path):
+    # about 2.6e301 steps of dt = 0.039: refused, not marched until killed
+    proc = subprocess.run(
+        [sys.executable, "-m", "fvaudit", "run", "--set", "problem=smooth_sine",
+         "--set", "t_final=1e300", "--set", "base_n=8", "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: reaching t_final=1e+300 from t=0.0 ")
+    assert "about 2.578e+301 steps, more than the cap of 1000000000 steps" \
+        in proc.stderr
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "forked"])
+def test_finer_level_past_the_step_cap_is_a_failed_level(tmp_path, capsys,
+                                                         monkeypatch, cpus):
+    # smooth_sine at 8, 16 and 32 cells needs about 8, 16 and 32 steps
+    from fvaudit import scheme
+
+    monkeypatch.setattr(scheme, "_STEP_CAP", 10)
+    monkeypatch.setattr(harness, "_cpus", lambda: cpus)
+    rc = main(["converge", "--set", "problem=smooth_sine", "--set", "base_n=8",
+               "--set", "levels=3", "--set", "audits=none",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    out = capsys.readouterr().out
+    assert "level 0: FAILED" not in out
+    for lvl in (1, 2):
+        assert f"level {lvl}: FAILED StepCapError: reaching t_final=0.3" in out
+    assert "more than the cap of 10 steps" in out
 
 
 def _central_shock(tmp_path, base_n):
@@ -541,6 +574,106 @@ def test_mesh_info_usage_errors(tmp_path, capsys):
     bad.write_text("dim 1\nvertices x\n")
     assert main(["mesh-info", str(bad)]) == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# levels solved side by side: what a run prints and writes does not depend
+# on where its levels were solved
+
+
+def _mesh_only_up_to(limit):
+    spec = harness.PROBLEMS["smooth_sine"]
+
+    def mesh_fn(n):
+        if n > limit:
+            raise MemoryError("no mesh this fine")
+        return spec.mesh_fn(n)
+    return replace(spec, name="coarse_mesh_only", mesh_fn=mesh_fn)
+
+
+def _outputs(tmp_path, argv):
+    """Exit code, stdout, stderr and every report but timings.csv."""
+    out, stdout, stderr = tmp_path / "out", io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        rc = main([*argv, "--out", str(out)])
+    reports = {str(p.relative_to(out)): p.read_bytes()
+               for p in sorted(out.rglob("*"))
+               if p.is_file() and p.name != "timings.csv"}
+    return (rc, stdout.getvalue().replace(str(out), "OUT"),
+            stderr.getvalue().replace(str(out), "OUT"), reports)
+
+
+SPLIT_RUNS = {
+    "converge": ["converge", "--set", "problem=smooth_sine", "--set", "levels=5"],
+    "kinetic": ["kinetic-audit", "--set", "problem=expansion_shock",
+                "--set", "levels=4"],
+    # levels 0-2 are marched again, level 3 spends its step budget
+    "central": ["entropy-audit", "--set", "problem=riemann_shock",
+                "--set", "flux_rule=central", "--set", "levels=4"],
+    "young": ["young-audit", "--set", "problem=riemann_rarefaction",
+              "--set", "levels=4"],
+    "mesh_fails": ["converge", "--set", "problem=coarse_mesh_only",
+                   "--set", "levels=4"],
+}
+
+
+@pytest.mark.parametrize("run", list(SPLIT_RUNS))
+def test_forked_levels_print_and_write_what_serial_ones_do(tmp_path,
+                                                          monkeypatch, run):
+    monkeypatch.setitem(harness.PROBLEMS, "coarse_mesh_only", _mesh_only_up_to(100))
+    got = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(harness, "_cpus", lambda: cpus)
+        got[cpus] = _outputs(tmp_path / str(cpus), SPLIT_RUNS[run])
+    assert got[1] == got[2]
+    assert got[1][0] == {"central": 1, "mesh_fails": 1}.get(run, 0)
+
+
+@pytest.mark.parametrize("death,how", [
+    ("exit", "exited with status 3"),
+    ("kill", "was killed by signal 9"),
+])
+def test_dead_child_fails_its_levels(tmp_path, capsys, monkeypatch, death, how):
+    import signal
+
+    spec, parent = harness.PROBLEMS["smooth_sine"], os.getpid()
+
+    def mesh_fn(n):
+        if os.getpid() != parent:
+            if death == "exit":
+                os._exit(3)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return spec.mesh_fn(n)
+
+    monkeypatch.setitem(harness.PROBLEMS, "dying", replace(
+        spec, name="dying", mesh_fn=mesh_fn))
+    monkeypatch.setattr(harness, "_cpus", lambda: 2)
+    rc = main(["converge", "--set", "problem=dying", "--set", "base_n=10",
+               "--set", "levels=4", "--out", str(tmp_path)])
+    assert rc == 1
+    out = capsys.readouterr()
+    assert out.err == ""
+    for lvl in (1, 2):
+        assert (f"level {lvl}: FAILED ChildProcessError: the process solving "
+                f"levels 1, 2 {how}") in out.out
+    assert "level 3: FAILED" not in out.out and "level 0: FAILED" not in out.out
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_levels_load_no_process_pool_module(tmp_path):
+    # multiprocessing and concurrent.futures cost more to import than a
+    # small study gains from a second CPU
+    _run_without_scipy(
+        "import sys\n"
+        "from fvaudit import harness\n"
+        "from fvaudit.cli import main\n"
+        "harness._cpus = lambda: 2\n"
+        "rc = main(['converge', '--set', 'base_n=10', '--set', 'levels=3',"
+        " '--set', 't_final=0.1', '--out', sys.argv[1], '--quiet'])\n"
+        "assert rc == 0, rc\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+        "assert 'concurrent.futures' not in sys.modules\n", tmp_path)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Study harness tests: rates, configs, audit gating, reports on disk."""
 
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -589,3 +590,198 @@ def test_level_memory_does_not_grow_with_steps():
     (short, few), (long, many) = peak(0.05), peak(0.1)
     assert many >= 2 * few - 1
     assert long - short <= 8 * n_cells * (many - few) // 4
+
+
+# ---------------------------------------------------------------------------
+# worst locations: each against a brute-force scan of a kept trajectory
+
+
+LOCATED = {
+    # first-order: nothing escapes, the locations are the closest approaches
+    "godunov": dict(problem="smooth_sine", base_n=16, t_final=0.2),
+    # the inflow cell holds the data maximum on every step: ties
+    "godunov_shock": dict(problem="riemann_shock", base_n=16, t_final=0.2),
+    # the central rule leaves the data range: the levels are marched again
+    "central": dict(problem="smooth_sine", flux_rule="central", base_n=16,
+                    t_final=0.2),
+}
+
+
+def _first_argmax(values) -> tuple:
+    values = np.asarray(values)
+    return tuple(int(i) for i in np.unravel_index(values.argmax(), values.shape))
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "forked"])
+@pytest.mark.parametrize("case", list(LOCATED))
+def test_audit_worst_locations_match_a_scan_of_the_trajectory(monkeypatch,
+                                                              case, cpus):
+    monkeypatch.setattr(harness, "_cpus", lambda: cpus)
+    cfg = StudyConfig(levels=3, audits="max_principle,tv,contraction",
+                      **LOCATED[case])
+    spec = harness.PROBLEMS[cfg.problem]
+    flux, scheme_cfg = spec.flux_fn(), cfg.scheme()
+    for lv in run_study(cfg).levels:
+        initial = harness.initial_field(spec, build_problem_mesh(cfg, lv.level))
+        traj = run(initial, flux, scheme_cfg, cfg.resolved_t_final)
+        mp, tv, contraction = lv.audits
+        lo, hi = initial.values.min(), initial.values.max()
+        escape = [np.maximum(f.values - hi, lo - f.values) for f in traj.fields[1:]]
+        assert (mp.worst_step, mp.worst_cell) == _first_argmax(escape)
+        tvs = [harness._total_variation(f) for f in traj.fields]
+        assert (tv.worst_step, tv.worst_cell) == (*_first_argmax(np.diff(tvs)), -1)
+        mesh = initial.mesh
+        center = float(mesh.vertices[:, 0].mean())
+        bump = cell_averages(
+            mesh, lambda x: 0.1 * np.exp(-((x[:, 0] - center) / 0.1) ** 2))
+        ta, tb = twin_run(initial, CellField(mesh, initial.values + bump),
+                          flux, scheme_cfg, traj.final.t)
+        dists = [float(mesh.cell_area @ np.abs(a.values - b.values))
+                 for a, b in zip(ta.fields, tb.fields)]
+        assert (contraction.worst_step, contraction.worst_cell) \
+            == (*_first_argmax(np.diff(dists)), -1)
+    if case == "central":
+        assert lv.audits[0].value > 0.0
+
+
+def test_audit_worst_locations_without_steps():
+    cfg = StudyConfig(problem="smooth_sine", base_n=8, levels=1, t_final=0.0,
+                      audits="max_principle,tv,contraction")
+    for a in solve_level(cfg, 0).audits:
+        assert (a.value, a.worst_step, a.worst_cell) == (0.0, -1, -1), a.name
+
+
+# ---------------------------------------------------------------------------
+# levels solved side by side: the finest here, the others in forked children
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Every ``os.fork`` call, counted; the study may use two CPUs."""
+    calls, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+    monkeypatch.setattr(harness, "_cpus", lambda: 2)
+    return calls
+
+
+def test_levels_solved_in_a_child_match_the_serial_path(monkeypatch, forks):
+    cfg = StudyConfig(problem="smooth_sine", base_n=16, levels=4, t_final=0.2)
+    forked = run_study(cfg)
+    assert forks == [1]
+    _no_child_left()
+    monkeypatch.setattr(harness, "_cpus", lambda: 1)
+    serial = run_study(cfg)
+    assert forks == [1]
+    for a, b in zip(forked.levels, serial.levels):
+        assert (a.level, a.n_cells, a.h.hex(), a.steps, a.l1.hex(), a.state_range) \
+            == (b.level, b.n_cells, b.h.hex(), b.steps, b.l1.hex(), b.state_range)
+        assert a.audits == b.audits
+        assert a.final.values.tobytes() == b.final.values.tobytes()
+        # unpickled arrays come back writeable; the field and mesh freeze them
+        mesh = a.final.mesh
+        for arr in (a.final.values, mesh.vertices, mesh.cell_area,
+                    mesh.face_left, mesh.cell_faces, mesh.face_across):
+            assert not arr.flags.writeable
+    assert forked.fitted_rate.hex() == serial.fitted_rate.hex()
+
+
+def test_no_child_is_forked_for_a_refused_request_or_on_one_cpu(monkeypatch,
+                                                                forks):
+    def refusing(cfg, level, flux):
+        raise ValueError("refused")
+
+    with pytest.raises(harness.InvalidRequest, match="refused"):
+        run_study(_small_cfg(levels=4), refusing)
+    monkeypatch.setattr(harness, "_cpus", lambda: 1)
+    assert not run_study(_small_cfg(levels=4)).levels[-1].failed
+    # fewer than two levels after level 0 leave nothing to share
+    monkeypatch.setattr(harness, "_cpus", lambda: 2)
+    run_study(_small_cfg(levels=2))
+    assert forks == []
+
+
+def test_levels_that_cannot_be_forked_are_solved_here(monkeypatch):
+    def no_fork():
+        raise OSError("no more processes")
+
+    monkeypatch.setattr(harness, "_cpus", lambda: 4)
+    monkeypatch.setattr(os, "fork", no_fork)
+    result = run_study(_small_cfg(levels=4))
+    assert [lv.n_cells for lv in result.levels] == [20, 40, 80, 160]
+    assert result.audits_pass
+
+
+def test_a_child_raising_past_the_level_loop_fails_its_levels(forks):
+    class Stop(BaseException):
+        pass
+
+    def observe(cfg, level, flux):
+        if level in (1, 2):
+            raise Stop("observer stopped")
+        return []
+
+    result = run_study(_small_cfg(levels=4), observe)
+    _no_child_left()
+    assert [lv.failed for lv in result.levels] == [False, True, True, False]
+    for lv in result.levels[1:3]:
+        assert lv.error_message == "Stop: observer stopped"
+
+
+def test_child_results_that_do_not_pickle_fail_with_the_pickling_error(forks):
+    class Unpicklable:
+        def start(self, field0):
+            pass
+
+        def step(self, before, after, dt, faces):
+            pass
+
+        def finish(self):
+            return lambda: None
+
+    result = run_study(_small_cfg(levels=4), lambda cfg, level, flux: [Unpicklable()])
+    _no_child_left()
+    assert forks == [1]
+    assert [lv.failed for lv in result.levels] == [False, True, True, False]
+    for lv in result.levels[1:3]:
+        assert "pickle" in lv.error_message, lv.error_message
+
+
+def test_parent_raising_mid_finest_level_kills_and_reaps_its_children(forks):
+    class Stop(BaseException):
+        pass
+
+    class StopAtStep:
+        def start(self, field0):
+            pass
+
+        def step(self, before, after, dt, faces):
+            raise Stop
+
+    def observe(cfg, level, flux):
+        return [StopAtStep()] if level == cfg.levels - 1 else []
+
+    with pytest.raises(Stop):
+        run_study(_small_cfg(levels=4), observe)
+    assert forks == [1]
+    _no_child_left()
+
+
+def test_one_child_takes_every_level_but_the_finest(monkeypatch):
+    shares = []
+
+    def record(solve, share):
+        shares.append(list(share))
+        raise OSError("recorded, then solved here")
+
+    monkeypatch.setattr(harness, "_cpus", lambda: 4)
+    monkeypatch.setattr(harness, "_fork_levels", record)
+    result = run_study(_small_cfg(levels=6, base_n=4))
+    # level 5 stays here; levels 1-4 cost less together, so one child
+    # takes them all however many CPUs there are
+    assert shares == [[1, 2, 3, 4]]
+    assert [lv.level for lv in result.levels] == list(range(6))

@@ -1,5 +1,8 @@
 """Numerical fluxes, reconstruction, time stepping, and scheme invariants."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -609,3 +612,22 @@ def test_shock_error_halves_under_refinement():
         exact = cell_averages(mesh, lambda x: ref(0.4, x))
         errors.append(float(mesh.cell_area @ np.abs(traj.final.values - exact)))
     assert errors[1] < errors[0]
+
+
+@pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+def test_unpickled_field_and_mesh_stay_read_only(protocol):
+    # below protocol 5 numpy restores every array writeable; a field and its
+    # mesh freeze theirs again, and the mesh drops its derived cache
+    mesh = triangulated_rectangle(3, 3, 0.0, 0.0, 1.0, 1.0, periodic=True)
+    field = CellField(mesh, np.linspace(0.0, 1.0, mesh.n_cells), 0.5)
+    max_stable_dt(field, make_flux("rotated_burgers_2d"), SchemeConfig())
+    assert mesh._derived
+    for copied in (pickle.loads(pickle.dumps(field, protocol)),
+                   copy.deepcopy(field)):
+        assert copied.values.tobytes() == field.values.tobytes()
+        assert copied.t == 0.5 and copied.mesh.n_cells == mesh.n_cells
+        assert copied.mesh._derived == {}
+        arrays = [copied.values] + [v for v in vars(copied.mesh).values()
+                                    if isinstance(v, np.ndarray)]
+        assert len(arrays) == 18
+        assert not any(a.flags.writeable for a in arrays)
