@@ -307,14 +307,24 @@ def _cmd_kinetic_audit(args) -> int:
     return _run_audit(args, cfg, _kinetic_observers, _kinetic_report)
 
 
+class _PatchedConsistency(young_mod.InitialConsistency):
+    """Initial consistency whose start builds the field's histograms, so a
+    patch grid too fine is refused before any step."""
+
+    def __init__(self, patches: int, bins: int):
+        super().__init__()
+        self.patches, self.bins = patches, bins
+
+    def start(self, field0):
+        young_mod.build_young(field0, self.patches, self.bins)
+        super().start(field0)
+
+
 def _young_observers(cfg, level, flux) -> list:
-    # building level 0's histograms refuses a patch grid too fine before any
-    # step; finer levels keep level 0's cells per patch
+    # level 0 refuses a patch grid too fine; finer levels keep its cells
+    # per patch
     if level == 0:
-        spec = harness.PROBLEMS[cfg.problem]
-        mesh = harness.build_problem_mesh(cfg, 0)
-        young_mod.build_young(harness.initial_field(spec, mesh), cfg.patches,
-                              cfg.bins)
+        return [_PatchedConsistency(cfg.patches, cfg.bins)]
     return [young_mod.InitialConsistency()]
 
 

@@ -505,8 +505,8 @@ def check_e_flux(rule: str, flux, n_samples: int = 10_000, seed: int = 0,
 
     Draws random trace pairs and unit normals and records the largest
     violation of sgn(b - a) (g(a, b, n) - f(w) . n) <= 0 over the states w
-    in [a ^ b, a v b], exactly: f(w) . n is extreme at an end or at a
-    critical point of the flux inside, as in ``FluxModel.interval_extremum``.
+    in [a ^ b, a v b], exactly: the worst f(w) . n is Osher's extremum
+    ``FluxModel.interval_extremum(a, b, n)``.
     A few adversarial fixed pairs are appended to the random draw so the
     undissipated central rule fails deterministically.
     """
@@ -532,14 +532,14 @@ def check_e_flux(rule: str, flux, n_samples: int = 10_000, seed: int = 0,
         lam = flux.max_wave_speed(a, b, normals)
     g = numerical_flux(rule, flux, a, b, normals, lam)
 
-    w_lo, w_hi = np.minimum(a, b), np.maximum(a, b)
-    W = np.stack([w_lo, w_hi, *(np.clip(z, w_lo, w_hi)
-                                for z in flux.critical_points)], axis=1)
-    fw = flux.fn(W, normals)
-    viol = np.sign(b - a)[:, None] * (g[:, None] - fw)
-    worst = float(viol.max()) + 0.0     # a tie at zero reads 0, not -0
-    i, j = np.unravel_index(int(viol.argmax()), viol.shape)
-    case = (float(a[i]), float(b[i]), float(W[i, j]), normals[i].copy())
+    sgn = np.sign(b - a)
+    viol = sgn * (g - flux.interval_extremum(a, b, normals))
+    i = int(viol.argmax())
+    worst = float(viol[i]) + 0.0        # a tie at zero reads 0, not -0
+    w = np.array([np.minimum(a[i], b[i]), np.maximum(a[i], b[i])])
+    w = np.concatenate([w, np.clip(flux.critical_points, *w)])
+    j = int((sgn[i] * (g[i] - flux.fn(w, normals[i]))).argmax())
+    case = (float(a[i]), float(b[i]), float(w[j]), normals[i].copy())
     return EFluxReport(rule=rule, flux_name=flux.name, samples=len(a),
                        worst_violation=worst, worst_case=case,
                        passed=bool(worst <= tol))

@@ -331,9 +331,9 @@ def initial_field(spec: ProblemSpec, mesh: Mesh) -> CellField:
 @dataclass(frozen=True)
 class AuditResult:
     """One audit's verdict.  ``worst_step`` and ``worst_cell`` locate the
-    largest signed violation (max principle: step and cell; TV and
-    contraction: step), the first one in (step, cell) order on ties, and
-    are -1 where the audit has no such location or the run no step."""
+    largest signed violation (max principle and entropy: step and cell; TV
+    and contraction: step), the first one in (step, cell) order on ties,
+    and are -1 where the audit has no such location or the run no step."""
 
     name: str
     value: float        # the measured violation / drift (0 is perfect)
@@ -445,7 +445,8 @@ class _Entropy(entropy_mod.EntropyAudit):
         rpt = super().finish()
         return AuditResult("entropy", rpt.worst, rpt.tol, rpt.passed,
                            "worst positive cell entropy residual over "
-                           f"{rpt.k_grid.size} k values")
+                           f"{rpt.k_grid.size} k values",
+                           rpt.worst_step, rpt.worst_cell)
 
 
 def _entropy_observer(cfg: StudyConfig, flux, audit=entropy_mod.EntropyAudit):
@@ -584,7 +585,8 @@ class StudyResult:
 
 def run_study(cfg: StudyConfig, observe=study_observers) -> StudyResult:
     """Solve every level as :func:`solve_level` does, measure its L1 error and
-    fit the L1 convergence rate.
+    fit the L1 convergence rate.  A problem whose reference is not valid at
+    ``t_final`` has none: its errors and rate are nan.
 
     A level that raises is recorded as failed and the study continues;
     the report marks the failure and the rate uses the surviving levels.
@@ -602,6 +604,8 @@ def run_study(cfg: StudyConfig, observe=study_observers) -> StudyResult:
     """
     spec = PROBLEMS[cfg.problem]
     ref = spec.reference_fn(spec.flux_fn()) if spec.reference_fn else None
+    if ref is not None and not ref.covers(cfg.resolved_t_final):
+        ref = None      # past its horizon the problem has no reference
 
     def solve(lvl: int) -> LevelResult:
         """The one per-level function, in whichever process runs the level."""

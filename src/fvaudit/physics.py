@@ -138,14 +138,14 @@ class FluxModel:
             low, high = np.minimum(low, g_z), np.maximum(high, g_z)
         return low, high
 
-    def interval_extremum(self, a, b, n, which: str = "min") -> np.ndarray:
-        """Extremum of ``f(.) . n`` over the closed interval between a and b."""
-        if which not in ("min", "max"):
-            raise ValueError("which must be 'min' or 'max'")
+    def interval_extremum(self, a, b, n) -> np.ndarray:
+        """Godunov's flux in Osher's form: the min of ``f(.) . n`` over the
+        hull of (a, b) where a <= b, else the max; ``c phi`` takes its min
+        at the max of ``phi`` where c = d . n < 0."""
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
         low, high = self._hull_range(self.phi, a, b, self.critical_points)
-        low, high = (low, high) if which == "min" else (high, low)
         c = self._along(n, low)
-        return np.where(c >= 0.0, c * low, c * high)
+        return c * np.where((c >= 0.0) == (a <= b), low, high)
 
     def max_wave_speed(self, a, b, n) -> np.ndarray:
         """Sharp upper bound of ``|f'(.) . n|`` over the interval hull."""
@@ -259,9 +259,13 @@ class ReferenceSolution:
     t_max: float
     evaluate: Callable  # (t, x: (m, dim)) -> (m,)
 
+    def covers(self, t: float) -> bool:
+        """Whether ``t`` lies in the validity horizon [0, t_max]."""
+        return 0.0 <= t <= self.t_max * (1.0 + 1e-12)
+
     def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
         t = float(t)
-        if t < 0.0 or t > self.t_max * (1.0 + 1e-12):
+        if not self.covers(t):
             raise ValueError(
                 f"reference {self.name!r} is valid on [0, {self.t_max}], got t={t}")
         x = np.asarray(x, dtype=float)

@@ -203,11 +203,7 @@ def numerical_flux(rule: str, flux, a, b, n, lam=None) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if rule == "godunov":
-        # Osher's form: the min of c phi over the hull when a <= b, else the
-        # max, and c phi takes its min at the max of phi when c = d . n < 0
-        low, high = flux._hull_range(flux.phi, a, b, flux.critical_points)
-        c = flux._along(n, low)
-        return c * np.where((c >= 0.0) == (a <= b), low, high)
+        return flux.interval_extremum(a, b, n)
     if rule == "engquist_osher":
         f_plus_a, _ = flux.split_fluxes(a, n)
         _, f_minus_b = flux.split_fluxes(b, n)

@@ -6,6 +6,7 @@ test for the ``python -m`` entry point.
 
 import contextlib
 import io
+import math
 import os
 import subprocess
 import sys
@@ -207,12 +208,60 @@ def test_level_whose_mesh_cannot_be_built_is_a_failed_level(tmp_path, capsys,
     assert cut[6].endswith(",failed:MemoryError: no mesh this fine")
 
 
+SINE_HORIZON = 0.95 / (2.0 * math.pi * 0.25)     # smooth_sine's reference
+
+
+@pytest.mark.parametrize("command,report", [
+    ("entropy-audit", "entropy_report.csv"),
+    ("kinetic-audit", "kinetic_report.csv"),
+    ("young-audit", "young_report.csv")])
+def test_audit_past_the_reference_horizon_writes_its_report(tmp_path, capsys,
+                                                           command, report):
+    # no audit reads the reference, so its horizon does not fail a level
+    rc = main([command, "--set", "problem=smooth_sine", "--set", "t_final=0.7",
+               "--set", "levels=2", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert "FAILED" not in out
+    assert rc == 0 and (tmp_path / command / report).exists()
+
+
+def test_converge_past_the_reference_horizon_has_no_error(tmp_path, capsys):
+    # like a problem without a reference: nan errors and rate, a rate gate fails
+    rc = main(["converge", "--set", "problem=smooth_sine", "--set", "t_final=0.7",
+               "--set", "levels=2", "--set", "base_n=20", "--min-rate", "0.5",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    out = capsys.readouterr().out
+    assert "level 0: n=20 h=5.0000e-02 l1=nan" in out
+    assert "fitted_rate nan" in out and "rate gate (>= 0.5): FAIL" in out
+    assert "FAILED" not in out
+    rows = _read(tmp_path, "converge", "report.csv")
+    assert rows[2] == "# fitted_rate: nan"
+    assert [row.split(",")[4] for row in rows[5:]] == ["nan", "nan"]
+    assert all(row.endswith(",ok") for row in rows[5:])
+    assert _read(tmp_path, "converge", "rate.dat")[2:] == []
+
+
+@pytest.mark.parametrize("t_final", [0.3, SINE_HORIZON,
+                                     SINE_HORIZON * (1.0 + 1e-13)])
+def test_converge_inside_the_reference_horizon_measures_errors(tmp_path,
+                                                               capsys, t_final):
+    rc = main(["converge", "--set", "problem=smooth_sine",
+               "--set", f"t_final={t_final!r}", "--set", "levels=2",
+               "--set", "base_n=20", "--out", str(tmp_path), "--quiet"])
+    assert rc == 0
+    rows = _read(tmp_path, "converge", "report.csv")
+    errors = [float(row.split(",")[4]) for row in rows[5:]]
+    assert all(0.0 < e < 0.1 for e in errors) and errors[1] < errors[0]
+    assert len(_read(tmp_path, "converge", "rate.dat")[2:]) == 2
+
+
 def test_march_past_the_step_cap_exits_2_within_seconds(tmp_path):
     # about 2.6e301 steps of dt = 0.039: refused, not marched until killed
     proc = subprocess.run(
         [sys.executable, "-m", "fvaudit", "run", "--set", "problem=smooth_sine",
          "--set", "t_final=1e300", "--set", "base_n=8", "--out", str(tmp_path)],
-        capture_output=True, text=True, timeout=60)
+        capture_output=True, text=True, timeout=60, env=_src_env())
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: reaching t_final=1e+300 from t=0.0 ")
     assert "about 2.578e+301 steps, more than the cap of 1000000000 steps" \
@@ -523,6 +572,27 @@ def test_young_audit_checkerboard_fixture(tmp_path, capsys):
     assert all(float(r.split(",")[1]) >= 0.9 for r in body[1:])
 
 
+@pytest.mark.parametrize("command", ["young-audit", "entropy-audit",
+                                     "kinetic-audit", "converge"])
+def test_each_level_builds_its_mesh_once(tmp_path, monkeypatch, command):
+    # one CPU, so every build happens in this process; level 0's patch grid
+    # is checked on the field its march starts from
+    built = []
+    build = harness.build_problem_mesh
+
+    def counted(cfg, level):
+        built.append(level)
+        return build(cfg, level)
+
+    monkeypatch.setattr(harness, "build_problem_mesh", counted)
+    monkeypatch.setattr(harness, "_cpus", lambda: 1)
+    rc = main([command, "--set", "problem=smooth_sine",
+               "--set", "base_n=40", "--set", "levels=2",
+               "--out", str(tmp_path), "--quiet"])
+    assert rc == 0
+    assert built == [0, 1]
+
+
 # ---------------------------------------------------------------------------
 # mesh-info
 
@@ -683,20 +753,25 @@ def test_forked_levels_load_no_process_pool_module(tmp_path):
 def test_python_dash_m_entry(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "fvaudit", "mesh-info", "interval:4"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=_src_env())
     assert proc.returncode == 0
     assert "cells 4" in proc.stdout
 
 
+def _src_env() -> dict:
+    """This environment with the tested package's source directory first on
+    ``PYTHONPATH``, for a fresh interpreter."""
+    src = str(Path(fvaudit.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def _run_without_scipy(code, *args):
     """Run ``code`` in a fresh interpreter, then assert scipy was never imported."""
-    src = str(Path(fvaudit.__file__).resolve().parents[1])
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(
-                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     code += "assert 'scipy' not in sys.modules\n"
     proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
-                          capture_output=True, text=True, timeout=120, env=env)
+                          capture_output=True, text=True, timeout=120,
+                          env=_src_env())
     assert proc.returncode == 0, proc.stderr
 
 

@@ -36,3 +36,19 @@ def test_kinetic_defect_demo(tmp_path, monkeypatch, capsys):
             if " concentration " in line}
     assert rows == {"burgers": "1.4648e-03", "linear_advection": "1.0000e+00",
                     "rotated_burgers_2d": "1.0000e+00"}
+
+
+def test_shock_convergence_demo(tmp_path, monkeypatch, capsys):
+    out = _demo_output("02_shock_convergence.py", tmp_path, monkeypatch, capsys)
+    assert "least-squares fitted rate: 0.9998" in out
+    audits = [line for line in out if line.startswith("  level ")]
+    assert len(audits) == 15
+    assert all(line.split()[-1] == "ok" for line in audits)
+
+
+def test_oscillation_histograms_demo(tmp_path, monkeypatch, capsys):
+    out = _demo_output("05_oscillation_histograms.py", tmp_path, monkeypatch,
+                       capsys)
+    rows = [line.split() for line in out if line[:5].strip().isdigit()]
+    assert [row[0] for row in rows] == ["0", "1", "2", "3"]
+    assert [row[-1] for row in rows] == ["9.690e-01"] * 4

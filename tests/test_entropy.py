@@ -32,6 +32,7 @@ from fvaudit import entropy as entropy_mod
 from fvaudit.harness import initial_field
 from fvaudit.scheme import ConfigurationError, _face_states, state_range
 from test_mesh import MIXED_POLYGONS
+from test_scheme import parent_godunov
 
 RIGHT = np.ones(1)
 E_RULES = ("godunov", "lax_friedrichs", "engquist_osher")
@@ -489,9 +490,95 @@ def test_e_flux_worst_case_is_the_interval_extremum():
         rpt = check_e_flux(rule, flux, n_samples=2000, seed=3)
         a, b, w, normal = rpt.worst_case
         assert min(a, b) <= w <= max(a, b)
-        which = "min" if b > a else "max"
-        extreme = flux.interval_extremum(a, b, normal, which)
-        assert flux.fn(w, normal) == extreme
+        assert flux.fn(w, normal) == flux.interval_extremum(a, b, normal)
+        # and it is the extreme one of the pair's states the check compares
+        lo, hi = min(a, b), max(a, b)
+        states = np.array([lo, hi, *np.clip(flux.critical_points, lo, hi)])
+        fw = flux.fn(states, normal)
+        assert flux.fn(w, normal) == (fw.min() if b > a else fw.max())
+
+
+def parent_check_e_flux(rule: str, flux, n_samples: int = 10_000, seed: int = 0,
+                        state_range: tuple[float, float] = (-1.5, 1.5),
+                        tol: float = 1e-12):
+    """:func:`check_e_flux` with its (samples x candidates) state stack,
+    before it read ``interval_extremum``, verbatim but for its docstring and
+    Godunov's flux: kept as the bit-identity reference."""
+    rng = np.random.default_rng(seed)
+    lo, hi = state_range
+    a = rng.uniform(lo, hi, n_samples)
+    b = rng.uniform(lo, hi, n_samples)
+    normals = rng.normal(size=(n_samples, flux.dim))
+    norms = np.linalg.norm(normals, axis=1)
+    normals[norms < 1e-12] = 0.0
+    normals[norms < 1e-12, 0] = 1.0
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+
+    # adversarial pairs: symmetric states around the sonic point
+    axis = np.zeros(flux.dim)
+    axis[0] = 1.0
+    a = np.concatenate([a, [-1.0, 1.0, -1.0, 1.0]])
+    b = np.concatenate([b, [1.0, -1.0, 1.0, -1.0]])
+    normals = np.concatenate([normals, [axis, axis, -axis, -axis]])
+
+    lam = None
+    if rule == "lax_friedrichs":
+        lam = flux.max_wave_speed(a, b, normals)
+    # the parent's Godunov branch, so that no new code computes the reference
+    g = (parent_godunov(flux, a, b, normals) if rule == "godunov"
+         else numerical_flux(rule, flux, a, b, normals, lam))
+
+    w_lo, w_hi = np.minimum(a, b), np.maximum(a, b)
+    W = np.stack([w_lo, w_hi, *(np.clip(z, w_lo, w_hi)
+                                for z in flux.critical_points)], axis=1)
+    fw = flux.fn(W, normals)
+    viol = np.sign(b - a)[:, None] * (g[:, None] - fw)
+    worst = float(viol.max()) + 0.0     # a tie at zero reads 0, not -0
+    i, j = np.unravel_index(int(viol.argmax()), viol.shape)
+    case = (float(a[i]), float(b[i]), float(W[i, j]), normals[i].copy())
+    return entropy_mod.EFluxReport(rule=rule, flux_name=flux.name,
+                                   samples=len(a), worst_violation=worst,
+                                   worst_case=case, passed=bool(worst <= tol))
+
+
+@pytest.mark.parametrize("flux_name,params", [
+    ("burgers", {}), ("buckley_leverett", {}), ("rotated_burgers_2d", {}),
+    ("linear_advection", {}), ("linear_advection", {"a": (1.0, -0.5)})])
+@pytest.mark.parametrize("rule", E_RULES + ("central",))
+def test_e_flux_report_matches_parent(rule, flux_name, params):
+    """Every report field, ``worst_case`` included, has the parent's bits."""
+    flux = make_flux(flux_name, **params)
+    for seed in (0, 1, 7):
+        for state_range in ((-1.5, 1.5), (-0.5, 1.5), (0.25, 3.0), (-2.0, -0.1)):
+            got = check_e_flux(rule, flux, seed=seed, state_range=state_range)
+            want = parent_check_e_flux(rule, flux, seed=seed,
+                                       state_range=state_range)
+            for name in ("rule", "flux_name", "samples", "passed"):
+                assert getattr(got, name) == getattr(want, name)
+            for x, y in ((got.worst_violation, want.worst_violation),
+                         *zip(got.worst_case[:3], want.worst_case[:3])):
+                assert type(x) is float and np.float64(x).tobytes() \
+                    == np.float64(y).tobytes()
+            assert got.worst_case[3].tobytes() == want.worst_case[3].tobytes()
+
+
+def test_e_flux_forms_no_candidate_table(monkeypatch):
+    """The check reads the oracle on (samples,) arrays and looks for the
+    worst state of one pair only: no (samples x candidates) array."""
+    flux = make_flux("buckley_leverett")
+    shapes = []
+    fn = type(flux).fn
+
+    def recorded(self, u, n):
+        shapes.append(np.shape(u))
+        return fn(self, u, n)
+
+    monkeypatch.setattr(type(flux), "fn", recorded)
+    rpt = check_e_flux("central", flux, n_samples=500, seed=2)
+    assert not rpt.passed
+    assert all(len(shape) <= 1 for shape in shapes)
+    assert all(shape[0] <= 2 + len(flux.critical_points)
+               for shape in shapes if shape and shape[0] != rpt.samples)
 
 
 def swept_e_flux(rule, flux, n_samples=10_000, seed=0,

@@ -651,6 +651,26 @@ def test_audit_worst_locations_without_steps():
         assert (a.value, a.worst_step, a.worst_cell) == (0.0, -1, -1), a.name
 
 
+@pytest.mark.parametrize("flux_rule", ["central", "godunov"])
+def test_entropy_verdict_keeps_its_location(flux_rule):
+    """The study's entropy verdict names the step and cell of the worst
+    residual, as the audit over the level's recorded run does."""
+    cfg = StudyConfig(problem="smooth_sine", flux_rule=flux_rule, base_n=30,
+                      levels=1, t_final=0.1, audits="entropy")
+    lv = solve_level(cfg, 0)
+    (got,) = lv.audits
+    spec = harness.PROBLEMS[cfg.problem]
+    initial = harness.initial_field(spec, build_problem_mesh(cfg, 0))
+    traj = run(initial, spec.flux_fn(), cfg.scheme(), cfg.resolved_t_final)
+    k_grid = kruzkov_k_grid(*lv.state_range, n=cfg.k_points, extra=spec.states)
+    want = run_entropy_audit(traj, spec.flux_fn(), cfg.scheme(), k_grid,
+                             tol=harness._EXACT_TOL)
+    assert (got.value, got.passed) == (want.worst, want.passed)
+    assert (got.worst_step, got.worst_cell) == (want.worst_step, want.worst_cell)
+    assert got.worst_step >= 0 and got.worst_cell >= 0
+    assert got.passed == (flux_rule == "godunov")
+
+
 # ---------------------------------------------------------------------------
 # levels solved side by side: the finest here, the others in forked children
 

@@ -99,10 +99,22 @@ def test_interval_extremum_against_brute_force(name, params, rng_range):
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     w = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, n_dense)
     dense = flux.fn(w, n)                           # (n_pairs, n_dense)
-    assert np.abs(flux.interval_extremum(a, b, n, "min")
-                  - dense.min(axis=1)).max() < 1e-8
-    assert np.abs(flux.interval_extremum(a, b, n, "max")
-                  - dense.max(axis=1)).max() < 1e-8
+    # Osher's form: the min over the hull where a <= b, else the max, so
+    # the pair and its swap give both extremes
+    low = np.where(a <= b, flux.interval_extremum(a, b, n),
+                   flux.interval_extremum(b, a, n))
+    high = np.where(a <= b, flux.interval_extremum(b, a, n),
+                    flux.interval_extremum(a, b, n))
+    assert np.abs(low - dense.min(axis=1)).max() < 1e-8
+    assert np.abs(high - dense.max(axis=1)).max() < 1e-8
+    # equal ends read the flux there, from either side
+    assert np.array_equal(flux.interval_extremum(a, a, n), flux.fn(a, n))
+
+
+def test_interval_extremum_takes_no_which():
+    flux = make_flux("burgers")
+    with pytest.raises(TypeError):
+        flux.interval_extremum(0.0, 1.0, np.ones(1), "max")
 
 
 @pytest.mark.parametrize("name,params,rng_range", FLUX_CASES)

@@ -2,10 +2,12 @@
 
 import copy
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fvaudit
 from fvaudit import (
     CellField,
     ConfigurationError,
@@ -55,14 +57,39 @@ def test_godunov_riemann_values():
         == pytest.approx(0.0, abs=1e-15)
 
 
-@pytest.mark.parametrize("name,params", [
+def parent_interval_extremum(flux, a, b, n, which="min"):
+    """``FluxModel.interval_extremum`` before it took Osher's form, verbatim
+    but for ``self``: kept as the two-extremum reference."""
+    if which not in ("min", "max"):
+        raise ValueError("which must be 'min' or 'max'")
+    low, high = flux._hull_range(flux.phi, a, b, flux.critical_points)
+    low, high = (low, high) if which == "min" else (high, low)
+    c = flux._along(n, low)
+    return np.where(c >= 0.0, c * low, c * high)
+
+
+def parent_godunov(flux, a, b, n):
+    """Godunov's branch of ``numerical_flux`` before it read
+    ``interval_extremum``, verbatim: kept as the bit-identity reference."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    # Osher's form: the min of c phi over the hull when a <= b, else the
+    # max, and c phi takes its min at the max of phi when c = d . n < 0
+    low, high = flux._hull_range(flux.phi, a, b, flux.critical_points)
+    c = flux._along(n, low)
+    return c * np.where((c >= 0.0) == (a <= b), low, high)
+
+
+GODUNOV_CASES = [
     ("burgers", {}), ("linear_advection", {"a": (1.0, -0.5)}),
-    ("buckley_leverett", {}), ("rotated_burgers_2d", {"angle": 0.5})])
-def test_godunov_matches_min_max_form(name, params):
-    """One hull evaluation per face gives the two-extremum form bit for bit,
-    signed zeros included, also where d . n = 0 and under broadcasting."""
-    flux = make_flux(name, **params)
-    rng = np.random.default_rng(23)
+    ("buckley_leverett", {}), ("rotated_burgers_2d", {"angle": 0.5}),
+    ("linear_advection", {})]
+
+
+def godunov_inputs(flux, seed=23):
+    """Trace pairs with a == b, normals with d . n = 0 and -0.0 normals,
+    as (a, b, n) and in a broadcast (300, 7) shape."""
+    rng = np.random.default_rng(seed)
     a, b = rng.uniform(-1.5, 1.5, (2, 300))
     b[:40] = a[:40]
     n = rng.standard_normal((300, flux.dim))
@@ -70,17 +97,68 @@ def test_godunov_matches_min_max_form(name, params):
     d = np.asarray(flux.direction)
     across = np.array([-d[1], d[0]]) if flux.dim == 2 else np.zeros(1)
     n[40:70], n[70:100], n[100:110] = across, -across, -0.0
-
-    def two_extremum(a, b):
-        return np.where(a <= b, flux.interval_extremum(a, b, n, "min"),
-                        flux.interval_extremum(a, b, n, "max"))
-
     assert np.any(flux._along(n, a) == 0.0)
-    for aa, bb in ((a, b), (a[:, None], b[:, None] + rng.uniform(-1.0, 1.0, (300, 7)))):
+    wide = (a[:, None], b[:, None] + rng.uniform(-1.0, 1.0, (300, 7)))
+    return [(a, b, n), (*wide, n)]
+
+
+@pytest.mark.parametrize("name,params", GODUNOV_CASES)
+def test_godunov_matches_min_max_form(name, params):
+    """One hull evaluation per face gives the two-extremum form bit for bit,
+    signed zeros included, also where d . n = 0 and under broadcasting."""
+    flux = make_flux(name, **params)
+    for aa, bb, n in godunov_inputs(flux):
         got = numerical_flux("godunov", flux, aa, bb, n)
-        want = two_extremum(aa, bb)
+        want = np.where(aa <= bb, parent_interval_extremum(flux, aa, bb, n, "min"),
+                        parent_interval_extremum(flux, aa, bb, n, "max"))
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name,params", GODUNOV_CASES)
+def test_godunov_flux_bytes_match_parent_branch(name, params):
+    """Godunov's flux through the oracle has the bytes of the branch it
+    replaced, for vector normals and their projection alike."""
+    flux = make_flux(name, **params)
+    for aa, bb, n in godunov_inputs(flux, seed=31):
+        want = parent_godunov(flux, aa, bb, n)
+        for normals in (n, flux.along(n)):
+            got = numerical_flux("godunov", flux, aa, bb, normals)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            got = flux.interval_extremum(aa, bb, normals)
+            assert got.tobytes() == want.tobytes()
+    # scalars and a single normal broadcast as before
+    for aa, bb in ((0.3, -0.7), (-0.7, 0.3), (0.2, 0.2), (-0.0, 0.0)):
+        for n in (np.ones(flux.dim), -np.ones(flux.dim), np.full(flux.dim, -0.0)):
+            got = numerical_flux("godunov", flux, aa, bb, n)
+            assert got.tobytes() == parent_godunov(flux, aa, bb, n).tobytes()
+
+
+def test_godunov_calls_the_oracle_once(monkeypatch):
+    """Godunov's flux is the extremum oracle: one call per flux call."""
+    flux = make_flux("buckley_leverett")
+    calls = []
+    oracle = type(flux).interval_extremum
+
+    def counted(self, *args):
+        calls.append(args)
+        return oracle(self, *args)
+
+    monkeypatch.setattr(type(flux), "interval_extremum", counted)
+    a, b = np.linspace(-0.5, 1.5, 9), np.linspace(1.5, -0.5, 9)
+    numerical_flux("godunov", flux, a, b, RIGHT)
+    numerical_flux("godunov", flux, 0.0, 1.0, RIGHT)
+    assert len(calls) == 2
+
+
+def test_flux_internals_stay_in_physics():
+    """No module but physics calls the private ``FluxModel`` oracle parts."""
+    src = Path(fvaudit.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name != "physics.py":
+            text = path.read_text()
+            assert "._hull_range" not in text and "._along" not in text, path.name
 
 
 def test_lax_friedrichs_value():
