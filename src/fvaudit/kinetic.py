@@ -24,10 +24,12 @@ closure there.  Riemann data still fits: on a periodic interval the wrap
 face carries a standing jump with equal flux on both sides.
 
 The audit streams: :class:`DefectAudit` takes one step at a time
-(``defect_measure`` replays a kept trajectory into it) and holds
-O(n_cells * n_v) floats and an (n_steps, n_cells) positive-mass table.
-Reading ``KineticResidual.values`` or ``DefectMeasure.M`` rebuilds every
-step and costs O(n_steps * n_cells * n_v) memory.
+(``defect_measure`` replays a kept trajectory into it).  It evaluates each
+step only on per-cell velocity windows, outside which the residual is
+exactly 0, and holds O(n_cells * n_v) floats plus two floats per step: the
+step size and the area-weighted positive mass, so ``total_mass`` is summed
+per step.  Reading ``KineticResidual.values`` or ``DefectMeasure.M``
+rebuilds every step densely and costs O(n_steps * n_cells * n_v) memory.
 """
 
 from __future__ import annotations
@@ -119,11 +121,14 @@ class KineticDensity:
         return self.grid.dv * self.rho.sum(axis=1).astype(float)
 
 
-def lift(field: CellField, grid: VGrid) -> KineticDensity:
-    u = field.values
+def _check_covers(grid: VGrid, u: np.ndarray) -> None:
     if grid.v_min > min(0.0, float(u.min())) or grid.v_max < max(0.0, float(u.max())):
         raise ValueError("velocity grid does not cover the field range and 0")
-    rho = chi(grid.centers[None, :], u[:, None])
+
+
+def lift(field: CellField, grid: VGrid) -> KineticDensity:
+    _check_covers(grid, field.values)
+    rho = chi(grid.centers[None, :], field.values[:, None])
     return KineticDensity(grid=grid, rho=rho, t=field.t)
 
 
@@ -150,9 +155,10 @@ class KineticResidual:
         (rho^{n+1} - rho^n) / dt_n + (1 / |K|) sum_e |e| c_e rho_up
 
     with c_e = f'(v_j) . n_e and rho_up the upwind copy of rho^n.
-    :meth:`steps` computes them in order and keeps only the current pair of
-    lifted states; ``values`` stacks all of them into (n_steps, n_cells, n_v)
-    and costs that much memory to read.  Built by :func:`kinetic_residual`.
+    :meth:`steps` computes them in order, each on its step's windows and
+    exactly 0 elsewhere; ``values`` stacks all of them into
+    (n_steps, n_cells, n_v) and costs that much memory to read.  Built by
+    :func:`kinetic_residual`.
     """
 
     traj: Trajectory
@@ -170,9 +176,12 @@ class KineticResidual:
     def steps(self):
         """Yield each step's (n_cells, n_v) residual as a new array."""
         fields = self.traj.fields
-        transport = _Transport(self.flux, self.grid, fields[0])
+        window = _Window(self.flux, self.grid, fields[0])
         for before, after in zip(fields, fields[1:]):
-            yield transport.step(after, after.t - before.t)
+            w = window.step(before.values, after.values, after.t - before.t)
+            out = np.zeros((self.mesh.n_cells, self.grid.n))
+            out[w.cell, w.v] = w.r
+            yield out
 
     @property
     def values(self) -> np.ndarray:
@@ -182,42 +191,83 @@ class KineticResidual:
         return out
 
 
-class _Transport:
-    """The lifted transport residual of consecutive fields, one step at a
-    time; keeps only the lift of the last field.  The velocity table
-    c_e = f'(v_j) . n_e is (n_faces, n_v); the spatial flux terms telescope
-    only on a fully periodic mesh, so any other is refused."""
+@dataclass
+class _Entries:
+    """One step's residual on its windows: cell K's window is the velocity
+    indices [start[K], start[K] + size[K]), and entry i is the residual
+    ``r[i]`` at (``cell[i]``, ``v[i]``), in (cell, velocity) order."""
+
+    start: np.ndarray
+    size: np.ndarray
+    cell: np.ndarray
+    v: np.ndarray
+    r: np.ndarray
+
+
+class _Window:
+    """The lifted transport residual of consecutive fields, evaluated only
+    where it can be nonzero.
+
+    In cell K the residual at v_j reads chi(v_j | .) of the cell's old and
+    new value and of its face neighbours' old values.  Outside the hull of
+    those values every one of them is the same rho in {-1, 0, 1} (chi's
+    boundaries count as outside), so the residual there is rho W, with
+    W = div(|e| c_e) / |K| summed as the dense divergence sums it.  W is
+    exactly 0 on a 1-D mesh, whose cells' two faces carry the same flow; a
+    cell whose W row is not widens its window to v = 0, beyond which
+    rho = 0.  So outside its window a cell's residual is
+    exactly 0, and inside it is evaluated in the dense operation order.
+    The spatial flux terms telescope only on a fully periodic mesh, so any
+    other is refused.
+    """
 
     def __init__(self, flux, grid: VGrid, field0: CellField):
         mesh = field0.mesh
-        if not mesh.is_periodic:
-            raise ValueError("kinetic transport audit needs a fully periodic mesh")
-        c = flux.dfn(grid.centers[None, :], mesh.face_normal)
-        self.mesh, self.grid = mesh, grid
-        self.upwind_left = c >= 0.0
-        self.flow = mesh.face_length[:, None] * c
-        self.rho = lift(field0, grid).rho
+        _check_auditable(grid, field0)
+        c = flux.dfn(grid.centers[None, :], mesh.face_normal)  # (n_faces, n_v)
+        flow = mesh.face_length[:, None] * c
+        w = mesh.divergence(flow)
+        w /= mesh.cell_area[:, None]
+        # bounds on each cell's hull that widen it to v = 0 where W is not 0
+        self.floor = np.where(w.any(axis=1), 0.0, np.inf)
+        self.ceil = -self.floor
+        # per (face, velocity), flattened: the flow and its upwind cell
+        self.flow = flow.ravel()
+        self.upwind = np.where(c >= 0.0, mesh.face_left[:, None],
+                               mesh.face_right[:, None]).ravel()
+        self.mesh, self.grid, self.centers = mesh, grid, grid.centers
 
-    def step(self, later: CellField, dt: float) -> np.ndarray:
-        mesh, rho_old = self.mesh, self.rho
-        self.rho = lift(later, self.grid).rho
-        rho_up = np.where(self.upwind_left, rho_old[mesh.face_left],
-                          rho_old[mesh.face_right])
-        # the step's flow and divergence stay referenced until the next step
-        # replaces them, so that it allocates while their memory is held;
-        # freed first, it would go back to the system and be paged in again
-        self.face_flow = self.flow * rho_up
-        self.div = div = mesh.divergence(self.face_flow)
-        div /= mesh.cell_area[:, None]
-        out = (self.rho - rho_old) / dt
-        out += div
-        return out
+    def step(self, u_old: np.ndarray, u_new: np.ndarray, dt: float) -> _Entries:
+        mesh, n_v, centers = self.mesh, self.grid.n, self.centers
+        _check_covers(self.grid, u_new)
+        lo, hi = mesh.neighbor_range(u_old)
+        lo = np.minimum(np.minimum(lo, u_new), self.floor)
+        hi = np.maximum(np.maximum(hi, u_new), self.ceil)
+        start = np.searchsorted(centers, lo, "left")
+        size = np.searchsorted(centers, hi, "right") - start
+        cell = np.repeat(np.arange(mesh.n_cells), size)
+        v = np.arange(cell.size) + np.repeat(start - (np.cumsum(size) - size), size)
+        vc = centers[v]
+        r = (chi(vc, u_new[cell]) - chi(vc, u_old[cell])) / dt
+        div = np.zeros(cell.size)
+        for faces, sign in zip(mesh.cell_faces, mesh.cell_face_sign):
+            at = faces[cell] * n_v + v
+            div += sign[cell] * (self.flow[at] * chi(vc, u_old[self.upwind[at]]))
+        div /= mesh.cell_area[cell]
+        r += div
+        return _Entries(start, size, cell, v, r)
+
+
+def _check_auditable(grid: VGrid, field0: CellField) -> None:
+    if not field0.mesh.is_periodic:
+        raise ValueError("kinetic transport audit needs a fully periodic mesh")
+    _check_covers(grid, field0.values)
 
 
 def kinetic_residual(traj: Trajectory, flux, grid: VGrid | None = None) -> KineticResidual:
     if grid is None:
         grid = VGrid.for_range(*state_range(traj))
-    _Transport(flux, grid, traj.fields[0])      # refuses a mesh it cannot audit
+    _check_auditable(grid, traj.fields[0])
     if len(traj) < 2:
         raise ValueError("need at least one step")
     return KineticResidual(traj=traj, flux=flux, grid=grid)
@@ -228,6 +278,20 @@ def _antiderivative(r: np.ndarray, dv: float, out: np.ndarray) -> None:
     out[:, 0] = 0.0
     np.cumsum(r, axis=-1, out=out[:, 1:])
     out[:, 1:] *= dv
+
+
+def _window_antiderivative(w: _Entries, dv: float) -> np.ndarray:
+    """M at the upper velocity edge of every window entry: the cell's window
+    residual summed in v in order, times dv, as :func:`_antiderivative`
+    forms it.  Below a window M is 0; above it, M is its last value."""
+    busy = w.size[w.size > 0]
+    width = int(busy.max(initial=0))
+    at = np.repeat(np.arange(busy.size) * width, busy) + w.v - w.start[w.cell]
+    rows = np.zeros((busy.size, width))
+    flat = rows.reshape(-1)
+    flat[at] = w.r
+    np.cumsum(rows, axis=1, out=rows)
+    return flat[at] * dv
 
 
 @dataclass
@@ -309,46 +373,55 @@ class DefectAudit:
     """The :class:`DefectMeasure` of one run, fed ``start(field0)`` and then
     every accepted step; ``finish()`` gives it with ``residual`` None.
 
-    Besides one step's M it keeps its time integral ``acc``, the running
-    minimum, the step sizes and the (n_steps, n_cells) positive mass.
+    Each step's residual and M are formed on its windows only (see
+    :class:`_Window`), so M, its minimum and the worst location are those
+    of the dense arrays bit for bit.  The audit holds the time integral
+    ``acc`` of M as window values plus a difference table of the constant
+    tails above the windows, summed in v by ``finish``: O(n_cells * n_v)
+    floats.  What grows with the run is two floats per step, its size and
+    its area-weighted positive mass, so ``total_mass`` is summed per step.
     """
 
     def __init__(self, flux, grid: VGrid):
         self.flux, self.grid = flux, grid
 
     def start(self, field0: CellField):
-        self._transport = _Transport(self.flux, self.grid, field0)
-        n_cells = field0.mesh.n_cells
-        self.M = np.empty((n_cells, self.grid.n + 1))
-        self.part = np.empty_like(self.M)
-        self.acc = np.zeros_like(self.M)
-        self.pos, self._dts = np.empty((0, n_cells)), []
+        self._window = _Window(self.flux, self.grid, field0)
+        n_cells, n_v = field0.mesh.n_cells, self.grid.n
+        self.acc = np.zeros((n_cells, n_v + 1))
+        self._tails = np.zeros((n_cells, n_v + 2))
+        self._mass, self._dts = [], []
         self.lowest, self.worst = np.inf, (0, 0, 0)
 
     def step(self, before: CellField, after: CellField, dt: float, faces):
-        r = self._transport.step(after, dt)
-        M, part, s = self.M, self.part, len(self._dts)
-        _antiderivative(r, self.grid.dv, M)
-        i = int(M.argmin())
-        if M.flat[i] < self.lowest:     # strict: ties keep the earliest step
-            self.lowest, self.worst = M.flat[i], (s, *divmod(i, M.shape[1]))
-        if s == len(self.pos):
-            # grown by doubling: a small array kept per step would sit
-            # between the step's large temporaries and fragment the heap
-            grown = np.empty((max(16, 2 * s), M.shape[0]))
-            grown[:s] = self.pos
-            self.pos = grown
-        np.maximum(M, 0.0, out=part).sum(axis=-1, out=self.pos[s])
-        self.acc += np.multiply(dt, M, out=part)
+        w = self._window.step(before.values, after.values, dt)
+        M, n_v = _window_antiderivative(w, self.grid.dv), self.grid.n
+        # M is 0 outside the windows: a step with no negative M has its first
+        # minimum at M(v_min) of cell 0, and a negative one in a window
+        low, where = 0.0, (0, 0)
+        i = int(M.argmin()) if M.size else 0
+        if M.size and M[i] < 0.0:
+            low, where = M[i], (int(w.cell[i]), int(w.v[i]) + 1)
+        if low < self.lowest:           # strict: ties keep the earliest step
+            self.lowest, self.worst = low, (len(self._dts), *where)
+        # above its window a cell's M stays at its last window value
+        busy = np.flatnonzero(w.size)
+        top = w.start[busy] + w.size[busy]
+        last = M[np.cumsum(w.size[busy]) - 1]
+        area = self._window.mesh.cell_area
+        self._mass.append(float(area[w.cell] @ np.maximum(M, 0.0)
+                                + (area[busy] * (n_v - top)) @ np.maximum(last, 0.0)))
+        self.acc.reshape(-1)[w.cell * (n_v + 1) + w.v + 1] += dt * M
+        self._tails.reshape(-1)[busy * (n_v + 2) + top + 1] += dt * last
         self._dts.append(dt)
 
     def finish(self) -> DefectMeasure:
         if not self._dts:
             raise ValueError("need at least one step")
-        mesh, acc = self._transport.mesh, self.acc
+        mesh = self._window.mesh
+        acc = self.acc + np.cumsum(self._tails, axis=1)[:, :-1]
         dts = np.array(self._dts, dtype=float)
-        pos = self.pos[:dts.size] * self.grid.dv
-        total = float((pos @ mesh.cell_area) @ dts)
+        total = float(np.array(self._mass) @ dts) * self.grid.dv
         elapsed = float(dts.sum())
         weighted = _tent_windows(mesh, _TENTS_PER_AXIS[mesh.dim],
                                  _TENT_WIDTH) @ acc

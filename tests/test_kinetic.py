@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fvaudit import (
     CellField,
@@ -429,6 +430,16 @@ def _rotated_bump_run():
     return run(CellField(mesh, u0), flux, GODUNOV, 0.3), flux, None
 
 
+def _on_centres_run():
+    grid = VGrid(-1.0, 1.0, 16)
+    mesh = uniform_interval_mesh(24, 0.0, 1.0, periodic=True)
+    states = np.concatenate([grid.centers, [0.0]])
+    rng = np.random.default_rng(11)
+    fields = [CellField(mesh, rng.choice(states, 24), t=0.01 * s)
+              for s in range(6)]
+    return Trajectory(fields), make_flux("burgers"), grid
+
+
 STREAMING_CASES = {
     "constant": lambda: (_constant_run(), make_flux("burgers"),
                          VGrid(-1.0, 1.0, 64)),
@@ -440,6 +451,9 @@ STREAMING_CASES = {
     "frozen": lambda: (frozen_trajectory(_sign_step(160), dt=1e-3, n_steps=3),
                        make_flux("burgers"), VGrid.for_range(-1.0, 1.0, n=128)),
     "rotated_burgers_2d": _rotated_bump_run,
+    # states on velocity centres and at 0: the window edges, where chi's
+    # boundaries count as outside
+    "on_centres": _on_centres_run,
 }
 
 
@@ -456,11 +470,12 @@ def test_streaming_audit_matches_bulk_reference(case):
     assert _same_bits(res.values, ref_res.values)
     assert _same_bits(dm.M, ref.M)
     assert dm.pointwise_negativity.hex() == ref.pointwise_negativity.hex()
-    assert dm.total_mass.hex() == ref.total_mass.hex()
-    # the time integral of M is summed step by step instead of by BLAS,
-    # so these two may move by rounding only; edge_mass is a cancelling
-    # sum that is pure rounding on some runs, so it is held to the size
-    # of its terms
+    # the positive mass is summed per step and the time integral of M step
+    # by step, with the tails above the windows summed in v at the end, so
+    # these three may move by rounding only; edge_mass is a cancelling sum
+    # that is pure rounding on some runs, so it is held to the size of its
+    # terms
+    assert abs(dm.total_mass - ref.total_mass) <= 1e-13 * abs(ref.total_mass)
     assert abs(dm.negativity_score - ref.negativity_score) \
         <= 1e-13 * abs(ref.negativity_score)
     terms = np.tensordot(ref_res.dts, np.abs(ref.M[..., -1]), axes=(0, 0))
@@ -479,9 +494,41 @@ def test_streaming_worst_location_takes_the_first_tie():
     assert M[0, dm.worst_cell, dm.worst_v] == -dm.pointwise_negativity < 0.0
 
 
+@lru_cache(maxsize=None)
+def _periodic_interval(n):
+    return uniform_interval_mesh(n, 0.0, 1.0, periodic=True)
+
+
+_PAIR_GRID = VGrid(-1.0, 1.0, 16)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(values=st.integers(3, 12).flatmap(
+           lambda n: st.lists(st.floats(-1.0, 1.0), min_size=2 * n,
+                              max_size=2 * n)),
+       dt=st.floats(1e-3, 1.0),
+       flux=st.sampled_from([make_flux("burgers"),
+                             make_flux("linear_advection", a=-0.5)]))
+def test_windowed_audit_matches_dense_on_random_step_pairs(values, dt, flux):
+    u = np.reshape(values, (2, -1))
+    # every other cell sits exactly on its nearest velocity centre, where
+    # chi's boundaries count as outside the windows
+    centers = _PAIR_GRID.centers
+    u[:, ::2] = centers[np.abs(u[:, ::2, None] - centers).argmin(axis=-1)]
+    mesh = _periodic_interval(u.shape[1])
+    traj = Trajectory([CellField(mesh, u[s], t=s * dt) for s in range(2)])
+    dm = defect_measure(kinetic_residual(traj, flux, _PAIR_GRID))
+    ref = reference_defect_measure(
+        reference_kinetic_residual(traj, flux, _PAIR_GRID))
+    assert _same_bits(dm.M, ref.M)
+    assert dm.pointwise_negativity.hex() == ref.pointwise_negativity.hex()
+    worst = np.unravel_index(np.argmin(ref.M), ref.M.shape)
+    assert (dm.worst_step, dm.worst_cell, dm.worst_v) == tuple(map(int, worst))
+
+
 def test_audit_memory_does_not_grow_with_steps():
-    # only the (n_steps, n_cells) positive-mass table and per-step times
-    # may grow with the run; one steps x cells x n_v array would not fit
+    # only the step sizes and the per-step positive mass grow with the run:
+    # a few words per step, where a steps x cells table would not fit
     base = _sign_step(64)
     flux, grid = make_flux("burgers"), VGrid.for_range(-1.0, 1.0, n=128)
 
@@ -495,9 +542,9 @@ def test_audit_memory_does_not_grow_with_steps():
             tracemalloc.stop()
 
     few, many = peak(10), peak(200)
-    tables = 8 * (200 - 10) * (base.mesh.n_cells + 2)
-    assert many - few <= 2 * tables
-    assert 2 * tables < 8 * (200 - 10) * base.mesh.n_cells * grid.n // 10
+    per_step = 16 * 8
+    assert many - few <= per_step * (200 - 10)
+    assert per_step < 8 * base.mesh.n_cells // 2
 
 
 # ---------------------------------------------------------------------------
