@@ -36,8 +36,7 @@ from . import young as young_mod
 from .mesh import (GeometryError, MeshFormatError, TopologyError, load_mesh,
                    regularity, triangulated_rectangle, uniform_interval_mesh)
 from .physics import make_flux
-from .scheme import (CellField, NumericalError, StabilityError, _time_tol,
-                     cell_averages)
+from .scheme import CellField, _time_tol, cell_averages
 from .vtkio import write_vtk
 
 __all__ = ["main"]
@@ -97,10 +96,14 @@ def _load_config(args) -> harness.StudyConfig:
 
 
 def _out_dir(args) -> Path:
-    """The subcommand's report directory; its root is made before any march."""
+    """The subcommand's report directory; its root is made, and a
+    non-directory in its place refused, before any march."""
     root = Path(args.out or os.environ.get("FVAUDIT_OUT") or "fvaudit_out")
     root.mkdir(parents=True, exist_ok=True)
-    return root / args.command
+    out = root / args.command
+    if os.path.lexists(out) and not out.is_dir():
+        raise NotADirectoryError(f"{out} exists and is not a directory")
+    return out
 
 
 def _say(args, *lines):
@@ -448,9 +451,6 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (NumericalError, StabilityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _CHECK_FAILED
     except (MeshFormatError, GeometryError, TopologyError, ValueError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -149,10 +149,6 @@ class EntropyResidualField:
         res = self._values(self.rank, np.arange(self.closure.size))
         return res[0] if np.ndim(self.k) == 0 else res
 
-    @property
-    def positive_max(self) -> float:
-        return max(self.max(), 0.0)
-
     def max(self) -> float:
         """``residual.max()``, bit for bit."""
         return float(self._cell_max.max())

@@ -190,6 +190,8 @@ class StudyConfig:
         if self.t_final is not None and not (math.isfinite(self.t_final)
                                              and self.t_final >= 0.0):
             raise ValueError("t_final must be finite and nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         # audit sizes fail here, before any level is solved, with the
         # messages of the layers that use them
         if self.n_v < 8:
@@ -238,13 +240,22 @@ class StudyConfig:
         return tuple(names)
 
 
+_TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
+
+
+def _parse_bool(key: str, text: str) -> bool:
+    if text.lower() not in _TRUE + _FALSE:
+        raise ValueError(f"{key} must be one of {'/'.join(_TRUE + _FALSE)}, got {text!r}")
+    return text.lower() in _TRUE
+
+
 def _parsers() -> dict[str, Callable]:
     """Every :class:`StudyConfig` field in declaration order, with how
     ``key=value`` text becomes it; an optional field parses as its type."""
     hints, out = get_type_hints(StudyConfig), {}
     for f in fields(StudyConfig):
         kind = hints[f.name]
-        out[f.name] = ((lambda s: s.lower() in ("1", "true", "yes", "on"))
+        out[f.name] = ((lambda s, key=f.name: _parse_bool(key, s))
                        if kind is bool else (get_args(kind) or (kind,))[0])
     return out
 

@@ -28,13 +28,13 @@ The audit streams: :class:`DefectAudit` takes one step at a time
 step only on per-cell velocity windows, outside which the residual is
 exactly 0, and holds O(n_cells * n_v) floats plus two floats per step: the
 step size and the area-weighted positive mass, so ``total_mass`` is summed
-per step.  Reading ``KineticResidual.values`` or ``DefectMeasure.M``
+per step.  Reading ``KineticResidual.values`` or ``KineticResidual.M``
 rebuilds every step densely and costs O(n_steps * n_cells * n_v) memory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,9 +85,8 @@ class VGrid:
         return self.v_min + np.arange(self.n + 1) * self.dv
 
     @classmethod
-    def for_range(cls, lo: float, hi: float, n: int = 256,
-                  pad: float = 0.05) -> "VGrid":
-        """Grid covering [lo, hi] and the origin, padded on both sides.
+    def for_range(cls, lo: float, hi: float, n: int = 256) -> "VGrid":
+        """Grid covering [lo, hi] and the origin, padded 5 % on both sides.
 
         The origin must be inside because chi changes sign there.
         """
@@ -95,7 +94,7 @@ class VGrid:
         if b - a == 0.0:
             a, b = -0.5, 0.5
         width = b - a
-        return cls(a - pad * width, b + pad * width, n)
+        return cls(a - 0.05 * width, b + 0.05 * width, n)
 
 
 def chi(v, alpha) -> np.ndarray:
@@ -157,8 +156,9 @@ class KineticResidual:
     with c_e = f'(v_j) . n_e and rho_up the upwind copy of rho^n.
     :meth:`steps` computes them in order, each on its step's windows and
     exactly 0 elsewhere; ``values`` stacks all of them into
-    (n_steps, n_cells, n_v) and costs that much memory to read.  Built by
-    :func:`kinetic_residual`.
+    (n_steps, n_cells, n_v) and ``M`` their v-antiderivatives, zero at v_min,
+    into (n_steps, n_cells, n_v + 1) at the velocity edges; each costs that
+    much memory to read.  Built by :func:`kinetic_residual`.
     """
 
     traj: Trajectory
@@ -188,6 +188,13 @@ class KineticResidual:
         out = np.empty((len(self.traj) - 1, self.mesh.n_cells, self.grid.n))
         for s, r in enumerate(self.steps()):
             out[s] = r
+        return out
+
+    @property
+    def M(self) -> np.ndarray:
+        out = np.empty((len(self.traj) - 1, self.mesh.n_cells, self.grid.n + 1))
+        for s, r in enumerate(self.steps()):
+            _antiderivative(r, self.grid.dv, out[s])
         return out
 
 
@@ -296,16 +303,14 @@ def _window_antiderivative(w: _Entries, dv: float) -> np.ndarray:
 
 @dataclass
 class DefectMeasure:
-    """Velocity antiderivative M of the kinetic residual, with summaries.
+    """Summaries of ``KineticResidual.M``, the velocity antiderivative of the
+    kinetic residual.
 
-    ``M`` has shape (n_steps, n_cells, n_v + 1), evaluated at the velocity
-    grid edges with M(v_min) = 0; it is rebuilt from the residual each
-    time it is read, unless streamed.  It approximates the defect density only
-    in a distributional sense: an upwind step splits the defect of a jump
-    sitting on a face into a positive part in one cell and a negative part
-    in its neighbor, and per-step values carry O(dv/dt) quantization, so
-    raw cell values at shocks grow like 1/h no matter how entropic the
-    evolution is.  That raw undershoot is still reported as
+    M approximates the defect density only in a distributional sense: an
+    upwind step splits the defect of a jump sitting on a face into a
+    positive part in one cell and a negative part in its neighbor, and
+    per-step values carry O(dv/dt) quantization, so raw cell values at
+    shocks grow like 1/h no matter how entropic the evolution is.  That raw undershoot is still reported as
     ``pointwise_negativity``, and ``worst_step``, ``worst_cell`` and
     ``worst_v`` (a velocity-edge index) locate the minimum of M, the first
     one in (step, cell, velocity) order on ties.
@@ -329,19 +334,6 @@ class DefectMeasure:
     worst_step: int
     worst_cell: int
     worst_v: int
-    residual: KineticResidual | None = field(default=None, repr=False)
-
-    @property
-    def M(self) -> np.ndarray:
-        res = self.residual
-        if res is None:
-            raise ValueError("a measure streamed during a solve keeps no residual, "
-                             "so M cannot be rebuilt; read it from "
-                             "defect_measure(kinetic_residual(...)) of a kept trajectory")
-        out = np.empty((len(res.traj) - 1, res.mesh.n_cells, res.grid.n + 1))
-        for s, r in enumerate(res.steps()):
-            _antiderivative(r, res.grid.dv, out[s])
-        return out
 
 
 # tent test functions of the negativity score: window centers per axis by
@@ -371,7 +363,7 @@ def _tent_windows(mesh: Mesh, per_axis: int, frac: float) -> np.ndarray:
 
 class DefectAudit:
     """The :class:`DefectMeasure` of one run, fed ``start(field0)`` and then
-    every accepted step; ``finish()`` gives it with ``residual`` None.
+    every accepted step; ``finish()`` gives it.
 
     Each step's residual and M are formed on its windows only (see
     :class:`_Window`), so M, its minimum and the worst location are those
@@ -438,10 +430,8 @@ class DefectAudit:
 
 def defect_measure(res: KineticResidual) -> DefectMeasure:
     """Summarize M in one pass over the steps: the run replayed into a
-    :class:`DefectAudit`, with ``residual`` attached."""
-    dm = _replay(res.traj.fields, [DefectAudit(res.flux, res.grid)])[0]
-    dm.residual = res
-    return dm
+    :class:`DefectAudit`."""
+    return _replay(res.traj.fields, [DefectAudit(res.flux, res.grid)])[0]
 
 
 @dataclass

@@ -66,14 +66,16 @@ class EmpiricalYoungMeasure:
         return np.maximum(second - self.mean ** 2, 0.0)
 
 
-def build_young(field: CellField, patches: int = 8, bins: int = 64,
-                value_range: tuple[float, float] | None = None,
-                min_cells_per_patch: int = 4) -> EmpiricalYoungMeasure:
+# fewest cells a patch may hold, so its histogram is not one or two values
+_MIN_CELLS_PER_PATCH = 4
+
+
+def build_young(field: CellField, patches: int = 8,
+                bins: int = 64) -> EmpiricalYoungMeasure:
     """Histogram the field over a ``patches`` (per axis) grid of patches.
 
     Patches tile the bounding box of the mesh vertices; cells are assigned
-    by centroid.  Bins span the field range unless ``value_range`` pins
-    them (useful to compare several fields on one scale).
+    by centroid.  Bins span the field range.
     """
     if patches < 1:
         raise ValueError("need at least one patch per axis")
@@ -92,15 +94,12 @@ def build_young(field: CellField, patches: int = 8, bins: int = 64,
     n_patches = patches ** mesh.dim
 
     counts = np.bincount(patch, minlength=n_patches)
-    if counts.min() < min_cells_per_patch:
+    if counts.min() < _MIN_CELLS_PER_PATCH:
         raise ValueError(
             f"patch grid too fine: a patch holds {counts.min()} cells, "
-            f"need {min_cells_per_patch}")
+            f"need {_MIN_CELLS_PER_PATCH}")
 
-    if value_range is None:
-        v_lo, v_hi = float(u.min()), float(u.max())
-    else:
-        v_lo, v_hi = map(float, value_range)
+    v_lo, v_hi = float(u.min()), float(u.max())
     if v_hi <= v_lo:
         v_lo, v_hi = v_lo - 0.5, v_lo + 0.5
     edges = np.linspace(v_lo, v_hi, bins + 1)
@@ -195,10 +194,10 @@ def initial_consistency(trajs, u0: Callable | None = None) -> np.ndarray:
                      for traj in trajs], dtype=float)
 
 
-def checkerboard_values(mesh: Mesh, amplitude: float = 1.0) -> np.ndarray:
-    """Alternating +/- amplitude by cell index.
+def checkerboard_values(mesh: Mesh) -> np.ndarray:
+    """Alternating +1 / -1 by cell index.
 
     On interval meshes built in order this alternates between neighbors,
     the canonical bounded non-convergent oscillation.
     """
-    return amplitude * (1.0 - 2.0 * (np.arange(mesh.n_cells) % 2)).astype(float)
+    return (1.0 - 2.0 * (np.arange(mesh.n_cells) % 2)).astype(float)

@@ -139,6 +139,35 @@ def test_output_root_that_cannot_exist_exits_2_before_solving(
     assert out.out == "" and str(blocker) in out.err
 
 
+@pytest.mark.parametrize("command", ["run", "converge", "entropy-audit",
+                                     "kinetic-audit", "young-audit"])
+def test_negative_seed_exits_2_before_solving(tmp_path, capsys,
+                                              refuse_to_solve, command):
+    rc = main([command, "--set", "problem=expansion_shock", "--set", "seed=-1",
+               "--set", "levels=2", "--out", str(tmp_path), "--quiet"])
+    assert rc == 2 and refuse_to_solve == []
+    assert "seed must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / command).exists()
+
+
+@pytest.mark.parametrize("command", ["run", "converge", "entropy-audit",
+                                     "kinetic-audit", "young-audit"])
+def test_report_directory_that_is_a_file_exits_2_before_solving(
+        tmp_path, capsys, refuse_to_solve, command):
+    blocker = tmp_path / command
+    # a regular file, then a link to nowhere
+    for make in (lambda: blocker.write_text(""),
+                 lambda: blocker.symlink_to(tmp_path / "nowhere")):
+        blocker.unlink(missing_ok=True)
+        make()
+        rc = main([command, "--set", "problem=expansion_shock",
+                   "--set", "levels=2", "--out", str(tmp_path)])
+        assert rc == 2 and refuse_to_solve == []
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"{tmp_path / command} exists and is not a directory" in out.err
+
+
 INVALID_T_FINAL = [(command, t_final, "t_final must be finite and nonnegative")
                    for command in ("run", "converge", "entropy-audit",
                                    "kinetic-audit", "young-audit")
@@ -354,13 +383,15 @@ VALID_SETS = {
     "n_v": ["8", "16"],
     "patches": ["1", "2"],
     "bins": ["2", "8"],
+    "seed": ["0", "3"],
 }
 INVALID_SETS = [("problem", "nope"), ("flux_rule", "bogus"),
                 ("reconstruction", "cubic"), ("lf_dissipation_mode", "often"),
                 ("cfl_number", "1.5"), ("base_n", "1"), ("levels", "0"),
                 ("levels", "two"), ("t_final", "-1"), ("t_final", "nan"),
                 ("t_final", "1e-13"), ("audits", "bogus"), ("k_points", "1"),
-                ("n_v", "4"), ("patches", "0"), ("bins", "1")]
+                ("n_v", "4"), ("patches", "0"), ("bins", "1"), ("seed", "-1"),
+                ("vtk", "maybe")]
 
 
 # about two examples in three take valid values only; combinations of
@@ -729,6 +760,25 @@ def test_dead_child_fails_its_levels(tmp_path, capsys, monkeypatch, death, how):
     assert "level 3: FAILED" not in out.out and "level 0: FAILED" not in out.out
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_levels_fork_once_with_one_thread_alive(tmp_path, monkeypatch):
+    # forking a process that runs other threads can copy a lock one of them
+    # holds; Python 3.12 and later warn about it
+    import threading
+
+    fork, alive = os.fork, []
+
+    def counted_fork():
+        alive.append(threading.active_count())
+        return fork()
+
+    monkeypatch.setattr(harness.os, "fork", counted_fork)
+    monkeypatch.setattr(harness, "_cpus", lambda: 2)
+    rc = main(["converge", "--set", "levels=4", "--out", str(tmp_path),
+               "--quiet"])
+    assert rc == 0
+    assert alive == [1]
 
 
 def test_forked_levels_load_no_process_pool_module(tmp_path):

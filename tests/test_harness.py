@@ -110,7 +110,8 @@ def test_study_config_validation():
                                ("patches", 0, "at least one patch"),
                                ("t_final", -1.0, "t_final must be finite"),
                                ("t_final", float("inf"), "t_final must be finite"),
-                               ("t_final", float("nan"), "t_final must be finite")):
+                               ("t_final", float("nan"), "t_final must be finite"),
+                               ("seed", -1, "seed must be nonnegative")):
         with pytest.raises(ValueError, match=fragment):
             StudyConfig(**{key: bad})
     assert StudyConfig(t_final=0.0).resolved_t_final == 0.0
@@ -136,6 +137,16 @@ def test_parse_config_rejects_unknown_key():
         parse_config(["just a sentence"])
     with pytest.raises(ValueError):
         parse_config(["levels=three"])
+
+
+def test_parse_config_bool_words():
+    for text in ("1", "true", "YES", "On"):
+        assert parse_config([f"vtk={text}"]).vtk is True
+    for text in ("0", "False", "no", "OFF"):
+        assert parse_config([f"vtk={text}"]).vtk is False
+    for text in ("flase", "2", "", "maybe"):
+        with pytest.raises(ValueError, match=f"vtk must be one of .*got '{text}'"):
+            parse_config([f"vtk={text}"])
 
 
 def test_parse_config_layers_over_base():

@@ -212,22 +212,20 @@ def test_kinetic_residual_default_grid_covers_trajectory():
 def test_defect_measure_antiderivative_shape():
     flux = make_flux("burgers")
     res = kinetic_residual(_constant_run(2), flux, VGrid(-1.0, 1.0, 32))
-    dm = defect_measure(res)
-    assert dm.M.shape == (2, 16, 33)
-    assert np.all(dm.M[..., 0] == 0.0)
+    assert res.M.shape == (2, 16, 33)
+    assert np.all(res.M[..., 0] == 0.0)
 
 
-def test_streamed_defect_measure_has_no_M():
-    flux = make_flux("burgers")
-    fields = _constant_run(2).fields
-    audit = DefectAudit(flux, VGrid(-1.0, 1.0, 32))
-    audit.start(fields[0])
-    for before, after in zip(fields, fields[1:]):
-        audit.step(before, after, 0.01, None)
-    dm = audit.finish()
-    assert dm.residual is None
-    with pytest.raises(ValueError, match=r"keeps no residual.*defect_measure\(kinetic_residual"):
-        dm.M
+def test_streamed_and_replayed_measures_are_one_record():
+    flux, grid = make_flux("burgers"), VGrid.for_range(-1.0, 1.0, n=128)
+    traj = frozen_trajectory(_sign_step(32), dt=1e-3, n_steps=2)
+    audit = DefectAudit(flux, grid)
+    audit.start(traj.fields[0])
+    for before, after in zip(traj.fields, traj.fields[1:]):
+        audit.step(before, after, after.t - before.t, None)
+    streamed = audit.finish()
+    assert streamed == defect_measure(kinetic_residual(traj, flux, grid))
+    assert streamed.pointwise_negativity > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +466,7 @@ def test_streaming_audit_matches_bulk_reference(case):
     ref_res = reference_kinetic_residual(traj, flux, grid)
     dm, ref = defect_measure(res), reference_defect_measure(ref_res)
     assert _same_bits(res.values, ref_res.values)
-    assert _same_bits(dm.M, ref.M)
+    assert _same_bits(res.M, ref.M)
     assert dm.pointwise_negativity.hex() == ref.pointwise_negativity.hex()
     # the positive mass is summed per step and the time integral of M step
     # by step, with the tails above the windows summed in v at the end, so
@@ -487,8 +485,8 @@ def test_streaming_audit_matches_bulk_reference(case):
 
 def test_streaming_worst_location_takes_the_first_tie():
     traj, flux, grid = STREAMING_CASES["frozen"]()
-    dm = defect_measure(kinetic_residual(traj, flux, grid))
-    M = dm.M
+    res = kinetic_residual(traj, flux, grid)
+    dm, M = defect_measure(res), res.M
     assert dm.worst_step == 0
     assert np.array_equal(M[0], M[2])
     assert M[0, dm.worst_cell, dm.worst_v] == -dm.pointwise_negativity < 0.0
@@ -517,10 +515,11 @@ def test_windowed_audit_matches_dense_on_random_step_pairs(values, dt, flux):
     u[:, ::2] = centers[np.abs(u[:, ::2, None] - centers).argmin(axis=-1)]
     mesh = _periodic_interval(u.shape[1])
     traj = Trajectory([CellField(mesh, u[s], t=s * dt) for s in range(2)])
-    dm = defect_measure(kinetic_residual(traj, flux, _PAIR_GRID))
+    res = kinetic_residual(traj, flux, _PAIR_GRID)
+    dm = defect_measure(res)
     ref = reference_defect_measure(
         reference_kinetic_residual(traj, flux, _PAIR_GRID))
-    assert _same_bits(dm.M, ref.M)
+    assert _same_bits(res.M, ref.M)
     assert dm.pointwise_negativity.hex() == ref.pointwise_negativity.hex()
     worst = np.unravel_index(np.argmin(ref.M), ref.M.shape)
     assert (dm.worst_step, dm.worst_cell, dm.worst_v) == tuple(map(int, worst))
