@@ -236,6 +236,10 @@ def _cmd_entropy_audit(args) -> int:
                       _entropy_report)
 
 
+# what a by-level trend line says of a single level, which has no trend
+_NO_TREND = "one level: no trend to check"
+
+
 def _kinetic_observers(cfg, level, flux) -> list:
     return [lambda lo, hi: kinetic_mod.DefectAudit(
         flux, kinetic_mod.VGrid.for_range(lo, hi, n=cfg.n_v))]
@@ -277,9 +281,12 @@ def _kinetic_report(args, cfg, levels, out) -> int:
 
     decreasing = all(scores[i + 1] < scores[i] for i in range(len(scores) - 1))
     separated = base_dm.negativity_score >= 10.0 * scores[-1]
+    if len(scores) == 1:
+        trend = f"  ({_NO_TREND})"
+    else:
+        trend = "  (strictly decreasing PASS)" if decreasing else "  FAIL"
     lines = ["negativity by level: "
-             + " ".join(f"{s:.3e}" for s in scores)
-             + ("  (strictly decreasing PASS)" if decreasing else "  FAIL"),
+             + " ".join(f"{s:.3e}" for s in scores) + trend,
              f"frozen expansion baseline: {base_dm.negativity_score:.3e} "
              + (">= 10x finest PASS" if separated else "FAIL")]
     ok = decreasing and separated
@@ -372,12 +379,15 @@ def _young_report(args, cfg, levels, out) -> int:
     else:
         trend_ok = all(trend[i + 1] < trend[i] for i in range(len(trend) - 1))
         trend_msg = "strictly decreasing"
+    verdict = f"({trend_msg} " + ("PASS)" if trend_ok else "FAIL)")
+    if cfg.problem != "checkerboard" and len(trend) == 1:
+        verdict = f"({_NO_TREND})"
     var_ok = base_var >= 0.9
     gap_ok = abs(gap - 0.5) <= 1.0 / 64.0
     ok = trend_ok and var_ok and gap_ok
     _say(args,
          "max patch variance by level: " + " ".join(f"{v:.3e}" for v in trend)
-         + f"  ({trend_msg} " + ("PASS)" if trend_ok else "FAIL)"),
+         + f"  {verdict}",
          f"checkerboard variance {base_var:.4f} "
          + ("PASS" if var_ok else "FAIL"),
          f"checkerboard flux gap {gap:.10f} (want 0.5 +- 1/64) "

@@ -24,12 +24,14 @@ closure there.  Riemann data still fits: on a periodic interval the wrap
 face carries a standing jump with equal flux on both sides.
 
 The audit streams: :class:`DefectAudit` takes one step at a time
-(``defect_measure`` replays a kept trajectory into it).  It evaluates each
-step only on per-cell velocity windows, outside which the residual is
-exactly 0, and holds O(n_cells * n_v) floats plus two floats per step: the
+(``defect_measure`` replays a kept trajectory into it) and evaluates the
+steps in blocks of about ``_BUDGET`` window entries, each block in one
+pass and only on per-cell velocity windows, outside which the residual is
+exactly 0.  It holds O(n_cells * n_v) floats plus two floats per step: the
 step size and the area-weighted positive mass, so ``total_mass`` is summed
 per step.  Reading ``KineticResidual.values`` or ``KineticResidual.M``
-rebuilds every step densely and costs O(n_steps * n_cells * n_v) memory.
+rebuilds every step densely, one step per block, and costs
+O(n_steps * n_cells * n_v) memory.
 """
 
 from __future__ import annotations
@@ -100,10 +102,13 @@ class VGrid:
 def chi(v, alpha) -> np.ndarray:
     """Signed indicator chi(v | alpha); boundaries count as outside."""
     v = np.asarray(v, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    pos = (v > 0.0) & (v < alpha)
-    neg = (v < 0.0) & (v > alpha)
-    return pos.astype(np.int8) - neg.astype(np.int8)
+    return _chi(v, v > 0.0, v < 0.0, np.asarray(alpha, dtype=float))
+
+
+def _chi(v, pos, neg, alpha) -> np.ndarray:
+    """:func:`chi` given the masks ``pos = v > 0`` and ``neg = v < 0``."""
+    return ((pos & (v < alpha)).view(np.int8)
+            - (neg & (v > alpha)).view(np.int8))
 
 
 @dataclass
@@ -154,8 +159,8 @@ class KineticResidual:
         (rho^{n+1} - rho^n) / dt_n + (1 / |K|) sum_e |e| c_e rho_up
 
     with c_e = f'(v_j) . n_e and rho_up the upwind copy of rho^n.
-    :meth:`steps` computes them in order, each on its step's windows and
-    exactly 0 elsewhere; ``values`` stacks all of them into
+    :meth:`steps` computes them in order, each as a block of one step on
+    its windows and exactly 0 elsewhere; ``values`` stacks all of them into
     (n_steps, n_cells, n_v) and ``M`` their v-antiderivatives, zero at v_min,
     into (n_steps, n_cells, n_v + 1) at the velocity edges; each costs that
     much memory to read.  Built by :func:`kinetic_residual`.
@@ -178,7 +183,9 @@ class KineticResidual:
         fields = self.traj.fields
         window = _Window(self.flux, self.grid, fields[0])
         for before, after in zip(fields, fields[1:]):
-            w = window.step(before.values, after.values, after.t - before.t)
+            u_old, u_new = before.values[None], after.values[None]
+            w = window.block(u_old, u_new, np.array([after.t - before.t]),
+                             *window.hull(u_old, u_new))
             out = np.zeros((self.mesh.n_cells, self.grid.n))
             out[w.cell, w.v] = w.r
             yield out
@@ -200,15 +207,24 @@ class KineticResidual:
 
 @dataclass
 class _Entries:
-    """One step's residual on its windows: cell K's window is the velocity
-    indices [start[K], start[K] + size[K]), and entry i is the residual
-    ``r[i]`` at (``cell[i]``, ``v[i]``), in (cell, velocity) order."""
+    """A block of consecutive steps' residuals on their windows.
 
+    Busy row k is cell ``busy_cell[k]`` of step ``busy_step[k]``, whose
+    window is not empty: the velocity indices [start[k], start[k] +
+    size[k]).  The busy rows are in (step, cell) order.  Entry i is the
+    residual ``r[i]`` at (``step[i]``, ``cell[i]``, ``v[i]``), in (step,
+    cell, velocity) order, and ``M[i]`` its row's antiderivative at the
+    upper edge of velocity cell ``v[i]``."""
+
+    busy_step: np.ndarray
+    busy_cell: np.ndarray
     start: np.ndarray
     size: np.ndarray
+    step: np.ndarray
     cell: np.ndarray
     v: np.ndarray
     r: np.ndarray
+    M: np.ndarray
 
 
 class _Window:
@@ -222,10 +238,10 @@ class _Window:
     W = div(|e| c_e) / |K| summed as the dense divergence sums it.  W is
     exactly 0 on a 1-D mesh, whose cells' two faces carry the same flow; a
     cell whose W row is not widens its window to v = 0, beyond which
-    rho = 0.  So outside its window a cell's residual is
-    exactly 0, and inside it is evaluated in the dense operation order.
-    The spatial flux terms telescope only on a fully periodic mesh, so any
-    other is refused.
+    rho = 0.  So outside its window a cell's residual is exactly 0, and
+    inside it :meth:`block` evaluates it, and its v-antiderivative, in the
+    dense operation order.  The spatial flux terms telescope only on a
+    fully periodic mesh, so any other is refused.
     """
 
     def __init__(self, flux, grid: VGrid, field0: CellField):
@@ -235,34 +251,67 @@ class _Window:
         flow = mesh.face_length[:, None] * c
         w = mesh.divergence(flow)
         w /= mesh.cell_area[:, None]
-        # bounds on each cell's hull that widen it to v = 0 where W is not 0
-        self.floor = np.where(w.any(axis=1), 0.0, np.inf)
-        self.ceil = -self.floor
-        # per (face, velocity), flattened: the flow and its upwind cell
+        # per cell, what its hull spans, as indices into [u_old, u_new, 0]:
+        # its old and new value, its neighbours' old values, and 0 if its W
+        # row is not 0
+        n = mesh.n_cells
+        cells = np.arange(n)
+        spans = [cells, n + cells, *mesh.cell_neighbors]
+        widen = w.any(axis=1)
+        if widen.any():
+            spans.append(np.where(widen, 2 * n, cells))
+        self.spans = np.array(spans)
+        # per (face, velocity), flattened: the flow and its upwind cell; and
+        # per face slot of each cell, the offset of its face's velocities
         self.flow = flow.ravel()
         self.upwind = np.where(c >= 0.0, mesh.face_left[:, None],
                                mesh.face_right[:, None]).ravel()
+        self.face_at = mesh.cell_faces * grid.n
         self.mesh, self.grid, self.centers = mesh, grid, grid.centers
 
-    def step(self, u_old: np.ndarray, u_new: np.ndarray, dt: float) -> _Entries:
-        mesh, n_v, centers = self.mesh, self.grid.n, self.centers
+    def hull(self, u_old: np.ndarray, u_new: np.ndarray):
+        """Each cell's window in the steps from the rows of ``u_old`` to
+        those of ``u_new``, (n_steps, n_cells) arrays: its first velocity
+        index and its size, each (n_steps, n_cells).  A ``u_new`` that the
+        grid does not cover is refused."""
         _check_covers(self.grid, u_new)
-        lo, hi = mesh.neighbor_range(u_old)
-        lo = np.minimum(np.minimum(lo, u_new), self.floor)
-        hi = np.maximum(np.maximum(hi, u_new), self.ceil)
-        start = np.searchsorted(centers, lo, "left")
-        size = np.searchsorted(centers, hi, "right") - start
-        cell = np.repeat(np.arange(mesh.n_cells), size)
-        v = np.arange(cell.size) + np.repeat(start - (np.cumsum(size) - size), size)
+        zero = np.zeros((len(u_old), 1))
+        spans = np.concatenate((u_old, u_new, zero), axis=1)[:, self.spans]
+        start = np.searchsorted(self.centers, np.minimum.reduce(spans, axis=1))
+        end = np.searchsorted(self.centers, np.maximum.reduce(spans, axis=1),
+                              "right")
+        return start, end - start
+
+    def block(self, u_old, u_new, dts, start, size) -> _Entries:
+        """The residual and M of consecutive steps in one pass: the steps'
+        fields and their :meth:`hull` as (n_steps, n_cells) arrays, and
+        their sizes ``dts``."""
+        mesh, centers = self.mesh, self.centers
+        u_old, u_new = u_old.ravel(), u_new.ravel()
+        busy = np.flatnonzero(size)
+        start, size = start.ravel()[busy], size.ravel()[busy]
+        end = np.cumsum(size)
+        row = np.repeat(busy, size)
+        v = np.arange(row.size) + np.repeat(start - (end - size), size)
+        busy_step, busy_cell = np.divmod(busy, mesh.n_cells)
+        step, cell = np.repeat(busy_step, size), np.repeat(busy_cell, size)
         vc = centers[v]
-        r = (chi(vc, u_new[cell]) - chi(vc, u_old[cell])) / dt
-        div = np.zeros(cell.size)
-        for faces, sign in zip(mesh.cell_faces, mesh.cell_face_sign):
-            at = faces[cell] * n_v + v
-            div += sign[cell] * (self.flow[at] * chi(vc, u_old[self.upwind[at]]))
+        pos, neg = vc > 0.0, vc < 0.0
+        r = (_chi(vc, pos, neg, u_new[row])
+             - _chi(vc, pos, neg, u_old[row])) / dts[step]
+        # the face terms of every face slot at once, (width, n_entries)
+        at = self.face_at.take(cell, axis=1) + v
+        up = _chi(vc, pos, neg, u_old[row - cell + self.upwind[at]])
+        terms = mesh.cell_face_sign.take(cell, axis=1) * (self.flow[at] * up)
+        div = np.zeros(row.size)
+        for term in terms:
+            div += term
         div /= mesh.cell_area[cell]
         r += div
-        return _Entries(start, size, cell, v, r)
+        M = _row_cumsum(r, size)
+        M *= self.grid.dv
+        return _Entries(busy_step, busy_cell, start, size, step, cell, v,
+                        r, M)
 
 
 def _check_auditable(grid: VGrid, field0: CellField) -> None:
@@ -287,18 +336,29 @@ def _antiderivative(r: np.ndarray, dv: float, out: np.ndarray) -> None:
     out[:, 1:] *= dv
 
 
-def _window_antiderivative(w: _Entries, dv: float) -> np.ndarray:
-    """M at the upper velocity edge of every window entry: the cell's window
-    residual summed in v in order, times dv, as :func:`_antiderivative`
-    forms it.  Below a window M is 0; above it, M is its last value."""
-    busy = w.size[w.size > 0]
-    width = int(busy.max(initial=0))
-    at = np.repeat(np.arange(busy.size) * width, busy) + w.v - w.start[w.cell]
-    rows = np.zeros((busy.size, width))
-    flat = rows.reshape(-1)
-    flat[at] = w.r
-    np.cumsum(rows, axis=1, out=rows)
-    return flat[at] * dv
+def _row_cumsum(values: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Running sums of the consecutive rows of ``values``, row k its next
+    size[k] > 0 entries, each summed in order as np.cumsum sums that row
+    padded with zeros.  Rows up to a width t are padded to t and the others
+    to the widest, with t the width that pads least: a few wide windows
+    then pad only each other."""
+    widest = int(size.max(initial=0))
+    narrow = np.cumsum(np.bincount(size, minlength=widest + 1))  # size <= t
+    t = int(np.argmin(narrow * np.arange(widest + 1)
+                      + (size.size - narrow) * widest))
+    wide = size > t
+    n_narrow = int(narrow[t])
+    seen = np.cumsum(wide)                        # wide rows up to row k
+    offset = np.where(wide, n_narrow * t + (seen - 1) * widest,
+                      (np.arange(size.size) - seen) * t)
+    end = np.cumsum(size)
+    at = np.arange(values.size) + np.repeat(offset - (end - size), size)
+    buf = np.zeros(n_narrow * t + (size.size - n_narrow) * widest)
+    buf[at] = values
+    for rows in (buf[:n_narrow * t].reshape(n_narrow, t),
+                 buf[n_narrow * t:].reshape(size.size - n_narrow, widest)):
+        np.cumsum(rows, axis=1, out=rows)
+    return buf[at]
 
 
 @dataclass
@@ -361,17 +421,42 @@ def _tent_windows(mesh: Mesh, per_axis: int, frac: float) -> np.ndarray:
     return phi * mesh.cell_area[None, :]
 
 
+# window entries per block of the defect audit, counting a step as its
+# window entries or its cells, whichever are more.  On a 64-cell sign step,
+# about 480 entries a step, a block is 8 steps
+_BUDGET = 1 << 12
+
+
+def _parts(weight, budget: int):
+    """Split consecutive steps of these weights into runs that each weigh
+    at most ``budget``, or are one step heavier than that alone."""
+    first, held = 0, 0
+    for k, w in enumerate(weight):
+        if held + w > budget and k > first:
+            yield first, k
+            first, held = k, 0
+        held += w
+    yield first, len(weight)
+
+
 class DefectAudit:
     """The :class:`DefectMeasure` of one run, fed ``start(field0)`` and then
     every accepted step; ``finish()`` gives it.
 
-    Each step's residual and M are formed on its windows only (see
-    :class:`_Window`), so M, its minimum and the worst location are those
-    of the dense arrays bit for bit.  The audit holds the time integral
-    ``acc`` of M as window values plus a difference table of the constant
-    tails above the windows, summed in v by ``finish``: O(n_cells * n_v)
-    floats.  What grows with the run is two floats per step, its size and
-    its area-weighted positive mass, so ``total_mass`` is summed per step.
+    The steps are evaluated in blocks.  A step's fields are held until the
+    block has as many steps as fit in ``_BUDGET`` window entries at the
+    heaviest step of the block before (one step for the first block), or
+    until ``finish``.  Then one pass takes the hulls of the whole block,
+    and :meth:`_Window.block` its residual and M in parts that fit the
+    budget, or are one step alone.  Both are formed on the windows only,
+    so M, its minimum and the worst location are those of the dense arrays
+    bit for bit; a part's first minimum replaces the run's only when
+    strictly lower, so ties keep the earliest step.  The audit holds the
+    time integral ``acc`` of M as window values plus a difference table of
+    the constant tails above the windows, summed in v by ``finish``, and
+    one block: O(n_cells * n_v) floats.  What grows with the run is two
+    floats per step, its size and its area-weighted positive mass, so
+    ``total_mass`` is summed per step.
     """
 
     def __init__(self, flux, grid: VGrid):
@@ -383,31 +468,60 @@ class DefectAudit:
         self.acc = np.zeros((n_cells, n_v + 1))
         self._tails = np.zeros((n_cells, n_v + 2))
         self._mass, self._dts = [], []
-        self.lowest, self.worst = np.inf, (0, 0, 0)
+        self.lowest, self.worst = 0.0, (0, 0, 0)
+        self._held, self._block_steps = [], 1
 
     def step(self, before: CellField, after: CellField, dt: float, faces):
-        w = self._window.step(before.values, after.values, dt)
-        M, n_v = _window_antiderivative(w, self.grid.dv), self.grid.n
-        # M is 0 outside the windows: a step with no negative M has its first
-        # minimum at M(v_min) of cell 0, and a negative one in a window
-        low, where = 0.0, (0, 0)
-        i = int(M.argmin()) if M.size else 0
-        if M.size and M[i] < 0.0:
-            low, where = M[i], (int(w.cell[i]), int(w.v[i]) + 1)
-        if low < self.lowest:           # strict: ties keep the earliest step
-            self.lowest, self.worst = low, (len(self._dts), *where)
+        self._held.append((before.values, after.values, dt))
+        if len(self._held) == self._block_steps:
+            self._flush()
+
+    def _flush(self):
+        if not self._held:
+            return
+        u_old, u_new, dts = (np.array(a) for a in zip(*self._held))
+        self._held = []
+        start, size = self._window.hull(u_old, u_new)
+        weight = np.maximum(size.sum(axis=1), size.shape[1])
+        self._block_steps = max(1, _BUDGET // int(weight.max()))
+        for a, b in _parts(weight.tolist(), _BUDGET):
+            self._add(self._window.block(u_old[a:b], u_new[a:b], dts[a:b],
+                                         start[a:b], size[a:b]), dts[a:b])
+
+    def _add(self, w: _Entries, dts: np.ndarray):
+        n_v, first = self.grid.n, len(self._dts)
+        # M is 0 outside the windows, so the run's minimum starts at M(v_min)
+        # of cell 0 in step 0, and a lower one is in a window
+        if w.M.size:
+            i = int(w.M.argmin())
+            if w.M[i] < self.lowest:
+                self.lowest = w.M[i]
+                self.worst = (first + int(w.step[i]), int(w.cell[i]),
+                              int(w.v[i]) + 1)
         # above its window a cell's M stays at its last window value
-        busy = np.flatnonzero(w.size)
-        top = w.start[busy] + w.size[busy]
-        last = M[np.cumsum(w.size[busy]) - 1]
+        top = w.start + w.size
+        last = w.M[np.cumsum(w.size) - 1]
         area = self._window.mesh.cell_area
-        self._mass.append(float(area[w.cell] @ np.maximum(M, 0.0)
-                                + (area[busy] * (n_v - top)) @ np.maximum(last, 0.0)))
-        self.acc.reshape(-1)[w.cell * (n_v + 1) + w.v + 1] += dt * M
-        self._tails.reshape(-1)[busy * (n_v + 2) + top + 1] += dt * last
-        self._dts.append(dt)
+        # the positive mass is summed step by step, each as one dot product
+        bounds = np.arange(len(dts) + 1)
+        entries = np.searchsorted(w.step, bounds).tolist()
+        rows = np.searchsorted(w.busy_step, bounds).tolist()
+        inside, outside = area[w.cell], area[w.busy_cell] * (n_v - top)
+        up, up_last = np.maximum(w.M, 0.0), np.maximum(last, 0.0)
+        for k in range(len(dts)):
+            e, f = entries[k], entries[k + 1]
+            b, c = rows[k], rows[k + 1]
+            self._mass.append(float(inside[e:f] @ up[e:f]
+                                    + outside[b:c] @ up_last[b:c]))
+        # np.add.at adds in entry order, so each element's terms in step order
+        np.add.at(self.acc.reshape(-1), w.cell * (n_v + 1) + w.v + 1,
+                  dts[w.step] * w.M)
+        np.add.at(self._tails.reshape(-1), w.busy_cell * (n_v + 2) + top + 1,
+                  dts[w.busy_step] * last)
+        self._dts.extend(dts.tolist())
 
     def finish(self) -> DefectMeasure:
+        self._flush()
         if not self._dts:
             raise ValueError("need at least one step")
         mesh = self._window.mesh

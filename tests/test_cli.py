@@ -578,6 +578,28 @@ def test_kinetic_audit_rejects_open_boundaries(tmp_path, capsys):
     assert "periodic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, problem, head", [
+    ("kinetic-audit", "expansion_shock", "negativity by level: "),
+    ("young-audit", "smooth_sine", "max patch variance by level: ")],
+    ids=["kinetic-audit", "young-audit"])
+def test_one_level_has_no_trend_verdict(tmp_path, capsys, command, problem,
+                                        head):
+    # a single value is not a decreasing sequence: the line says so, and
+    # the other verdicts alone set the exit code
+    rc = main([command, "--set", f"problem={problem}", "--set", "base_n=40",
+               "--set", "levels=1", "--out", str(tmp_path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(head)
+    assert lines[0].endswith("  (one level: no trend to check)")
+    assert rc == (1 if any("FAIL" in line for line in lines) else 0)
+    # two levels still get the strictly-decreasing check
+    main([command, "--set", f"problem={problem}", "--set", "base_n=40",
+          "--set", "levels=2", "--out", str(tmp_path)])
+    line = capsys.readouterr().out.splitlines()[0]
+    assert "no trend" not in line
+    assert line.endswith("(strictly decreasing PASS)") or "FAIL" in line
+
+
 def test_young_audit_csv_rarefaction(tmp_path):
     rc = main(["young-audit", "--set", "problem=riemann_rarefaction",
                "--set", "base_n=40", "--set", "levels=3",

@@ -30,6 +30,7 @@ from fvaudit import (
     triangulated_rectangle,
     uniform_interval_mesh,
 )
+from fvaudit import kinetic
 from fvaudit.kinetic import DefectAudit, _tent_windows
 from fvaudit.scheme import state_range
 
@@ -199,6 +200,19 @@ def test_kinetic_residual_needs_a_step():
     traj = Trajectory([CellField(mesh, np.zeros(16))])
     with pytest.raises(ValueError):
         kinetic_residual(traj, make_flux("burgers"))
+
+
+def test_field_leaving_the_grid_is_refused():
+    # only the first field is checked up front; a later one that leaves
+    # the grid is refused when its step is evaluated, in a block or alone
+    mesh = uniform_interval_mesh(16, 0.0, 1.0, periodic=True)
+    values = [np.full(16, 0.5)] * 3 + [np.full(16, 2.0)]
+    traj = Trajectory([CellField(mesh, u, t=0.1 * s)
+                       for s, u in enumerate(values)])
+    res = kinetic_residual(traj, make_flux("burgers"), VGrid(-1.0, 1.0, 16))
+    for read in (defect_measure, lambda res: res.values):
+        with pytest.raises(ValueError, match="does not cover"):
+            read(res)
 
 
 def test_kinetic_residual_default_grid_covers_trajectory():
@@ -490,6 +504,124 @@ def test_streaming_worst_location_takes_the_first_tie():
     assert dm.worst_step == 0
     assert np.array_equal(M[0], M[2])
     assert M[0, dm.worst_cell, dm.worst_v] == -dm.pointwise_negativity < 0.0
+
+
+# ---------------------------------------------------------------------------
+# blocks of steps: however the run is split, the record has the same bits
+
+
+def _step_weights(res):
+    """Each step's weight in the audit's block budget: its window entries,
+    or its cells if there are more of those."""
+    u = np.array([f.values for f in res.traj.fields])
+    window = kinetic._Window(res.flux, res.grid, res.traj.fields[0])
+    size = window.hull(u[:-1], u[1:])[1]
+    return np.maximum(size.sum(axis=1), size.shape[1])
+
+
+def _record_blocks(monkeypatch, budget):
+    """Patch the block budget.  Record each nonempty flush as the steps it
+    held and the block length it was due at, and each evaluated part as its
+    steps and window entries."""
+    monkeypatch.setattr(kinetic, "_BUDGET", budget)
+    flushes, parts = [], []
+    flush, block = DefectAudit._flush, kinetic._Window.block
+
+    def recording_flush(self):
+        if self._held:
+            flushes.append((len(self._held), self._block_steps))
+        flush(self)
+
+    def recording_block(self, u_old, *rest):
+        w = block(self, u_old, *rest)
+        parts.append((len(u_old), w.r.size))
+        return w
+
+    monkeypatch.setattr(DefectAudit, "_flush", recording_flush)
+    monkeypatch.setattr(kinetic._Window, "block", recording_block)
+    return flushes, parts
+
+
+def _assert_extremes_match(dm, ref):
+    assert dm.pointwise_negativity.hex() == ref.pointwise_negativity.hex()
+    worst = np.unravel_index(np.argmin(ref.M), ref.M.shape)
+    assert (dm.worst_step, dm.worst_cell, dm.worst_v) == tuple(map(int, worst))
+
+
+@pytest.mark.parametrize("case", list(STREAMING_CASES))
+def test_blocks_of_steps_match_the_dense_reference(case, monkeypatch):
+    traj, flux, grid = STREAMING_CASES[case]()
+    res = kinetic_residual(traj, flux, grid)
+    ref_res = reference_kinetic_residual(traj, flux, grid)
+    ref = reference_defect_measure(ref_res)
+    assert _same_bits(res.values, ref_res.values)
+    assert _same_bits(res.M, ref.M)
+    whole = defect_measure(res)
+    # the first block is one step; blocks of k steps follow, with k chosen
+    # so that the steps run out in the middle of the last one
+    rest = len(traj) - 2
+    k = next(k for k in range(2, rest + 2) if rest % k)
+    flushes, _ = _record_blocks(monkeypatch, k * int(_step_weights(res).max()))
+    dm = defect_measure(res)
+    assert len(flushes) > 1 and max(held for held, _ in flushes) > 1
+    held, due = flushes[-1]
+    assert held < due
+    # every element's terms are added in step order in any split
+    assert dm == whole
+    _assert_extremes_match(dm, ref)
+
+
+def test_identical_steps_across_blocks_keep_the_first_tie(monkeypatch):
+    traj = frozen_trajectory(_sign_step(160), dt=1e-3, n_steps=20)
+    flux, grid = make_flux("burgers"), VGrid.for_range(-1.0, 1.0, n=128)
+    res = kinetic_residual(traj, flux, grid)
+    M = res.M
+    flushes, _ = _record_blocks(monkeypatch, kinetic._BUDGET)
+    dm = defect_measure(res)
+    assert len(flushes) > 2
+    assert dm.worst_step == 0
+    assert np.array_equal(M[0], M[-1])
+    assert M[0, dm.worst_cell, dm.worst_v] == -dm.pointwise_negativity < 0.0
+
+
+def test_step_heavier_than_the_budget_is_evaluated_alone(monkeypatch):
+    # between +-1 alternating cells every hull is [-1, 1], so every window
+    # spans the whole grid: 64 x 128 entries, twice the budget
+    mesh = _periodic_interval(64)
+    flat = np.full(64, 0.3)
+    checks = np.where(np.arange(64) % 2, -1.0, 1.0)
+    values = [flat] * 4 + [checks] * 3 + [flat] * 3
+    traj = Trajectory([CellField(mesh, u, t=0.01 * s)
+                       for s, u in enumerate(values)])
+    flux, grid = make_flux("burgers"), VGrid(-1.0, 1.0, 128)
+    res = kinetic_residual(traj, flux, grid)
+    assert _step_weights(res).max() == 64 * 128 > kinetic._BUDGET
+    ref_res = reference_kinetic_residual(traj, flux, grid)
+    ref = reference_defect_measure(ref_res)
+    assert _same_bits(res.M, ref.M)
+    _, parts = _record_blocks(monkeypatch, kinetic._BUDGET)
+    dm = defect_measure(res)
+    assert all(steps == 1 for steps, entries in parts
+               if entries > kinetic._BUDGET)
+    assert any(entries > kinetic._BUDGET for _, entries in parts)
+    assert any(steps > 1 for steps, _ in parts)
+    _assert_extremes_match(dm, ref)
+    assert abs(dm.total_mass - ref.total_mass) <= 1e-13 * abs(ref.total_mass)
+
+
+@pytest.mark.parametrize("one_step", [
+    lambda: frozen_trajectory(_sign_step(32), dt=1e-3, n_steps=1),
+    lambda: Trajectory(_expansion_run(40).fields[:2])],
+    ids=["frozen", "evolved"])
+def test_one_step_run_matches_the_dense_reference(one_step):
+    traj = one_step()
+    flux, grid = make_flux("burgers"), VGrid.for_range(-1.0, 1.0, n=128)
+    dm = defect_measure(kinetic_residual(traj, flux, grid))
+    ref = reference_defect_measure(reference_kinetic_residual(traj, flux, grid))
+    _assert_extremes_match(dm, ref)
+    assert abs(dm.total_mass - ref.total_mass) <= 1e-13 * abs(ref.total_mass)
+    assert abs(dm.negativity_score - ref.negativity_score) \
+        <= 1e-13 * abs(ref.negativity_score)
 
 
 @lru_cache(maxsize=None)
