@@ -153,6 +153,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_converge(args) -> int:
+    if args.min_rate is not None and not np.isfinite(args.min_rate):
+        # nan fails every comparison and an infinite bound decides nothing
+        raise ValueError(f"--min-rate must be finite, got {args.min_rate}")
     cfg = _load_config(args)
     if cfg.levels < 2:
         raise ValueError("converge needs at least 2 levels")

@@ -202,6 +202,7 @@ class StudyConfig:
             raise ValueError("need at least two bins")
         if self.patches < 1:
             raise ValueError("need at least one patch per axis")
+        self.audit_names()
         # scheme parameters are validated where they are used
         self.scheme()
 
@@ -226,6 +227,9 @@ class StudyConfig:
             unknown = [n for n in names if n not in AUDIT_ORDER]
             if unknown:
                 raise ValueError(f"unknown audits {unknown}; known: {AUDIT_ORDER}")
+            repeated = sorted({n for n in names if names.count(n) > 1})
+            if repeated:
+                raise ValueError(f"audits named more than once: {repeated}")
             return names
         names = []
         if spec.periodic:
@@ -389,21 +393,28 @@ class _MaxPrinciple:
                            *self.where)
 
 
-def _total_variation(field: CellField) -> float:
-    mesh = field.mesh
+def _interior_pairs(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """The (left, right) cells of every interior face."""
     interior = mesh.face_right >= 0
-    jumps = np.abs(field.values[mesh.face_right[interior]]
-                   - field.values[mesh.face_left[interior]])
-    return float(jumps.sum())
+    return mesh.face_left[interior], mesh.face_right[interior]
+
+
+def _jumps(u: np.ndarray, left: np.ndarray, right: np.ndarray) -> float:
+    return float(np.abs(u[right] - u[left]).sum())
+
+
+def _total_variation(field: CellField) -> float:
+    return _jumps(field.values, *_interior_pairs(field.mesh))
 
 
 class _TotalVariation:
     def start(self, field0: CellField):
-        self.tv0 = self.tv = _total_variation(field0)
+        self.pairs = _interior_pairs(field0.mesh)
+        self.tv0 = self.tv = _jumps(field0.values, *self.pairs)
         self.steps, self.growth, self.where = 0, -math.inf, -1
 
     def step(self, before, after, dt, faces):
-        tv = _total_variation(after)
+        tv = _jumps(after.values, *self.pairs)
         if tv - self.tv > self.growth:  # strict: ties keep the earliest step
             self.growth, self.where = tv - self.tv, self.steps
         self.tv, self.steps = tv, self.steps + 1

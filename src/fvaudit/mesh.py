@@ -203,18 +203,31 @@ class Mesh:
         v = np.asarray(face_values, dtype=float)
         if v.shape[:1] != (self.n_faces,):
             raise ValueError(f"expected {self.n_faces} face values, got {v.shape}")
-        signed = np.concatenate([v, -v, np.zeros((1,) + v.shape[1:])])
-        out = np.zeros((self.n_cells,) + v.shape[1:])
-        for slots in self._signed_slots:
-            out += signed[slots]
-        return out
+        return _signed_sum(self._signed_slots, v, self.n_cells)
 
     def neighbor_range(self, u) -> tuple[np.ndarray, np.ndarray]:
         """Per-cell min and max of ``u`` over the cell and its face neighbors."""
-        u = np.asarray(u, dtype=float)
-        around = u[self.cell_neighbors]
-        return (np.minimum(u, around.min(axis=0)),
-                np.maximum(u, around.max(axis=0)))
+        return _range_over(self.cell_neighbors, np.asarray(u, dtype=float))
+
+
+def _signed_sum(slots: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """:meth:`Mesh.divergence` into ``n`` cells by the table ``slots`` into
+    [v; -v; 0], which may also be that of meshes laid side by side."""
+    signed = np.concatenate([v, -v, np.zeros((1,) + v.shape[1:])])
+    out = np.zeros((n,) + v.shape[1:])
+    for row in slots:               # one table row at a time
+        out += signed[row]
+    return out
+
+
+def _range_over(neighbors: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell min and max of ``u`` over the cell and the cells its column
+    of ``neighbors`` names, one table row at a time."""
+    lo = hi = u[neighbors[0]]
+    for row in neighbors[1:]:
+        x = u[row]
+        lo, hi = np.minimum(lo, x), np.maximum(hi, x)
+    return np.minimum(u, lo), np.maximum(u, hi)
 
 
 def _incidence(n_cells: int, face_left: np.ndarray, face_right: np.ndarray):

@@ -7,11 +7,12 @@ The update is the standard flux-form step
 where the sum runs over the faces of K, ``a_e``/``b_e`` are the traces of
 the reconstruction on both sides of the face and ``g`` is a two-point
 numerical flux.  Everything is assembled face-wise and summed into cells
-by :meth:`Mesh.divergence`, so a periodic face (stored once) contributes
+as :meth:`Mesh.divergence` sums, so a periodic face (stored once) contributes
 with opposite signs to its two cells and conservation holds to rounding.
 Per-cell neighbor bounds come from the same incidence table.  The flux
-direction as each face and table entry sees it, c = d . n, depends only on
-the mesh and the flux, so it is computed once and cached on the mesh.
+direction c = d . n depends only on the mesh and the flux, so it is
+computed once and cached on the mesh.  A march steps its k fields as one
+state, with the mesh's tables tiled k times.
 
 Outflow boundaries copy the inside trace to the ghost side.
 """
@@ -25,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .mesh import Mesh
+from .mesh import Mesh, _range_over, _signed_sum
 from .physics import Along
 
 __all__ = [
@@ -129,6 +130,17 @@ class CellField:
     @property
     def total_mass(self) -> float:
         return float(self.mesh.cell_area @ self.values)
+
+
+def _checked_field(mesh: Mesh, values: np.ndarray, t: float) -> CellField:
+    """A field over a read-only copy of ``values``, which a step has checked
+    finite.  Copied, not kept: the step allocated them among its temporaries,
+    and fields that observers hold would pin those on the heap (study_1d
+    peaked 0.19 MB higher)."""
+    field = object.__new__(CellField)
+    field.mesh, field.values, field.t = mesh, values.copy(), t
+    field.values.setflags(write=False)
+    return field
 
 
 def cell_averages(mesh: Mesh, fn: Callable) -> np.ndarray:
@@ -316,7 +328,7 @@ def _face_states(mesh: Mesh, u: np.ndarray,
 
 def _geometry(mesh: Mesh, flux) -> tuple[Along, Along]:
     """The flux direction as the mesh sees it: c = d . n of every face, and
-    |d . n| of every incidence-table entry (0 on pads).
+    per cell the largest |d . n| over its faces.
 
     Both depend on the mesh and ``flux.direction`` alone, so they are
     computed on first use and kept on the mesh.
@@ -324,37 +336,108 @@ def _geometry(mesh: Mesh, flux) -> tuple[Along, Along]:
     key = ("flux_geometry", flux.direction)
     geometry = mesh._derived.get(key)
     if geometry is None:
-        # pads carry a zero normal, hence a zero speed
+        # pads carry a zero normal, hence a zero speed; the max |c| times a
+        # speed >= 0 is the max of the products, as rounding is monotone
         normals = (mesh.face_normal[mesh.cell_faces]
                    * np.abs(mesh.cell_face_sign)[..., None])
         face = flux.along(mesh.face_normal)
-        table = Along(flux.direction, np.abs(flux.along(normals).c))
-        for projected in (face, table):
+        cell = Along(flux.direction, np.abs(flux.along(normals).c).max(axis=0))
+        for projected in (face, cell):
             projected.c.setflags(write=False)
-        geometry = mesh._derived[key] = (face, table)
+        geometry = mesh._derived[key] = (face, cell)
     return geometry
 
 
-def _face_record(mesh: Mesh, flux, config: SchemeConfig, u: np.ndarray,
-                 lf_range: tuple[float, float] | None = None) -> tuple:
+class _Stack:
+    """The step of ``k`` fields of a mesh as one state of k * n_cells
+    values, field i from entry i * n_cells on.  The mesh's tables are tiled
+    k times, copy i's indices moved by i fields, so that one numpy call
+    steps all k and each value meets the operands, in the order, of a step
+    of its field alone."""
+
+    def __init__(self, mesh: Mesh, flux, config: SchemeConfig, k: int = 1):
+        n, f = mesh.n_cells, mesh.n_faces
+        self.mesh, self.flux, self.config, self.k = mesh, flux, config, k
+
+        def tile(x, shift=None):    # copy i of an index moves by i * shift
+            return x if k == 1 else np.concatenate(
+                [x if shift is None else x + i * shift for i in range(k)], -1)
+
+        face, cell = _geometry(mesh, flux)
+        self.normal = Along(flux.direction, tile(face.c))
+        self.speed = Along(flux.direction, tile(cell.c))
+        self.area, self.perimeter = tile(mesh.cell_area), tile(mesh.cell_perimeter)
+        self.length = tile(mesh.face_length)
+        self.left, self.across = tile(mesh.face_left, n), tile(mesh.face_across, n)
+        self.neighbors = tile(mesh.cell_neighbors, n)
+        s = mesh._signed_slots      # rows into [v; -v; 0], each part k * f long
+        self.slots = s if k == 1 else np.concatenate(
+            [np.where(s < f, s + i * f, np.where(s < 2 * f, s + (k - 1 + i) * f, 2 * k * f))
+             for i in range(k)], -1)
+        self.joint = (k > 1 and config.flux_rule == "lax_friedrichs"
+                      and config.lf_dissipation_mode == "global")
+
+    def split(self, x: np.ndarray):
+        m = len(x) // self.k
+        return (x,) if self.k == 1 else [x[i * m:(i + 1) * m] for i in range(self.k)]
+
+    def bound(self, u: np.ndarray) -> float:
+        lo, hi = _range_over(self.neighbors, u)
+        s = np.maximum(self.flux.max_wave_speed(lo, hi, self.speed), _SPEED_FLOOR)
+        least = self.split(self.area / (self.perimeter * s))
+        return min(self.config.cfl_number * float(x.min()) for x in least)
+
+    def record(self, u: np.ndarray, within=None) -> tuple:
+        """Each field's :func:`_face_record`, stacked; its global LF range
+        covers its traces and ``within``."""
+        config, flux, n = self.config, self.flux, self.normal
+        if config.reconstruction == "constant":
+            a, b = u[self.left], u[self.across]
+        else:   # each field's gradient fit, with its own tolerance
+            a, b = (np.concatenate(x) for x in zip(
+                *(_face_states(self.mesh, x, config) for x in self.split(u))))
+        lam = None
+        if config.flux_rule == "lax_friedrichs":
+            rng = None
+            if config.lf_dissipation_mode == "global":
+                ranges = zip(*(_value_range(*ab, within=within)
+                               for ab in zip(self.split(a), self.split(b))))
+                rng = [np.repeat(x, self.mesh.n_faces) for x in ranges]
+            lam = lf_lambda(flux, a, b, n, config.lf_dissipation_mode, rng)
+        return a, b, numerical_flux(config.flux_rule, flux, a, b, n, lam), lam
+
+    def _euler(self, u: np.ndarray, dt: float, g: np.ndarray) -> np.ndarray:
+        div = _signed_sum(self.slots, self.length * g, len(u))
+        return u - dt * div / self.area
+
+    def _finite(self, u: np.ndarray, times) -> np.ndarray:
+        finite = np.isfinite(u)
+        if not finite.all():
+            t = times[int(finite.argmin()) // self.mesh.n_cells]
+            raise NumericalError(f"non-finite cell values in the step from t={t!r}")
+        return u
+
+    def step(self, u: np.ndarray, dt: float, times) -> tuple:
+        """The first stage's record and the checked values of the fields
+        ``u``, at ``times``, advanced by ``dt``."""
+        within = _value_range(*self.split(u)) if self.joint else None
+        # a blow-up overflows inside the flux: report it as one NumericalError
+        # naming the step, not as a stream of runtime warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            faces = self.record(u, within)
+            new = self._finite(self._euler(u, dt, faces[2]), times)
+            if self.config.time_integrator == "ssp_rk2":
+                # the average of the identity and a doubly advanced state
+                g = self.record(new, within)[2]
+                new = self._finite(0.5 * (u + self._euler(new, dt, g)), times)
+        return faces, new
+
+
+def _face_record(mesh: Mesh, flux, config: SchemeConfig, u: np.ndarray) -> tuple:
     """What a stage of the step advances cell values ``u`` with: the face
     traces, the numerical flux and the Lax-Friedrichs coefficient, ``None``
-    for other rules.  The global one covers the range of the face states
-    and ``lf_range``, that of fields marched together."""
-    a, b = _face_states(mesh, u, config)
-    n, _ = _geometry(mesh, flux)
-    lam = None
-    if config.flux_rule == "lax_friedrichs":
-        rng = (_value_range(a, b, within=lf_range)
-               if config.lf_dissipation_mode == "global" else None)
-        lam = lf_lambda(flux, a, b, n, config.lf_dissipation_mode, rng)
-    return a, b, numerical_flux(config.flux_rule, flux, a, b, n, lam), lam
-
-
-def _euler_values(mesh: Mesh, values: np.ndarray, dt: float,
-                  g: np.ndarray) -> np.ndarray:
-    div = mesh.divergence(mesh.face_length * g)
-    return values - dt * div / mesh.cell_area
+    for other rules."""
+    return _Stack(mesh, flux, config).record(u)
 
 
 def max_stable_dt(field: CellField, flux, config: SchemeConfig) -> float:
@@ -364,43 +447,19 @@ def max_stable_dt(field: CellField, flux, config: SchemeConfig) -> float:
     hull of the cell mean and its face-neighbor means, floored at 1e-14 so
     stationary fields do not produce an infinite step.
     """
-    mesh = field.mesh
-    lo, hi = mesh.neighbor_range(field.values)
-    # one speed per (face, cell) table entry; pads have zero speed
-    _, table = _geometry(mesh, flux)
-    s = np.maximum(flux.max_wave_speed(lo, hi, table).max(axis=0), _SPEED_FLOOR)
-    return config.cfl_number * float((mesh.cell_area / (mesh.cell_perimeter * s)).min())
+    return _Stack(field.mesh, flux, config).bound(field.values)
 
 
-def step(field: CellField, flux, config: SchemeConfig, dt: float,
-         _stable_dt: float | None = None,
-         _lf_range: tuple[float, float] | None = None,
-         _faces: tuple | None = None) -> CellField:
-    """One explicit step; refuses time steps beyond the stable bound.
-    ``_lf_range`` is the state range of the fields marched together and
-    ``_faces`` the first stage's :func:`_face_record`, when known."""
+def step(field: CellField, flux, config: SchemeConfig, dt: float) -> CellField:
+    """One explicit step; refuses time steps beyond the stable bound."""
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ValueError("dt must be positive and finite")
-    stable = max_stable_dt(field, flux, config) if _stable_dt is None else _stable_dt
+    stack = _Stack(field.mesh, flux, config)
+    stable = stack.bound(field.values)
     if dt > stable * (1.0 + 1e-9):
         raise StabilityError(f"dt={dt} exceeds the stable bound {stable}")
-    mesh, u, t = field.mesh, field.values, field.t
-    # a blow-up overflows inside the flux: report it as one NumericalError
-    # naming the step, not as a stream of runtime warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = (_faces or _face_record(mesh, flux, config, u, _lf_range))[2]
-        new = _finite(_euler_values(mesh, u, dt, g), t)
-        if config.time_integrator == "ssp_rk2":
-            # the average of the identity and a doubly advanced state
-            g = _face_record(mesh, flux, config, new, _lf_range)[2]
-            new = _finite(0.5 * (u + _euler_values(mesh, new, dt, g)), t)
-    return CellField(mesh, new, t + dt)
-
-
-def _finite(values: np.ndarray, t: float) -> np.ndarray:
-    if not np.all(np.isfinite(values)):
-        raise NumericalError(f"non-finite cell values in the step from t={t!r}")
-    return values
+    _, new = stack.step(field.values, dt, (field.t,))
+    return _checked_field(field.mesh, new, field.t + dt)
 
 
 @dataclass
@@ -459,16 +518,11 @@ def _replay(fields, observers) -> list:
 
 
 # a march may take this many times the steps its first stable step would
-# need to reach t_final; on the shipped problems no march of a rule other
-# than central took more than 1x, and no completing central one over 3.7x
+# need to reach t_final (no shipped march needed more than 3.7x)
 _BUDGET_FACTOR = 16
-# a march whose first stable step would need more steps than this to reach
-# t_final is refused before any step is taken.  It bounds t_final times the
-# resolution: no shipped problem at its default t_final needs more than 1778
-# (any rule, reconstruction, integrator and LF mode at cfl 0.45, 1-D levels
-# up to 800 cells, 2-D up to 80 000 triangles), so runs over 10**5 times
-# longer still pass, while 10**9 steps of the cheapest march (smooth_sine on
-# 8 cells, about 120 us a step on a 2-CPU Xeon) would take more than a day
+# a march whose first stable step would need more steps than this is refused
+# before any step: no shipped problem needs over 1778 at its default t_final
+# and resolutions, while 10**9 of the cheapest steps would take over a day
 _STEP_CAP = 10 ** 9
 
 
@@ -484,58 +538,58 @@ def _time_tol(t_final: float) -> float:
 
 
 def _march(initial: tuple, flux, config: SchemeConfig, t_final: float):
-    """The one marching loop: advance the fields of ``initial`` together to
-    ``t_final``, yielding per step ``(before, after, dt, faces)`` with
-    ``faces`` each field's first-stage :func:`_face_record`.
+    """The one marching loop: advance the fields of ``initial`` to
+    ``t_final`` as one :class:`_Stack`, yielding per step ``(before, after,
+    dt, faces)`` with ``faces`` each field's first-stage :func:`_face_record`.
 
-    All take the smallest stable step, clipped to land on ``t_final``, and
-    under global Lax-Friedrichs one coefficient over all their ranges, so
-    that they are advanced by one monotone map.  A march whose values grow
-    shrinks its steps without end, so it raises :class:`NumericalError`
-    past ``_BUDGET_FACTOR`` times the ceil((t_final - t0) / dt0) steps its
-    first stable step dt0 would need, or at a step too small to advance t.
-    A march that would need more than ``_STEP_CAP`` such steps raises
-    :class:`StepCapError` instead of yielding its first step, once that
-    step has been computed: a first step that already breaks down is a
-    :class:`NumericalError`.
+    They take the least stable step, clipped to land on ``t_final``, and
+    under global Lax-Friedrichs each field's coefficient also covers the
+    values of all, so that one monotone map advances them.  A march whose
+    values grow shrinks its steps without end, so it raises
+    :class:`NumericalError` past ``_BUDGET_FACTOR`` times the
+    ceil((t_final - t0) / dt0) steps its first stable step dt0 would need,
+    or at a step too small to advance t.  A march that would need more than
+    ``_STEP_CAP`` such steps raises :class:`StepCapError` once its first
+    step is computed, before yielding it; a first step that breaks down is
+    a :class:`NumericalError`.
     """
     fields = tuple(initial)
-    if any(f.mesh is not fields[0].mesh for f in fields):
+    mesh = fields[0].mesh
+    if any(f.mesh is not mesh for f in fields):
         raise ValueError("fields marched together need a shared mesh")
     _check_t_final(t_final)
     tol = _time_tol(t_final)
     if t_final < fields[0].t - tol:
         raise ValueError("t_final lies before the initial time")
-    joint = (len(fields) > 1 and config.flux_rule == "lax_friedrichs"
-             and config.lf_dissipation_mode == "global")
+    stack = _Stack(mesh, flux, config, len(fields))
+    u = (fields[0].values if len(fields) == 1
+         else np.concatenate([f.values for f in fields]))
     budget = None
     for n in itertools.count():
         t = fields[0].t
         if t >= t_final - tol:
             return
-        stable = min(max_stable_dt(f, flux, config) for f in fields)
+        stable = stack.bound(u)
         dt = min(stable, float(t_final) - t)
         if budget is None:
             need = (t_final - t) / stable    # past the cap, refused below
             budget = _BUDGET_FACTOR * math.ceil(min(need, _STEP_CAP))
         if n >= budget or t + dt == t:
-            lo, hi = _value_range(*(f.values for f in fields))
+            lo, hi = _value_range(*stack.split(u))
             why = (f"step budget of {budget} steps spent" if n >= budget
                    else "the step no longer advances t")
             raise NumericalError(f"{why} at step {n}: t={t!r} dt={dt!r}, "
                                  f"values in [{lo!r}, {hi!r}]")
-        lf_range = _value_range(*(f.values for f in fields)) if joint else None
-        with np.errstate(over="ignore", invalid="ignore"):
-            faces = tuple(_face_record(f.mesh, flux, config, f.values,
-                                       lf_range) for f in fields)
-        after = tuple(step(f, flux, config, dt, _stable_dt=stable,
-                           _lf_range=lf_range, _faces=rec)
-                      for f, rec in zip(fields, faces))
+        faces, u = stack.step(u, dt, [f.t for f in fields])
         if n == 0 and need > _STEP_CAP:
             raise StepCapError(
                 f"reaching t_final={t_final!r} from t={t!r} with the first "
                 f"stable step dt={stable!r} takes about {need:.3e} steps, "
                 f"more than the cap of {_STEP_CAP} steps")
+        after = tuple([_checked_field(mesh, x, f.t + dt)
+                       for x, f in zip(stack.split(u), fields)])
+        faces = (faces,) if stack.k == 1 else tuple(zip(*[
+            (None,) * stack.k if x is None else stack.split(x) for x in faces]))
         yield fields, after, dt, faces
         del faces       # not held while the next record is built
         fields = after

@@ -126,6 +126,32 @@ def test_observer_refusal_exits_2_before_solving(tmp_path, capsys,
     assert fragment in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,audits,repeated", [
+    ("run", "tv,tv", "['tv']"),
+    ("converge", "contraction,entropy,contraction", "['contraction']"),
+])
+def test_repeated_audit_exits_2_before_solving(tmp_path, capsys,
+                                               refuse_to_solve, command,
+                                               audits, repeated):
+    # each named audit would run, and print its line, once per mention
+    rc = main([command, "--set", "problem=smooth_sine", "--set", f"audits={audits}",
+               "--set", "levels=2", "--out", str(tmp_path), "--quiet"])
+    assert rc == 2 and refuse_to_solve == []
+    assert f"audits named more than once: {repeated}" in capsys.readouterr().err
+    assert not (tmp_path / command).exists()
+
+
+@pytest.mark.parametrize("bound", ["nan", "inf", "-inf"])
+def test_non_finite_rate_gate_exits_2_before_solving(tmp_path, capsys,
+                                                     refuse_to_solve, bound):
+    # nan fails every comparison, so the gate could never pass
+    rc = main(["converge", "--set", "levels=2", f"--min-rate={bound}",
+               "--out", str(tmp_path), "--quiet"])
+    assert rc == 2 and refuse_to_solve == []
+    assert f"--min-rate must be finite, got {float(bound)}" in capsys.readouterr().err
+    assert not (tmp_path / "converge").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "converge", "entropy-audit",
                                      "kinetic-audit", "young-audit"])
 def test_output_root_that_cannot_exist_exits_2_before_solving(

@@ -202,6 +202,8 @@ def test_audit_names_gating():
     assert cfg.audit_names() == ("conservation", "tv")
     with pytest.raises(ValueError, match="unknown audits"):
         StudyConfig(audits="conservation,bogus").audit_names()
+    with pytest.raises(ValueError, match=r"more than once: \['tv'\]"):
+        StudyConfig(audits="tv,conservation,tv")
 
 
 def test_audit_names_2d_drops_tv():
@@ -653,6 +655,34 @@ def test_audit_worst_locations_match_a_scan_of_the_trajectory(monkeypatch,
             == (*_first_argmax(np.diff(dists)), -1)
     if case == "central":
         assert lv.audits[0].value > 0.0
+
+
+def parent_total_variation(field):
+    """``harness._total_variation`` before the observer took its interior
+    face pairs once, verbatim."""
+    mesh = field.mesh
+    interior = mesh.face_right >= 0
+    jumps = np.abs(field.values[mesh.face_right[interior]]
+                   - field.values[mesh.face_left[interior]])
+    return float(jumps.sum())
+
+
+@pytest.mark.parametrize("problem,base_n", [("riemann_shock", 40),
+                                            ("smooth_sine", 40),
+                                            ("rotated_shock_2d", 6)])
+def test_total_variation_observer_keeps_its_bits(problem, base_n):
+    cfg = StudyConfig(problem=problem, base_n=base_n, levels=1, t_final=0.1)
+    spec = harness.PROBLEMS[problem]
+    initial = harness.initial_field(spec, build_problem_mesh(cfg, 0))
+    traj = run(initial, spec.flux_fn(), cfg.scheme(), cfg.resolved_t_final)
+    obs = harness._TotalVariation()
+    obs.start(initial)
+    assert obs.tv.hex() == parent_total_variation(initial).hex()
+    for before, after in zip(traj.fields, traj.fields[1:]):
+        obs.step(before, after, after.t - before.t, None)
+        want = parent_total_variation(after).hex()
+        assert obs.tv.hex() == harness._total_variation(after).hex() == want
+    assert obs.steps == len(traj) - 1 >= 3
 
 
 def test_audit_worst_locations_without_steps():

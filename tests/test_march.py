@@ -1,0 +1,132 @@
+"""The stacked march against the per-field march it replaced.
+
+``parent_march`` is the march as it was before a step of k fields became
+one stacked update: every yielded (before, after, dt, faces), every error
+type and message, must be the same bit for bit, for one field and for two.
+"""
+
+import numpy as np
+import pytest
+
+import parent_march
+from fvaudit import scheme
+from fvaudit.harness import PROBLEMS
+from fvaudit.physics import FluxModel
+from fvaudit.scheme import CellField, SchemeConfig, _march
+
+RULES = [("godunov", "local"), ("engquist_osher", "local"),
+         ("lax_friedrichs", "local"), ("lax_friedrichs", "global"),
+         ("central", "local")]
+# (problem, cells or triangles per side, t_final): 1-D periodic, 1-D
+# outflow with the nonconvex flux, and a small 2-D triangle mesh
+CASES = [("smooth_sine", 24, 0.2), ("buckley_leverett_step", 24, 0.1),
+         ("rotated_shock_2d", 4, 0.1)]
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def twin_of(field):
+    """``field`` and a copy bumped in the middle of the domain, as the
+    contraction audit marches them."""
+    mesh = field.mesh
+    center = float(mesh.vertices[:, 0].mean())
+    bump = scheme.cell_averages(
+        mesh, lambda x: 0.1 * np.exp(-((x[:, 0] - center) / 0.1) ** 2))
+    return field, CellField(mesh, field.values + bump, field.t)
+
+
+def setup(problem, n, k, scale=1.0):
+    spec = PROBLEMS[problem]
+    mesh = spec.mesh_fn(n)
+    field = CellField(mesh, scale * spec.initial_fn(mesh), 0.0)
+    return spec.flux_fn(), (field,) if k == 1 else twin_of(field)
+
+
+def outcome(march):
+    """Every yielded step as bytes, then the error the march ended with."""
+    steps = []
+    try:
+        for before, after, dt, faces in march:
+            assert len(before) == len(after) == len(faces)
+            steps.append((
+                [(bits(f.values), f.t) for f in before],
+                [(bits(f.values), f.t) for f in after],
+                bits(dt),
+                [[None if x is None else bits(x) for x in rec] for rec in faces]))
+            assert all(len(rec) == 4 for rec in faces)
+    except Exception as exc:          # compared below, type and message
+        return steps, (type(exc), str(exc))
+    return steps, None
+
+
+def assert_same_march(fields, flux, cfg, t_final):
+    got = outcome(_march(fields, flux, cfg, t_final))
+    want = outcome(parent_march._march(fields, flux, cfg, t_final))
+    assert len(got[0]) == len(want[0])
+    for n, (g, w) in enumerate(zip(got[0], want[0])):
+        assert g == w, f"step {n} differs"
+    assert got[1] == want[1]
+    return got
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("problem,n,t_final", CASES,
+                         ids=[c[0] for c in CASES])
+@pytest.mark.parametrize("rule,mode", RULES, ids=[f"{r}-{m}" for r, m in RULES])
+def test_stacked_march_matches_the_per_field_march(rule, mode, problem, n,
+                                                   t_final, k):
+    flux, fields = setup(problem, n, k)
+    for reconstruction in ("constant", "limited_linear"):
+        for integrator in ("euler", "ssp_rk2"):
+            cfg = SchemeConfig(flux_rule=rule, lf_dissipation_mode=mode,
+                               reconstruction=reconstruction,
+                               time_integrator=integrator)
+            steps, error = assert_same_march(fields, flux, cfg, t_final)
+            assert len(steps) >= 3 and error is None
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_blow_up_is_the_same_numerical_error(k):
+    # data near the largest float overflows the flux in the first step
+    flux, fields = setup("smooth_sine", 8, k, scale=1e200)
+    steps, error = assert_same_march(fields, flux, SchemeConfig(), 0.3)
+    assert steps == []
+    assert error == (scheme.NumericalError,
+                     "non-finite cell values in the step from t=0.0")
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_spent_step_budget_is_the_same_numerical_error(k, monkeypatch):
+    # the undissipated rule's values grow on the shock, its steps shrink,
+    # and the march needs more steps than its first one foretold
+    for module in (scheme, parent_march):
+        monkeypatch.setattr(module, "_BUDGET_FACTOR", 1)
+    flux, fields = setup("riemann_shock", 60, k)
+    steps, error = assert_same_march(fields, flux,
+                                     SchemeConfig(flux_rule="central"), 0.4)
+    assert error[0] is scheme.NumericalError
+    assert error[1].startswith(f"step budget of {len(steps)} steps spent")
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_march_past_the_step_cap_is_the_same_refusal(k):
+    flux, fields = setup("smooth_sine", 8, k)
+    steps, error = assert_same_march(fields, flux, SchemeConfig(), 1e300)
+    assert steps == [] and error[0] is scheme.StepCapError
+
+
+def test_twin_step_calls_the_godunov_oracle_once(monkeypatch):
+    calls = []
+    oracle = FluxModel.interval_extremum
+
+    def counted(self, a, b, n):
+        calls.append(np.shape(a))
+        return oracle(self, a, b, n)
+
+    monkeypatch.setattr(FluxModel, "interval_extremum", counted)
+    flux, fields = setup("smooth_sine", 24, 2)
+    next(_march(fields, flux, SchemeConfig(), 0.2))
+    # one call over the faces of both fields
+    assert [int(np.prod(c)) for c in calls] == [2 * fields[0].mesh.n_faces]
