@@ -389,8 +389,12 @@ def kruzkov_k_grid(lo: float, hi: float, n: int = 33, extra=()) -> np.ndarray:
         raise ValueError("need at least two grid points")
     if hi < lo:
         raise ValueError("empty state range")
-    return np.unique(np.concatenate([np.linspace(lo, hi, n),
-                                     np.asarray(extra, dtype=float).ravel()]))
+    if not np.isfinite([lo, hi]).all():
+        raise ValueError("state range must be finite")
+    # np.unique's algorithm, without the numpy.ma import its first call makes
+    k = np.sort(np.concatenate([np.linspace(lo, hi, n),
+                                np.asarray(extra, dtype=float).ravel()]))
+    return k[np.concatenate(([True], k[1:] != k[:-1]))]
 
 
 @dataclass

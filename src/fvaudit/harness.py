@@ -16,7 +16,7 @@ import pickle
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, get_args, get_type_hints
+from typing import Callable, NamedTuple, get_args, get_type_hints
 
 import numpy as np
 
@@ -49,7 +49,6 @@ __all__ = [
     "write_study_report",
 ]
 
-AUDIT_ORDER = ("conservation", "max_principle", "tv", "contraction", "entropy")
 _EXACT_TOL = 1e-12
 
 
@@ -219,29 +218,20 @@ class StudyConfig:
         return PROBLEMS[self.problem].default_t_final
 
     def audit_names(self) -> tuple[str, ...]:
-        spec = PROBLEMS[self.problem]
         if self.audits == "none":
             return ()
-        if self.audits != "auto":
-            names = tuple(s.strip() for s in self.audits.split(",") if s.strip())
-            unknown = [n for n in names if n not in AUDIT_ORDER]
-            if unknown:
-                raise ValueError(f"unknown audits {unknown}; known: {AUDIT_ORDER}")
-            repeated = sorted({n for n in names if names.count(n) > 1})
-            if repeated:
-                raise ValueError(f"audits named more than once: {repeated}")
-            return names
-        names = []
-        if spec.periodic:
-            names.append("conservation")
-        if exact_regime(self):
-            names.append("max_principle")
-            if spec.dim == 1:
-                names.append("tv")
-            if spec.periodic:
-                names.append("contraction")
-            names.append("entropy")
-        return tuple(names)
+        if self.audits == "auto":
+            spec = PROBLEMS[self.problem]
+            return tuple(name for name, audit in AUDITS.items()
+                         if audit.gated(self, spec))
+        names = tuple(s.strip() for s in self.audits.split(",") if s.strip())
+        unknown = [n for n in names if n not in AUDIT_ORDER]
+        if unknown:
+            raise ValueError(f"unknown audits {unknown}; known: {AUDIT_ORDER}")
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        if repeated:
+            raise ValueError(f"audits named more than once: {repeated}")
+        return names
 
 
 _TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
@@ -322,7 +312,7 @@ def fit_rate(hs, errors) -> float:
     errors = np.asarray(errors, dtype=float)
     if hs.shape != errors.shape or hs.size < 2:
         raise ValueError("need at least two (h, error) pairs")
-    if np.unique(hs).size < 2:
+    if np.isnan(hs).all() or (hs == hs[0]).all():
         raise ValueError("need at least two distinct mesh sizes")
     if not (np.all(hs > 0.0) and np.all(errors > 0.0)):
         raise ValueError("mesh sizes and errors must be positive")
@@ -359,6 +349,12 @@ class AuditResult:
     worst_cell: int = -1
 
 
+def _exact(name: str, worst: float, scale: float, detail: str, *where) -> AuditResult:
+    """The verdict on a ``worst`` violation that must round to 0 at ``scale``."""
+    value, tol = max(0.0, worst), _EXACT_TOL * max(1.0, scale)
+    return AuditResult(name, value, tol, value <= tol, detail, *where)
+
+
 class _Conservation:
     def start(self, field0: CellField):
         self.mass0 = field0.total_mass
@@ -368,9 +364,8 @@ class _Conservation:
         self.drift = max(self.drift, abs(after.total_mass - self.mass0))
 
     def finish(self) -> AuditResult:
-        drift = self.drift / max(1.0, abs(self.mass0))
-        return AuditResult("conservation", drift, _EXACT_TOL, drift <= _EXACT_TOL,
-                           "relative drift of total mass over the run")
+        return _exact("conservation", self.drift / max(1.0, abs(self.mass0)), 1.0,
+                      "relative drift of total mass over the run")
 
 
 class _MaxPrinciple:
@@ -386,11 +381,8 @@ class _MaxPrinciple:
         self.steps += 1
 
     def finish(self) -> AuditResult:
-        over = max(0.0, self.worst)
-        tol = _EXACT_TOL * max(1.0, self.hi - self.lo)
-        return AuditResult("max_principle", over, tol, over <= tol,
-                           "largest escape from the initial data range",
-                           *self.where)
+        return _exact("max_principle", self.worst, self.hi - self.lo,
+                      "largest escape from the initial data range", *self.where)
 
 
 def _interior_pairs(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
@@ -420,11 +412,8 @@ class _TotalVariation:
         self.tv, self.steps = tv, self.steps + 1
 
     def finish(self) -> AuditResult:
-        growth = max(0.0, self.growth)
-        tol = _EXACT_TOL * max(1.0, self.tv0)
-        return AuditResult("tv", growth, tol, growth <= tol,
-                           "largest one-step growth of total variation",
-                           self.where)
+        return _exact("tv", self.growth, self.tv0,
+                      "largest one-step growth of total variation", self.where)
 
 
 class _Contraction:
@@ -455,11 +444,9 @@ class _Contraction:
             if dist - last > growth:    # strict: ties keep the earliest step
                 growth, where = dist - last, n
             last = dist
-        growth = max(0.0, growth)
-        tol = _EXACT_TOL * max(1.0, first)
-        return AuditResult("contraction", growth, tol, growth <= tol,
-                           "largest one-step growth of the L1 distance to a twin run",
-                           where)
+        return _exact("contraction", growth, first,
+                      "largest one-step growth of the L1 distance to a twin run",
+                      where)
 
 
 class _Entropy(entropy_mod.EntropyAudit):
@@ -482,15 +469,28 @@ def _entropy_observer(cfg: StudyConfig, flux, audit=entropy_mod.EntropyAudit):
         tol=_EXACT_TOL)
 
 
+# Each study audit, in report order: ``observer(cfg, flux)`` builds it, and
+# ``audits = auto`` runs it where its theorem holds, ``gated(cfg, spec)``.
+_Audit = NamedTuple("_Audit", [("observer", Callable), ("gated", Callable)])
+AUDITS: dict[str, _Audit] = {
+    "conservation": _Audit(lambda cfg, flux: _Conservation(),
+                           lambda cfg, spec: spec.periodic),
+    "max_principle": _Audit(lambda cfg, flux: _MaxPrinciple(),
+                            lambda cfg, spec: exact_regime(cfg)),
+    "tv": _Audit(lambda cfg, flux: _TotalVariation(),
+                 lambda cfg, spec: exact_regime(cfg) and spec.dim == 1),
+    "contraction": _Audit(lambda cfg, flux: _Contraction(flux, cfg.scheme()),
+                          lambda cfg, spec: exact_regime(cfg) and spec.periodic),
+    "entropy": _Audit(lambda cfg, flux: _entropy_observer(cfg, flux, _Entropy),
+                      lambda cfg, spec: exact_regime(cfg)),
+}
+AUDIT_ORDER = tuple(AUDITS)
+
+
 def study_observers(cfg: StudyConfig, level: int, flux) -> list:
     """The audits ``cfg.audit_names()`` selects, in that order, each
     finishing with an :class:`AuditResult`."""
-    scheme = cfg.scheme()
-    make = {"conservation": _Conservation, "max_principle": _MaxPrinciple,
-            "tv": _TotalVariation,
-            "contraction": lambda: _Contraction(flux, scheme),
-            "entropy": lambda: _entropy_observer(cfg, flux, _Entropy)}
-    return [make[name]() for name in cfg.audit_names()]
+    return [AUDITS[name].observer(cfg, flux) for name in cfg.audit_names()]
 
 
 # ---------------------------------------------------------------------------

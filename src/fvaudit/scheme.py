@@ -274,23 +274,15 @@ def _gradient(mesh: Mesh, u: np.ndarray, config: SchemeConfig) -> np.ndarray:
     if config.reconstruction == "constant":
         return np.zeros((mesh.n_cells, mesh.dim))
 
-    faces, sign, nbr = mesh.cell_faces, mesh.cell_face_sign, mesh.cell_neighbors
-    cen = mesh.cell_centroid
+    faces, sign, cen = mesh.cell_faces, mesh.cell_face_sign, mesh.cell_centroid
 
-    # least-squares gradient from face-neighbor means (periodic neighbors
-    # are seen at their translated positions); outflow faces and pads have
-    # the cell as its own neighbor and no shift, so they add exact zeros
-    d = cen[nbr] + sign[..., None] * mesh.face_shift[faces] - cen
-    du = u[nbr] - u
-
-    dim = mesh.dim
-    ata = np.zeros((mesh.n_cells, dim, dim))
-    rhs = np.zeros((mesh.n_cells, dim))
+    # least-squares gradient from face-neighbor means
+    d, pinv = _least_squares(mesh)
+    du = u[mesh.cell_neighbors] - u
+    rhs = np.zeros((mesh.n_cells, mesh.dim))
     for dj, duj in zip(d, du):      # one table row at a time: fixed sum order
-        ata += dj[:, :, None] * dj[:, None, :]
         rhs += dj * duj[:, None]
-    # pinv tolerates boundary cells with too few neighbors for a full rank fit
-    gradient = np.einsum("cij,cj->ci", np.linalg.pinv(ata), rhs)
+    gradient = np.einsum("cij,cj->ci", pinv, rhs)
 
     lo, hi = mesh.neighbor_range(u)
 
@@ -305,6 +297,29 @@ def _gradient(mesh: Mesh, u: np.ndarray, config: SchemeConfig) -> np.ndarray:
                      np.clip(room / np.where(small, 1.0, delta), 0.0, 1.0))
     theta = np.minimum(1.0, ratio.min(axis=0))
     return gradient * theta[:, None]
+
+
+def _least_squares(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """The neighbor offsets of every cell's gradient fit and the
+    pseudo-inverse of its normal matrix; both depend on the mesh alone, so
+    they are computed on first use and kept on the mesh."""
+    fit = mesh._derived.get("least_squares")
+    if fit is None:
+        # periodic neighbors are seen at their translated positions; outflow
+        # faces and pads have the cell as its own neighbor and no shift, so
+        # they add exact zeros
+        faces, sign = mesh.cell_faces, mesh.cell_face_sign
+        cen = mesh.cell_centroid
+        d = cen[mesh.cell_neighbors] + sign[..., None] * mesh.face_shift[faces] - cen
+        ata = np.zeros((mesh.n_cells, mesh.dim, mesh.dim))
+        for dj in d:                # one table row at a time: fixed sum order
+            ata += dj[:, :, None] * dj[:, None, :]
+        # pinv tolerates boundary cells with too few neighbors for a full rank fit
+        pinv = np.linalg.pinv(ata)
+        for x in (d, pinv):
+            x.setflags(write=False)
+        fit = mesh._derived["least_squares"] = (d, pinv)
+    return fit
 
 
 def _face_states(mesh: Mesh, u: np.ndarray,

@@ -542,6 +542,21 @@ def test_entropy_audit_fail_line_names_location(tmp_path, capsys,
     assert " step " in line and " cell " in line and " k=" in line
 
 
+def test_entropy_audit_gates_where_the_entropy_row_says(tmp_path, capsys,
+                                                        monkeypatch):
+    argv = ["entropy-audit", "--set", "flux_rule=central", "--set", "base_n=20",
+            "--set", "levels=2", "--set", "t_final=0.2", "--out", str(tmp_path)]
+    assert main(argv) == 1    # central is no E-flux: the sampling fails
+    assert " reported (" in capsys.readouterr().out.splitlines()[0]
+    # widening the entropy row alone widens the subcommand's gate
+    row = harness.AUDITS["entropy"]
+    monkeypatch.setitem(harness.AUDITS, "entropy",
+                        row._replace(gated=lambda cfg, spec: True))
+    assert main(argv) == 1
+    line = capsys.readouterr().out.splitlines()[0]
+    assert " FAIL at level " in line and " step " in line and " cell " in line
+
+
 def test_entropy_audit_buckley_leverett(tmp_path, capsys):
     # the nonconvex flux gets exact oracles from its critical points too
     rc = main(["entropy-audit", "--set", "problem=buckley_leverett_step",
@@ -881,6 +896,17 @@ def test_converge_does_not_import_scipy(tmp_path):
         "rc = main(['converge', '--set', 'base_n=10', '--set', 'levels=2',"
         " '--set', 't_final=0.1', '--out', sys.argv[1], '--quiet'])\n"
         "assert rc == 0, rc\n", tmp_path)
+
+
+def test_converge_does_not_import_numpy_ma(tmp_path):
+    # np.unique's first call imports numpy.ma, about 18 ms of every study
+    _run_without_scipy(
+        "import sys\n"
+        "from fvaudit.cli import main\n"
+        "rc = main(['converge', '--set', 'problem=smooth_sine', '--set', 'levels=2',"
+        " '--out', sys.argv[1], '--quiet'])\n"
+        "assert rc == 0, rc\n"
+        "assert 'numpy.ma' not in sys.modules\n", tmp_path)
 
 
 def test_mesh_info_on_quads_does_not_import_scipy(tmp_path):

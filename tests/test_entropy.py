@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fvaudit import (
     PROBLEMS,
@@ -127,6 +128,31 @@ def test_kruzkov_k_grid_contents():
     assert 0.21 in grid
     # lattice duplicates collapse
     assert kruzkov_k_grid(-1.0, 1.0, n=33, extra=(0.25,)).size == 33
+
+
+_STATES = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=_STATES, width=st.floats(0.0, 1e6), n=st.integers(2, 40),
+       extra=st.lists(st.one_of(_STATES, st.sampled_from([0.0, -0.0])),
+                      max_size=6),
+       picks=st.lists(st.integers(0, 39), max_size=4))
+def test_kruzkov_k_grid_matches_np_unique(lo, width, n, extra, picks):
+    # signed zeros and landmark states repeating lattice points, as the
+    # problems' states do, keep the same representative np.unique keeps
+    hi = lo + width
+    lattice = np.linspace(lo, hi, n)
+    extra = extra + [lattice[i % n] for i in picks]
+    want = np.unique(np.concatenate([lattice, np.asarray(extra, dtype=float)]))
+    assert kruzkov_k_grid(lo, hi, n=n, extra=extra).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("lo,hi", [(np.nan, 1.0), (0.0, np.nan),
+                                   (-np.inf, 1.0), (0.0, np.inf)])
+def test_kruzkov_k_grid_refuses_a_non_finite_range(lo, hi):
+    with pytest.raises(ValueError, match="must be finite"):
+        kruzkov_k_grid(lo, hi)
 
 
 def test_constant_field_zero_residuals():

@@ -1,5 +1,6 @@
 """Study harness tests: rates, configs, audit gating, reports on disk."""
 
+import itertools
 import os
 import tracemalloc
 from dataclasses import replace
@@ -33,7 +34,8 @@ from fvaudit import entropy as entropy_mod
 from fvaudit import harness
 from fvaudit import kinetic as kinetic_mod
 from fvaudit.harness import build_problem_mesh
-from fvaudit.scheme import state_range
+from fvaudit.scheme import (FLUX_RULES, INTEGRATORS, LF_MODES, RECONSTRUCTIONS,
+                            state_range)
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +65,12 @@ def test_fit_rate_validation():
         fit_rate([0.1, 0.05], [0.1, 0.0])
     with pytest.raises(ValueError):
         fit_rate([0.1, 0.05], [0.1, 0.05, 0.025])
+    # NaN sizes count as one size; 0 and -0 are the same size
+    for hs in ([np.nan, np.nan], [0.0, -0.0], [0.1, 0.1]):
+        with pytest.raises(ValueError, match="two distinct mesh sizes"):
+            fit_rate(hs, [0.1, 0.05])
+    with pytest.raises(ValueError, match="must be positive"):
+        fit_rate([np.nan, 0.1], [0.1, 0.05])
 
 
 def test_l1_error_of_constant_shift():
@@ -204,6 +212,42 @@ def test_audit_names_gating():
         StudyConfig(audits="conservation,bogus").audit_names()
     with pytest.raises(ValueError, match=r"more than once: \['tv'\]"):
         StudyConfig(audits="tv,conservation,tv")
+
+
+def _nested_if_audit_names(cfg: StudyConfig) -> tuple[str, ...]:
+    """The audit selection as nested ifs over one regime, kept verbatim as
+    the reference the audit table must reproduce."""
+    spec = harness.PROBLEMS[cfg.problem]
+    if cfg.audits == "none":
+        return ()
+    if cfg.audits != "auto":
+        return tuple(s.strip() for s in cfg.audits.split(",") if s.strip())
+    names = []
+    if spec.periodic:
+        names.append("conservation")
+    if (cfg.reconstruction == "constant" and cfg.time_integrator == "euler"
+            and cfg.flux_rule in ("godunov", "lax_friedrichs", "engquist_osher")):
+        names.append("max_principle")
+        if spec.dim == 1:
+            names.append("tv")
+        if spec.periodic:
+            names.append("contraction")
+        names.append("entropy")
+    return tuple(names)
+
+
+@pytest.mark.parametrize("audits", ["auto", "none", "entropy,tv",
+                                    " conservation , contraction,"])
+def test_audit_table_selects_what_the_nested_ifs_did(audits):
+    configs = itertools.product(harness.PROBLEMS, FLUX_RULES, RECONSTRUCTIONS,
+                                INTEGRATORS, LF_MODES)
+    for problem, rule, recon, integrator, mode in configs:
+        cfg = StudyConfig(problem=problem, flux_rule=rule, reconstruction=recon,
+                          time_integrator=integrator, lf_dissipation_mode=mode,
+                          audits=audits)
+        assert cfg.audit_names() == _nested_if_audit_names(cfg), cfg
+    assert harness.AUDIT_ORDER == ("conservation", "max_principle", "tv",
+                                   "contraction", "entropy")
 
 
 def test_audit_names_2d_drops_tv():

@@ -130,3 +130,19 @@ def test_twin_step_calls_the_godunov_oracle_once(monkeypatch):
     next(_march(fields, flux, SchemeConfig(), 0.2))
     # one call over the faces of both fields
     assert [int(np.prod(c)) for c in calls] == [2 * fields[0].mesh.n_faces]
+
+
+def test_limited_march_fits_its_least_squares_once(monkeypatch):
+    # the gradient fit's pseudo-inverse depends on the mesh alone
+    calls = []
+    pinv = np.linalg.pinv
+
+    def counted(a):
+        calls.append(a.shape)
+        return pinv(a)
+
+    monkeypatch.setattr(np.linalg, "pinv", counted)
+    flux, fields = setup("rotated_shock_2d", 4, 2)
+    cfg = SchemeConfig(reconstruction="limited_linear", time_integrator="ssp_rk2")
+    assert len(list(_march(fields, flux, cfg, 0.1))) >= 3
+    assert calls == [(fields[0].mesh.n_cells, 2, 2)]
