@@ -13,8 +13,7 @@ from .mesh import (GeometryError, Mesh, MeshFormatError, RefinementError,
                    RegularityReport, TopologyError, build_mesh, load_mesh,
                    refine, regularity, sliver_triangle_mesh,
                    triangulated_rectangle, uniform_interval_mesh)
-from .physics import (FluxModel, ReferenceSolution, kruzkov_pair, make_flux,
-                      reference)
+from .physics import FluxModel, ReferenceSolution, make_flux, reference
 from .scheme import (CellField, ConfigurationError, NumericalError,
                      SchemeConfig, StabilityError, Trajectory, cell_averages,
                      lf_lambda, max_stable_dt, numerical_flux, reconstruct, run,

@@ -16,7 +16,9 @@ the ``FVAUDIT_OUT`` environment variable, or ``./fvaudit_out``.  Exit code
 (``level N: FAILED <Type>: <message>``, a numerical breakdown or any other
 error once solving began), 2 means the request itself was invalid and was
 refused before any step.  Each solver subcommand is a set of step
-observers for :func:`harness.run_study` plus a report writer.
+observers for :func:`harness.run_study` plus a report writer.  Each handler
+returns its stdout lines and its gates; :func:`main` prints the lines unless
+``--quiet`` and exits 0 only when every gate passed.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from . import entropy as entropy_mod
 from . import harness
 from . import kinetic as kinetic_mod
 from . import young as young_mod
-from .mesh import (GeometryError, MeshFormatError, TopologyError, load_mesh,
-                   regularity, triangulated_rectangle, uniform_interval_mesh)
+from .mesh import (load_mesh, regularity, triangulated_rectangle,
+                   uniform_interval_mesh)
 from .physics import make_flux
 from .scheme import CellField, _time_tol, cell_averages
 from .vtkio import write_vtk
@@ -74,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="fail unless the fitted rate reaches this")
 
     mi = sub.add_parser("mesh-info", help="validate a mesh and print stats")
-    mi.set_defaults(handler=_cmd_mesh_info)
+    mi.set_defaults(handler=_cmd_mesh_info, quiet=False)
     mi.add_argument("source",
                     help="mesh file path, or builtin 'interval:N' / 'square:N'")
     group = mi.add_mutually_exclusive_group()
@@ -109,12 +111,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _say(args, *lines):
-    if not args.quiet:
-        for line in lines:
-            print(line)
-
-
 def _audit_lines(levels) -> list[str]:
     out = []
     for lv in levels:
@@ -128,34 +124,38 @@ def _audit_lines(levels) -> list[str]:
     return out
 
 
-def _run_audit(args, cfg, observe, report) -> int:
-    """Solve every level into the audit's observers, then write its report;
-    a failed level is named and exits 1 without a report."""
+def _run_audit(args, cfg, observe, report):
+    """Solve every level into the audit's observers, then write the report
+    ``report(cfg, levels)`` returns as ``(stem, notes, table, lines,
+    gates)``: the config echo, one ``# note`` line per note and the table
+    rows.  A failed level is named and fails without a report."""
     out = _out_dir(args)
     result = harness.run_study(cfg, observe)
-    failed = [f"level {lv.level}: FAILED {lv.error_message}"
-              for lv in result.levels if lv.failed]
+    failed = [lv for lv in result.levels if lv.failed]
     if failed:
-        _say(args, *failed)
-        return _CHECK_FAILED
+        return _audit_lines(failed), [False]
     out.mkdir(exist_ok=True)
-    return report(args, cfg, result.levels, out)
+    stem, notes, table, lines, gates = report(cfg, result.levels)
+    path = out / f"{stem}_report.csv"
+    path.write_text("".join(f"{row}\n" for row in (
+        f"# config: {harness.config_echo(cfg)}",
+        *(f"# {note}" for note in notes), *table)))
+    return [*lines, f"report in {path}"], gates
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args):
     cfg = replace(_load_config(args), levels=1)
     out = _out_dir(args)
     result = harness.run_study(cfg)
     harness.write_study_report(result, out)
     lv = result.levels[0]
-    _say(args, f"problem {cfg.problem}: {lv.n_cells} cells, {lv.steps} steps",
-         *( [f"l1_error {lv.l1:.6e}"] if np.isfinite(lv.l1) else [] ),
-         *_audit_lines(result.levels),
-         f"reports in {out}")
-    return 0 if result.audits_pass else 1
+    return [f"problem {cfg.problem}: {lv.n_cells} cells, {lv.steps} steps",
+            *([f"l1_error {lv.l1:.6e}"] if np.isfinite(lv.l1) else []),
+            *_audit_lines(result.levels),
+            f"reports in {out}"], [result.audits_pass]
 
 
-def _cmd_converge(args) -> int:
+def _cmd_converge(args):
     if args.min_rate is not None and not np.isfinite(args.min_rate):
         # nan fails every comparison and an infinite bound decides nothing
         raise ValueError(f"--min-rate must be finite, got {args.min_rate}")
@@ -170,22 +170,21 @@ def _cmd_converge(args) -> int:
              for lv in result.levels]
     lines.append(f"fitted_rate {result.fitted_rate:.4f}")
     lines.extend(_audit_lines(result.levels))
-    ok = result.audits_pass
+    gates = [result.audits_pass]
     if args.min_rate is not None:
         rate_ok = np.isfinite(result.fitted_rate) and result.fitted_rate >= args.min_rate
         lines.append(f"rate gate (>= {args.min_rate}): "
                      + ("PASS" if rate_ok else "FAIL"))
-        ok = ok and rate_ok
+        gates.append(rate_ok)
     lines.append(f"reports in {out}")
-    _say(args, *lines)
-    return 0 if ok else 1
+    return lines, gates
 
 
 def _entropy_observers(cfg, level, flux) -> list:
     return [harness._entropy_observer(cfg, flux)]
 
 
-def _entropy_report(args, cfg, levels, out) -> int:
+def _entropy_report(cfg, levels):
     reports = [lv.audits[0] for lv in levels]
     hs = [lv.h for lv in levels]
     ef = entropy_mod.check_e_flux(cfg.flux_rule,
@@ -199,25 +198,20 @@ def _entropy_report(args, cfg, levels, out) -> int:
     if len(worsts) >= 2 and all(w > reports[0].tol for w in worsts):
         exponent = harness.fit_rate(hs, worsts)
 
-    path = out / "entropy_report.csv"
     worst = max(worsts)
     tol = reports[0].tol
-    with open(path, "w") as fh:
-        fh.write(f"# config: {harness.config_echo(cfg)}\n")
-        fh.write(f"# k_values {reports[0].k_grid.size}\n")
-        fh.write(f"# residual_tolerance {tol:.17g}\n")
-        fh.write(f"# fitted_h_exponent {exponent:.17g}\n")
-        fh.write(f"# e_flux_rule {ef.rule}\n")
-        fh.write(f"# e_flux_samples {ef.samples}\n")
-        fh.write(f"# e_flux_worst_violation {ef.worst_violation:.17g}\n")
-        fh.write("level,step,max_positive_residual\n")
-        for lvl, rpt in enumerate(reports):
-            for i, v in enumerate(rpt.per_step):
-                fh.write(f"{lvl},{i},{v:.17g}\n")
+    notes = [f"k_values {reports[0].k_grid.size}",
+             f"residual_tolerance {tol:.17g}",
+             f"fitted_h_exponent {exponent:.17g}",
+             f"e_flux_rule {ef.rule}",
+             f"e_flux_samples {ef.samples}",
+             f"e_flux_worst_violation {ef.worst_violation:.17g}"]
+    table = ["level,step,max_positive_residual",
+             *(f"{lvl},{i},{v:.17g}" for lvl, rpt in enumerate(reports)
+               for i, v in enumerate(rpt.per_step))]
 
     gated = harness.AUDITS["entropy"].gated(cfg, harness.PROBLEMS[cfg.problem])
     residual_ok = all(r.passed for r in reports) if gated else True
-    passed = residual_ok and ef.passed
     lines = [f"entropy inequality: worst={worst:.3e} tol={tol:.3e} "
              + (("PASS" if residual_ok else "FAIL") if gated
                 else "reported (inequality gated only for first-order E-flux)")]
@@ -232,12 +226,10 @@ def _entropy_report(args, cfg, levels, out) -> int:
     lines.append(f"e-flux sampling ({ef.samples} cases): "
                  f"worst={ef.worst_violation:.3e} "
                  + ("PASS" if ef.passed else "FAIL"))
-    lines.append(f"report in {path}")
-    _say(args, *lines)
-    return 0 if passed else 1
+    return "entropy", notes, table, lines, [residual_ok, ef.passed]
 
 
-def _cmd_entropy_audit(args) -> int:
+def _cmd_entropy_audit(args):
     return _run_audit(args, _load_config(args), _entropy_observers,
                       _entropy_report)
 
@@ -251,7 +243,7 @@ def _kinetic_observers(cfg, level, flux) -> list:
         flux, kinetic_mod.VGrid.for_range(lo, hi, n=cfg.n_v))]
 
 
-def _kinetic_report(args, cfg, levels, out) -> int:
+def _kinetic_report(cfg, levels):
     scores = [lv.audits[0].negativity_score for lv in levels]
     finest = levels[-1]
 
@@ -270,20 +262,14 @@ def _kinetic_report(args, cfg, levels, out) -> int:
     if hi - lo > 1e-8:
         nd = kinetic_mod.nondegeneracy(flux, (lo, hi))
 
-    path = out / "kinetic_report.csv"
     nd_val = nd.measure if nd is not None else float("nan")
-    with open(path, "w") as fh:
-        fh.write(f"# config: {harness.config_echo(cfg)}\n")
-        fh.write("# frozen_expansion_negativity "
-                 f"{base_dm.negativity_score:.17g}\n")
-        if nd is not None:
-            fh.write(f"# nondegeneracy_tol {nd.tol:.17g}\n")
-        fh.write("level,n_cells,h,negativity,total_mass,nondegeneracy\n")
-        for lv in levels:
-            dm = lv.audits[0]
-            fh.write(f"{lv.level},{lv.n_cells},{lv.h:.17g},"
-                     f"{dm.negativity_score:.17g},{dm.total_mass:.17g},"
-                     f"{nd_val:.17g}\n")
+    notes = [f"frozen_expansion_negativity {base_dm.negativity_score:.17g}",
+             *([f"nondegeneracy_tol {nd.tol:.17g}"] if nd is not None else [])]
+    table = ["level,n_cells,h,negativity,total_mass,nondegeneracy",
+             *(f"{lv.level},{lv.n_cells},{lv.h:.17g},"
+               f"{lv.audits[0].negativity_score:.17g},"
+               f"{lv.audits[0].total_mass:.17g},{nd_val:.17g}"
+               for lv in levels)]
 
     decreasing = all(scores[i + 1] < scores[i] for i in range(len(scores) - 1))
     separated = base_dm.negativity_score >= 10.0 * scores[-1]
@@ -295,7 +281,7 @@ def _kinetic_report(args, cfg, levels, out) -> int:
              + " ".join(f"{s:.3e}" for s in scores) + trend,
              f"frozen expansion baseline: {base_dm.negativity_score:.3e} "
              + (">= 10x finest PASS" if separated else "FAIL")]
-    ok = decreasing and separated
+    gates = [decreasing, separated]
     if nd is not None:
         span = hi - lo
         if flux.convexity_class == "linear":
@@ -307,13 +293,11 @@ def _kinetic_report(args, cfg, levels, out) -> int:
             nd_ok = nd.measure <= bound
             lines.append(f"nondegeneracy: measure={nd.measure:.3e} "
                          f"bound={bound:.3e} " + ("PASS" if nd_ok else "FAIL"))
-        ok = ok and nd_ok
-    lines.append(f"report in {path}")
-    _say(args, *lines)
-    return 0 if ok else 1
+        gates.append(nd_ok)
+    return "kinetic", notes, table, lines, gates
 
 
-def _cmd_kinetic_audit(args) -> int:
+def _cmd_kinetic_audit(args):
     cfg = _load_config(args)
     t_final = cfg.resolved_t_final
     if not t_final > _time_tol(t_final):
@@ -344,7 +328,7 @@ def _young_observers(cfg, level, flux) -> list:
     return [young_mod.InitialConsistency()]
 
 
-def _young_report(args, cfg, levels, out) -> int:
+def _young_report(cfg, levels):
     # monotone schemes compactify: any evolved sequence loses its oscillation,
     # so the persistence fixture is audited on the data sequence itself (t=0)
     spec = harness.PROBLEMS[cfg.problem]
@@ -368,16 +352,11 @@ def _young_report(args, cfg, levels, out) -> int:
     base_var = float(ym.variance.max())
     gap = float(young_mod.nonlinearity_gap(ym, make_flux("burgers")).max())
 
-    path = out / "young_report.csv"
-    with open(path, "w") as fh:
-        fh.write(f"# config: {harness.config_echo(cfg)}\n")
-        fh.write(f"# checkerboard_variance {base_var:.17g}\n")
-        fh.write(f"# checkerboard_flux_gap {gap:.17g}\n")
-        fh.write("level,max_variance,max_nonlinearity_gap,"
-                 "initial_consistency\n")
-        for lvl in range(len(trend)):
-            fh.write(f"{lvl},{trend[lvl]:.17g},{gaps[lvl]:.17g},"
-                     f"{consistency[lvl]:.17g}\n")
+    notes = [f"checkerboard_variance {base_var:.17g}",
+             f"checkerboard_flux_gap {gap:.17g}"]
+    table = ["level,max_variance,max_nonlinearity_gap,initial_consistency",
+             *(f"{lvl},{trend[lvl]:.17g},{gaps[lvl]:.17g},"
+               f"{consistency[lvl]:.17g}" for lvl in range(len(trend)))]
 
     if cfg.problem == "checkerboard":
         trend_ok = bool(np.all(trend >= 0.9))
@@ -390,19 +369,16 @@ def _young_report(args, cfg, levels, out) -> int:
         verdict = f"({_NO_TREND})"
     var_ok = base_var >= 0.9
     gap_ok = abs(gap - 0.5) <= 1.0 / 64.0
-    ok = trend_ok and var_ok and gap_ok
-    _say(args,
-         "max patch variance by level: " + " ".join(f"{v:.3e}" for v in trend)
-         + f"  {verdict}",
-         f"checkerboard variance {base_var:.4f} "
-         + ("PASS" if var_ok else "FAIL"),
-         f"checkerboard flux gap {gap:.10f} (want 0.5 +- 1/64) "
-         + ("PASS" if gap_ok else "FAIL"),
-         f"report in {path}")
-    return 0 if ok else 1
+    lines = ["max patch variance by level: "
+             + " ".join(f"{v:.3e}" for v in trend) + f"  {verdict}",
+             f"checkerboard variance {base_var:.4f} "
+             + ("PASS" if var_ok else "FAIL"),
+             f"checkerboard flux gap {gap:.10f} (want 0.5 +- 1/64) "
+             + ("PASS" if gap_ok else "FAIL")]
+    return "young", notes, table, lines, [trend_ok, var_ok, gap_ok]
 
 
-def _cmd_young_audit(args) -> int:
+def _cmd_young_audit(args):
     return _run_audit(args, _load_config(args), _young_observers,
                       _young_report)
 
@@ -422,7 +398,7 @@ def _builtin_mesh(source: str, args):
     raise ValueError(f"unknown builtin mesh {kind!r}")
 
 
-def _cmd_mesh_info(args) -> int:
+def _cmd_mesh_info(args):
     if args.source.startswith(("interval:", "square:")):
         mesh = _builtin_mesh(args.source, args)
     else:
@@ -450,19 +426,20 @@ def _cmd_mesh_info(args) -> int:
     if args.vtk:
         write_vtk(args.vtk, mesh, {"area": mesh.cell_area})
         lines.append(f"wrote {args.vtk}")
-    for line in lines:
-        print(line)
-    return 0
+    return lines, []
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except (MeshFormatError, GeometryError, TopologyError, ValueError,
-            OSError) as exc:
+        lines, gates = args.handler(args)
+        if not args.quiet:
+            for line in lines:
+                print(line)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
+    return 0 if all(gates) else _CHECK_FAILED
 
 
 if __name__ == "__main__":

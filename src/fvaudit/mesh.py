@@ -350,7 +350,7 @@ def _assemble(dim: int, vertices: np.ndarray, cells, boundary: dict | None) -> M
         # per-cell sums run along rows of equal-size blocks, which adds the
         # same terms in the same order as summing each cell's own k-vector
         area, diameter, centroid = np.empty(n_c), np.empty(n_c), np.empty((n_c, 2))
-        for k in np.unique(size).tolist():
+        for k in sorted(set(size.tolist())):
             rows = np.flatnonzero(size == k)
             slots = first[rows, None] + np.arange(k)
             pts = vertices[corner[slots]]

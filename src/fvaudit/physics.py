@@ -1,4 +1,4 @@
-"""Flux models, entropy pairs and closed-form reference solutions.
+"""Flux models and closed-form reference solutions.
 
 Every :class:`FluxModel` is separable, ``f(u) = phi(u) d``, so along a
 normal ``n`` the flux is ``c phi(u)`` with ``c = d . n``.  Declaring the
@@ -28,10 +28,8 @@ import numpy as np
 __all__ = [
     "FluxModel",
     "Along",
-    "EntropyPair",
     "ReferenceSolution",
     "make_flux",
-    "kruzkov_pair",
     "reference",
 ]
 
@@ -218,33 +216,6 @@ def make_flux(name: str, **params) -> FluxModel:
 def _reject_params(name, params):
     if params:
         raise ValueError(f"flux {name!r} does not accept {sorted(params)}")
-
-
-# ---------------------------------------------------------------------------
-# entropy pairs
-
-@dataclass(frozen=True)
-class EntropyPair:
-    """Convex entropy with its compatible flux, q' = eta' f'."""
-
-    eta: Callable   # states -> entropy values, same shape
-    q: Callable     # states -> entropy flux, shape + (dim,)
-    k: float | None = None
-
-
-def kruzkov_pair(flux: FluxModel, k: float) -> EntropyPair:
-    """The entropy |u - k| with flux sgn(u - k) (f(u) - f(k))."""
-    k = float(k)
-    fk = flux.f(np.asarray(k))
-
-    def eta(u):
-        return np.abs(np.asarray(u, dtype=float) - k)
-
-    def q(u):
-        u = np.asarray(u, dtype=float)
-        return np.sign(u - k)[..., None] * (flux.f(u) - fk)
-
-    return EntropyPair(eta=eta, q=q, k=k)
 
 
 # ---------------------------------------------------------------------------

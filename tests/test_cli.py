@@ -427,13 +427,17 @@ INVALID_SETS = [("problem", "nope"), ("flux_rule", "bogus"),
                                 "kinetic-audit", "young-audit"]),
        pairs=st.fixed_dictionaries({key: st.sampled_from(values)
                                     for key, values in VALID_SETS.items()}),
-       invalid=st.none() | st.none() | st.sampled_from(INVALID_SETS))
-def test_exit_code_contract(tmp_path_factory, command, pairs, invalid):
+       invalid=st.none() | st.none() | st.sampled_from(INVALID_SETS),
+       quiet=st.booleans())
+def test_exit_code_contract(tmp_path_factory, command, pairs, invalid, quiet):
     """Exit 0, 1 or 2, never an uncaught exception, and 2 only when no
-    level has taken a step."""
+    level has taken a step.  Exit 2 prints only its error, exit 1 is
+    exactly a run that prints a FAIL line, and --quiet prints nothing."""
     if invalid is not None:
         pairs = {**pairs, invalid[0]: invalid[1]}
-    argv = [command, "--out", str(tmp_path_factory.mktemp("fuzz")), "--quiet"]
+    argv = [command, "--out", str(tmp_path_factory.mktemp("fuzz"))]
+    if quiet:
+        argv.append("--quiet")
     for key, value in pairs.items():
         argv += ["--set", f"{key}={value}"]
     marches = []
@@ -444,18 +448,25 @@ def test_exit_code_contract(tmp_path_factory, command, pairs, invalid):
         return march(*args, **kwargs)
 
     failing = _failing_problems()
+    stdout, stderr = io.StringIO(), io.StringIO()
     harness._march = counted
     harness.PROBLEMS.update(failing)
     try:
-        with contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             rc = main(argv)
     finally:
         harness._march = march
         for name in failing:
             del harness.PROBLEMS[name]
+    out = stdout.getvalue()
     assert rc in (0, 1, 2)
     if rc == 2:
         assert marches == [], argv
+        assert out == "" and stderr.getvalue().startswith("error:"), argv
+    elif not quiet:
+        assert (rc == 1) == ("FAIL" in out), argv
+    if quiet:
+        assert out == "", argv
 
 
 def test_quiet_suppresses_stdout(tmp_path, capsys):
@@ -898,15 +909,31 @@ def test_converge_does_not_import_scipy(tmp_path):
         "assert rc == 0, rc\n", tmp_path)
 
 
-def test_converge_does_not_import_numpy_ma(tmp_path):
-    # np.unique's first call imports numpy.ma, about 18 ms of every study
+def _run_without_numpy_ma(argv):
+    # np.unique's first call imports numpy.ma, about 18 ms of every run
     _run_without_scipy(
         "import sys\n"
         "from fvaudit.cli import main\n"
-        "rc = main(['converge', '--set', 'problem=smooth_sine', '--set', 'levels=2',"
-        " '--out', sys.argv[1], '--quiet'])\n"
+        f"rc = main({argv!r})\n"
         "assert rc == 0, rc\n"
-        "assert 'numpy.ma' not in sys.modules\n", tmp_path)
+        "assert 'numpy.ma' not in sys.modules\n")
+
+
+def test_converge_does_not_import_numpy_ma(tmp_path):
+    _run_without_numpy_ma(["converge", "--set", "problem=smooth_sine",
+                           "--set", "levels=2", "--out", str(tmp_path),
+                           "--quiet"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["converge", "--set", "problem=rotated_shock_2d", "--set", "levels=2",
+     "--set", "base_n=4", "--quiet"],
+    ["mesh-info", "square:8"],
+], ids=["converge", "mesh-info"])
+def test_2d_runs_do_not_import_numpy_ma(tmp_path, argv):
+    if argv[0] == "converge":
+        argv = [*argv, "--out", str(tmp_path)]
+    _run_without_numpy_ma(argv)
 
 
 def test_mesh_info_on_quads_does_not_import_scipy(tmp_path):

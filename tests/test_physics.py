@@ -7,7 +7,7 @@ sampling; entropy-pair compatibility is checked by finite differences.
 import numpy as np
 import pytest
 
-from fvaudit import kruzkov_pair, make_flux, reference
+from fvaudit import make_flux, reference
 
 FLUX_CASES = [
     ("burgers", {}, (-1.5, 1.5)),
@@ -161,41 +161,6 @@ def test_fn_shape_contracts():
     # trailing state axes broadcast against shared batch axes of the normals
     uk = np.tile(u[:, None], (1, 5))
     assert flux.fn(uk, n).shape == (n_faces, 5)
-
-
-# ---------------------------------------------------------------------------
-# entropy pairs
-
-
-def test_kruzkov_point_values():
-    flux = make_flux("burgers")
-    pair = kruzkov_pair(flux, 1.0)
-    assert pair.eta(2.0) == pytest.approx(1.0)
-    assert pair.q(2.0)[..., 0] == pytest.approx(1.5)
-    assert pair.q(1.0)[..., 0] == pytest.approx(0.0)
-
-
-@pytest.mark.parametrize("name,params,rng_range", FLUX_CASES)
-def test_kruzkov_compatibility(name, params, rng_range):
-    """q' = eta' f' away from the kink, at 100 sampled states."""
-    flux = make_flux(name, **params)
-    rng = np.random.default_rng(21)
-    k = float(rng.uniform(*rng_range))
-    pair = kruzkov_pair(flux, k)
-    u = rng.uniform(*rng_range, size=100)
-    u = np.where(np.abs(u - k) < 1e-2, u + 3e-2, u)   # keep away from u = k
-    h = 1e-6
-    dq = (pair.q(u + h) - pair.q(u - h)) / (2.0 * h)
-    expected = np.sign(u - k)[:, None] * flux.df(u)
-    scale = np.maximum(1.0, np.abs(expected))
-    assert (np.abs(dq - expected) / scale).max() < 1e-6
-
-
-def test_kruzkov_flux_vanishes_at_k():
-    for name, params, rng_range in FLUX_CASES:
-        flux = make_flux(name, **params)
-        pair = kruzkov_pair(flux, 0.25)
-        assert np.abs(pair.q(0.25)).max() == 0.0
 
 
 # ---------------------------------------------------------------------------
