@@ -92,7 +92,7 @@ _register(ProblemSpec(
     flux_fn=lambda: make_flux("burgers"),
     mesh_fn=lambda n: uniform_interval_mesh(n, -0.5, 1.0, periodic=False),
     initial_fn=_avg(_step_initial(0.0, 1.0, 0.0)),
-    reference_fn=lambda fl: reference("riemann_shock", fl, ul=1.0, ur=0.0),
+    reference_fn=lambda fl: reference("riemann_shock", fl),
     default_t_final=0.4, states=(1.0, 0.0)))
 
 _register(ProblemSpec(
@@ -100,7 +100,7 @@ _register(ProblemSpec(
     flux_fn=lambda: make_flux("burgers"),
     mesh_fn=lambda n: uniform_interval_mesh(n, -1.0, 1.0, periodic=False),
     initial_fn=_avg(_step_initial(0.0, -1.0, 1.0)),
-    reference_fn=lambda fl: reference("riemann_rarefaction", fl, ul=-1.0, ur=1.0),
+    reference_fn=lambda fl: reference("riemann_rarefaction", fl),
     default_t_final=0.4, states=(-1.0, 1.0)))
 
 _register(ProblemSpec(
@@ -108,8 +108,7 @@ _register(ProblemSpec(
     flux_fn=lambda: make_flux("burgers"),
     mesh_fn=lambda n: uniform_interval_mesh(n, 0.0, 1.0, periodic=True),
     initial_fn=_avg(lambda x: 0.5 + 0.25 * np.sin(2.0 * np.pi * x[:, 0])),
-    reference_fn=lambda fl: reference("smooth_sine_preshock", fl,
-                                      mean=0.5, amplitude=0.25),
+    reference_fn=lambda fl: reference("smooth_sine_preshock", fl),
     default_t_final=0.3, states=(0.25, 0.75)))
 
 _register(ProblemSpec(
@@ -297,12 +296,10 @@ def config_echo(cfg: StudyConfig) -> str:
 # ---------------------------------------------------------------------------
 # errors and rates
 
-def l1_error(field: CellField, ref: ReferenceSolution, t: float | None = None) -> float:
+def l1_error(field: CellField, ref: ReferenceSolution) -> float:
     """L1 distance between cell averages and the cell-averaged reference."""
-    if t is None:
-        t = field.t
     mesh = field.mesh
-    exact = cell_averages(mesh, lambda x: ref(t, x))
+    exact = cell_averages(mesh, lambda x: ref(field.t, x))
     return float(mesh.cell_area @ np.abs(field.values - exact))
 
 
@@ -393,10 +390,6 @@ def _interior_pairs(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
 
 def _jumps(u: np.ndarray, left: np.ndarray, right: np.ndarray) -> float:
     return float(np.abs(u[right] - u[left]).sum())
-
-
-def _total_variation(field: CellField) -> float:
-    return _jumps(field.values, *_interior_pairs(field.mesh))
 
 
 class _TotalVariation:

@@ -42,7 +42,7 @@ import numpy as np
 
 from .mesh import Mesh
 from .physics import FluxModel
-from .scheme import CellField, Trajectory, _replay, state_range
+from .scheme import CellField, Trajectory, _replay
 
 __all__ = [
     "VGrid",
@@ -87,7 +87,7 @@ class VGrid:
         return self.v_min + np.arange(self.n + 1) * self.dv
 
     @classmethod
-    def for_range(cls, lo: float, hi: float, n: int = 256) -> "VGrid":
+    def for_range(cls, lo: float, hi: float, n: int) -> "VGrid":
         """Grid covering [lo, hi] and the origin, padded 5 % on both sides.
 
         The origin must be inside because chi changes sign there.
@@ -320,9 +320,7 @@ def _check_auditable(grid: VGrid, field0: CellField) -> None:
     _check_covers(grid, field0.values)
 
 
-def kinetic_residual(traj: Trajectory, flux, grid: VGrid | None = None) -> KineticResidual:
-    if grid is None:
-        grid = VGrid.for_range(*state_range(traj))
+def kinetic_residual(traj: Trajectory, flux, grid: VGrid) -> KineticResidual:
     _check_auditable(grid, traj.fields[0])
     if len(traj) < 2:
         raise ValueError("need at least one step")

@@ -762,7 +762,11 @@ def _chebyshev_inradius(pts: np.ndarray) -> float:
     return float(radii.max())
 
 
-def regularity(mesh: Mesh, bins: int = 16) -> RegularityReport:
+# bins of the shape-ratio histogram that regularity reports
+_REGULARITY_BINS = 16
+
+
+def regularity(mesh: Mesh) -> RegularityReport:
     if mesh.dim == 1:
         ratio = np.ones(mesh.n_cells)
     else:
@@ -778,9 +782,9 @@ def regularity(mesh: Mesh, bins: int = 16) -> RegularityReport:
         ratio = mesh.cell_diameter / (2.0 * radius)
     # ratios that differ by rounding only leave no room for finite bins:
     # bin them as equal values, which numpy centres in a unit range
-    edges = np.linspace(ratio.min(), ratio.max(), bins + 1)
+    edges = np.linspace(ratio.min(), ratio.max(), _REGULARITY_BINS + 1)
     binned = ratio if np.all(np.diff(edges) > 0.0) else np.full_like(ratio, ratio.max())
-    counts, edges = np.histogram(binned, bins=bins)
+    counts, edges = np.histogram(binned, bins=_REGULARITY_BINS)
     return RegularityReport(
         ratio=ratio,
         max_ratio=float(ratio.max()),

@@ -253,58 +253,45 @@ def _require(cond: bool, msg: str):
         raise ValueError(msg)
 
 
-def reference(name: str, flux: FluxModel, **params) -> ReferenceSolution:
+def reference(name: str, flux: FluxModel) -> ReferenceSolution:
     """Closed-form references, validated against the flux they solve.
 
-    * ``riemann_shock``: entropy shock for 1-D Burgers (default states 1, 0).
-    * ``riemann_rarefaction``: centered fan for 1-D Burgers (default -1, 1).
-    * ``smooth_sine_preshock``: smooth Burgers solution by characteristics,
-      valid strictly before gradient blowup.
-    * ``advected_profile``: translation of a profile by a linear flux.
+    * ``riemann_shock``: entropy shock for 1-D Burgers, states 1 -> 0 at x = 0.
+    * ``riemann_rarefaction``: centered fan for 1-D Burgers, -1 -> 1 at x = 0.
+    * ``smooth_sine_preshock``: 0.5 + 0.25 sin(2 pi x) under 1-D Burgers by
+      characteristics, valid strictly before gradient blowup.
+    * ``advected_profile``: sin(2 pi x) translated by a linear flux.
     """
     if name in ("riemann_shock", "riemann_rarefaction", "smooth_sine_preshock"):
         _require(flux.name == "burgers" and flux.dim == 1,
                  f"{name} needs the 1-D burgers flux")
     if name == "riemann_shock":
-        ul = float(params.pop("ul", 1.0))
-        ur = float(params.pop("ur", 0.0))
-        x0 = float(params.pop("x0", 0.0))
-        _reject_params(name, params)
-        _require(ul > ur, "riemann_shock needs ul > ur")
+        ul, ur = 1.0, 0.0
         s = float(flux.fn(ul, np.ones(1)) - flux.fn(ur, np.ones(1))) / (ul - ur)
 
         def evaluate(t, x):
-            return np.where(x[:, 0] < x0 + s * t, ul, ur)
+            return np.where(x[:, 0] < s * t, ul, ur)
 
         return ReferenceSolution(name, flux, np.inf, evaluate)
 
     if name == "riemann_rarefaction":
-        ul = float(params.pop("ul", -1.0))
-        ur = float(params.pop("ur", 1.0))
-        x0 = float(params.pop("x0", 0.0))
-        _reject_params(name, params)
-        _require(ul < ur, "riemann_rarefaction needs ul < ur")
+        ul, ur = -1.0, 1.0
 
         def evaluate(t, x):
-            xi = x[:, 0] - x0
             if t <= 0.0:
-                return np.where(xi < 0.0, ul, ur)
-            return np.clip(xi / t, ul, ur)
+                return np.where(x[:, 0] < 0.0, ul, ur)
+            return np.clip(x[:, 0] / t, ul, ur)
 
         return ReferenceSolution(name, flux, np.inf, evaluate)
 
     if name == "smooth_sine_preshock":
-        mean = float(params.pop("mean", 0.5))
-        amplitude = float(params.pop("amplitude", 0.25))
-        _reject_params(name, params)
-        _require(amplitude > 0.0, "amplitude must be positive")
-        t_star = 1.0 / (2.0 * np.pi * amplitude)
+        t_star = 1.0 / (2.0 * np.pi * 0.25)
 
         def u0(y):
-            return mean + amplitude * np.sin(2.0 * np.pi * y)
+            return 0.5 + 0.25 * np.sin(2.0 * np.pi * y)
 
         def du0(y):
-            return 2.0 * np.pi * amplitude * np.cos(2.0 * np.pi * y)
+            return 2.0 * np.pi * 0.25 * np.cos(2.0 * np.pi * y)
 
         def evaluate(t, x):
             # solve u = u0(x - u t) by Newton; safe before blowup
@@ -325,14 +312,9 @@ def reference(name: str, flux: FluxModel, **params) -> ReferenceSolution:
         _require(flux.convexity_class == "linear",
                  "advected_profile needs a linear flux")
         velocity = flux.df(np.zeros(()))
-        profile = params.pop("profile", None)
-        _reject_params(name, params)
-        if profile is None:
-            def profile(x):
-                return np.sin(2.0 * np.pi * x[..., 0])
 
         def evaluate(t, x):
-            return profile(x - velocity * t)
+            return np.sin(2.0 * np.pi * (x - velocity * t)[..., 0])
 
         return ReferenceSolution(name, flux, np.inf, evaluate)
 

@@ -124,8 +124,8 @@ class CellField:
         self.values.setflags(write=False)
 
     @classmethod
-    def from_function(cls, mesh: Mesh, fn: Callable, t: float = 0.0) -> "CellField":
-        return cls(mesh, cell_averages(mesh, fn), t)
+    def from_function(cls, mesh: Mesh, fn: Callable) -> "CellField":
+        return cls(mesh, cell_averages(mesh, fn))
 
     @property
     def total_mass(self) -> float:

@@ -223,5 +223,5 @@ def test_reference_horizon_enforced():
 def test_reference_validates_flux():
     with pytest.raises(ValueError):
         reference("riemann_shock", make_flux("linear_advection", a=1.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         reference("riemann_shock", make_flux("burgers"), bogus=1)
