@@ -38,7 +38,7 @@ from . import young as young_mod
 from .mesh import (load_mesh, regularity, triangulated_rectangle,
                    uniform_interval_mesh)
 from .physics import make_flux
-from .scheme import CellField, _time_tol, cell_averages
+from .scheme import _time_tol
 from .vtkio import write_vtk
 
 __all__ = ["main"]
@@ -247,14 +247,13 @@ def _kinetic_report(cfg, levels):
     scores = [lv.audits[0].negativity_score for lv in levels]
     finest = levels[-1]
 
-    # fixed non-entropic baseline: a standing expansion profile, frozen
-    base_mesh = uniform_interval_mesh(finest.n_cells, -1.0, 1.0, periodic=True)
-    base_flux = make_flux("burgers")
-    base_field = CellField(
-        base_mesh, cell_averages(base_mesh, lambda x: np.sign(x[:, 0])))
+    # fixed non-entropic baseline: expansion_shock's data, frozen
+    base = harness.PROBLEMS["expansion_shock"]
+    base_field = harness.initial_field(base, base.mesh_fn(finest.n_cells))
     frozen = kinetic_mod.frozen_trajectory(base_field, dt=1e-3, n_steps=1)
     base_dm = kinetic_mod.defect_measure(kinetic_mod.kinetic_residual(
-        frozen, base_flux, kinetic_mod.VGrid.for_range(-1.0, 1.0, n=cfg.n_v)))
+        frozen, base.flux_fn(),
+        kinetic_mod.VGrid.for_range(-1.0, 1.0, n=cfg.n_v)))
 
     flux = harness.PROBLEMS[cfg.problem].flux_fn()
     lo, hi = finest.state_range
@@ -332,7 +331,8 @@ def _young_report(cfg, levels):
     # monotone schemes compactify: any evolved sequence loses its oscillation,
     # so the persistence fixture is audited on the data sequence itself (t=0)
     spec = harness.PROBLEMS[cfg.problem]
-    if cfg.problem == "checkerboard":
+    persistence = cfg.problem == "checkerboard"
+    if persistence:
         fields = [harness.initial_field(spec, lv.final.mesh) for lv in levels]
     else:
         fields = [lv.final for lv in levels]
@@ -344,10 +344,9 @@ def _young_report(cfg, levels):
                      for ym in measures])
     consistency = [lv.audits[0] for lv in levels]
 
-    # fixed oscillation baseline at the finest resolution
-    n_fine = fields[-1].mesh.n_cells
-    base_mesh = uniform_interval_mesh(2 * (n_fine // 2), 0.0, 1.0, periodic=True)
-    base = CellField(base_mesh, young_mod.checkerboard_values(base_mesh))
+    # fixed oscillation baseline: checkerboard's data at the finest resolution
+    board = harness.PROBLEMS["checkerboard"]
+    base = harness.initial_field(board, board.mesh_fn(fields[-1].mesh.n_cells))
     ym = young_mod.build_young(base, patches=cfg.patches, bins=cfg.bins)
     base_var = float(ym.variance.max())
     gap = float(young_mod.nonlinearity_gap(ym, make_flux("burgers")).max())
@@ -358,14 +357,14 @@ def _young_report(cfg, levels):
              *(f"{lvl},{trend[lvl]:.17g},{gaps[lvl]:.17g},"
                f"{consistency[lvl]:.17g}" for lvl in range(len(trend)))]
 
-    if cfg.problem == "checkerboard":
+    if persistence:
         trend_ok = bool(np.all(trend >= 0.9))
         trend_msg = "variance persists (oscillation detected)"
     else:
         trend_ok = all(trend[i + 1] < trend[i] for i in range(len(trend) - 1))
         trend_msg = "strictly decreasing"
     verdict = f"({trend_msg} " + ("PASS)" if trend_ok else "FAIL)")
-    if cfg.problem != "checkerboard" and len(trend) == 1:
+    if not persistence and len(trend) == 1:
         verdict = f"({_NO_TREND})"
     var_ok = base_var >= 0.9
     gap_ok = abs(gap - 0.5) <= 1.0 / 64.0
@@ -399,10 +398,15 @@ def _builtin_mesh(source: str, args):
 
 
 def _cmd_mesh_info(args):
-    if args.source.startswith(("interval:", "square:")):
-        mesh = _builtin_mesh(args.source, args)
-    else:
-        mesh = load_mesh(args.source)
+    builtin = args.source.startswith(("interval:", "square:"))
+    # a flag the source would drop is refused, not ignored
+    if args.jitter != 0.0 and not args.source.startswith("square:"):
+        raise ValueError("--jitter applies only to builtin 'square:N' meshes")
+    if not builtin and (args.periodic or args.open_bc):
+        flag = "--periodic" if args.periodic else "--open"
+        raise ValueError(f"{flag} applies only to builtin meshes; "
+                         "a mesh file sets its own boundaries")
+    mesh = _builtin_mesh(args.source, args) if builtin else load_mesh(args.source)
     kinds = mesh.face_kind
     n_interior = int((kinds == "interior").sum())
     n_periodic = int((kinds == "periodic").sum())

@@ -415,7 +415,7 @@ class EntropyAuditReport:
 
 class EntropyAudit:
     """The cell entropy audit of one run, fed ``start(field0)`` and then
-    every accepted step; ``finish()`` gives the :class:`EntropyAuditReport`.
+    every field it reaches; ``finish()`` gives the :class:`EntropyAuditReport`.
 
     Steps are evaluated _BLOCK // n_faces at a time.  Besides that block it
     keeps one value per step and the fields of the worst step so far.
@@ -428,34 +428,33 @@ class EntropyAudit:
     def start(self, field0: CellField):
         self._kernel = _Kernel(field0.mesh, self.flux, self.config, self.k_grid)
         self._size = max(1, _BLOCK // field0.mesh.n_faces)
-        self._fields, self._dts = [field0], []
-        self._per_step = []
+        self._fields, self._per_step = [field0], []
         self._top, self._worst = -np.inf, None
 
-    def step(self, before: CellField, after: CellField, dt: float, faces):
-        if not self._dts:   # a block's arrays are its own, held with it
+    def step(self, field: CellField, faces):
+        held = len(self._fields) - 1
+        if not held:    # a block's arrays are its own, held with it
             self._records = self._kernel.records(self._size)
-        self._kernel.keep(self._records, len(self._dts), before, faces)
-        self._fields.append(after)
-        self._dts.append(dt)
-        if len(self._dts) == self._size:
+        self._kernel.keep(self._records, held, self._fields[-1], faces)
+        self._fields.append(field)
+        if held + 1 == self._size:
             self._evaluate()
 
     def _evaluate(self):
-        if not self._dts:
+        fields, self._fields = self._fields, self._fields[-1:]
+        if len(fields) == 1:
             return
         # the last block stays referenced until the next one is built, so
         # that it allocates while the memory is held; freed first, it would
         # go back to the system and be paged in again for every block
-        self._block = block = _Block(self._kernel, self._fields,
-                                     np.array(self._dts), self._records)
+        self._block = block = _Block(self._kernel, fields,
+                                     np.diff([f.t for f in fields]),
+                                     self._records)
         for i, m in enumerate(block.cell_max().max(axis=0).tolist()):
             self._per_step.append(max(m, 0.0))
             if m > self._top:
                 self._top = m
-                self._worst = (len(self._per_step) - 1, self._fields[i],
-                               self._fields[i + 1], self._dts[i])
-        self._fields, self._dts = self._fields[-1:], []
+                self._worst = (len(self._per_step) - 1, fields[i], fields[i + 1])
 
     def finish(self) -> EntropyAuditReport:
         self._evaluate()
@@ -463,9 +462,9 @@ class EntropyAudit:
         ks = self._kernel.k
         where = (-1, -1, float("nan"))
         if self._worst is not None:
-            s, before, after, dt = self._worst
-            ik, cell = entropy_residuals(before, after, dt, self.flux,
-                                         self.config, ks).argmax()
+            s, before, after = self._worst
+            ik, cell = entropy_residuals(before, after, after.t - before.t,
+                                         self.flux, self.config, ks).argmax()
             where = (s, cell, float(ks[ik]))
         worst = float(per_step.max()) if per_step.size else 0.0
         return EntropyAuditReport(per_step=per_step, k_grid=self.k_grid,

@@ -357,8 +357,8 @@ class _Conservation:
         self.mass0 = field0.total_mass
         self.drift = 0.0
 
-    def step(self, before, after, dt, faces):
-        self.drift = max(self.drift, abs(after.total_mass - self.mass0))
+    def step(self, field, faces):
+        self.drift = max(self.drift, abs(field.total_mass - self.mass0))
 
     def finish(self) -> AuditResult:
         return _exact("conservation", self.drift / max(1.0, abs(self.mass0)), 1.0,
@@ -370,8 +370,8 @@ class _MaxPrinciple:
         self.lo, self.hi = _value_range(field0.values)
         self.steps, self.worst, self.where = 0, -math.inf, (-1, -1)
 
-    def step(self, before, after, dt, faces):
-        escape = np.maximum(after.values - self.hi, self.lo - after.values)
+    def step(self, field, faces):
+        escape = np.maximum(field.values - self.hi, self.lo - field.values)
         cell = int(escape.argmax())
         if escape[cell] > self.worst:   # strict: ties keep the earliest step
             self.worst, self.where = float(escape[cell]), (self.steps, cell)
@@ -398,8 +398,8 @@ class _TotalVariation:
         self.tv0 = self.tv = _jumps(field0.values, *self.pairs)
         self.steps, self.growth, self.where = 0, -math.inf, -1
 
-    def step(self, before, after, dt, faces):
-        tv = _jumps(after.values, *self.pairs)
+    def step(self, field, faces):
+        tv = _jumps(field.values, *self.pairs)
         if tv - self.tv > self.growth:  # strict: ties keep the earliest step
             self.growth, self.where = tv - self.tv, self.steps
         self.tv, self.steps = tv, self.steps + 1
@@ -419,8 +419,8 @@ class _Contraction:
     def start(self, field0: CellField):
         self.initial, self.t = field0, field0.t
 
-    def step(self, before, after, dt, faces):
-        self.t = after.t
+    def step(self, field, faces):
+        self.t = field.t
 
     def finish(self) -> AuditResult:
         initial = self.initial
@@ -432,7 +432,7 @@ class _Contraction:
         first = last = float(mesh.cell_area @ np.abs(initial.values - twin.values))
         growth, where = -math.inf, -1
         marched = _march((initial, twin), self.flux, self.config, self.t)
-        for n, (_, (a, b), _, _) in enumerate(marched):
+        for n, ((a, b), _) in enumerate(marched):
             dist = float(mesh.cell_area @ np.abs(a.values - b.values))
             if dist - last > growth:    # strict: ties keep the earliest step
                 growth, where = dist - last, n
@@ -505,15 +505,15 @@ def solve_level(cfg: StudyConfig, level: int, observe=study_observers) -> LevelR
     """Solve one level, streaming its steps into observers.
 
     ``observe(cfg, level, flux)`` lists observers, objects with
-    ``start(field0)``, ``step(before, after, dt, faces)`` (``dt`` the
-    elapsed time, ``faces`` the first-stage face record the step advanced
-    with) and ``finish()``, or functions of the state range ``(lo, hi)``
-    that build one from the initial data's range.  A level whose range
-    leaves that one is marched again, deterministically, into observers
-    started afresh from the true range.  The level keeps its final field
-    and range, never its trajectory.  A failure while level 0's observers
-    are built or started, or a march of level 0 refused before its first
-    step (:class:`StepCapError`), is an :class:`InvalidRequest`.
+    ``start(field0)``, ``step(field, faces)`` (each field the march
+    reaches, ``faces`` the first-stage face record its step advanced with)
+    and ``finish()``, or functions of the state range ``(lo, hi)`` that
+    build one from the initial data's range.  A level whose range leaves
+    that one is marched again, deterministically, into observers started
+    afresh from the true range.  The level keeps its final field and
+    range, never its trajectory.  A failure while level 0's observers are
+    built or started, or a march of level 0 refused before its first step
+    (:class:`StepCapError`), is an :class:`InvalidRequest`.
     """
     return _solve_on(build_problem_mesh(cfg, level), cfg, level, observe)
 
@@ -536,13 +536,13 @@ def _solve_on(mesh: Mesh, cfg: StudyConfig, level: int, observe) -> LevelResult:
     def feed(observers, built):
         # a pass feeds its observers while the range is the one they were built for
         reached, steps, final = built, 0, initial
-        for (before,), (after,), _, (faces,) in _march(
+        for (field,), (faces,) in _march(
                 (initial,), flux, cfg.scheme(), cfg.resolved_t_final):
-            reached = _value_range(after.values, within=reached)
+            reached = _value_range(field.values, within=reached)
             if reached == built or not ranged:
                 for obs in observers:
-                    obs.step(before, after, after.t - before.t, faces)
-            steps, final = steps + 1, after
+                    obs.step(field, faces)
+            steps, final = steps + 1, field
         return reached, steps, final
 
     try:

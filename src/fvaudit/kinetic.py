@@ -23,15 +23,15 @@ boundaries are unsupported because the lifted profile has no ghost
 closure there.  Riemann data still fits: on a periodic interval the wrap
 face carries a standing jump with equal flux on both sides.
 
-The audit streams: :class:`DefectAudit` takes one step at a time
+The audit streams: :class:`DefectAudit` takes one state at a time
 (``defect_measure`` replays a kept trajectory into it) and evaluates the
-steps in blocks of about ``_BUDGET`` window entries, each block in one
-pass and only on per-cell velocity windows, outside which the residual is
-exactly 0.  It holds O(n_cells * n_v) floats plus two floats per step: the
-step size and the area-weighted positive mass, so ``total_mass`` is summed
-per step.  Reading ``KineticResidual.values`` or ``KineticResidual.M``
-rebuilds every step densely, one step per block, and costs
-O(n_steps * n_cells * n_v) memory.
+steps between them in blocks of about ``_BUDGET`` window entries, each
+block in one pass and only on per-cell velocity windows, outside which
+the residual is exactly 0.  It holds O(n_cells * n_v) floats plus two
+floats per step: the step size and the area-weighted positive mass, so
+``total_mass`` is summed per step.  Reading ``KineticResidual.values``
+or ``KineticResidual.M`` rebuilds every step densely, one step per
+block, and costs O(n_steps * n_cells * n_v) memory.
 """
 
 from __future__ import annotations
@@ -439,22 +439,22 @@ def _parts(weight, budget: int):
 
 class DefectAudit:
     """The :class:`DefectMeasure` of one run, fed ``start(field0)`` and then
-    every accepted step; ``finish()`` gives it.
+    every field it reaches; ``finish()`` gives it.
 
-    The steps are evaluated in blocks.  A step's fields are held until the
-    block has as many steps as fit in ``_BUDGET`` window entries at the
-    heaviest step of the block before (one step for the first block), or
-    until ``finish``.  Then one pass takes the hulls of the whole block,
-    and :meth:`_Window.block` its residual and M in parts that fit the
-    budget, or are one step alone.  Both are formed on the windows only,
-    so M, its minimum and the worst location are those of the dense arrays
-    bit for bit; a part's first minimum replaces the run's only when
-    strictly lower, so ties keep the earliest step.  The audit holds the
-    time integral ``acc`` of M as window values plus a difference table of
-    the constant tails above the windows, summed in v by ``finish``, and
-    one block: O(n_cells * n_v) floats.  What grows with the run is two
-    floats per step, its size and its area-weighted positive mass, so
-    ``total_mass`` is summed per step.
+    The steps are evaluated in blocks.  The fields are held, the last one
+    carried into the next block, until a block has as many steps as fit in
+    ``_BUDGET`` window entries at the heaviest step of the block before
+    (one step for the first), or until ``finish``.  Then one pass takes the
+    hulls of the whole block, and :meth:`_Window.block` its residual and M
+    in parts that fit the budget, or are one step alone.  Both are formed
+    on the windows only, so M, its minimum and the worst location are those
+    of the dense arrays bit for bit; a part's first minimum replaces the
+    run's only when strictly lower, so ties keep the earliest step.  The
+    audit holds the time integral ``acc`` of M as window values plus a
+    difference table of the constant tails above the windows, summed in v
+    by ``finish``, and one block: O(n_cells * n_v) floats.  What grows with
+    the run is two floats per step, its size and its area-weighted positive
+    mass, so ``total_mass`` is summed per step.
     """
 
     def __init__(self, flux, grid: VGrid):
@@ -467,18 +467,19 @@ class DefectAudit:
         self._tails = np.zeros((n_cells, n_v + 2))
         self._mass, self._dts = [], []
         self.lowest, self.worst = 0.0, (0, 0, 0)
-        self._held, self._block_steps = [], 1
+        self._fields, self._block_steps = [field0], 1
 
-    def step(self, before: CellField, after: CellField, dt: float, faces):
-        self._held.append((before.values, after.values, dt))
-        if len(self._held) == self._block_steps:
+    def step(self, field: CellField, faces):
+        self._fields.append(field)
+        if len(self._fields) - 1 == self._block_steps:
             self._flush()
 
     def _flush(self):
-        if not self._held:
+        fields, self._fields = self._fields, self._fields[-1:]
+        if len(fields) == 1:
             return
-        u_old, u_new, dts = (np.array(a) for a in zip(*self._held))
-        self._held = []
+        u = np.array([f.values for f in fields])
+        u_old, u_new, dts = u[:-1], u[1:], np.diff([f.t for f in fields])
         start, size = self._window.hull(u_old, u_new)
         weight = np.maximum(size.sum(axis=1), size.shape[1])
         self._block_steps = max(1, _BUDGET // int(weight.max()))

@@ -519,16 +519,15 @@ def state_range(traj: Trajectory) -> tuple[float, float]:
 
 def _replay(fields, observers) -> list:
     """Feed the consecutive ``fields`` of a run to observers: start each on
-    the first field, step it through every pair with ``dt`` the elapsed
-    time and no face record, and return their ``finish()`` values."""
+    the first field, step it through every later one with no face record,
+    and return their ``finish()`` values."""
     fields = iter(fields)
-    before = next(fields)
+    field0 = next(fields)
     for obs in observers:
-        obs.start(before)
-    for after in fields:
+        obs.start(field0)
+    for field in fields:
         for obs in observers:
-            obs.step(before, after, after.t - before.t, None)
-        before = after
+            obs.step(field, None)
     return [obs.finish() for obs in observers]
 
 
@@ -554,8 +553,8 @@ def _time_tol(t_final: float) -> float:
 
 def _march(initial: tuple, flux, config: SchemeConfig, t_final: float):
     """The one marching loop: advance the fields of ``initial`` to
-    ``t_final`` as one :class:`_Stack`, yielding per step ``(before, after,
-    dt, faces)`` with ``faces`` each field's first-stage :func:`_face_record`.
+    ``t_final`` as one :class:`_Stack`, yielding per step ``(after, faces)``,
+    the fields it reaches and each one's first-stage :func:`_face_record`.
 
     They take the least stable step, clipped to land on ``t_final``, and
     under global Lax-Friedrichs each field's coefficient also covers the
@@ -605,7 +604,7 @@ def _march(initial: tuple, flux, config: SchemeConfig, t_final: float):
                        for x, f in zip(stack.split(u), fields)])
         faces = (faces,) if stack.k == 1 else tuple(zip(*[
             (None,) * stack.k if x is None else stack.split(x) for x in faces]))
-        yield fields, after, dt, faces
+        yield after, faces
         del faces       # not held while the next record is built
         fields = after
 
@@ -619,7 +618,7 @@ def run(initial: CellField, flux, config: SchemeConfig,
     a single-entry trajectory.
     """
     fields = [initial]
-    for _, (after,), _, _ in _march((initial,), flux, config, t_final):
+    for (after,), _ in _march((initial,), flux, config, t_final):
         fields.append(after)
     return Trajectory(fields)
 
@@ -633,7 +632,7 @@ def twin_run(initial_a: CellField, initial_b: CellField, flux,
     measurements need.
     """
     fa, fb = [initial_a], [initial_b]
-    for _, (a, b), _, _ in _march((initial_a, initial_b), flux, config, t_final):
+    for (a, b), _ in _march((initial_a, initial_b), flux, config, t_final):
         fa.append(a)
         fb.append(b)
     return Trajectory(fa), Trajectory(fb)

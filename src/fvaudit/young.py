@@ -157,7 +157,7 @@ def level_measures(fields, base_patches: int = 8, bins: int = 64):
 
 class InitialConsistency:
     """Early-time L1 distance to the projected initial data of one run, fed
-    ``start(field0)`` and then its steps; ``finish()`` gives the score.
+    ``start(field0)`` and then each later field; ``finish()`` gives the score.
 
     The score is the trapezoid average of
 
@@ -175,12 +175,12 @@ class InitialConsistency:
         self.ubar = (field0.values if self.u0 is None
                      else cell_averages(field0.mesh, self.u0))
         self.e = []
-        self.step(None, field0, 0.0, None)
+        self.step(field0, None)
 
-    def step(self, before, after: CellField, dt: float, faces):
+    def step(self, field: CellField, faces):
         if len(self.e) < 2:
-            self.e.append(float(after.mesh.cell_area
-                                @ np.abs(after.values - self.ubar)))
+            self.e.append(float(field.mesh.cell_area
+                                @ np.abs(field.values - self.ubar)))
 
     def finish(self) -> float:
         e = self.e

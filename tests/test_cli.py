@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fvaudit
-from fvaudit import harness
+from fvaudit import cli, harness
 from fvaudit.cli import main
 
 MESH_FILE = """\
@@ -730,6 +730,24 @@ def test_mesh_info_jitter_bound(capsys):
     assert "jitter must sit in [0, 0.25]" in capsys.readouterr().err
     assert main(["mesh-info", "square:16", "--jitter", "0.25"]) == 0
     assert "regularity_max" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("source,flag", [
+    ("interval:8", ["--jitter", "0.2"]), ("interval:8", ["--jitter", "-1"]),
+    ("file", ["--jitter", "0.1"]), ("file", ["--periodic"]),
+    ("file", ["--open"])])
+def test_mesh_info_refuses_a_flag_its_source_ignores(tmp_path, capsys,
+                                                     monkeypatch, source, flag):
+    path = tmp_path / "three.mesh"
+    path.write_text(MESH_FILE)
+    built = []
+    for name in ("_builtin_mesh", "load_mesh"):
+        monkeypatch.setattr(cli, name, lambda *a: built.append(a))
+    assert main(["mesh-info", str(path) if source == "file" else source,
+                 *flag]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag[0] in err
+    assert built == []
 
 
 def test_mesh_info_from_file(tmp_path, capsys):

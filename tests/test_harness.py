@@ -35,7 +35,7 @@ from fvaudit import harness
 from fvaudit import kinetic as kinetic_mod
 from fvaudit.harness import build_problem_mesh
 from fvaudit.scheme import (FLUX_RULES, INTEGRATORS, LF_MODES, RECONSTRUCTIONS,
-                            state_range)
+                            _replay, state_range)
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +541,55 @@ def test_entropy_audit_takes_the_face_flux_the_step_advanced_with(monkeypatch):
     assert len(calls) == 2 * lv.steps + 1
 
 
+class Recorder:
+    """Every call an observer gets, as (name, field, faces)."""
+
+    def __init__(self, lo=None, hi=None):
+        self.calls = []
+
+    def start(self, field0):
+        self.calls.append(("start", field0, None))
+
+    def step(self, field, faces):
+        self.calls.append(("step", field, faces))
+
+    def finish(self):
+        return self.calls
+
+
+@pytest.mark.parametrize("problem,rule,base_n,t_final", [
+    ("smooth_sine", "godunov", 40, 0.1),
+    # the central rule overshoots the data: the level is marched twice
+    ("riemann_shock", "central", 60, 0.2)])
+def test_observers_get_every_state_the_march_reaches(problem, rule, base_n,
+                                                     t_final):
+    cfg = StudyConfig(problem=problem, flux_rule=rule, base_n=base_n,
+                      levels=1, t_final=t_final)
+    built = []
+
+    def observe(cfg, level, flux):
+        return [lambda lo, hi: built.append(Recorder(lo, hi)) or built[-1]]
+
+    calls = solve_level(cfg, 0, observe).audits[0]
+    spec = harness.PROBLEMS[problem]
+    initial = harness.initial_field(spec, build_problem_mesh(cfg, 0))
+    traj = run(initial, spec.flux_fn(), cfg.scheme(), cfg.resolved_t_final)
+    assert len(built) == (2 if rule == "central" else 1) and len(traj) > 3
+
+    def states(calls):
+        return [(name, f.values.tobytes(), f.t) for name, f, _ in calls]
+
+    names = ["start"] + ["step"] * (len(traj) - 1)
+    want = [(name, f.values.tobytes(), f.t)
+            for name, f in zip(names, traj.fields)]
+    assert states(calls) == want
+    assert calls[0][2] is None
+    assert all(len(faces) == 4 for _, _, faces in calls[1:])
+    replayed = _replay(traj.fields, [Recorder()])[0]
+    assert states(replayed) == want
+    assert all(faces is None for _, _, faces in replayed)
+
+
 def test_marched_again_level_hands_observers_every_face_record():
     from fvaudit.scheme import _face_record
 
@@ -552,9 +601,10 @@ def test_marched_again_level_hands_observers_every_face_record():
                 self.same = []
 
             def start(self, field0):
-                pass
+                self.before = field0
 
-            def step(self, before, after, dt, faces):
+            def step(self, field, faces):
+                before, self.before = self.before, field
                 want = _face_record(before.mesh, flux, cfg.scheme(),
                                     before.values)
                 self.same.append(faces is not None and all(
@@ -595,10 +645,10 @@ def test_observers_built_from_a_range_see_only_fields_inside_it():
             self.lo, self.hi = lo, hi
 
         def start(self, field0):
-            self.step(None, field0, 0.0, None)
+            self.step(field0, None)
 
-        def step(self, before, after, dt, faces):
-            assert self.lo <= after.values.min() <= after.values.max() <= self.hi
+        def step(self, field, faces):
+            assert self.lo <= field.values.min() <= field.values.max() <= self.hi
 
         def finish(self):
             return self.lo, self.hi
@@ -726,9 +776,9 @@ def test_total_variation_observer_keeps_its_bits(problem, base_n):
     obs = harness._TotalVariation()
     obs.start(initial)
     assert obs.tv.hex() == parent_total_variation(initial).hex()
-    for before, after in zip(traj.fields, traj.fields[1:]):
-        obs.step(before, after, after.t - before.t, None)
-        want = parent_total_variation(after).hex()
+    for field in traj.fields[1:]:
+        obs.step(field, None)
+        want = parent_total_variation(field).hex()
         assert obs.tv.hex() == want
     assert obs.steps == len(traj) - 1 >= 3
 
@@ -846,7 +896,7 @@ def test_child_results_that_do_not_pickle_fail_with_the_pickling_error(forks):
         def start(self, field0):
             pass
 
-        def step(self, before, after, dt, faces):
+        def step(self, field, faces):
             pass
 
         def finish(self):
@@ -868,7 +918,7 @@ def test_parent_raising_mid_finest_level_kills_and_reaps_its_children(forks):
         def start(self, field0):
             pass
 
-        def step(self, before, after, dt, faces):
+        def step(self, field, faces):
             raise Stop
 
     def observe(cfg, level, flux):

@@ -229,8 +229,8 @@ def test_streamed_and_replayed_measures_are_one_record():
     traj = frozen_trajectory(_sign_step(32), dt=1e-3, n_steps=2)
     audit = DefectAudit(flux, grid)
     audit.start(traj.fields[0])
-    for before, after in zip(traj.fields, traj.fields[1:]):
-        audit.step(before, after, after.t - before.t, None)
+    for field in traj.fields[1:]:
+        audit.step(field, None)
     streamed = audit.finish()
     assert streamed == defect_measure(kinetic_residual(traj, flux, grid))
     assert streamed.pointwise_negativity > 0.0
@@ -523,8 +523,8 @@ def _record_blocks(monkeypatch, budget):
     flush, block = DefectAudit._flush, kinetic._Window.block
 
     def recording_flush(self):
-        if self._held:
-            flushes.append((len(self._held), self._block_steps))
+        if len(self._fields) > 1:
+            flushes.append((len(self._fields) - 1, self._block_steps))
         flush(self)
 
     def recording_block(self, u_old, *rest):
