@@ -18,9 +18,9 @@ from .scheme import (CellField, ConfigurationError, NumericalError,
                      SchemeConfig, StabilityError, Trajectory, cell_averages,
                      lf_lambda, max_stable_dt, numerical_flux, reconstruct, run,
                      step, twin_run)
-from .entropy import (EFluxReport, EntropyAuditReport, EntropyResidualField,
-                      check_e_flux, entropy_residuals, kruzkov_k_grid,
-                      numerical_entropy_flux, run_entropy_audit)
+from .entropy import (EFluxReport, EntropyAuditReport, check_e_flux,
+                      kruzkov_k_grid, numerical_entropy_flux,
+                      run_entropy_audit)
 from .kinetic import (DefectMeasure, KineticDensity, KineticResidual,
                       NondegeneracyReport, VGrid, chi, defect_measure,
                       frozen_trajectory, kinetic_residual, lift,

@@ -137,9 +137,8 @@ def _run_audit(args, cfg, observe, report):
     out.mkdir(exist_ok=True)
     stem, notes, table, lines, gates = report(cfg, result.levels)
     path = out / f"{stem}_report.csv"
-    path.write_text("".join(f"{row}\n" for row in (
-        f"# config: {harness.config_echo(cfg)}",
-        *(f"# {note}" for note in notes), *table)))
+    harness._write_lines(path, [f"# config: {harness.config_echo(cfg)}",
+                                *(f"# {note}" for note in notes), *table])
     return [*lines, f"report in {path}"], gates
 
 
@@ -308,7 +307,7 @@ def _cmd_kinetic_audit(args):
 
 class _PatchedConsistency(young_mod.InitialConsistency):
     """Initial consistency whose start builds the field's histograms, so a
-    patch grid too fine is refused before any step."""
+    patch grid too fine for a level's cells is refused before its march."""
 
     def __init__(self, patches: int, bins: int):
         super().__init__()
@@ -320,11 +319,7 @@ class _PatchedConsistency(young_mod.InitialConsistency):
 
 
 def _young_observers(cfg, level, flux) -> list:
-    # level 0 refuses a patch grid too fine; finer levels keep its cells
-    # per patch
-    if level == 0:
-        return [_PatchedConsistency(cfg.patches, cfg.bins)]
-    return [young_mod.InitialConsistency()]
+    return [_PatchedConsistency(cfg.patches, cfg.bins)]
 
 
 def _young_report(cfg, levels):

@@ -51,15 +51,15 @@ O(faces n_k).
 the step index the trailing axis of every per-face and per-cell array:
 phi(k) with its prefix and suffix extremes and sum_e s_e |e| c_e are
 computed once per run, each step's face record is kept as it arrives, and
-the in-hull pairs in chunks.  Every operation is elementwise and in the order
-of the one-step evaluation :func:`entropy_residuals`, the same kernel on
-one step, so both give the same bits.
+the in-hull pairs in chunks.  Every operation is elementwise, so a step
+has the same bits in any block.  The worst step is evaluated again as a
+block of its own, from the fields and face record it advanced with, to
+find the first (k, cell) of its largest residual.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,12 +67,10 @@ from .scheme import (CellField, SchemeConfig, numerical_flux, state_range,
                      _checked_lf, _face_record, _geometry, _replay)
 
 __all__ = [
-    "EntropyResidualField",
     "EntropyAuditReport",
     "EntropyAudit",
     "EFluxReport",
     "numerical_entropy_flux",
-    "entropy_residuals",
     "run_entropy_audit",
     "kruzkov_k_grid",
     "check_e_flux",
@@ -111,85 +109,9 @@ def numerical_entropy_flux(rule: str, flux, k, a, b, n, lam=None) -> np.ndarray:
 
 # element budget of one block: the audit evaluates _BLOCK // n_faces steps
 # at once, the in-hull (cell, k) pairs go through the face table
-# _BLOCK // width at a time, and :meth:`EntropyResidualField.argmax`
-# expands _BLOCK residuals at a time while it looks for the first maximum
+# _BLOCK // width at a time, and :func:`_first_max` expands _BLOCK
+# residuals at a time while it looks for the first maximum
 _BLOCK = 1 << 14
-
-
-@dataclass
-class EntropyResidualField:
-    """Per-cell entropy residuals for one step and a set of k values.
-
-    The residuals are kept in the sparse-plus-affine form of the module
-    docstring: the per-cell update residual ``r`` and closure value
-    ``closure`` (C), the sorted-grid positions ``below``/``above`` where
-    each cell's stencil hull starts and ends, and the residuals of the
-    (cell, k) pairs inside the hull.  ``residual`` expands them to shape
-    (n_k, n_cells), or (n_cells,) for a scalar k, each time it is read,
-    which costs O(n_k x n_cells); :meth:`max` and :meth:`argmax` give its
-    maximum and first row-major location without that array.  Positive
-    entries violate the inequality.
-    """
-
-    k: np.ndarray | float
-    phi: np.ndarray = field(repr=False)      # phi(k) on the sorted k grid
-    rank: np.ndarray = field(repr=False)     # sorted position of each k
-    r: np.ndarray = field(repr=False)        # (n_cells,)
-    closure: np.ndarray = field(repr=False)  # (n_cells,)
-    below: np.ndarray = field(repr=False)    # sorted positions < below: k <= hull
-    above: np.ndarray = field(repr=False)    # sorted positions >= above: k >= hull
-    hull_cell: np.ndarray = field(repr=False)   # in-hull pairs, in (cell, k) order
-    hull_k: np.ndarray = field(repr=False)      # their sorted k positions
-    hull_value: np.ndarray = field(repr=False)  # their residuals
-
-    @property
-    def residual(self) -> np.ndarray:
-        res = self._values(self.rank, np.arange(self.closure.size))
-        return res[0] if np.ndim(self.k) == 0 else res
-
-    def max(self) -> float:
-        """``residual.max()``, bit for bit."""
-        return float(self._cell_max.max())
-
-    def argmax(self) -> tuple[int, int]:
-        """(k index, cell) of the first maximum of ``residual`` in row-major
-        order, the location ``residual.argmax()`` names."""
-        top = self._cell_max.max()
-
-        def at_top(x):           # a nan maximum is the first nan, as in numpy
-            return np.isnan(x) if np.isnan(top) else x == top
-
-        cells = np.flatnonzero(at_top(self._cell_max))
-        rows = max(1, _BLOCK // cells.size)
-        for start in range(0, self.rank.size, rows):
-            block = self._values(self.rank[start:start + rows], cells)
-            hit = np.flatnonzero(at_top(block))
-            if hit.size:
-                i, j = divmod(int(hit[0]), cells.size)
-                return start + i, int(cells[j])
-        raise ValueError("no residual attains the maximum")
-
-    def _values(self, pos: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        """Residuals at sorted k positions ``pos`` and ``cells``, one row per k."""
-        phic = self.phi[pos][:, None] * self.closure[cells]
-        r = self.r[cells]
-        out = np.where(pos[:, None] < self.below[cells], r - phic, phic - r)
-        row = np.full(self.phi.size, -1)
-        row[pos] = np.arange(pos.size)
-        col = np.full(self.closure.size, -1)
-        col[cells] = np.arange(cells.size)
-        i, j = row[self.hull_k], col[self.hull_cell]
-        kept = (i >= 0) & (j >= 0)
-        out[i[kept], j[kept]] = self.hull_value[kept]
-        return out
-
-    @cached_property
-    def _cell_max(self) -> np.ndarray:
-        """Largest residual of each cell over every k."""
-        best = _affine_max(_phi_extremes(self.phi), self.r, self.closure,
-                           self.below, self.above)
-        _fold_hull(best, self.hull_cell, self.hull_value)
-        return best
 
 
 def _phi_extremes(phi: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -256,7 +178,8 @@ class _Kernel:
                 for i in range(4)]
 
     def keep(self, records: list, s: int, before: CellField, faces):
-        """Write the step's face record ``faces`` to column ``s``; None rebuilds it."""
+        """Write the step's face record ``faces`` to column ``s``.  A replay
+        has none, and passes None to rebuild it from ``before``."""
         if faces is None:
             faces = _face_record(self.mesh, self.flux, self.config, before.values)
         for out, x in zip(records, faces):
@@ -358,27 +281,43 @@ class _Block:
             yield group, kpos, value
 
 
-def entropy_residuals(before: CellField, after: CellField, dt: float,
-                      flux, config: SchemeConfig, k) -> EntropyResidualField:
-    """Residuals of the cell entropy inequality for one accepted step.
-
-    ``before`` and ``after`` must be consecutive states of the same mesh
-    separated by ``dt``.  The bound is sharp only for constant
-    reconstruction with Euler stepping and an E-flux; other configurations
-    still get a report, just no guarantee of nonpositivity.
-    """
-    kernel = _Kernel(before.mesh, flux, config, k)
-    records = kernel.records(1)
-    kernel.keep(records, 0, before, None)
-    block = _Block(kernel, [before, after], np.array([dt], dtype=float), records)
+def _first_max(block: _Block) -> tuple[int, int]:
+    """(k index, cell) of the largest residual of a one-step block, the
+    first in (k in the order given, cell) order.  The residuals of the cells
+    that attain it are expanded _BLOCK at a time, k by k."""
+    kernel = block.kernel
+    r, C, below, above = (x[:, 0] for x in (block.r, block.closure,
+                                            block.below, block.above))
     # one step, so a pair's group is its cell
-    cell, kpos, value = (np.concatenate(part)
-                         for part in zip(*block.hull_chunks()))
-    return EntropyResidualField(
-        k=float(k) if np.ndim(k) == 0 else kernel.k, phi=kernel.phi,
-        rank=kernel.rank, r=block.r[:, 0], closure=block.closure[:, 0],
-        below=block.below[:, 0], above=block.above[:, 0], hull_cell=cell,
-        hull_k=kpos, hull_value=value)
+    hull_cell, hull_k, hull_value = (np.concatenate(part)
+                                     for part in zip(*block.hull_chunks()))
+    best = _affine_max(kernel.extremes, r, C, below, above)
+    _fold_hull(best, hull_cell, hull_value)
+    top = best.max()
+
+    def at_top(x):           # a nan maximum is the first nan, as in numpy
+        return np.isnan(x) if np.isnan(top) else x == top
+
+    cells = np.flatnonzero(at_top(best))
+    col = np.full(r.size, -1)
+    col[cells] = np.arange(cells.size)
+    j = col[hull_cell]
+    rows = max(1, _BLOCK // cells.size)
+    for start in range(0, kernel.rank.size, rows):
+        pos = kernel.rank[start:start + rows]   # sorted positions of these k
+        phic = kernel.phi[pos][:, None] * C[cells]
+        out = np.where(pos[:, None] < below[cells], r[cells] - phic,
+                       phic - r[cells])
+        row = np.full(kernel.phi.size, -1)
+        row[pos] = np.arange(pos.size)
+        i = row[hull_k]
+        kept = (i >= 0) & (j >= 0)
+        out[i[kept], j[kept]] = hull_value[kept]
+        hit = np.flatnonzero(at_top(out))
+        if hit.size:
+            ik, jc = divmod(int(hit[0]), cells.size)
+            return start + ik, int(cells[jc])
+    raise ValueError("no residual attains the maximum")
 
 
 def kruzkov_k_grid(lo: float, hi: float, n: int = 33, extra=()) -> np.ndarray:
@@ -418,7 +357,9 @@ class EntropyAudit:
     every field it reaches; ``finish()`` gives the :class:`EntropyAuditReport`.
 
     Steps are evaluated _BLOCK // n_faces at a time.  Besides that block it
-    keeps one value per step and the fields of the worst step so far.
+    keeps one value per step and, of the worst step so far, its two fields
+    and a copy of its face record, so that ``finish`` can locate the
+    maximum in that step alone.
     """
 
     def __init__(self, flux, config: SchemeConfig, k_grid, tol: float = 1e-12):
@@ -450,11 +391,15 @@ class EntropyAudit:
         self._block = block = _Block(self._kernel, fields,
                                      np.diff([f.t for f in fields]),
                                      self._records)
+        first, worst = len(self._per_step), None
         for i, m in enumerate(block.cell_max().max(axis=0).tolist()):
             self._per_step.append(max(m, 0.0))
             if m > self._top:
-                self._top = m
-                self._worst = (len(self._per_step) - 1, fields[i], fields[i + 1])
+                self._top, worst = m, i
+        if worst is not None:
+            self._worst = (first + worst, fields[worst:worst + 2],
+                           [None if x is None else x[:, worst:worst + 1].copy()
+                            for x in self._records])
 
     def finish(self) -> EntropyAuditReport:
         self._evaluate()
@@ -462,9 +407,9 @@ class EntropyAudit:
         ks = self._kernel.k
         where = (-1, -1, float("nan"))
         if self._worst is not None:
-            s, before, after = self._worst
-            ik, cell = entropy_residuals(before, after, after.t - before.t,
-                                         self.flux, self.config, ks).argmax()
+            s, fields, records = self._worst
+            ik, cell = _first_max(_Block(self._kernel, fields,
+                                         np.diff([f.t for f in fields]), records))
             where = (s, cell, float(ks[ik]))
         worst = float(per_step.max()) if per_step.size else 0.0
         return EntropyAuditReport(per_step=per_step, k_grid=self.k_grid,

@@ -765,30 +765,20 @@ def write_study_report(result: StudyResult, out_dir) -> dict[str, Path]:
         row.append("failed:" + lv.error_message.replace(",", ";")
                    if lv.failed else "ok")
         rows.append(",".join(row))
-    report = out / "report.csv"
-    with open(report, "w") as fh:
-        fh.write(f"# config: {config_echo(cfg)}\n")
-        fh.write(f"# seed: {cfg.seed}\n")
-        fh.write(f"# fitted_rate: {_fmt(result.fitted_rate)}\n")
-        fh.write(f"# audits_pass: {str(result.audits_pass).lower()}\n")
-        fh.write(",".join(header) + "\n")
-        fh.write("\n".join(rows) + "\n")
-    files["report"] = report
-
-    rate = out / "rate.dat"
-    with open(rate, "w") as fh:
-        fh.write("# h  l1_error\n")
-        fh.write(f"# fitted_rate: {_fmt(result.fitted_rate)}\n")
-        for h, e in result.rate_pairs:
-            fh.write(f"{_fmt(h)} {_fmt(e)}\n")
-    files["rate"] = rate
-
-    timings = out / "timings.csv"
-    with open(timings, "w") as fh:
-        fh.write("level,n_cells,steps,runtime_seconds\n")
-        for lv in result.levels:
-            fh.write(f"{lv.level},{lv.n_cells},{lv.steps},{lv.runtime:.6f}\n")
-    files["timings"] = timings
+    files["report"] = _write_lines(out / "report.csv", [
+        f"# config: {config_echo(cfg)}",
+        f"# seed: {cfg.seed}",
+        f"# fitted_rate: {_fmt(result.fitted_rate)}",
+        f"# audits_pass: {str(result.audits_pass).lower()}",
+        ",".join(header), *rows])
+    files["rate"] = _write_lines(out / "rate.dat", [
+        "# h  l1_error",
+        f"# fitted_rate: {_fmt(result.fitted_rate)}",
+        *(f"{_fmt(h)} {_fmt(e)}" for h, e in result.rate_pairs)])
+    files["timings"] = _write_lines(out / "timings.csv", [
+        "level,n_cells,steps,runtime_seconds",
+        *(f"{lv.level},{lv.n_cells},{lv.steps},{lv.runtime:.6f}"
+          for lv in result.levels)])
 
     for lv in result.levels:
         if lv.final is None:
@@ -806,11 +796,15 @@ def write_study_report(result: StudyResult, out_dir) -> dict[str, Path]:
 
 def _write_field_dump(path: Path, field: CellField) -> Path:
     mesh = field.mesh
+    cols = "idx x value" if mesh.dim == 1 else "idx x y value"
+    return _write_lines(path, [
+        f"# t = {_fmt(field.t)}", f"# {cols}",
+        *(f"{i} {' '.join(_fmt(c) for c in mesh.cell_centroid[i])} "
+          f"{_fmt(field.values[i])}" for i in range(mesh.n_cells))])
+
+
+def _write_lines(path: Path, lines) -> Path:
+    """Write ``lines`` to ``path``, each ended by a newline."""
     with open(path, "w") as fh:
-        fh.write(f"# t = {_fmt(field.t)}\n")
-        cols = "idx x value" if mesh.dim == 1 else "idx x y value"
-        fh.write(f"# {cols}\n")
-        for i in range(mesh.n_cells):
-            coords = " ".join(_fmt(c) for c in mesh.cell_centroid[i])
-            fh.write(f"{i} {coords} {_fmt(field.values[i])}\n")
+        fh.writelines(f"{line}\n" for line in lines)
     return path

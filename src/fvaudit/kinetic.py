@@ -29,9 +29,8 @@ steps between them in blocks of about ``_BUDGET`` window entries, each
 block in one pass and only on per-cell velocity windows, outside which
 the residual is exactly 0.  It holds O(n_cells * n_v) floats plus two
 floats per step: the step size and the area-weighted positive mass, so
-``total_mass`` is summed per step.  Reading ``KineticResidual.values``
-or ``KineticResidual.M`` rebuilds every step densely, one step per
-block, and costs O(n_steps * n_cells * n_v) memory.
+``total_mass`` is summed per step.  No dense (steps, cells, n_v) array is
+ever formed.
 """
 
 from __future__ import annotations
@@ -152,57 +151,19 @@ def frozen_trajectory(field: CellField, dt: float, n_steps: int) -> Trajectory:
 
 @dataclass
 class KineticResidual:
-    """Transport residual of the lifted trajectory, one step at a time.
-
-    For step n the residual is the (n_cells, n_v) array
+    """A kept trajectory checked for the kinetic audit, with the flux and
+    velocity grid to audit it on: the transport residual of step n is the
+    (n_cells, n_v) array
 
         (rho^{n+1} - rho^n) / dt_n + (1 / |K|) sum_e |e| c_e rho_up
 
     with c_e = f'(v_j) . n_e and rho_up the upwind copy of rho^n.
-    :meth:`steps` computes them in order, each as a block of one step on
-    its windows and exactly 0 elsewhere; ``values`` stacks all of them into
-    (n_steps, n_cells, n_v) and ``M`` their v-antiderivatives, zero at v_min,
-    into (n_steps, n_cells, n_v + 1) at the velocity edges; each costs that
-    much memory to read.  Built by :func:`kinetic_residual`.
+    :func:`defect_measure` evaluates it.  Built by :func:`kinetic_residual`.
     """
 
     traj: Trajectory
     flux: FluxModel
     grid: VGrid
-
-    @property
-    def mesh(self) -> Mesh:
-        return self.traj.mesh
-
-    @property
-    def dts(self) -> np.ndarray:
-        return np.diff(self.traj.times)
-
-    def steps(self):
-        """Yield each step's (n_cells, n_v) residual as a new array."""
-        fields = self.traj.fields
-        window = _Window(self.flux, self.grid, fields[0])
-        for before, after in zip(fields, fields[1:]):
-            u_old, u_new = before.values[None], after.values[None]
-            w = window.block(u_old, u_new, np.array([after.t - before.t]),
-                             *window.hull(u_old, u_new))
-            out = np.zeros((self.mesh.n_cells, self.grid.n))
-            out[w.cell, w.v] = w.r
-            yield out
-
-    @property
-    def values(self) -> np.ndarray:
-        out = np.empty((len(self.traj) - 1, self.mesh.n_cells, self.grid.n))
-        for s, r in enumerate(self.steps()):
-            out[s] = r
-        return out
-
-    @property
-    def M(self) -> np.ndarray:
-        out = np.empty((len(self.traj) - 1, self.mesh.n_cells, self.grid.n + 1))
-        for s, r in enumerate(self.steps()):
-            _antiderivative(r, self.grid.dv, out[s])
-        return out
 
 
 @dataclass
@@ -327,13 +288,6 @@ def kinetic_residual(traj: Trajectory, flux, grid: VGrid) -> KineticResidual:
     return KineticResidual(traj=traj, flux=flux, grid=grid)
 
 
-def _antiderivative(r: np.ndarray, dv: float, out: np.ndarray) -> None:
-    """Write M of one step's residual at the velocity edges, M(v_min) = 0."""
-    out[:, 0] = 0.0
-    np.cumsum(r, axis=-1, out=out[:, 1:])
-    out[:, 1:] *= dv
-
-
 def _row_cumsum(values: np.ndarray, size: np.ndarray) -> np.ndarray:
     """Running sums of the consecutive rows of ``values``, row k its next
     size[k] > 0 entries, each summed in order as np.cumsum sums that row
@@ -361,8 +315,8 @@ def _row_cumsum(values: np.ndarray, size: np.ndarray) -> np.ndarray:
 
 @dataclass
 class DefectMeasure:
-    """Summaries of ``KineticResidual.M``, the velocity antiderivative of the
-    kinetic residual.
+    """Summaries of M, the velocity antiderivative of the kinetic residual
+    of every step and cell, zero at v_min.
 
     M approximates the defect density only in a distributional sense: an
     upwind step splits the defect of a jump sitting on a face into a

@@ -9,13 +9,11 @@ from hypothesis import given, settings, strategies as st
 from fvaudit import (
     PROBLEMS,
     CellField,
-    EntropyResidualField,
     SchemeConfig,
     Trajectory,
     build_mesh,
     numerical_flux,
     check_e_flux,
-    entropy_residuals,
     kruzkov_k_grid,
     lf_lambda,
     make_flux,
@@ -159,9 +157,9 @@ def test_constant_field_zero_residuals():
     cfg = SchemeConfig()
     before = CellField(mesh, np.full(12, 0.7))
     after = step(before, burgers(), cfg, 0.01)
-    res = entropy_residuals(before, after, 0.01, burgers(), cfg,
-                            kruzkov_k_grid(-1.0, 1.0))
-    assert np.abs(res.residual).max() <= 1e-14
+    res = dense_residuals(before, after, 0.01, burgers(), cfg,
+                          kruzkov_k_grid(-1.0, 1.0))
+    assert np.abs(res).max() <= 1e-14
 
 
 def test_one_godunov_shock_step_entropy_clean():
@@ -172,8 +170,8 @@ def test_one_godunov_shock_step_entropy_clean():
     before = CellField.from_function(mesh, ref.initial)
     dt = max_stable_dt(before, flux, cfg)
     after = step(before, flux, cfg, dt)
-    res = entropy_residuals(before, after, dt, flux, cfg,
-                            kruzkov_k_grid(0.0, 1.0, extra=(1.0, 0.0)))
+    res = dense_residuals(before, after, dt, flux, cfg,
+                          kruzkov_k_grid(0.0, 1.0, extra=(1.0, 0.0)))
     assert max(res.max(), 0.0) <= 1e-12
 
 
@@ -232,12 +230,38 @@ def test_residual_rejects_mismatched_input():
     other = uniform_interval_mesh(12, 0.0, 1.0, periodic=True)
     cfg = SchemeConfig()
     f1 = CellField(mesh, np.zeros(12))
-    f2 = CellField(other, np.zeros(12))
-    with pytest.raises(ValueError):
-        entropy_residuals(f1, f2, 0.01, burgers(), cfg, 0.0)
+    f2 = CellField(other, np.zeros(12), 0.01)
+    with pytest.raises(ValueError, match="different meshes"):
+        run_entropy_audit(Trajectory([f1, f2]), burgers(), cfg, 0.0)
     f3 = step(f1, burgers(), cfg, 0.01)
-    with pytest.raises(ValueError):
-        entropy_residuals(f1, f3, -0.01, burgers(), cfg, 0.0)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        run_entropy_audit(Trajectory([f3, f1]), burgers(), cfg, 0.0)
+
+
+def one_step_block(before, after, dt, flux, config, k):
+    """The audit's evaluation of the step from ``before`` to ``after``: a
+    block of that one step, its face record rebuilt from ``before``."""
+    kernel = entropy_mod._Kernel(before.mesh, flux, config, k)
+    records = kernel.records(1)
+    kernel.keep(records, 0, before, None)
+    return entropy_mod._Block(kernel, [before, after],
+                              np.array([dt], dtype=float), records)
+
+
+def dense_residuals(before, after, dt, flux, config, k):
+    """The step's residuals as a dense (n_k, cells) array, k in the order
+    given: the affine form of each out-of-hull pair, the in-hull pairs as
+    :meth:`_Block.hull_chunks` yields them."""
+    block = one_step_block(before, after, dt, flux, config, k)
+    kernel = block.kernel
+    pos = kernel.rank                        # sorted position of each k
+    phic = kernel.phi[pos][:, None] * block.closure[:, 0]
+    r = block.r[:, 0]
+    out = np.where(pos[:, None] < block.below[:, 0], r - phic, phic - r)
+    given = np.argsort(pos)                  # given index of each position
+    for cell, kpos, value in block.hull_chunks():   # one step: group = cell
+        out[given[kpos], cell] = value
+    return out
 
 
 def reference_residuals(before, after, dt, flux, config, k_arr):
@@ -288,7 +312,7 @@ def test_shortcut_matches_full_clipped_evaluation(problem, rule, mode):
         for _ in range(3):
             dt = 0.9 * max_stable_dt(field, flux, cfg)
             after = step(field, flux, cfg, dt)
-            got = entropy_residuals(field, after, dt, flux, cfg, k).residual
+            got = dense_residuals(field, after, dt, flux, cfg, k)
             want = reference_residuals(field, after, dt, flux, cfg, k)
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-15
@@ -296,17 +320,17 @@ def test_shortcut_matches_full_clipped_evaluation(problem, rule, mode):
 
 
 def per_step_audit(traj, flux, cfg, k):
-    """The audit as a loop of one-step residuals: per-step maxima, worst
-    value and the first argmax over (step, k, cell)."""
+    """The audit as a loop of dense one-step residuals: per-step maxima,
+    worst value and the first argmax over (step, k, cell)."""
     per_step = np.zeros(len(traj) - 1)
     top, where = -np.inf, (-1, -1, float("nan"))
     for i, (before, after) in enumerate(zip(traj.fields[:-1], traj.fields[1:])):
-        res = entropy_residuals(before, after, after.t - before.t, flux, cfg, k)
+        res = dense_residuals(before, after, after.t - before.t, flux, cfg, k)
         m = res.max()
         per_step[i] = max(m, 0.0)
         if m > top:
-            ik, cell = res.argmax()
-            top, where = m, (i, cell, float(k[ik]))
+            ik, cell = np.unravel_index(int(res.argmax()), res.shape)
+            top, where = m, (i, int(cell), float(k[ik]))
     worst = float(per_step.max()) if per_step.size else 0.0
     return per_step, worst, where
 
@@ -371,7 +395,7 @@ def assert_locates_worst(traj, flux, cfg, k):
     rpt = run_entropy_audit(traj, flux, cfg, k)
     assert not rpt.passed
     stacked = np.array([
-        entropy_residuals(b, a, a.t - b.t, flux, cfg, k).residual
+        dense_residuals(b, a, a.t - b.t, flux, cfg, k)
         for b, a in zip(traj.fields[:-1], traj.fields[1:])])
     s, ik, cell = np.unravel_index(int(stacked.argmax()), stacked.shape)
     assert (rpt.worst_step, rpt.worst_cell, rpt.worst_k) == (s, cell, k[ik])
@@ -410,35 +434,42 @@ def test_audit_locates_worst_residual_off_uniform_meshes(case):
     if case == "quad_triangle":
         assert np.any(mesh.cell_face_sign == 0.0)
     else:
-        closure = entropy_residuals(traj.fields[0], traj.fields[1],
-                                    traj.times[1], flux, cfg, 0.5).closure
+        closure = one_step_block(traj.fields[0], traj.fields[1],
+                                 traj.times[1], flux, cfg, 0.5).closure
         assert np.any(closure != 0.0)
     lo, hi = state_range(traj)
     assert_locates_worst(traj, flux, cfg, kruzkov_k_grid(lo, hi, n=17))
 
 
-def test_field_max_and_argmax_match_expansion():
-    """max() and argmax() of the sparse-plus-affine form equal
-    residual.max() and the first residual.argmax(), bit for bit, with ties
-    in phi and in the residuals, both signs of C and unsorted k."""
+def test_audit_locates_worst_residual_among_ties():
+    """The first maximum in (step, k in the order given, cell) order, on a
+    permuted k grid of +-k pairs, which tie in phi for Burgers, and a
+    central run on triangles, where the closure C_i takes both signs."""
+    spec = PROBLEMS["rotated_shock_2d"]
+    mesh, flux = spec.mesh_fn(6), spec.flux_fn()
+    field = CellField.from_function(
+        mesh, lambda x: 0.5 + 0.4 * np.sin(3.0 * x[:, 0] + 2.0 * x[:, 1]))
+    cfg = SchemeConfig(flux_rule="central")
+    traj = run(field, flux, cfg, t_final=0.05)
+    closure = one_step_block(traj.fields[0], traj.fields[1], traj.times[1],
+                             flux, cfg, 0.5).closure
+    assert closure.min() < 0.0 < closure.max()
     rng = np.random.default_rng(5)
-    n_k, n_cells = 9, 40
-    for trial in range(60):
-        phi = rng.choice([-1.0, 0.0, 0.5, 2.0], n_k) + rng.choice([0.0, 1e-3], n_k)
-        below = rng.integers(0, n_k + 1, n_cells)
-        above = np.maximum(below, rng.integers(0, n_k + 1, n_cells))
-        count = above - below
-        cell = np.repeat(np.arange(n_cells), count)
-        kpos = np.arange(cell.size) - (np.cumsum(count) - count)[cell] + below[cell]
-        field = EntropyResidualField(
-            k=np.zeros(n_k), phi=phi, rank=rng.permutation(n_k),
-            r=rng.choice([-1.0, -0.25, 0.0, 1.0], n_cells),
-            closure=rng.choice([-3.0, -1.0, 0.0, 1.0, 0.1], n_cells),
-            below=below, above=above, hull_cell=cell, hull_k=kpos,
-            hull_value=rng.choice([0.0, 1.0, 2.5], cell.size))
-        dense = field.residual
-        assert np.float64(field.max()).tobytes() == dense.max().tobytes()
-        assert field.argmax() == np.unravel_index(int(dense.argmax()), dense.shape)
+    lo, hi = state_range(traj)
+    k = kruzkov_k_grid(lo, hi, n=17)
+    k = rng.permutation(np.concatenate([k, -k]))
+    assert np.array_equal(flux.phi(k), flux.phi(-k))
+    assert_locates_worst(traj, flux, cfg, k)
+    # below every cell's hull a pair's two residuals are the same value, so
+    # in each step the maximum ties, and the first of the pair is located
+    k = np.linspace(lo / 8.0, lo, 8)
+    k = rng.permutation(np.concatenate([k, -k]))
+    for b, a in zip(traj.fields[:-1], traj.fields[1:]):
+        res = dense_residuals(b, a, a.t - b.t, flux, cfg, k)
+        assert np.count_nonzero(res == res.max()) >= 2
+        block = one_step_block(b, a, a.t - b.t, flux, cfg, k)
+        assert entropy_mod._first_max(block) \
+            == np.unravel_index(int(res.argmax()), res.shape)
 
 
 def test_audit_memory_does_not_grow_with_k():

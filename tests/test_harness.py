@@ -519,7 +519,7 @@ def test_streamed_level_matches_library_functions(case, monkeypatch):
 def test_entropy_audit_takes_the_face_flux_the_step_advanced_with(monkeypatch):
     # the scheme's face flux goes through scheme.numerical_flux, the clipped
     # entropy flux through entropy's own binding: one call per step of each
-    # march, plus one to rebuild the worst step's record for its location
+    # march, and none to locate the worst step, which keeps its record
     from fvaudit import scheme as scheme_mod
 
     calls = []
@@ -530,7 +530,7 @@ def test_entropy_audit_takes_the_face_flux_the_step_advanced_with(monkeypatch):
                       t_final=0.1, audits="entropy")
     lv = solve_level(cfg, 0)
     assert lv.steps > 1 and lv.audits[0].passed
-    assert len(calls) == lv.steps + 1
+    assert len(calls) == lv.steps
 
     # the central rule leaves the data range: the level is marched twice,
     # and the second march hands the audit its records too
@@ -538,7 +538,7 @@ def test_entropy_audit_takes_the_face_flux_the_step_advanced_with(monkeypatch):
     lv = solve_level(replace(cfg, problem="riemann_shock", flux_rule="central",
                              base_n=60, t_final=0.2), 0)
     assert lv.steps == 50 and lv.state_range != (0.0, 1.0)
-    assert len(calls) == 2 * lv.steps + 1
+    assert len(calls) == 2 * lv.steps
 
 
 class Recorder:
@@ -788,6 +788,31 @@ def test_audit_worst_locations_without_steps():
                       audits="max_principle,tv,contraction")
     for a in solve_level(cfg, 0).audits:
         assert (a.value, a.worst_step, a.worst_cell) == (0.0, -1, -1), a.name
+
+
+def test_streamed_entropy_audit_locates_its_worst_step_from_its_records(
+        monkeypatch):
+    """A streamed audit never rebuilds a face record, the worst step's
+    included, and names the step and cell the replayed audit names."""
+    cfg = StudyConfig(problem="smooth_sine", flux_rule="central", base_n=30,
+                      levels=1, t_final=0.1, audits="entropy")
+
+    def rebuild(*args, **kwargs):
+        raise AssertionError("a streamed audit rebuilt a face record")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(entropy_mod, "_face_record", rebuild)
+        (got,) = solve_level(cfg, 0).audits
+    spec = harness.PROBLEMS[cfg.problem]
+    initial = harness.initial_field(spec, build_problem_mesh(cfg, 0))
+    traj = run(initial, spec.flux_fn(), cfg.scheme(), cfg.resolved_t_final)
+    k_grid = kruzkov_k_grid(*state_range(traj), n=cfg.k_points,
+                            extra=spec.states)
+    want = run_entropy_audit(traj, spec.flux_fn(), cfg.scheme(), k_grid,
+                             tol=harness._EXACT_TOL)
+    assert not want.passed and want.worst_step > 0
+    assert (got.value, got.worst_step, got.worst_cell) \
+        == (want.worst, want.worst_step, want.worst_cell)
 
 
 @pytest.mark.parametrize("flux_rule", ["central", "godunov"])

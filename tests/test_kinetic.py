@@ -171,8 +171,9 @@ def test_frozen_trajectory_validation():
 def test_constant_state_has_zero_residual():
     flux = make_flux("burgers")
     res = kinetic_residual(_constant_run(), flux, VGrid(-1.0, 1.0, 64))
-    assert res.values.shape == (5, 16, 64)
-    assert np.all(res.values == 0.0)
+    values = windowed_residual(res).values
+    assert values.shape == (5, 16, 64)
+    assert np.all(values == 0.0)
     dm = defect_measure(res)
     assert dm.negativity_score == 0.0
     assert dm.pointwise_negativity == 0.0
@@ -184,7 +185,7 @@ def test_evolved_constant_has_zero_residual():
     flux = make_flux("burgers")
     traj = run(CellField(mesh, np.full(20, 0.4)), flux, GODUNOV, 0.2)
     res = kinetic_residual(traj, flux, VGrid.for_range(*state_range(traj), n=256))
-    assert np.all(res.values == 0.0)
+    assert np.all(windowed_residual(res).values == 0.0)
 
 
 def test_kinetic_residual_needs_periodic_mesh():
@@ -212,16 +213,9 @@ def test_field_leaving_the_grid_is_refused():
     traj = Trajectory([CellField(mesh, u, t=0.1 * s)
                        for s, u in enumerate(values)])
     res = kinetic_residual(traj, make_flux("burgers"), VGrid(-1.0, 1.0, 16))
-    for read in (defect_measure, lambda res: res.values):
+    for read in (defect_measure, windowed_residual):
         with pytest.raises(ValueError, match="does not cover"):
             read(res)
-
-
-def test_defect_measure_antiderivative_shape():
-    flux = make_flux("burgers")
-    res = kinetic_residual(_constant_run(2), flux, VGrid(-1.0, 1.0, 32))
-    assert res.M.shape == (2, 16, 33)
-    assert np.all(res.M[..., 0] == 0.0)
 
 
 def test_streamed_and_replayed_measures_are_one_record():
@@ -398,6 +392,28 @@ def reference_kinetic_residual(traj, flux, grid=None):
     return SimpleNamespace(values=out, dts=dts, grid=grid, mesh=mesh)
 
 
+def windowed_residual(res):
+    """The audit's residual and M, expanded one step at a time from the
+    windows :meth:`kinetic._Window.block` evaluates: (n_steps, n_cells,
+    n_v) and (n_steps, n_cells, n_v + 1) arrays, the residual 0 outside the
+    windows, M 0 below them and at its last window value above."""
+    fields, grid = res.traj.fields, res.grid
+    window = kinetic._Window(res.flux, grid, fields[0])
+    shape = (len(fields) - 1, fields[0].mesh.n_cells)
+    values, M = np.zeros(shape + (grid.n,)), np.zeros(shape + (grid.n + 1,))
+    edges = np.arange(grid.n + 1)
+    for s, (before, after) in enumerate(zip(fields, fields[1:])):
+        u_old, u_new = before.values[None], after.values[None]
+        w = window.block(u_old, u_new, np.array([after.t - before.t]),
+                         *window.hull(u_old, u_new))
+        values[s, w.cell, w.v] = w.r
+        M[s, w.cell, w.v + 1] = w.M
+        above = edges > (w.start + w.size)[:, None]
+        last = w.M[np.cumsum(w.size) - 1]
+        M[s, w.busy_cell] = np.where(above, last[:, None], M[s, w.busy_cell])
+    return SimpleNamespace(values=values, M=M)
+
+
 def reference_defect_measure(res, windows_per_axis=None, window_frac=0.125):
     """M and its summaries from the whole (n_steps, n_cells, n_v) residual."""
     dv = res.grid.dv
@@ -474,8 +490,9 @@ def test_streaming_audit_matches_bulk_reference(case):
     res = kinetic_residual(traj, flux, grid)
     ref_res = reference_kinetic_residual(traj, flux, grid)
     dm, ref = defect_measure(res), reference_defect_measure(ref_res)
-    assert _same_bits(res.values, ref_res.values)
-    assert _same_bits(res.M, ref.M)
+    windowed = windowed_residual(res)
+    assert _same_bits(windowed.values, ref_res.values)
+    assert _same_bits(windowed.M, ref.M)
     assert dm.pointwise_negativity.hex() == ref.pointwise_negativity.hex()
     # the positive mass is summed per step and the time integral of M step
     # by step, with the tails above the windows summed in v at the end, so
@@ -486,7 +503,8 @@ def test_streaming_audit_matches_bulk_reference(case):
     assert abs(dm.negativity_score - ref.negativity_score) \
         <= 1e-13 * abs(ref.negativity_score)
     terms = np.tensordot(ref_res.dts, np.abs(ref.M[..., -1]), axes=(0, 0))
-    edge_scale = float(res.mesh.cell_area @ terms) / float(res.dts.sum())
+    edge_scale = (float(ref_res.mesh.cell_area @ terms)
+                  / float(ref_res.dts.sum()))
     assert abs(dm.edge_mass - ref.edge_mass) <= 1e-13 * edge_scale
     worst = np.unravel_index(np.argmin(ref.M), ref.M.shape)
     assert (dm.worst_step, dm.worst_cell, dm.worst_v) == tuple(map(int, worst))
@@ -495,7 +513,7 @@ def test_streaming_audit_matches_bulk_reference(case):
 def test_streaming_worst_location_takes_the_first_tie():
     traj, flux, grid = STREAMING_CASES["frozen"]()
     res = kinetic_residual(traj, flux, grid)
-    dm, M = defect_measure(res), res.M
+    dm, M = defect_measure(res), windowed_residual(res).M
     assert dm.worst_step == 0
     assert np.array_equal(M[0], M[2])
     assert M[0, dm.worst_cell, dm.worst_v] == -dm.pointwise_negativity < 0.0
@@ -549,8 +567,9 @@ def test_blocks_of_steps_match_the_dense_reference(case, monkeypatch):
     res = kinetic_residual(traj, flux, grid)
     ref_res = reference_kinetic_residual(traj, flux, grid)
     ref = reference_defect_measure(ref_res)
-    assert _same_bits(res.values, ref_res.values)
-    assert _same_bits(res.M, ref.M)
+    windowed = windowed_residual(res)
+    assert _same_bits(windowed.values, ref_res.values)
+    assert _same_bits(windowed.M, ref.M)
     whole = defect_measure(res)
     # the first block is one step; blocks of k steps follow, with k chosen
     # so that the steps run out in the middle of the last one
@@ -570,7 +589,7 @@ def test_identical_steps_across_blocks_keep_the_first_tie(monkeypatch):
     traj = frozen_trajectory(_sign_step(160), dt=1e-3, n_steps=20)
     flux, grid = make_flux("burgers"), VGrid.for_range(-1.0, 1.0, n=128)
     res = kinetic_residual(traj, flux, grid)
-    M = res.M
+    M = windowed_residual(res).M
     flushes, _ = _record_blocks(monkeypatch, kinetic._BUDGET)
     dm = defect_measure(res)
     assert len(flushes) > 2
@@ -593,7 +612,7 @@ def test_step_heavier_than_the_budget_is_evaluated_alone(monkeypatch):
     assert _step_weights(res).max() == 64 * 128 > kinetic._BUDGET
     ref_res = reference_kinetic_residual(traj, flux, grid)
     ref = reference_defect_measure(ref_res)
-    assert _same_bits(res.M, ref.M)
+    assert _same_bits(windowed_residual(res).M, ref.M)
     _, parts = _record_blocks(monkeypatch, kinetic._BUDGET)
     dm = defect_measure(res)
     assert all(steps == 1 for steps, entries in parts
@@ -646,7 +665,7 @@ def test_windowed_audit_matches_dense_on_random_step_pairs(values, dt, flux):
     dm = defect_measure(res)
     ref = reference_defect_measure(
         reference_kinetic_residual(traj, flux, _PAIR_GRID))
-    assert _same_bits(res.M, ref.M)
+    assert _same_bits(windowed_residual(res).M, ref.M)
     assert dm.pointwise_negativity.hex() == ref.pointwise_negativity.hex()
     worst = np.unravel_index(np.argmin(ref.M), ref.M.shape)
     assert (dm.worst_step, dm.worst_cell, dm.worst_v) == tuple(map(int, worst))

@@ -1,9 +1,14 @@
-"""The README's library example runs as documented."""
+"""The README's library example runs as documented, and the names it
+cites exist."""
 
+import builtins
 import contextlib
+import dataclasses
 import io
 import re
 from pathlib import Path
+
+import fvaudit
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -23,3 +28,27 @@ def test_readme_quick_start_runs():
     passed, worst = out.getvalue().split()
     assert passed == "True"
     assert float(worst) <= 1e-12
+
+
+# a backticked CamelCase name, with an optional attribute and call
+_NAME = re.compile(r"`([A-Z][a-z]\w*)(?:\.(\w+))?(?:\([^`]*\))?`")
+
+
+def _resolves(name: str, attr: str | None) -> bool:
+    if not (hasattr(fvaudit, name) or hasattr(builtins, name)):
+        return False
+    if attr is None:
+        return True
+    obj = getattr(fvaudit, name, None) or getattr(builtins, name)
+    return hasattr(obj, attr) or (dataclasses.is_dataclass(obj) and attr in {
+        f.name for f in dataclasses.fields(obj)})
+
+
+def test_readme_names_resolve():
+    """Every class README cites is a builtin or in ``fvaudit``, and so is
+    every attribute it cites of one."""
+    cited = _NAME.findall(README.read_text())
+    assert len(cited) >= 3
+    missing = [f"{name}.{attr}" if attr else name
+               for name, attr in cited if not _resolves(name, attr or None)]
+    assert not missing, missing
