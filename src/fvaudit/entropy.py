@@ -50,11 +50,13 @@ O(faces n_k).
 :class:`EntropyAudit` evaluates blocks of consecutive steps at once,
 the step index the trailing axis of every per-face and per-cell array:
 phi(k) with its prefix and suffix extremes and sum_e s_e |e| c_e are
-computed once per run, each step's face record is kept as it arrives, and
-the in-hull pairs in chunks.  Every operation is elementwise, so a step
-has the same bits in any block.  The worst step is evaluated again as a
-block of its own, from the fields and face record it advanced with, to
-find the first (k, cell) of its largest residual.
+computed once per run, each step's fields and face record are written
+into the block as they arrive, and the in-hull pairs go in chunks.  Every
+block of a run is built in the same arrays, allocated once, so the audit
+holds one block at a time.  Every operation is elementwise or a gather,
+so a step has the same bits in any block.  The worst step is evaluated
+again as a block of its own, from the fields and face record it advanced
+with, to find the first (k, cell) of its largest residual.
 """
 
 from __future__ import annotations
@@ -109,8 +111,11 @@ def numerical_entropy_flux(rule: str, flux, k, a, b, n, lam=None) -> np.ndarray:
 
 # element budget of one block: the audit evaluates _BLOCK // n_faces steps
 # at once, the in-hull (cell, k) pairs go through the face table
-# _BLOCK // width at a time, and :func:`_first_max` expands _BLOCK
-# residuals at a time while it looks for the first maximum
+# _BLOCK // 8 // width at a time, and :func:`_first_max` expands _BLOCK
+# residuals at a time while it looks for the first maximum.  A chunk's
+# two dozen temporaries are freed and taken again chunk after chunk; at
+# an eighth of the block's budget they stay far below the block's arrays
+# (at _BLOCK // width, study_1d's peak was 0.25 MB higher)
 _BLOCK = 1 << 14
 
 
@@ -122,29 +127,44 @@ def _phi_extremes(phi: np.ndarray) -> tuple[np.ndarray, ...]:
             np.maximum.accumulate(phi[::-1])[::-1])
 
 
-def _affine_max(extremes, r, C, below, above) -> np.ndarray:
+def _affine_max(extremes, r, C, below, above, work=None) -> np.ndarray:
     """Largest out-of-hull residual of each cell, elementwise over arrays of
     one shape: r - phi(k) C over the sorted positions before ``below``,
     phi(k) C - r from ``above`` on, -inf where there are none.
 
     Both are monotone in phi(k), also after rounding, so the largest sits
     at the smallest or largest phi of the range: a prefix or suffix extreme.
+    ``work`` holds three float arrays and one int array of that shape to
+    compute in, the first of which is returned; by default they are new.
     """
     lo, hi, lo_suffix, hi_suffix = extremes
     n_k = lo.size
-    j = np.maximum(below - 1, 0)
-    best = np.where(below > 0, r - np.where(C > 0.0, lo[j], hi[j]) * C, -np.inf)
-    j = np.minimum(above, n_k - 1)
-    return np.maximum(best, np.where(
-        above < n_k, np.where(C > 0.0, hi_suffix[j], lo_suffix[j]) * C - r,
-        -np.inf))
+    best, x, y, j = work or (np.empty_like(r), np.empty_like(r),
+                             np.empty_like(r), np.empty_like(below))
+    falling = ~(C > 0.0)
+    np.maximum(np.subtract(below, 1, out=j), 0, out=j)
+    np.copyto(np.take(lo, j, out=best, mode="clip"),
+              np.take(hi, j, out=x, mode="clip"), where=falling)
+    best *= C
+    np.subtract(r, best, out=best)
+    np.copyto(best, -np.inf, where=below <= 0)
+    np.minimum(above, n_k - 1, out=j)
+    np.copyto(np.take(hi_suffix, j, out=x, mode="clip"),
+              np.take(lo_suffix, j, out=y, mode="clip"), where=falling)
+    x *= C
+    x -= r
+    np.copyto(x, -np.inf, where=above >= n_k)
+    return np.maximum(best, x, out=best)
 
 
 def _fold_hull(best: np.ndarray, group: np.ndarray, value: np.ndarray):
     """Raise ``best.flat[g]`` to the largest ``value`` of the pairs of group
     g, for pairs listed group by group."""
     if group.size:
-        first = np.flatnonzero(np.diff(group, prepend=-1))
+        starts = np.empty(group.size, dtype=bool)
+        starts[0] = True
+        np.not_equal(group[1:], group[:-1], out=starts[1:])
+        first = np.flatnonzero(starts)
         g = group[first]
         flat = best.reshape(-1)
         flat[g] = np.maximum(flat[g], np.maximum.reduceat(value, first))
@@ -170,87 +190,169 @@ class _Kernel:
         self.extremes = _phi_extremes(self.phi)
         self.face, _ = _geometry(mesh, flux)      # c = d . n per face
         self.closure_sum = mesh.divergence(mesh.face_length * self.face.c)
+        self.real = mesh.cell_face_sign != 0.0     # pads skipped
 
-    def records(self, n_steps: int) -> list:
-        """(faces, n_steps) arrays for a, b, g and, under global LF only, lam."""
-        shape = (self.mesh.n_faces, n_steps)
-        return [np.empty(shape) if i < 3 or self.global_lf else None
-                for i in range(4)]
 
-    def keep(self, records: list, s: int, before: CellField, faces):
-        """Write the step's face record ``faces`` to column ``s``.  A replay
-        has none, and passes None to rebuild it from ``before``."""
-        if faces is None:
-            faces = _face_record(self.mesh, self.flux, self.config, before.values)
-        for out, x in zip(records, faces):
-            if out is not None:
-                out[:, s] = x
+def _part(flat: np.ndarray, rows: int, n: int) -> np.ndarray:
+    """The first rows x n values of a reused flat array, as a contiguous
+    (rows, n) array, so that a block of n steps touches only what it uses."""
+    return flat[:rows * n].reshape(rows, n)
 
 
 class _Block:
-    """Sparse-plus-affine residuals of the B steps between consecutive
-    ``fields``, the step index the trailing axis of every (faces, B) and
-    (cells, B) array.
+    """Sparse-plus-affine residuals of up to ``size`` consecutive steps, in
+    arrays allocated once and reused by every block of a run.
 
-    ``r``, ``closure``, ``below`` and ``above`` are (cells, B);
-    :meth:`hull_chunks` yields the in-hull pairs with their residuals.  A
-    pair's group is ``cell * B + step``.
+    Steps go in as they arrive (:meth:`put`): row s of ``fields`` holds the
+    cell values before step s and row s + 1 those after it, ``times`` their
+    times, and row s of each of ``records`` the face traces a and b, the
+    flux g and, under global Lax-Friedrichs only, the coefficient step s
+    advanced with.  :meth:`evaluate` then makes the (cells, B) arrays
+    ``r``, ``closure``, ``below`` and ``above`` of the B steps held, the
+    step index their trailing axis, and :meth:`hull_chunks` yields the
+    in-hull pairs with their residuals; a pair's group is
+    ``cell * B + step``.  Every operation is elementwise or a gather, so
+    writing into the reused arrays keeps the bits.
     """
 
-    def __init__(self, kernel: _Kernel, fields, dt: np.ndarray, records):
+    def __init__(self, kernel: _Kernel, size: int):
         mesh = kernel.mesh
-        if any(f.mesh is not mesh for f in fields):
+        self.kernel, self.size, self.n = kernel, size, 0
+        self.records = [np.empty((size, mesh.n_faces))
+                        if i < 3 or kernel.global_lf else None for i in range(4)]
+        self.fields, self.times = np.empty((size + 1, mesh.n_cells)), np.empty(size + 1)
+        self._dt = None
+
+    def _allocate(self, n: int):
+        """The flat arrays evaluate and cell_max compute in, made by the
+        first block for as many steps as it holds, which no later block
+        exceeds: (cells, n) arrays of floats and of ints, and the (n,
+        2 faces + 1) signed face fluxes."""
+        cells, faces = self.kernel.mesh.n_cells, self.kernel.mesh.n_faces
+        self._dt = np.empty(n)
+        self._r, self._closure, self._rows, self._trace = (
+            np.empty(cells * n) for _ in range(4))
+        self._signed = np.empty((2 * faces + 1) * n)
+        self._below, self._above, self._j, self._ends = (
+            np.empty(cells * n, dtype=np.intp) for _ in range(4))
+
+    def begin(self, field: CellField):
+        """Start a block from ``field``, the values before its first step."""
+        self.fields[0], self.times[0], self.n = field.values, field.t, 0
+
+    def put(self, before: CellField, after: CellField, faces):
+        """Hold the step from ``before`` to ``after`` and the face record
+        ``faces`` it advanced with.  A replay has none, and passes None to
+        rebuild it from ``before``."""
+        kernel, s = self.kernel, self.n
+        if after.mesh is not kernel.mesh or before.mesh is not kernel.mesh:
             raise ValueError("before and after live on different meshes")
+        if faces is None:
+            faces = _face_record(kernel.mesh, kernel.flux, kernel.config,
+                                 before.values)
+        for out, x in zip(self.records, faces):
+            if out is not None:
+                out[s] = x
+        self.fields[s + 1], self.times[s + 1], self.n = after.values, after.t, s + 1
+
+    def copy_step(self, s: int) -> tuple:
+        """Copies of what step ``s`` holds: its two fields' values, their
+        times and its face record."""
+        return (self.fields[s:s + 2].copy(), self.times[s:s + 2].copy(),
+                [None if x is None else x[s:s + 1].copy() for x in self.records])
+
+    def hold(self, step: tuple):
+        """Hold one step, as :meth:`copy_step` gave it, as the first."""
+        fields, times, records = step
+        self.fields[:2], self.times[:2], self.n = fields, times, 1
+        for out, x in zip(self.records, records):
+            if out is not None:
+                out[:1] = x
+
+    def evaluate(self):
+        """The residual data of the steps held: dt, the update's own
+        residual r, the closure values and the hull's sorted k ranks.  The
+        sums and hulls run over the rows the steps arrived in, (n, cells),
+        and are turned to (cells, n) once, at the end."""
+        kernel, mesh, n = self.kernel, self.kernel.mesh, self.n
+        cells, faces = mesh.n_cells, mesh.n_faces
+        if self._dt is None:
+            self._allocate(n)
+        self.dt = dt = np.subtract(self.times[1:n + 1], self.times[:n],
+                                   out=self._dt[:n])
         if not np.all(dt > 0.0):
             raise ValueError("dt must be positive")
-        self.kernel, self.dt = kernel, dt
-        self.a, self.b, self.g, self.lam = (
-            None if x is None else x[:, :dt.size] for x in records)
-        u = np.stack([f.values for f in fields], axis=1)
-        self.u, self.u_new = u[:, :-1], u[:, 1:]
+        a, b, g, lam = (None if x is None else x[:n] for x in self.records)
+        u, u_new = self.fields[:n], self.fields[1:n + 1]
+        self.a, self.b, self.g, self.lam = (None if x is None else x.T
+                                            for x in (a, b, g, lam))
+        self.u, self.u_new = u.T, u_new.T
+        rows, trace = _part(self._rows, n, cells), _part(self._trace, n, cells)
 
-        # (dt / |K|) sum_e s_e |e| v_e for v = c and v = g
+        # (dt / |K|) sum_e s_e |e| v_e for v = c and v = g, the latter
+        # summed from [v; -v; 0] one table row at a time, as Mesh.divergence
         area = mesh.cell_area[:, None]
-        self.closure = kernel.closure_sum[:, None] * dt
+        self.closure = np.multiply(kernel.closure_sum[:, None], dt,
+                                   out=_part(self._closure, cells, n))
         self.closure /= area
-        div = mesh.divergence(mesh.face_length[:, None] * self.g)
-        div *= dt
-        div /= area
-        self.r = (self.u_new - self.u) + div
+        signed = _part(self._signed, n, 2 * faces + 1)
+        np.multiply(g, mesh.face_length, out=signed[:, :faces])
+        np.negative(signed[:, :faces], out=signed[:, faces:-1])
+        signed[:, -1] = 0.0
+        rows[...] = 0.0
+        for slots in mesh._signed_slots:
+            rows += np.take(signed, slots, 1, trace, "clip")
+        self.r = _part(self._r, cells, n)
+        self.r[...] = rows.T
+        self.r *= dt
+        self.r /= area
+        self.r += np.subtract(u_new, u, out=trace).T      # u' - u + div
 
-        # stencil hull: u, u' and the traces of the cell's faces (pads skipped)
-        self.face_lo = np.minimum(self.a, self.b)
-        self.face_hi = np.maximum(self.a, self.b)
-        faces, real = mesh.cell_faces, (mesh.cell_face_sign != 0.0)[..., None]
-        lo = np.minimum(np.minimum(self.u, self.u_new), self.face_lo[faces].min(
-            axis=0, initial=np.inf, where=real))
-        hi = np.maximum(np.maximum(self.u, self.u_new), self.face_hi[faces].max(
-            axis=0, initial=-np.inf, where=real))
-        self.below = np.searchsorted(kernel.ks, lo, "right")   # k <= lo before it
-        self.above = np.maximum(np.searchsorted(kernel.ks, hi, "left"),
-                                self.below)                     # k >= hi from it
+        # stencil hull: u, u' and the traces of the cell's faces (pads
+        # skipped), and its sorted k ranks, one bound at a time
+        self.below, self.above = (_part(x, cells, n) for x in (self._below, self._above))
+        for extreme, rank, side in ((np.minimum, self.below, "right"),
+                                    (np.maximum, self.above, "left")):
+            extreme(u, u_new, out=rows)
+            for cell_faces, real in zip(mesh.cell_faces, kernel.real):
+                for x in (a, b):
+                    extreme(rows, np.take(x, cell_faces, 1, trace, "clip"),
+                            out=rows, where=real)
+            rank[...] = np.searchsorted(kernel.ks, rows, side).T
+        # k <= lo before below, k >= hi from above
+        np.maximum(self.above, self.below, out=self.above)
+
+    def carry(self):
+        """Start the next block from the last field held."""
+        n = self.n
+        self.fields[0], self.times[0], self.n = self.fields[n], self.times[n], 0
 
     def cell_max(self) -> np.ndarray:
-        """Largest residual of each cell and step over every k, (cells, B)."""
+        """Largest residual of each cell and step over every k, (cells, B),
+        in arrays the next :meth:`evaluate` reuses."""
+        cells, n = self.r.shape
+        work = [_part(x, cells, n) for x in (self._rows, self._trace,
+                                             self._signed, self._j)]
         best = _affine_max(self.kernel.extremes, self.r, self.closure,
-                           self.below, self.above)
+                           self.below, self.above, work)
         for group, _, value in self.hull_chunks():
             _fold_hull(best, group, value)
         return best
 
     def hull_chunks(self):
         """(group, sorted k position, residual) of the pairs with k strictly
-        inside the hull, group by group, at most _BLOCK // width at a time;
-        one empty chunk when there are none."""
+        inside the hull, group by group, at most _BLOCK // 8 // width at a
+        time; one empty chunk when there are none."""
         kernel, mesh = self.kernel, self.kernel.mesh
         ks, phi, c = kernel.ks, kernel.phi, kernel.face.c
         rule, n_steps = kernel.config.flux_rule, self.dt.size
         faces = mesh.cell_faces
-        count = (self.above - self.below).reshape(-1)
+        count = np.subtract(self.above, self.below,
+                            out=_part(self._j, *self.below.shape)).reshape(-1)
         below = self.below.reshape(-1)
-        ends = np.cumsum(count)
+        ends = np.cumsum(count, out=self._ends[:count.size])
         total = int(ends[-1]) if ends.size else 0
-        size = max(1, _BLOCK // faces.shape[0])
+        size = max(1, _BLOCK // 8 // faces.shape[0])
         for start in range(0, max(total, 1), size):
             pair = np.arange(start, min(start + size, total))
             group = np.searchsorted(ends, pair, "right")
@@ -260,15 +362,14 @@ class _Block:
             # G on every face of the cell: the clipped flux where k is also
             # strictly inside the face hull, else the consistent form
             f, kk = faces[:, cell], ks[kpos]
-            face_lo, face_hi = self.face_lo[f, s], self.face_hi[f, s]
+            a, b = self.a[f, s], self.b[f, s]
+            face_lo = np.minimum(a, b)
             G = phi[kpos] * c[f] - self.g[f, s]
             np.negative(G, out=G, where=kk <= face_lo)
-            inside = (face_lo < kk) & (kk < face_hi)
-            e = f[inside]
-            j = np.broadcast_to(kpos, f.shape)[inside]
-            t = np.broadcast_to(s, f.shape)[inside]
-            G[inside] = numerical_entropy_flux(
-                rule, kernel.flux, ks[j], self.a[e, t], self.b[e, t],
+            row, col = np.nonzero((face_lo < kk) & (kk < np.maximum(a, b)))
+            e, t = f[row, col], s[col]
+            G[row, col] = numerical_entropy_flux(
+                rule, kernel.flux, kk[col], a[row, col], b[row, col],
                 mesh.face_normal[e], None if self.lam is None else self.lam[e, t])
             G *= mesh.face_length[f]
             G *= mesh.cell_face_sign[:, cell]
@@ -356,10 +457,12 @@ class EntropyAudit:
     """The cell entropy audit of one run, fed ``start(field0)`` and then
     every field it reaches; ``finish()`` gives the :class:`EntropyAuditReport`.
 
-    Steps are evaluated _BLOCK // n_faces at a time.  Besides that block it
-    keeps one value per step and, of the worst step so far, its two fields
-    and a copy of its face record, so that ``finish`` can locate the
-    maximum in that step alone.
+    Steps are evaluated _BLOCK // n_faces at a time, in one :class:`_Block`
+    whose arrays are allocated once per run and reused by every block, so
+    the audit holds one block's arrays.  Besides the block it keeps one
+    value per step, the last field, and copies of the worst step so far
+    (its two fields' values, their times and its face record), so that
+    ``finish`` can locate the maximum in that step alone.
     """
 
     def __init__(self, flux, config: SchemeConfig, k_grid, tol: float = 1e-12):
@@ -368,38 +471,30 @@ class EntropyAudit:
 
     def start(self, field0: CellField):
         self._kernel = _Kernel(field0.mesh, self.flux, self.config, self.k_grid)
-        self._size = max(1, _BLOCK // field0.mesh.n_faces)
-        self._fields, self._per_step = [field0], []
+        self._block = _Block(self._kernel, max(1, _BLOCK // field0.mesh.n_faces))
+        self._block.begin(field0)
+        self._last, self._per_step = field0, []
         self._top, self._worst = -np.inf, None
 
     def step(self, field: CellField, faces):
-        held = len(self._fields) - 1
-        if not held:    # a block's arrays are its own, held with it
-            self._records = self._kernel.records(self._size)
-        self._kernel.keep(self._records, held, self._fields[-1], faces)
-        self._fields.append(field)
-        if held + 1 == self._size:
+        self._block.put(self._last, field, faces)
+        self._last = field
+        if self._block.n == self._block.size:
             self._evaluate()
 
     def _evaluate(self):
-        fields, self._fields = self._fields, self._fields[-1:]
-        if len(fields) == 1:
+        block = self._block
+        if not block.n:
             return
-        # the last block stays referenced until the next one is built, so
-        # that it allocates while the memory is held; freed first, it would
-        # go back to the system and be paged in again for every block
-        self._block = block = _Block(self._kernel, fields,
-                                     np.diff([f.t for f in fields]),
-                                     self._records)
+        block.evaluate()
         first, worst = len(self._per_step), None
         for i, m in enumerate(block.cell_max().max(axis=0).tolist()):
             self._per_step.append(max(m, 0.0))
             if m > self._top:
                 self._top, worst = m, i
         if worst is not None:
-            self._worst = (first + worst, fields[worst:worst + 2],
-                           [None if x is None else x[:, worst:worst + 1].copy()
-                            for x in self._records])
+            self._worst = first + worst, block.copy_step(worst)
+        block.carry()
 
     def finish(self) -> EntropyAuditReport:
         self._evaluate()
@@ -407,9 +502,11 @@ class EntropyAudit:
         ks = self._kernel.k
         where = (-1, -1, float("nan"))
         if self._worst is not None:
-            s, fields, records = self._worst
-            ik, cell = _first_max(_Block(self._kernel, fields,
-                                         np.diff([f.t for f in fields]), records))
+            s, step = self._worst
+            one = _Block(self._kernel, 1)
+            one.hold(step)
+            one.evaluate()
+            ik, cell = _first_max(one)
             where = (s, cell, float(ks[ik]))
         worst = float(per_step.max()) if per_step.size else 0.0
         return EntropyAuditReport(per_step=per_step, k_grid=self.k_grid,

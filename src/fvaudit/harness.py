@@ -410,36 +410,56 @@ class _TotalVariation:
 
 
 class _Contraction:
-    """L1 distance to a twin run from bumped data, marched to the run's
-    final time when it has finished; keeps no field of either twin."""
-
-    def __init__(self, flux, config: SchemeConfig):
-        self.flux, self.config = flux, config
+    """L1 distance to a twin run from bumped data.  The twin pair is a
+    group of the level's own march, handed to the driver by :meth:`twin`:
+    it takes its own steps, from the level's initial time to
+    ``cfg.resolved_t_final``, and the distance is folded as each step
+    arrives, so no field of either twin is kept.  The twin arrives at
+    ``t_final``, not at the time the level reached; the two are bit-equal
+    whenever the level's last step is clipped onto ``t_final``
+    (``t_final - t`` is exact for t >= t_final / 2), and a level whose
+    steps land unclipped ends within 1e-12 of it.  A twin that fails
+    raises its error from :meth:`finish`, so it fails the level after the
+    level's own march has ended."""
 
     def start(self, field0: CellField):
-        self.initial, self.t = field0, field0.t
-
-    def step(self, field, faces):
-        self.t = field.t
-
-    def finish(self) -> AuditResult:
-        initial = self.initial
-        mesh = initial.mesh
+        mesh = field0.mesh
         center = float(mesh.vertices[:, 0].mean())
         bump = cell_averages(
             mesh, lambda x: 0.1 * np.exp(-((x[:, 0] - center) / 0.1) ** 2))
-        twin = CellField(mesh, initial.values + bump, initial.t)
-        first = last = float(mesh.cell_area @ np.abs(initial.values - twin.values))
-        growth, where = -math.inf, -1
-        marched = _march((initial, twin), self.flux, self.config, self.t)
-        for n, ((a, b), _) in enumerate(marched):
-            dist = float(mesh.cell_area @ np.abs(a.values - b.values))
-            if dist - last > growth:    # strict: ties keep the earliest step
-                growth, where = dist - last, n
-            last = dist
-        return _exact("contraction", growth, first,
+        twin = CellField(mesh, field0.values + bump, field0.t)
+        self.area, self.pair = mesh.cell_area, (field0, twin)
+        self.first = self.last = self._distance(self.pair)
+        self.steps, self.growth, self.where, self.error = 0, -math.inf, -1, None
+
+    def _distance(self, pair) -> float:
+        a, b = pair
+        return float(self.area @ np.abs(a.values - b.values))
+
+    def twin(self):
+        """The pair's initial fields, to march as a group of the level's
+        stack, and the function that takes each of the group's entries."""
+        pair, self.pair = self.pair, None
+        return pair, self._take
+
+    def _take(self, entry):
+        if isinstance(entry, Exception):
+            self.error = entry
+            return
+        dist = self._distance(entry[0])
+        if dist - self.last > self.growth:  # strict: ties keep the earliest step
+            self.growth, self.where = dist - self.last, self.steps
+        self.last, self.steps = dist, self.steps + 1
+
+    def step(self, field, faces):
+        pass
+
+    def finish(self) -> AuditResult:
+        if self.error is not None:
+            raise self.error
+        return _exact("contraction", self.growth, self.first,
                       "largest one-step growth of the L1 distance to a twin run",
-                      where)
+                      self.where)
 
 
 class _Entropy(entropy_mod.EntropyAudit):
@@ -472,7 +492,7 @@ AUDITS: dict[str, _Audit] = {
                             lambda cfg, spec: exact_regime(cfg)),
     "tv": _Audit(lambda cfg, flux: _TotalVariation(),
                  lambda cfg, spec: exact_regime(cfg) and spec.dim == 1),
-    "contraction": _Audit(lambda cfg, flux: _Contraction(flux, cfg.scheme()),
+    "contraction": _Audit(lambda cfg, flux: _Contraction(),
                           lambda cfg, spec: exact_regime(cfg) and spec.periodic),
     "entropy": _Audit(lambda cfg, flux: _entropy_observer(cfg, flux, _Entropy),
                       lambda cfg, spec: exact_regime(cfg)),
@@ -508,18 +528,27 @@ def solve_level(cfg: StudyConfig, level: int, observe=study_observers) -> LevelR
     ``start(field0)``, ``step(field, faces)`` (each field the march
     reaches, ``faces`` the first-stage face record its step advanced with)
     and ``finish()``, or functions of the state range ``(lo, hi)`` that
-    build one from the initial data's range.  A level whose range leaves
-    that one is marched again, deterministically, into observers started
-    afresh from the true range.  The level keeps its final field and
-    range, never its trajectory.  A failure while level 0's observers are
-    built or started, or a march of level 0 refused before its first step
-    (:class:`StepCapError`), is an :class:`InvalidRequest`.
+    build one from the initial data's range.  An observer may also have
+    ``twin()``, called after ``start``, which returns a group of fields to
+    march to ``t_final`` in the level's own march and the function that
+    takes each of the group's entries: ``(after, faces)``, or the error
+    that ended the group.  A level whose range leaves the initial one is
+    marched again, deterministically, twins and all, into observers
+    started afresh from the true range.  The level keeps its final field
+    and range, never its trajectory.  A failure while level 0's observers
+    are built or started, or a march of level 0 refused before its first
+    step (:class:`StepCapError`), is an :class:`InvalidRequest`; a twin's
+    refusal is the observer's to raise, from ``finish``.
     """
     return _solve_on(build_problem_mesh(cfg, level), cfg, level, observe)
 
 
 def _solve_on(mesh: Mesh, cfg: StudyConfig, level: int, observe) -> LevelResult:
-    """:func:`solve_level` on the level's ``mesh``, already built."""
+    """:func:`solve_level` on the level's ``mesh``, already built.  Each
+    pass over the level is one :func:`_march`: the level's field is its
+    first group and each observer's twin one more, so a level that is
+    marched again takes its twins along.  The level's own error ends the
+    pass at once; a twin's goes to its observer."""
     spec = PROBLEMS[cfg.problem]
     flux = spec.flux_fn()
     initial = initial_field(spec, mesh)
@@ -534,15 +563,24 @@ def _solve_on(mesh: Mesh, cfg: StudyConfig, level: int, observe) -> LevelResult:
     ranged = any(callable(e) for e in entries)
 
     def feed(observers, built):
-        # a pass feeds its observers while the range is the one they were built for
+        # a pass feeds its observers while the range is the one they were
+        # built for, and marches the twins they hand over in the same stack
+        twins = [obs.twin() for obs in observers if hasattr(obs, "twin")]
+        groups = [(initial,)] + [fields for fields, _ in twins]
         reached, steps, final = built, 0, initial
-        for (field,), (faces,) in _march(
-                (initial,), flux, cfg.scheme(), cfg.resolved_t_final):
-            reached = _value_range(field.values, within=reached)
-            if reached == built or not ranged:
-                for obs in observers:
-                    obs.step(field, faces)
-            steps, final = steps + 1, field
+        for lead, *rest in _march(groups, flux, cfg.scheme(), cfg.resolved_t_final):
+            if isinstance(lead, Exception):
+                raise lead
+            if lead is not None:
+                (field,), (faces,) = lead
+                reached = _value_range(field.values, within=reached)
+                if reached == built or not ranged:
+                    for obs in observers:
+                        obs.step(field, faces)
+                steps, final = steps + 1, field
+            for (_, take), entry in zip(twins, rest):
+                if entry is not None:
+                    take(entry)
         return reached, steps, final
 
     try:

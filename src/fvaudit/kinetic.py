@@ -478,7 +478,11 @@ class DefectAudit:
         if not self._dts:
             raise ValueError("need at least one step")
         mesh = self._window.mesh
-        acc = self.acc + np.cumsum(self._tails, axis=1)[:, :-1]
+        # the tails' prefix sums, in place: finish is their last use; a
+        # copy puts two (cells, n_v) arrays at the run's memory high,
+        # where heap layout moved kinetic_1d's peak by 0.8 MB.
+        acc = np.cumsum(self._tails[:, :-1], axis=1, out=self._tails[:, :-1])
+        acc += self.acc
         dts = np.array(self._dts, dtype=float)
         total = float(np.array(self._mass) @ dts) * self.grid.dv
         elapsed = float(dts.sum())

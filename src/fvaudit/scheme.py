@@ -364,15 +364,19 @@ def _geometry(mesh: Mesh, flux) -> tuple[Along, Along]:
 
 
 class _Stack:
-    """The step of ``k`` fields of a mesh as one state of k * n_cells
-    values, field i from entry i * n_cells on.  The mesh's tables are tiled
-    k times, copy i's indices moved by i fields, so that one numpy call
-    steps all k and each value meets the operands, in the order, of a step
-    of its field alone."""
+    """The step of groups of fields of a mesh as one state of k * n_cells
+    values, field i from entry i * n_cells on, the groups' fields one after
+    another in order.  The mesh's tables are tiled k times, copy i's indices
+    moved by i fields, so that one numpy call steps all k and each value
+    meets the operands, in the order, of a step of its group alone.  Each
+    group has its own step size and, under global Lax-Friedrichs, its own
+    joint range."""
 
-    def __init__(self, mesh: Mesh, flux, config: SchemeConfig, k: int = 1):
+    def __init__(self, mesh: Mesh, flux, config: SchemeConfig, sizes=(1,)):
         n, f = mesh.n_cells, mesh.n_faces
-        self.mesh, self.flux, self.config, self.k = mesh, flux, config, k
+        self.mesh, self.flux, self.config = mesh, flux, config
+        self.sizes = tuple(sizes)
+        k = self.k = sum(self.sizes)
 
         def tile(x, shift=None):    # copy i of an index moves by i * shift
             return x if k == 1 else np.concatenate(
@@ -389,22 +393,36 @@ class _Stack:
         self.slots = s if k == 1 else np.concatenate(
             [np.where(s < f, s + i * f, np.where(s < 2 * f, s + (k - 1 + i) * f, 2 * k * f))
              for i in range(k)], -1)
-        self.joint = (k > 1 and config.flux_rule == "lax_friedrichs"
+        self.joint = (config.flux_rule == "lax_friedrichs"
                       and config.lf_dissipation_mode == "global")
 
     def split(self, x: np.ndarray):
-        m = len(x) // self.k
-        return (x,) if self.k == 1 else [x[i * m:(i + 1) * m] for i in range(self.k)]
+        return (x,) if self.k == 1 else list(x.reshape(self.k, -1))
 
-    def bound(self, u: np.ndarray) -> float:
+    def split_record(self, faces: tuple) -> list:
+        """A stacked face record as one record per field."""
+        if self.k == 1:
+            return [faces]
+        rows = [None if x is None else x.reshape(self.k, -1) for x in faces]
+        return [tuple([None if x is None else x[i] for x in rows])
+                for i in range(self.k)]
+
+    def grouped(self, per_field) -> list:
+        """A sequence with one entry per field, as tuples per group."""
+        it = iter(per_field)
+        return [tuple(itertools.islice(it, size)) for size in self.sizes]
+
+    def bound(self, u: np.ndarray) -> list:
+        """Each group's stable step: the least over its fields."""
         lo, hi = _range_over(self.neighbors, u)
         s = np.maximum(self.flux.max_wave_speed(lo, hi, self.speed), _SPEED_FLOOR)
-        least = self.split(self.area / (self.perimeter * s))
-        return min(self.config.cfl_number * float(x.min()) for x in least)
+        least = (self.area / (self.perimeter * s)).reshape(self.k, -1).min(axis=1)
+        return [min(group) for group in self.grouped(
+            self.config.cfl_number * x for x in least.tolist())]
 
     def record(self, u: np.ndarray, within=None) -> tuple:
         """Each field's :func:`_face_record`, stacked; its global LF range
-        covers its traces and ``within``."""
+        covers its traces and its entry of ``within``, if one is given."""
         config, flux, n = self.config, self.flux, self.normal
         if config.reconstruction == "constant":
             a, b = u[self.left], u[self.across]
@@ -415,37 +433,51 @@ class _Stack:
         if config.flux_rule == "lax_friedrichs":
             rng = None
             if config.lf_dissipation_mode == "global":
-                ranges = zip(*(_value_range(*ab, within=within)
-                               for ab in zip(self.split(a), self.split(b))))
+                ranges = zip(*(_value_range(*ab, within=w) for ab, w in zip(
+                    zip(self.split(a), self.split(b)), within or [None] * self.k)))
                 rng = [np.repeat(x, self.mesh.n_faces) for x in ranges]
             lam = lf_lambda(flux, a, b, n, config.lf_dissipation_mode, rng)
         return a, b, numerical_flux(config.flux_rule, flux, a, b, n, lam), lam
 
-    def _euler(self, u: np.ndarray, dt: float, g: np.ndarray) -> np.ndarray:
+    def _euler(self, u: np.ndarray, dt: np.ndarray, g: np.ndarray) -> np.ndarray:
         div = _signed_sum(self.slots, self.length * g, len(u))
-        return u - dt * div / self.area
+        per_field = div.reshape(self.k, -1)
+        per_field *= dt
+        return u - div / self.area
 
-    def _finite(self, u: np.ndarray, times) -> np.ndarray:
+    def _finite(self, u: np.ndarray) -> list:
+        """Whether each group's values are all finite."""
         finite = np.isfinite(u)
-        if not finite.all():
-            t = times[int(finite.argmin()) // self.mesh.n_cells]
-            raise NumericalError(f"non-finite cell values in the step from t={t!r}")
-        return u
+        if finite.all():
+            return [True] * len(self.sizes)
+        return [all(group) for group in self.grouped(
+            finite.reshape(self.k, -1).all(axis=1).tolist())]
 
-    def step(self, u: np.ndarray, dt: float, times) -> tuple:
-        """The first stage's record and the checked values of the fields
-        ``u``, at ``times``, advanced by ``dt``."""
-        within = _value_range(*self.split(u)) if self.joint else None
+    def step(self, u: np.ndarray, dts, times) -> tuple:
+        """The first stage's record and the values of the fields ``u``, each
+        group advanced by its entry of ``dts`` from its entry of ``times``,
+        and per group the :class:`NumericalError` of a step that left
+        non-finite values, or None."""
+        within = None   # under global LF, each field's group's values
+        if self.joint and self.k > 1:
+            within = [_value_range(*group) if len(group) > 1 else None
+                      for group in self.grouped(self.split(u))]
+            within = [w for w, size in zip(within, self.sizes) for _ in range(size)]
+        dt = np.array(dts).repeat(self.sizes)[:, None]
         # a blow-up overflows inside the flux: report it as one NumericalError
         # naming the step, not as a stream of runtime warnings
         with np.errstate(over="ignore", invalid="ignore"):
             faces = self.record(u, within)
-            new = self._finite(self._euler(u, dt, faces[2]), times)
+            new = self._euler(u, dt, faces[2])
+            finite = self._finite(new)
             if self.config.time_integrator == "ssp_rk2":
                 # the average of the identity and a doubly advanced state
                 g = self.record(new, within)[2]
-                new = self._finite(0.5 * (u + self._euler(new, dt, g)), times)
-        return faces, new
+                new = 0.5 * (u + self._euler(new, dt, g))
+                finite = [x and y for x, y in zip(finite, self._finite(new))]
+        return faces, new, [None if ok else NumericalError(
+            f"non-finite cell values in the step from t={t!r}")
+            for ok, t in zip(finite, times)]
 
 
 def _face_record(mesh: Mesh, flux, config: SchemeConfig, u: np.ndarray) -> tuple:
@@ -462,7 +494,7 @@ def max_stable_dt(field: CellField, flux, config: SchemeConfig) -> float:
     hull of the cell mean and its face-neighbor means, floored at 1e-14 so
     stationary fields do not produce an infinite step.
     """
-    return _Stack(field.mesh, flux, config).bound(field.values)
+    return _Stack(field.mesh, flux, config).bound(field.values)[0]
 
 
 def step(field: CellField, flux, config: SchemeConfig, dt: float) -> CellField:
@@ -470,10 +502,12 @@ def step(field: CellField, flux, config: SchemeConfig, dt: float) -> CellField:
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ValueError("dt must be positive and finite")
     stack = _Stack(field.mesh, flux, config)
-    stable = stack.bound(field.values)
+    (stable,) = stack.bound(field.values)
     if dt > stable * (1.0 + 1e-9):
         raise StabilityError(f"dt={dt} exceeds the stable bound {stable}")
-    _, new = stack.step(field.values, dt, (field.t,))
+    _, new, (error,) = stack.step(field.values, (dt,), (field.t,))
+    if error is not None:
+        raise error
     return _checked_field(field.mesh, new, field.t + dt)
 
 
@@ -551,62 +585,90 @@ def _time_tol(t_final: float) -> float:
     return 1e-12 * max(1.0, abs(t_final))
 
 
-def _march(initial: tuple, flux, config: SchemeConfig, t_final: float):
-    """The one marching loop: advance the fields of ``initial`` to
-    ``t_final`` as one :class:`_Stack`, yielding per step ``(after, faces)``,
-    the fields it reaches and each one's first-stage :func:`_face_record`.
+def _march(groups, flux, config: SchemeConfig, t_final: float):
+    """The one marching loop: advance every group of fields in ``groups``
+    to ``t_final``, all of them in one :class:`_Stack`.  Per step it yields
+    one entry per group, in order: ``(after, faces)``, the fields the group
+    reaches and each one's first-stage :func:`_face_record`; the error that
+    ends the group; or None once the group has ended.
 
-    They take the least stable step, clipped to land on ``t_final``, and
-    under global Lax-Friedrichs each field's coefficient also covers the
-    values of all, so that one monotone map advances them.  A march whose
-    values grow shrinks its steps without end, so it raises
-    :class:`NumericalError` past ``_BUDGET_FACTOR`` times the
-    ceil((t_final - t0) / dt0) steps its first stable step dt0 would need,
-    or at a step too small to advance t.  A march that would need more than
-    ``_STEP_CAP`` such steps raises :class:`StepCapError` once its first
-    step is computed, before yielding it; a first step that breaks down is
-    a :class:`NumericalError`.
+    A group takes its own least stable step from its own time, clipped to
+    land on ``t_final``, and under global Lax-Friedrichs each field's
+    coefficient also covers the values of its group, so that one monotone
+    map advances a group.  A group that arrives or fails leaves the stack,
+    which is rebuilt over the groups left; each field gets the bits it gets
+    when its group is marched alone.  A group whose values grow shrinks its
+    steps without end, so it fails with :class:`NumericalError` past
+    ``_BUDGET_FACTOR`` times the ceil((t_final - t0) / dt0) steps its first
+    stable step dt0 would need, or at a step too small to advance t.  A
+    group that would need more than ``_STEP_CAP`` such steps fails with
+    :class:`StepCapError` once its first step is computed, instead of
+    yielding it; a first step that breaks down is a :class:`NumericalError`.
     """
-    fields = tuple(initial)
-    mesh = fields[0].mesh
-    if any(f.mesh is not mesh for f in fields):
+    groups = [tuple(group) for group in groups]
+    mesh = groups[0][0].mesh
+    if any(f.mesh is not mesh for group in groups for f in group):
         raise ValueError("fields marched together need a shared mesh")
     _check_t_final(t_final)
     tol = _time_tol(t_final)
-    if t_final < fields[0].t - tol:
+    if any(t_final < group[0].t - tol for group in groups):
         raise ValueError("t_final lies before the initial time")
-    stack = _Stack(mesh, flux, config, len(fields))
-    u = (fields[0].values if len(fields) == 1
-         else np.concatenate([f.values for f in fields]))
-    budget = None
+    budget, need = [None] * len(groups), [0.0] * len(groups)
+    alive, live = list(range(len(groups))), []
     for n in itertools.count():
-        t = fields[0].t
-        if t >= t_final - tol:
+        marching = [i for i in alive if groups[i][0].t < t_final - tol]
+        if not marching:
             return
-        stable = stack.bound(u)
-        dt = min(stable, float(t_final) - t)
-        if budget is None:
-            need = (t_final - t) / stable    # past the cap, refused below
-            budget = _BUDGET_FACTOR * math.ceil(min(need, _STEP_CAP))
-        if n >= budget or t + dt == t:
-            lo, hi = _value_range(*stack.split(u))
-            why = (f"step budget of {budget} steps spent" if n >= budget
-                   else "the step no longer advances t")
-            raise NumericalError(f"{why} at step {n}: t={t!r} dt={dt!r}, "
-                                 f"values in [{lo!r}, {hi!r}]")
-        faces, u = stack.step(u, dt, [f.t for f in fields])
-        if n == 0 and need > _STEP_CAP:
-            raise StepCapError(
-                f"reaching t_final={t_final!r} from t={t!r} with the first "
-                f"stable step dt={stable!r} takes about {need:.3e} steps, "
-                f"more than the cap of {_STEP_CAP} steps")
-        after = tuple([_checked_field(mesh, x, f.t + dt)
-                       for x, f in zip(stack.split(u), fields)])
-        faces = (faces,) if stack.k == 1 else tuple(zip(*[
-            (None,) * stack.k if x is None else stack.split(x) for x in faces]))
-        yield after, faces
-        del faces       # not held while the next record is built
-        fields = after
+        if marching != live:    # the stack holds the groups still marching
+            live = marching
+            stack = _Stack(mesh, flux, config, [len(groups[i]) for i in live])
+            u = np.concatenate([f.values for i in live for f in groups[i]])
+        steps = [None] * len(groups)
+        times, dts, stables = [], [], stack.bound(u)
+        for i, stable in zip(live, stables):
+            t = groups[i][0].t
+            dt = min(stable, float(t_final) - t)
+            times.append(t)
+            dts.append(dt)
+            if budget[i] is None:
+                need[i] = (t_final - t) / stable    # past the cap, refused below
+                budget[i] = _BUDGET_FACTOR * math.ceil(min(need[i], _STEP_CAP))
+            if n >= budget[i] or t + dt == t:
+                lo, hi = _value_range(*(f.values for f in groups[i]))
+                why = (f"step budget of {budget[i]} steps spent" if n >= budget[i]
+                       else "the step no longer advances t")
+                steps[i] = NumericalError(f"{why} at step {n}: t={t!r} dt={dt!r}, "
+                                          f"values in [{lo!r}, {hi!r}]")
+        faces, u, errors = stack.step(u, dts, times)
+        values, records = stack.split(u), stack.split_record(faces)
+        first = 0           # the group's first field in the stack
+        for i, t, dt, stable, error in zip(live, times, dts, stables, errors):
+            last = first + len(groups[i])
+            if steps[i] is None:
+                steps[i] = error
+            if steps[i] is None and n == 0 and need[i] > _STEP_CAP:
+                steps[i] = StepCapError(
+                    f"reaching t_final={t_final!r} from t={t!r} with the first "
+                    f"stable step dt={stable!r} takes about {need[i]:.3e} steps, "
+                    f"more than the cap of {_STEP_CAP} steps")
+            if steps[i] is None:
+                groups[i] = tuple([_checked_field(mesh, x, f.t + dt) for x, f
+                                   in zip(values[first:last], groups[i])])
+                steps[i] = groups[i], tuple(records[first:last])
+            else:
+                alive.remove(i)
+            first = last
+        del faces, records
+        yield tuple(steps)
+        del steps       # no face record held while the next one is built
+
+
+def _alone(march):
+    """The entries of a march of one group; the error that ends it raised."""
+    for (entry,) in march:
+        if isinstance(entry, Exception):
+            raise entry
+        yield entry
 
 
 def run(initial: CellField, flux, config: SchemeConfig,
@@ -618,7 +680,7 @@ def run(initial: CellField, flux, config: SchemeConfig,
     a single-entry trajectory.
     """
     fields = [initial]
-    for (after,), _ in _march((initial,), flux, config, t_final):
+    for (after,), _ in _alone(_march([(initial,)], flux, config, t_final)):
         fields.append(after)
     return Trajectory(fields)
 
@@ -632,7 +694,8 @@ def twin_run(initial_a: CellField, initial_b: CellField, flux,
     measurements need.
     """
     fa, fb = [initial_a], [initial_b]
-    for (a, b), _ in _march((initial_a, initial_b), flux, config, t_final):
+    for (a, b), _ in _alone(_march([(initial_a, initial_b)], flux, config,
+                                   t_final)):
         fa.append(a)
         fb.append(b)
     return Trajectory(fa), Trajectory(fb)

@@ -28,7 +28,8 @@ from fvaudit import (
 from fvaudit import cli
 from fvaudit import entropy as entropy_mod
 from fvaudit.harness import initial_field
-from fvaudit.scheme import ConfigurationError, _face_states, state_range
+from fvaudit.scheme import (ConfigurationError, _face_record, _face_states,
+                            state_range)
 from test_mesh import MIXED_POLYGONS
 from test_scheme import parent_godunov
 
@@ -240,12 +241,15 @@ def test_residual_rejects_mismatched_input():
 
 def one_step_block(before, after, dt, flux, config, k):
     """The audit's evaluation of the step from ``before`` to ``after``: a
-    block of that one step, its face record rebuilt from ``before``."""
+    block of that one step, its face record rebuilt from ``before``, held
+    at times 0 and ``dt`` so that its size is ``dt`` exactly."""
     kernel = entropy_mod._Kernel(before.mesh, flux, config, k)
-    records = kernel.records(1)
-    kernel.keep(records, 0, before, None)
-    return entropy_mod._Block(kernel, [before, after],
-                              np.array([dt], dtype=float), records)
+    block = entropy_mod._Block(kernel, 1)
+    block.begin(before)
+    block.put(before, after, None)
+    block.times[:] = 0.0, dt
+    block.evaluate()
+    return block
 
 
 def dense_residuals(before, after, dt, flux, config, k):
@@ -502,6 +506,38 @@ def test_audit_memory_does_not_grow_with_k():
     bound = 8 * (64 * many.size + 32 * width * pairs)
     assert peak(many) - peak(few) <= bound
     assert bound < 8 * (mesh.n_faces + mesh.n_cells) * many.size
+
+
+def test_audit_holds_one_block():
+    """Fed five blocks of a 200-cell run, the audit holds the arrays of one
+    block and the temporaries of one chunk of in-hull pairs at a time.
+    Keeping the last block while the next is built, with chunks of
+    _BLOCK // width face values, took about twice that."""
+    flux, cfg = burgers(), SchemeConfig()
+    mesh = uniform_interval_mesh(200, 0.0, 1.0, periodic=True)
+    field = CellField.from_function(
+        mesh, lambda x: 0.5 + 0.25 * np.sin(2.0 * np.pi * x[:, 0]))
+    traj = run(field, flux, cfg, t_final=0.6)
+    steps = [(after, _face_record(mesh, flux, cfg, before.values))
+             for before, after in zip(traj.fields[:-1], traj.fields[1:])]
+    size = entropy_mod._BLOCK // mesh.n_faces
+    assert len(steps) >= 3 * size
+    audit = entropy_mod.EntropyAudit(flux, cfg, kruzkov_k_grid(*state_range(traj)))
+    tracemalloc.start()
+    try:
+        audit.start(field)
+        for after, faces in steps:
+            audit.step(after, faces)
+        audit.finish()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a block: the records a, b, g and the fields of its steps, and twelve
+    # (cells, B) arrays to evaluate them in; a chunk: two dozen arrays of
+    # _BLOCK // 8 values
+    block = 8 * size * (3 * mesh.n_faces + 13 * mesh.n_cells)
+    chunk = 24 * 8 * (entropy_mod._BLOCK // 8)
+    assert peak <= block + chunk
 
 
 # ---------------------------------------------------------------------------

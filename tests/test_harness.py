@@ -1,6 +1,7 @@
 """Study harness tests: rates, configs, audit gating, reports on disk."""
 
 import itertools
+import math
 import os
 import tracemalloc
 from dataclasses import replace
@@ -485,8 +486,9 @@ def test_streamed_level_matches_library_functions(case, monkeypatch):
     lo, hi = state_range(traj)
     grows = (lo, hi) != (float(initial.values.min()), float(initial.values.max()))
     assert grows == (case in REPLAYING_CASES)
-    # a level whose range grows is marched again; the twin marches once
-    assert len(marches) == (2 if grows else 1) + 1
+    # every pass over the level is one march, its twin pair in the same
+    # stack; a level whose range grows is marched again, twin and all
+    assert len(marches) == (2 if grows else 1)
     assert lv.steps == len(traj) - 1
     assert lv.state_range == (lo, hi)
     assert lv.final.values.tobytes() == traj.final.values.tobytes()
@@ -514,6 +516,51 @@ def test_streamed_level_matches_library_functions(case, monkeypatch):
         for name in ("negativity_score", "pointwise_negativity", "total_mass",
                      "edge_mass", "worst_step", "worst_cell", "worst_v"):
             assert getattr(got, name) == getattr(dm, name), name
+
+
+def twin_run_contraction(cfg, spec):
+    """The contraction verdict from a kept twin run to ``t_final``, as the
+    audit computed it when it marched the twin after its level."""
+    flux, scheme_cfg = spec.flux_fn(), cfg.scheme()
+    initial = harness.initial_field(spec, build_problem_mesh(cfg, 0))
+    mesh = initial.mesh
+    center = float(mesh.vertices[:, 0].mean())
+    bump = cell_averages(
+        mesh, lambda x: 0.1 * np.exp(-((x[:, 0] - center) / 0.1) ** 2))
+    ta, tb = twin_run(initial, CellField(mesh, initial.values + bump),
+                      flux, scheme_cfg, cfg.resolved_t_final)
+    dist = [float(mesh.cell_area @ np.abs(a.values - b.values))
+            for a, b in zip(ta.fields, tb.fields)]
+    growth, where = -math.inf, -1
+    for n, (before, after) in enumerate(zip(dist, dist[1:])):
+        if after - before > growth:
+            growth, where = after - before, n
+    return harness._exact(
+        "contraction", growth, dist[0],
+        "largest one-step growth of the L1 distance to a twin run", where)
+
+
+CONTRACTION_CASES = {
+    **EQUIVALENCE_CASES,
+    # equal steps that sum to 2 ulp below t_final: the level arrives
+    # unclipped, and its twin marches on to t_final itself
+    "off_t_final": dict(problem="advected_profile", base_n=24, t_final=0.3),
+}
+
+
+@pytest.mark.parametrize("case", list(CONTRACTION_CASES))
+def test_contraction_of_the_level_march_matches_a_twin_run(case):
+    """The twin pair marched as a group of the level's stack gives the
+    verdict of a separate twin run to ``t_final``, bit for bit."""
+    cfg = StudyConfig(levels=1, audits="contraction", **CONTRACTION_CASES[case])
+    lv = solve_level(cfg, 0)
+    assert (lv.final.t != cfg.resolved_t_final) == (case == "off_t_final")
+    (got,) = lv.audits
+    want = twin_run_contraction(cfg, harness.PROBLEMS[cfg.problem])
+    assert got == want
+    assert (got.value.hex(), got.threshold.hex()) \
+        == (want.value.hex(), want.threshold.hex())
+    assert got.worst_step >= 0
 
 
 def test_entropy_audit_takes_the_face_flux_the_step_advanced_with(monkeypatch):
@@ -658,6 +705,92 @@ def test_observers_built_from_a_range_see_only_fields_inside_it():
                       levels=1, t_final=0.2)
     lv = solve_level(cfg, 0, lambda cfg, level, flux: [Inside])
     assert lv.audits == [lv.state_range] and lv.state_range != (0.0, 1.0)
+
+
+class ScaledTwin:
+    """An observer that hands the driver a group of its own, ``scale``
+    times the level's data, and counts the level's steps and its own."""
+
+    def __init__(self, scale, seen):
+        self.scale, self.seen = scale, seen
+
+    def start(self, field0):
+        self.group = (CellField(field0.mesh, self.scale * field0.values,
+                                field0.t),)
+        self.lead = self.own = 0
+        self.error = None
+
+    def twin(self):
+        return self.group, self.take
+
+    def take(self, entry):
+        if isinstance(entry, Exception):
+            self.error = entry
+        else:
+            self.own += 1
+
+    def step(self, field, faces):
+        self.lead += 1
+
+    def finish(self):
+        self.seen.append((self.lead, self.own))
+        if self.error is not None:
+            raise self.error
+        return self.own
+
+
+def test_twin_failure_fails_its_level_after_the_level_march(monkeypatch):
+    monkeypatch.setattr(harness, "_cpus", lambda: 1)
+    cfg = StudyConfig(problem="smooth_sine", base_n=8, levels=2, t_final=0.3)
+    seen = []
+    # data near the largest float overflows the twin's first step
+    result = run_study(cfg, lambda cfg, level, flux: [ScaledTwin(1e200, seen)])
+    plain = run_study(replace(cfg, audits="none"))
+    for lv, ok in zip(result.levels, plain.levels):
+        assert lv.error_message == ("NumericalError: non-finite cell values "
+                                    "in the step from t=0.0")
+    # every level marched to its end before its twin's error failed it
+    assert seen == [(ok.steps, 0) for ok in plain.levels]
+
+
+def test_contraction_twin_failure_fails_its_level(monkeypatch):
+    # the twin's bumped field near the largest float overflows its first step
+    twin = harness._Contraction.twin
+
+    def blown(self):
+        (a, b), take = twin(self)
+        return (a, CellField(b.mesh, 1e200 * b.values, b.t)), take
+
+    monkeypatch.setattr(harness._Contraction, "twin", blown)
+    monkeypatch.setattr(harness, "_cpus", lambda: 1)
+    cfg = StudyConfig(problem="smooth_sine", base_n=8, levels=2, t_final=0.3,
+                      audits="conservation,contraction")
+    for lv in run_study(cfg).levels:
+        assert lv.error_message == ("NumericalError: non-finite cell values "
+                                    "in the step from t=0.0")
+
+
+def test_twin_refused_by_the_step_cap_is_a_failed_level(monkeypatch):
+    monkeypatch.setattr(harness, "_cpus", lambda: 1)
+    cfg = StudyConfig(problem="smooth_sine", base_n=8, levels=1, t_final=0.3)
+    seen = []
+    # speeds 1e9 times the level's: the twin would need over 10**9 steps
+    (lv,) = run_study(cfg, lambda cfg, level, flux: [ScaledTwin(1e9, seen)]).levels
+    assert lv.error_message.startswith("StepCapError: reaching t_final=0.3")
+    assert seen == [(solve_level(replace(cfg, audits="none"), 0).steps, 0)]
+
+
+def test_level_error_comes_before_its_twin_error(monkeypatch):
+    from fvaudit import scheme as scheme_mod
+
+    monkeypatch.setattr(harness, "_cpus", lambda: 1)
+    monkeypatch.setattr(scheme_mod, "_BUDGET_FACTOR", 1)
+    cfg = _small_cfg(flux_rule="central", levels=1, base_n=60, t_final=0.4)
+    want = run_study(replace(cfg, audits="none")).levels[0].error_message
+    assert want.startswith("NumericalError: step budget of")
+    # the twin fails in its first step, long before the level does
+    got = run_study(cfg, lambda cfg, level, flux: [ScaledTwin(1e200, [])])
+    assert got.levels[0].error_message == want
 
 
 def test_first_level_observer_refusal_is_an_invalid_request():
