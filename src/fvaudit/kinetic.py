@@ -27,10 +27,13 @@ The audit streams: :class:`DefectAudit` takes one state at a time
 (``defect_measure`` replays a kept trajectory into it) and evaluates the
 steps between them in blocks of about ``_BUDGET`` window entries, each
 block in one pass and only on per-cell velocity windows, outside which
-the residual is exactly 0.  It holds O(n_cells * n_v) floats plus two
-floats per step: the step size and the area-weighted positive mass, so
-``total_mass`` is summed per step.  No dense (steps, cells, n_v) array is
-ever formed.
+the residual is exactly 0.  Every flux is phi(u) d, so a transport speed
+f'(v_j) . n_e is the product of a face factor d . n_e and a velocity
+factor phi'(v_j), formed per window entry; no (faces, n_v) table is kept.
+The audit holds two (n_cells, n_v) float tables, the time integral of M
+and its tails, one block, and two floats per step: the step size and the
+area-weighted positive mass, so ``total_mass`` is summed per step.  No
+dense (steps, cells, n_v) array is ever formed.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import numpy as np
 
 from .mesh import Mesh
 from .physics import FluxModel
-from .scheme import CellField, Trajectory, _replay
+from .scheme import CellField, Trajectory, _geometry, _replay
 
 __all__ = [
     "VGrid",
@@ -155,9 +158,9 @@ class KineticResidual:
     velocity grid to audit it on: the transport residual of step n is the
     (n_cells, n_v) array
 
-        (rho^{n+1} - rho^n) / dt_n + (1 / |K|) sum_e |e| c_e rho_up
+        (rho^{n+1} - rho^n) / dt_n + (1 / |K|) sum_e |e| c rho_up
 
-    with c_e = f'(v_j) . n_e and rho_up the upwind copy of rho^n.
+    with the speed c = f'(v_j) . n_e and rho_up the upwind copy of rho^n.
     :func:`defect_measure` evaluates it.  Built by :func:`kinetic_residual`.
     """
 
@@ -196,38 +199,42 @@ class _Window:
     new value and of its face neighbours' old values.  Outside the hull of
     those values every one of them is the same rho in {-1, 0, 1} (chi's
     boundaries count as outside), so the residual there is rho W, with
-    W = div(|e| c_e) / |K| summed as the dense divergence sums it.  W is
+    W = div(|e| c) / |K| summed as the dense divergence sums it.  W is
     exactly 0 on a 1-D mesh, whose cells' two faces carry the same flow; a
     cell whose W row is not widens its window to v = 0, beyond which
-    rho = 0.  So outside its window a cell's residual is exactly 0, and
-    inside it :meth:`block` evaluates it, and its v-antiderivative, in the
-    dense operation order.  The spatial flux terms telescope only on a
-    fully periodic mesh, so any other is refused.
+    rho = 0.  Only whether a row is 0 is kept, from W taken a chunk of
+    velocity columns at a time.  So outside its window a cell's residual
+    is exactly 0, and inside it :meth:`block` evaluates it, and its
+    v-antiderivative, in the dense operation order.  The window keeps the
+    speed c = f'(v_j) . n_e as its two factors, ``c_e = d . n_e`` per face
+    (the projection the mesh caches for the solver) and ``dphi =
+    phi'(v_j)`` per velocity; their product has the bits of ``flux.dfn``.  The spatial flux terms
+    telescope only on a fully periodic mesh, so any other is refused.
     """
 
     def __init__(self, flux, grid: VGrid, field0: CellField):
         mesh = field0.mesh
         _check_auditable(grid, field0)
-        c = flux.dfn(grid.centers[None, :], mesh.face_normal)  # (n_faces, n_v)
-        flow = mesh.face_length[:, None] * c
-        w = mesh.divergence(flow)
-        w /= mesh.cell_area[:, None]
+        self.c_e, self.dphi = _geometry(mesh, flux)[0].c, flux.dphi(grid.centers)
+        # W a chunk of velocity columns at a time: the divergence sums each
+        # column alone, so each has the bits of the dense W
+        widen = np.zeros(mesh.n_cells, dtype=bool)
+        width = max(1, _BUDGET // mesh.n_faces)
+        for j in range(0, grid.n, width):
+            flow = mesh.face_length[:, None] * (self.c_e[:, None]
+                                                * self.dphi[j:j + width])
+            w = mesh.divergence(flow)
+            w /= mesh.cell_area[:, None]
+            widen |= w.any(axis=1)
         # per cell, what its hull spans, as indices into [u_old, u_new, 0]:
         # its old and new value, its neighbours' old values, and 0 if its W
         # row is not 0
         n = mesh.n_cells
         cells = np.arange(n)
         spans = [cells, n + cells, *mesh.cell_neighbors]
-        widen = w.any(axis=1)
         if widen.any():
             spans.append(np.where(widen, 2 * n, cells))
         self.spans = np.array(spans)
-        # per (face, velocity), flattened: the flow and its upwind cell; and
-        # per face slot of each cell, the offset of its face's velocities
-        self.flow = flow.ravel()
-        self.upwind = np.where(c >= 0.0, mesh.face_left[:, None],
-                               mesh.face_right[:, None]).ravel()
-        self.face_at = mesh.cell_faces * grid.n
         self.mesh, self.grid, self.centers = mesh, grid, grid.centers
 
     def hull(self, u_old: np.ndarray, u_new: np.ndarray):
@@ -260,10 +267,17 @@ class _Window:
         pos, neg = vc > 0.0, vc < 0.0
         r = (_chi(vc, pos, neg, u_new[row])
              - _chi(vc, pos, neg, u_old[row])) / dts[step]
-        # the face terms of every face slot at once, (width, n_entries)
-        at = self.face_at.take(cell, axis=1) + v
-        up = _chi(vc, pos, neg, u_old[row - cell + self.upwind[at]])
-        terms = mesh.cell_face_sign.take(cell, axis=1) * (self.flow[at] * up)
+        # the face terms of every face slot at once, (width, n_entries): the
+        # speed c, the flow |e| c and the upwind cell of each entry's face
+        face = mesh.cell_faces.take(cell, axis=1)
+        c = self.c_e[face]
+        c *= self.dphi[v]
+        flow = mesh.face_length[face]
+        flow *= c
+        upwind = np.where(c >= 0.0, mesh.face_left[face], mesh.face_right[face])
+        del c, face             # freed before the block's memory high
+        up = _chi(vc, pos, neg, u_old[row - cell + upwind])
+        terms = mesh.cell_face_sign.take(cell, axis=1) * (flow * up)
         div = np.zeros(row.size)
         for term in terms:
             div += term
@@ -408,7 +422,11 @@ class DefectAudit:
     difference table of the constant tails above the windows, summed in v
     by ``finish``, and one block: O(n_cells * n_v) floats.  What grows with
     the run is two floats per step, its size and its area-weighted positive
-    mass, so ``total_mass`` is summed per step.
+    mass, so ``total_mass`` is summed per step.  ``finish`` integrates
+    ``acc`` against the tents with ``np.einsum``, which sums each element
+    over the cells in order: a BLAS product would add its packing buffers
+    to the run's memory high, and its sums would depend on the BLAS build
+    and its thread count.
     """
 
     def __init__(self, flux, grid: VGrid):
@@ -486,8 +504,9 @@ class DefectAudit:
         dts = np.array(self._dts, dtype=float)
         total = float(np.array(self._mass) @ dts) * self.grid.dv
         elapsed = float(dts.sum())
-        weighted = _tent_windows(mesh, _TENTS_PER_AXIS[mesh.dim],
-                                 _TENT_WIDTH) @ acc
+        # each element summed over the cells in order, without BLAS
+        weighted = np.einsum("tk,kv->tv", _tent_windows(
+            mesh, _TENTS_PER_AXIS[mesh.dim], _TENT_WIDTH), acc)
         weighted /= elapsed
         negativity = float(max(0.0, -weighted.min()))
         edge = float(mesh.cell_area @ acc[:, -1]) / elapsed

@@ -30,7 +30,8 @@ from fvaudit import (
     triangulated_rectangle,
     uniform_interval_mesh,
 )
-from fvaudit import kinetic
+from fvaudit import cli, kinetic
+from fvaudit.harness import StudyConfig, _solve_on, build_problem_mesh
 from fvaudit.kinetic import DefectAudit, _tent_windows
 from fvaudit.scheme import state_range
 
@@ -519,6 +520,75 @@ def test_streaming_worst_location_takes_the_first_tie():
     assert M[0, dm.worst_cell, dm.worst_v] == -dm.pointwise_negativity < 0.0
 
 
+def _tent_integral(mesh, acc):
+    """The tents' integral of the time-integrated M ``acc``, spelled out:
+    each element summed over the cells in order, one product at a time."""
+    tents = _tent_windows(mesh, 33 if mesh.dim == 1 else 9, 0.125)
+    out = np.zeros((len(tents), acc.shape[1]))
+    for k in range(mesh.n_cells):
+        out += tents[:, k, None] * acc[k]
+    return out
+
+
+@pytest.mark.parametrize("case", ["expansion_80", "rotated_burgers_2d"])
+def test_negativity_score_is_the_tent_integral_in_cell_order(case):
+    traj, flux, grid = STREAMING_CASES[case]()
+    audit = DefectAudit(flux, grid)
+    audit.start(traj.fields[0])
+    for field in traj.fields[1:]:
+        audit.step(field, None)
+    audit._flush()
+    # the time integral of M as finish assembles it: the tails summed in v
+    # onto the window values
+    acc = np.cumsum(audit._tails[:, :-1], axis=1) + audit.acc
+    elapsed = float(np.array(audit._dts).sum())
+    weighted = _tent_integral(traj.mesh, acc) / elapsed
+    score = audit.finish().negativity_score
+    assert score > 0.0
+    assert score.hex() == float(max(0.0, -weighted.min())).hex()
+
+
+# ---------------------------------------------------------------------------
+# the window's widened rows: W taken in velocity chunks, as the dense W
+
+
+def _dense_spans(flux, grid, mesh):
+    """The hull spans of :class:`kinetic._Window` from the dense
+    W = div(|e| c) / |K|, and which of its rows are not 0."""
+    c = flux.dfn(grid.centers[None, :], mesh.face_normal)
+    w = mesh.divergence(mesh.face_length[:, None] * c) / mesh.cell_area[:, None]
+    widen = w.any(axis=1)
+    n, cells = mesh.n_cells, np.arange(mesh.n_cells)
+    spans = [cells, n + cells, *mesh.cell_neighbors]
+    if widen.any():
+        spans.append(np.where(widen, 2 * n, cells))
+    return np.array(spans), widen
+
+
+WIDENING_CASES = {
+    # two faces of one flow per cell: W is exactly 0, no row widens
+    "interval": (lambda: _periodic_interval(40), make_flux("burgers")),
+    "triangles": (lambda: triangulated_rectangle(6, 6, periodic=True),
+                  make_flux("rotated_burgers_2d", angle=np.pi / 5.0)),
+    "jittered": (lambda: triangulated_rectangle(6, 6, periodic=True,
+                                                jitter=0.2),
+                 make_flux("rotated_burgers_2d", angle=np.pi / 5.0)),
+}
+
+
+@pytest.mark.parametrize("budget", [1, kinetic._BUDGET])
+@pytest.mark.parametrize("case", list(WIDENING_CASES))
+def test_window_widens_the_rows_the_dense_w_does(case, budget, monkeypatch):
+    make_mesh, flux = WIDENING_CASES[case]
+    mesh, grid = make_mesh(), VGrid(-1.0, 1.0, 256)
+    spans, widen = _dense_spans(flux, grid, mesh)
+    # a budget of 1 takes W one velocity column at a time
+    monkeypatch.setattr(kinetic, "_BUDGET", budget)
+    window = kinetic._Window(flux, grid, CellField(mesh, np.zeros(mesh.n_cells)))
+    assert _same_bits(window.spans, spans)
+    assert widen.sum() == (0 if mesh.dim == 1 else mesh.n_cells)
+
+
 # ---------------------------------------------------------------------------
 # blocks of steps: however the run is split, the record has the same bits
 
@@ -690,6 +760,27 @@ def test_audit_memory_does_not_grow_with_steps():
     per_step = 16 * 8
     assert many - few <= per_step * (200 - 10)
     assert per_step < 8 * base.mesh.n_cells // 2
+
+
+def test_kinetic_level_holds_its_integral_and_one_block():
+    # the finest level of the kinetic benchmark, expansion_shock on 400
+    # cells with n_v 128, holds the time integral of M and the difference
+    # table of its tails, 2 x 400 x 130 floats, and one block: its fields
+    # and some thirty arrays of _BUDGET window entries, with no table per
+    # (face, velocity) and no full-width W
+    cfg = StudyConfig(problem="expansion_shock", base_n=50, t_final=0.4,
+                      levels=4)
+    mesh = build_problem_mesh(cfg, 3)
+    tracemalloc.start()
+    try:
+        _solve_on(mesh, cfg, 3, cli._kinetic_observers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = 2 * mesh.n_cells * (cfg.n_v + 2) * 8
+    block = 32 * 8 * kinetic._BUDGET
+    assert (mesh.n_cells, cfg.n_v) == (400, 128)
+    assert peak <= held + block
 
 
 # ---------------------------------------------------------------------------
