@@ -66,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scheme import (CellField, SchemeConfig, numerical_flux, state_range,
-                     _checked_lf, _face_record, _geometry, _replay)
+                     _checked_lf, _face_record, _geometry, _global_lf, _replay)
 
 __all__ = [
     "EntropyAuditReport",
@@ -172,13 +172,11 @@ def _fold_hull(best: np.ndarray, group: np.ndarray, value: np.ndarray):
 
 class _Kernel:
     """The residual evaluation shared by every step of one run: the sorted
-    k grid, phi on it with its prefix and suffix extremes, and the closure
-    sums sum_e s_e |e| c_e per cell."""
+    k grid, phi on it with its prefix and suffix extremes, the closure
+    sums sum_e s_e |e| c_e per cell, and s_e |e| on the incidence table."""
 
     def __init__(self, mesh, flux, config: SchemeConfig, k):
         self.mesh, self.flux, self.config = mesh, flux, config
-        self.global_lf = (config.flux_rule == "lax_friedrichs"
-                          and config.lf_dissipation_mode == "global")
         self.k = np.atleast_1d(np.asarray(k, dtype=float))
         order = np.argsort(self.k, kind="stable")
         self.ks = self.k[order]
@@ -191,6 +189,7 @@ class _Kernel:
         self.face, _ = _geometry(mesh, flux)      # c = d . n per face
         self.closure_sum = mesh.divergence(mesh.face_length * self.face.c)
         self.real = mesh.cell_face_sign != 0.0     # pads skipped
+        self.signed_length = mesh.cell_face_sign * mesh.face_length[mesh.cell_faces]
 
 
 def _part(flat: np.ndarray, rows: int, n: int) -> np.ndarray:
@@ -218,21 +217,19 @@ class _Block:
     def __init__(self, kernel: _Kernel, size: int):
         mesh = kernel.mesh
         self.kernel, self.size, self.n = kernel, size, 0
-        self.records = [np.empty((size, mesh.n_faces))
-                        if i < 3 or kernel.global_lf else None for i in range(4)]
+        self.records = [np.empty((size, mesh.n_faces)) if i < 3
+                        or _global_lf(kernel.config) else None for i in range(4)]
         self.fields, self.times = np.empty((size + 1, mesh.n_cells)), np.empty(size + 1)
         self._dt = None
 
     def _allocate(self, n: int):
         """The flat arrays evaluate and cell_max compute in, made by the
         first block for as many steps as it holds, which no later block
-        exceeds: (cells, n) arrays of floats and of ints, and the (n,
-        2 faces + 1) signed face fluxes."""
-        cells, faces = self.kernel.mesh.n_cells, self.kernel.mesh.n_faces
+        exceeds: five (cells, n) arrays of floats and four of ints."""
+        cells = self.kernel.mesh.n_cells
         self._dt = np.empty(n)
-        self._r, self._closure, self._rows, self._trace = (
-            np.empty(cells * n) for _ in range(4))
-        self._signed = np.empty((2 * faces + 1) * n)
+        self._r, self._closure, self._rows, self._trace, self._work = (
+            np.empty(cells * n) for _ in range(5))
         self._below, self._above, self._j, self._ends = (
             np.empty(cells * n, dtype=np.intp) for _ in range(4))
 
@@ -275,7 +272,7 @@ class _Block:
         sums and hulls run over the rows the steps arrived in, (n, cells),
         and are turned to (cells, n) once, at the end."""
         kernel, mesh, n = self.kernel, self.kernel.mesh, self.n
-        cells, faces = mesh.n_cells, mesh.n_faces
+        cells = mesh.n_cells
         if self._dt is None:
             self._allocate(n)
         self.dt = dt = np.subtract(self.times[1:n + 1], self.times[:n],
@@ -289,19 +286,16 @@ class _Block:
         self.u, self.u_new = u.T, u_new.T
         rows, trace = _part(self._rows, n, cells), _part(self._trace, n, cells)
 
-        # (dt / |K|) sum_e s_e |e| v_e for v = c and v = g, the latter
-        # summed from [v; -v; 0] one table row at a time, as Mesh.divergence
+        # (dt / |K|) sum_e s_e |e| v_e for v = c and v = g, the latter added
+        # an incidence row at a time, as Mesh.divergence and hull_chunks add
         area = mesh.cell_area[:, None]
         self.closure = np.multiply(kernel.closure_sum[:, None], dt,
                                    out=_part(self._closure, cells, n))
         self.closure /= area
-        signed = _part(self._signed, n, 2 * faces + 1)
-        np.multiply(g, mesh.face_length, out=signed[:, :faces])
-        np.negative(signed[:, :faces], out=signed[:, faces:-1])
-        signed[:, -1] = 0.0
         rows[...] = 0.0
-        for slots in mesh._signed_slots:
-            rows += np.take(signed, slots, 1, trace, "clip")
+        for cell_faces, weight in zip(mesh.cell_faces, kernel.signed_length):
+            rows += np.multiply(np.take(g, cell_faces, 1, trace, "clip"),
+                                weight, out=trace)
         self.r = _part(self._r, cells, n)
         self.r[...] = rows.T
         self.r *= dt
@@ -332,7 +326,7 @@ class _Block:
         in arrays the next :meth:`evaluate` reuses."""
         cells, n = self.r.shape
         work = [_part(x, cells, n) for x in (self._rows, self._trace,
-                                             self._signed, self._j)]
+                                             self._work, self._j)]
         best = _affine_max(self.kernel.extremes, self.r, self.closure,
                            self.below, self.above, work)
         for group, _, value in self.hull_chunks():

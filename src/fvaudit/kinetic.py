@@ -199,7 +199,8 @@ class _Window:
     new value and of its face neighbours' old values.  Outside the hull of
     those values every one of them is the same rho in {-1, 0, 1} (chi's
     boundaries count as outside), so the residual there is rho W, with
-    W = div(|e| c) / |K| summed as the dense divergence sums it.  W is
+    W = div(|e| c) / |K| from :meth:`Mesh.divergence`, whose row order
+    :meth:`block`, the march and the entropy audit add face terms in.  W is
     exactly 0 on a 1-D mesh, whose cells' two faces carry the same flow; a
     cell whose W row is not widens its window to v = 0, beyond which
     rho = 0.  Only whether a row is 0 is kept, from W taken a chunk of

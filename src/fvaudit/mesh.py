@@ -18,8 +18,8 @@ opposite signs.
 Face-to-cell sums go through one operator, :meth:`Mesh.divergence`.  It
 reads a cell-to-face incidence table built once per mesh: each cell lists
 the faces it owns as left cell, then those it owns as right cell, each in
-face order, padded to the longest list.  Every per-cell sum therefore adds
-its terms in one fixed order, so results are reproducible bit for bit.
+face order, padded to the longest list.  The march and both audits add
+their face terms in the same row order, so results agree bit for bit.
 
 Assembly runs on one side table: a row per (cell, edge) in cell-then-edge
 order, with the owning cell, a face key (lo * n_vertices + hi for an edge
@@ -132,7 +132,6 @@ class Mesh:
     cell_faces: np.ndarray = field(init=False, repr=False, compare=False)
     cell_face_sign: np.ndarray = field(init=False, repr=False, compare=False)
     cell_neighbors: np.ndarray = field(init=False, repr=False, compare=False)
-    _signed_slots: np.ndarray = field(init=False, repr=False, compare=False)
     # (n_faces,) the cell across each face from its left cell: face_right,
     # or face_left itself on an outflow face, whose ghost copies the inside
     face_across: np.ndarray = field(init=False, repr=False, compare=False)
@@ -143,8 +142,7 @@ class Mesh:
 
     def __post_init__(self):
         tables = _incidence(self.n_cells, self.face_left, self.face_right)
-        for name, value in zip(("cell_faces", "cell_face_sign", "cell_neighbors",
-                                "_signed_slots"), tables):
+        for name, value in zip(("cell_faces", "cell_face_sign", "cell_neighbors"), tables):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "face_across", np.where(
             self.face_right >= 0, self.face_right, self.face_left))
@@ -156,7 +154,7 @@ class Mesh:
             "cell_diameter", "face_left", "face_right",
             "face_normal", "face_length", "face_midpoint_left",
             "face_midpoint_right", "face_kind",
-            "cell_faces", "cell_face_sign", "cell_neighbors", "_signed_slots",
+            "cell_faces", "cell_face_sign", "cell_neighbors",
             "face_across",
         ):
             getattr(self, name).setflags(write=False)
@@ -203,20 +201,24 @@ class Mesh:
         v = np.asarray(face_values, dtype=float)
         if v.shape[:1] != (self.n_faces,):
             raise ValueError(f"expected {self.n_faces} face values, got {v.shape}")
-        return _signed_sum(self._signed_slots, v, self.n_cells)
+        return _signed_sum(self.cell_faces, self.cell_face_sign, v)
 
     def neighbor_range(self, u) -> tuple[np.ndarray, np.ndarray]:
         """Per-cell min and max of ``u`` over the cell and its face neighbors."""
         return _range_over(self.cell_neighbors, np.asarray(u, dtype=float))
 
 
-def _signed_sum(slots: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
-    """:meth:`Mesh.divergence` into ``n`` cells by the table ``slots`` into
-    [v; -v; 0], which may also be that of meshes laid side by side."""
-    signed = np.concatenate([v, -v, np.zeros((1,) + v.shape[1:])])
-    out = np.zeros((n,) + v.shape[1:])
-    for row in slots:               # one table row at a time
-        out += signed[row]
+def _signed_sum(faces: np.ndarray, signs: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """:meth:`Mesh.divergence` by the tables ``faces`` and ``signs``, which
+    may also be those of meshes laid side by side.  Multiplying by +-1 is
+    exact, and a pad's sign 0 adds a zero to a sum that is never -0 (a nan
+    if face 0's value is not finite)."""
+    out = np.zeros(faces.shape[1:] + v.shape[1:])
+    signs = signs.reshape(signs.shape + (1,) * (v.ndim - 1))
+    for f, s in zip(faces, signs):  # one table row at a time
+        term = v[f]
+        term *= s
+        out += term
     return out
 
 
@@ -237,8 +239,7 @@ def _incidence(n_cells: int, face_left: np.ndarray, face_right: np.ndarray):
     those it owns as right cell (sign -1), each group in face order.
     Shorter columns are padded with face 0 and sign 0.  ``neighbors``
     names the cell across each entry, or K itself on an outflow face or
-    a pad.  ``slots`` indexes the stacked operand [v; -v; 0] of
-    :meth:`Mesh.divergence`: face f, F + f, or 2F on a pad.
+    a pad.  Every face-to-cell sum adds its terms in this row order.
     """
     n_faces = len(face_left)
     interior = face_right >= 0
@@ -254,12 +255,10 @@ def _incidence(n_cells: int, face_left: np.ndarray, face_right: np.ndarray):
     faces = np.zeros((width, n_cells), dtype=int)
     signs = np.zeros((width, n_cells))
     neighbors = np.repeat(np.arange(n_cells)[None, :], width, axis=0)
-    slots = np.full((width, n_cells), 2 * n_faces)
     faces[row, owner] = face
     signs[row, owner] = np.where(left, 1.0, -1.0)
     neighbors[row, owner] = np.where(other >= 0, other, owner)
-    slots[row, owner] = np.where(left, face, face + n_faces)
-    return faces, signs, neighbors, slots
+    return faces, signs, neighbors
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,11 @@ def _checked_lf(flux, lam, a, b, n) -> np.ndarray:
     return lam
 
 
+def _global_lf(config: SchemeConfig) -> bool:
+    """Whether the Lax-Friedrichs coefficient spans each field's range."""
+    return config.flux_rule == "lax_friedrichs" and config.lf_dissipation_mode == "global"
+
+
 # ---------------------------------------------------------------------------
 # reconstruction
 
@@ -367,10 +372,10 @@ class _Stack:
     """The step of groups of fields of a mesh as one state of k * n_cells
     values, field i from entry i * n_cells on, the groups' fields one after
     another in order.  The mesh's tables are tiled k times, copy i's indices
-    moved by i fields, so that one numpy call steps all k and each value
-    meets the operands, in the order, of a step of its group alone.  Each
-    group has its own step size and, under global Lax-Friedrichs, its own
-    joint range."""
+    moved by i fields or i faces, so that one numpy call steps all k and
+    each value meets the operands, in the incidence-row order of
+    :meth:`Mesh.divergence`, of a step of its group alone.  Each group has
+    its own step size and, under global Lax-Friedrichs, its own joint range."""
 
     def __init__(self, mesh: Mesh, flux, config: SchemeConfig, sizes=(1,)):
         n, f = mesh.n_cells, mesh.n_faces
@@ -389,12 +394,8 @@ class _Stack:
         self.length = tile(mesh.face_length)
         self.left, self.across = tile(mesh.face_left, n), tile(mesh.face_across, n)
         self.neighbors = tile(mesh.cell_neighbors, n)
-        s = mesh._signed_slots      # rows into [v; -v; 0], each part k * f long
-        self.slots = s if k == 1 else np.concatenate(
-            [np.where(s < f, s + i * f, np.where(s < 2 * f, s + (k - 1 + i) * f, 2 * k * f))
-             for i in range(k)], -1)
-        self.joint = (config.flux_rule == "lax_friedrichs"
-                      and config.lf_dissipation_mode == "global")
+        self.faces, self.signs = tile(mesh.cell_faces, f), tile(mesh.cell_face_sign)
+        self.joint = _global_lf(config)
 
     def split(self, x: np.ndarray):
         return (x,) if self.k == 1 else list(x.reshape(self.k, -1))
@@ -432,7 +433,7 @@ class _Stack:
         lam = None
         if config.flux_rule == "lax_friedrichs":
             rng = None
-            if config.lf_dissipation_mode == "global":
+            if self.joint:
                 ranges = zip(*(_value_range(*ab, within=w) for ab, w in zip(
                     zip(self.split(a), self.split(b)), within or [None] * self.k)))
                 rng = [np.repeat(x, self.mesh.n_faces) for x in ranges]
@@ -440,7 +441,7 @@ class _Stack:
         return a, b, numerical_flux(config.flux_rule, flux, a, b, n, lam), lam
 
     def _euler(self, u: np.ndarray, dt: np.ndarray, g: np.ndarray) -> np.ndarray:
-        div = _signed_sum(self.slots, self.length * g, len(u))
+        div = _signed_sum(self.faces, self.signs, self.length * g)
         per_field = div.reshape(self.k, -1)
         per_field *= dt
         return u - div / self.area

@@ -5,7 +5,9 @@ of ``test_march.py``.
 Changed from the original: ``Mesh.neighbor_range`` and ``Mesh.divergence``
 are the module functions below (verbatim bodies, so a later change to the
 mesh methods does not change this reference), and the flux geometry is
-cached under its own key.
+cached under its own key.  ``divergence`` builds the table of slots into
+[v; -v; 0] it reads from ``cell_faces`` and ``cell_face_sign``, as the mesh
+no longer keeps it.
 """
 
 import itertools
@@ -29,9 +31,12 @@ def divergence(mesh, face_values) -> np.ndarray:
     v = np.asarray(face_values, dtype=float)
     if v.shape[:1] != (mesh.n_faces,):
         raise ValueError(f"expected {mesh.n_faces} face values, got {v.shape}")
+    f, faces, signs = mesh.n_faces, mesh.cell_faces, mesh.cell_face_sign
+    signed_slots = np.where(signs > 0, faces,
+                            np.where(signs < 0, faces + f, 2 * f))
     signed = np.concatenate([v, -v, np.zeros((1,) + v.shape[1:])])
     out = np.zeros((mesh.n_cells,) + v.shape[1:])
-    for slots in mesh._signed_slots:
+    for slots in signed_slots:
         out += signed[slots]
     return out
 

@@ -532,10 +532,11 @@ def test_audit_holds_one_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # a block: the records a, b, g and the fields of its steps, and twelve
-    # (cells, B) arrays to evaluate them in; a chunk: two dozen arrays of
-    # _BLOCK // 8 values
-    block = 8 * size * (3 * mesh.n_faces + 13 * mesh.n_cells)
+    # a block: the records a, b, g and, as (cells, B) arrays, the fields of
+    # its steps, the five float and four int arrays evaluate and cell_max
+    # compute in, and searchsorted's ranks of one hull bound; a chunk: two
+    # dozen arrays of _BLOCK // 8 values
+    block = 8 * size * (3 * mesh.n_faces + 11 * mesh.n_cells)
     chunk = 24 * 8 * (entropy_mod._BLOCK // 8)
     assert peak <= block + chunk
 

@@ -146,18 +146,32 @@ def test_closure_invariants(builder):
 
 @pytest.mark.parametrize("builder", MESH_BUILDERS)
 def test_divergence_matches_ufunc_at(builder):
-    """The table sum equals the add.at/subtract.at pair bit for bit."""
+    """The table sum equals the add.at/subtract.at pair and the stacked
+    [v; -v; 0] sum it replaced bit for bit, signed zeros included, and two
+    copies laid side by side sum as each copy alone."""
     mesh = builder()
     rng = np.random.default_rng(5)
     interior = mesh.face_right >= 0
-    for shape in ((mesh.n_faces,), (mesh.n_faces, 7)):
+    f, faces, signs = mesh.n_faces, mesh.cell_faces, mesh.cell_face_sign
+    slots = np.where(signs > 0, faces, np.where(signs < 0, faces + f, 2 * f))
+    for shape in ((f,), (f, 7)):
         v = rng.normal(size=shape)
+        v[::3], v[1::5] = 0.0, -0.0
         want = np.zeros((mesh.n_cells,) + shape[1:])
         np.add.at(want, mesh.face_left, v)
         np.subtract.at(want, mesh.face_right[interior], v[interior])
+        stacked = np.concatenate([v, -v, np.zeros((1,) + shape[1:])])
         got = mesh.divergence(v)
         assert got.shape == want.shape
-        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == sum(stacked[row] for row in slots).tobytes()
+
+        w = rng.normal(size=shape)
+        pair = mesh_mod._signed_sum(np.concatenate([faces, faces + f], 1),
+                                    np.concatenate([signs, signs], 1),
+                                    np.concatenate([v, w]))
+        assert pair.tobytes() == np.concatenate(
+            [got, mesh.divergence(w)]).tobytes()
 
 
 @pytest.mark.parametrize("builder", MESH_BUILDERS)

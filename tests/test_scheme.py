@@ -707,5 +707,5 @@ def test_unpickled_field_and_mesh_stay_read_only(protocol):
         assert copied.mesh._derived == {}
         arrays = [copied.values] + [v for v in vars(copied.mesh).values()
                                     if isinstance(v, np.ndarray)]
-        assert len(arrays) == 18
+        assert len(arrays) == 17
         assert not any(a.flags.writeable for a in arrays)
