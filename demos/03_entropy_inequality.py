@@ -6,8 +6,9 @@ For every Kruzkov entropy |u - k| a first-order monotone scheme satisfies
 a discrete entropy inequality with a matching two-point entropy flux: the
 per-cell residual
 
-    (|u' - k| - |u - k|) / dt + (1 / |K|) sum_e |e| G(a, b; k)
+    R = |u' - k| - |u - k| + (dt / |K|) sum_e s_e |e| G(a, b; k)
 
+(s_e = +1 on the faces the cell owns as left cell, -1 on the others)
 must never be positive.  This demo evaluates that residual on every
 accepted step of a shock run for a grid of k values, for the three
 monotone flux rules and for the undissipated central average, which is

@@ -47,16 +47,16 @@ inside the face's own hull go through :func:`numerical_entropy_flux`.  A
 step therefore costs O(faces + cells log n_k + in-hull pairs), not
 O(faces n_k).
 
-:class:`EntropyAudit` evaluates blocks of consecutive steps at once,
-the step index the trailing axis of every per-face and per-cell array:
-phi(k) with its prefix and suffix extremes and sum_e s_e |e| c_e are
-computed once per run, each step's fields and face record are written
-into the block as they arrive, and the in-hull pairs go in chunks.  Every
-block of a run is built in the same arrays, allocated once, so the audit
-holds one block at a time.  Every operation is elementwise or a gather,
-so a step has the same bits in any block.  The worst step is evaluated
-again as a block of its own, from the fields and face record it advanced
-with, to find the first (k, cell) of its largest residual.
+:class:`EntropyAudit` evaluates blocks of consecutive steps at once, in
+the rows the steps arrive in: step s is row s of every per-face and
+per-cell array.  phi(k) with its prefix and suffix extremes and
+sum_e s_e |e| c_e are computed once per run, each step's fields and face
+record are written into the block as they arrive, and the in-hull pairs
+go in chunks.  Every block of a run is built in the same arrays,
+allocated once, so the audit holds one block at a time.  Every operation
+is elementwise or a gather, so a step has the same bits in any block.  A
+block that sets a new largest residual locates its first (k, cell) at
+once, from the row of the step that holds it.
 """
 
 from __future__ import annotations
@@ -202,16 +202,17 @@ class _Block:
     """Sparse-plus-affine residuals of up to ``size`` consecutive steps, in
     arrays allocated once and reused by every block of a run.
 
-    Steps go in as they arrive (:meth:`put`): row s of ``fields`` holds the
-    cell values before step s and row s + 1 those after it, ``times`` their
-    times, and row s of each of ``records`` the face traces a and b, the
-    flux g and, under global Lax-Friedrichs only, the coefficient step s
-    advanced with.  :meth:`evaluate` then makes the (cells, B) arrays
-    ``r``, ``closure``, ``below`` and ``above`` of the B steps held, the
-    step index their trailing axis, and :meth:`hull_chunks` yields the
-    in-hull pairs with their residuals; a pair's group is
-    ``cell * B + step``.  Every operation is elementwise or a gather, so
-    writing into the reused arrays keeps the bits.
+    Every per-step array keeps the rows the steps arrive in, step s as
+    row s.  :meth:`put` writes the cell values after step s into row s + 1
+    of ``fields`` (row s holds those before it), their time into ``times``
+    and into row s of each of ``records`` the face traces a and b, the flux
+    g and, under global Lax-Friedrichs only, the coefficient step s advanced
+    with.  :meth:`evaluate` then makes the (B, cells) arrays ``r``,
+    ``closure``, ``below`` and ``above`` of the B steps held, and
+    :meth:`hull_chunks` yields the in-hull pairs of a range of rows with
+    their residuals; a pair's group is ``step * cells + cell``, counted
+    from the first row of the range.  Every operation is elementwise or a
+    gather, so writing into the reused arrays keeps the bits.
     """
 
     def __init__(self, kernel: _Kernel, size: int):
@@ -225,7 +226,7 @@ class _Block:
     def _allocate(self, n: int):
         """The flat arrays evaluate and cell_max compute in, made by the
         first block for as many steps as it holds, which no later block
-        exceeds: five (cells, n) arrays of floats and four of ints."""
+        exceeds: five (n, cells) arrays of floats and four of ints."""
         cells = self.kernel.mesh.n_cells
         self._dt = np.empty(n)
         self._r, self._closure, self._rows, self._trace, self._work = (
@@ -237,40 +238,25 @@ class _Block:
         """Start a block from ``field``, the values before its first step."""
         self.fields[0], self.times[0], self.n = field.values, field.t, 0
 
-    def put(self, before: CellField, after: CellField, faces):
-        """Hold the step from ``before`` to ``after`` and the face record
-        ``faces`` it advanced with.  A replay has none, and passes None to
-        rebuild it from ``before``."""
+    def put(self, after: CellField, faces):
+        """Hold the step from the last field held to ``after`` and the face
+        record ``faces`` it advanced with.  A replay has none, and passes
+        None to rebuild it from the last field held."""
         kernel, s = self.kernel, self.n
-        if after.mesh is not kernel.mesh or before.mesh is not kernel.mesh:
-            raise ValueError("before and after live on different meshes")
+        if after.mesh is not kernel.mesh:
+            raise ValueError("the fields of the run live on different meshes")
         if faces is None:
             faces = _face_record(kernel.mesh, kernel.flux, kernel.config,
-                                 before.values)
+                                 self.fields[s])
         for out, x in zip(self.records, faces):
             if out is not None:
                 out[s] = x
         self.fields[s + 1], self.times[s + 1], self.n = after.values, after.t, s + 1
 
-    def copy_step(self, s: int) -> tuple:
-        """Copies of what step ``s`` holds: its two fields' values, their
-        times and its face record."""
-        return (self.fields[s:s + 2].copy(), self.times[s:s + 2].copy(),
-                [None if x is None else x[s:s + 1].copy() for x in self.records])
-
-    def hold(self, step: tuple):
-        """Hold one step, as :meth:`copy_step` gave it, as the first."""
-        fields, times, records = step
-        self.fields[:2], self.times[:2], self.n = fields, times, 1
-        for out, x in zip(self.records, records):
-            if out is not None:
-                out[:1] = x
-
     def evaluate(self):
-        """The residual data of the steps held: dt, the update's own
-        residual r, the closure values and the hull's sorted k ranks.  The
-        sums and hulls run over the rows the steps arrived in, (n, cells),
-        and are turned to (cells, n) once, at the end."""
+        """The residual data of the steps held, in their rows: dt, the
+        update's own residual r, the closure values and the hull's sorted
+        k ranks."""
         kernel, mesh, n = self.kernel, self.kernel.mesh, self.n
         cells = mesh.n_cells
         if self._dt is None:
@@ -279,40 +265,36 @@ class _Block:
                                    out=self._dt[:n])
         if not np.all(dt > 0.0):
             raise ValueError("dt must be positive")
-        a, b, g, lam = (None if x is None else x[:n] for x in self.records)
-        u, u_new = self.fields[:n], self.fields[1:n + 1]
-        self.a, self.b, self.g, self.lam = (None if x is None else x.T
-                                            for x in (a, b, g, lam))
-        self.u, self.u_new = u.T, u_new.T
+        self.a, self.b, self.g, self.lam = (None if x is None else x[:n]
+                                            for x in self.records)
+        self.u, self.u_new = self.fields[:n], self.fields[1:n + 1]
         rows, trace = _part(self._rows, n, cells), _part(self._trace, n, cells)
 
         # (dt / |K|) sum_e s_e |e| v_e for v = c and v = g, the latter added
         # an incidence row at a time, as Mesh.divergence and hull_chunks add
-        area = mesh.cell_area[:, None]
-        self.closure = np.multiply(kernel.closure_sum[:, None], dt,
-                                   out=_part(self._closure, cells, n))
-        self.closure /= area
-        rows[...] = 0.0
+        self.closure = np.multiply(dt[:, None], kernel.closure_sum,
+                                   out=_part(self._closure, n, cells))
+        self.closure /= mesh.cell_area
+        self.r = r = _part(self._r, n, cells)
+        r[...] = 0.0
         for cell_faces, weight in zip(mesh.cell_faces, kernel.signed_length):
-            rows += np.multiply(np.take(g, cell_faces, 1, trace, "clip"),
-                                weight, out=trace)
-        self.r = _part(self._r, cells, n)
-        self.r[...] = rows.T
-        self.r *= dt
-        self.r /= area
-        self.r += np.subtract(u_new, u, out=trace).T      # u' - u + div
+            r += np.multiply(np.take(self.g, cell_faces, 1, trace, "clip"),
+                             weight, out=trace)
+        r *= dt[:, None]
+        r /= mesh.cell_area
+        r += np.subtract(self.u_new, self.u, out=trace)      # u' - u + div
 
         # stencil hull: u, u' and the traces of the cell's faces (pads
         # skipped), and its sorted k ranks, one bound at a time
-        self.below, self.above = (_part(x, cells, n) for x in (self._below, self._above))
+        self.below, self.above = (_part(x, n, cells) for x in (self._below, self._above))
         for extreme, rank, side in ((np.minimum, self.below, "right"),
                                     (np.maximum, self.above, "left")):
-            extreme(u, u_new, out=rows)
+            extreme(self.u, self.u_new, out=rows)
             for cell_faces, real in zip(mesh.cell_faces, kernel.real):
-                for x in (a, b):
+                for x in (self.a, self.b):
                     extreme(rows, np.take(x, cell_faces, 1, trace, "clip"),
                             out=rows, where=real)
-            rank[...] = np.searchsorted(kernel.ks, rows, side).T
+            rank[...] = np.searchsorted(kernel.ks, rows, side)
         # k <= lo before below, k >= hi from above
         np.maximum(self.above, self.below, out=self.above)
 
@@ -322,28 +304,28 @@ class _Block:
         self.fields[0], self.times[0], self.n = self.fields[n], self.times[n], 0
 
     def cell_max(self) -> np.ndarray:
-        """Largest residual of each cell and step over every k, (cells, B),
+        """Largest residual of each step and cell over every k, (B, cells),
         in arrays the next :meth:`evaluate` reuses."""
-        cells, n = self.r.shape
-        work = [_part(x, cells, n) for x in (self._rows, self._trace,
-                                             self._work, self._j)]
+        work = [_part(x, *self.r.shape) for x in (self._rows, self._trace,
+                                                  self._work, self._j)]
         best = _affine_max(self.kernel.extremes, self.r, self.closure,
                            self.below, self.above, work)
         for group, _, value in self.hull_chunks():
             _fold_hull(best, group, value)
         return best
 
-    def hull_chunks(self):
-        """(group, sorted k position, residual) of the pairs with k strictly
-        inside the hull, group by group, at most _BLOCK // 8 // width at a
-        time; one empty chunk when there are none."""
+    def hull_chunks(self, first: int = 0, last: int | None = None):
+        """(group, sorted k position, residual) of the pairs of rows
+        ``first`` to ``last`` (all by default) with k strictly inside the
+        hull, group by group, at most _BLOCK // 8 // width at a time; one
+        empty chunk when there are none."""
         kernel, mesh = self.kernel, self.kernel.mesh
         ks, phi, c = kernel.ks, kernel.phi, kernel.face.c
-        rule, n_steps = kernel.config.flux_rule, self.dt.size
-        faces = mesh.cell_faces
-        count = np.subtract(self.above, self.below,
-                            out=_part(self._j, *self.below.shape)).reshape(-1)
-        below = self.below.reshape(-1)
+        rule, faces = kernel.config.flux_rule, mesh.cell_faces
+        below, above = self.below[first:last], self.above[first:last]
+        count = np.subtract(above, below,
+                            out=_part(self._j, *below.shape)).reshape(-1)
+        below = below.reshape(-1)
         ends = np.cumsum(count, out=self._ends[:count.size])
         total = int(ends[-1]) if ends.size else 0
         size = max(1, _BLOCK // 8 // faces.shape[0])
@@ -351,41 +333,42 @@ class _Block:
             pair = np.arange(start, min(start + size, total))
             group = np.searchsorted(ends, pair, "right")
             kpos = pair - (ends[group] - count[group]) + below[group]
-            cell, s = np.divmod(group, n_steps)
+            s, cell = np.divmod(group, mesh.n_cells)
+            s += first
 
             # G on every face of the cell: the clipped flux where k is also
             # strictly inside the face hull, else the consistent form
             f, kk = faces[:, cell], ks[kpos]
-            a, b = self.a[f, s], self.b[f, s]
+            a, b = self.a[s, f], self.b[s, f]
             face_lo = np.minimum(a, b)
-            G = phi[kpos] * c[f] - self.g[f, s]
+            G = phi[kpos] * c[f] - self.g[s, f]
             np.negative(G, out=G, where=kk <= face_lo)
             row, col = np.nonzero((face_lo < kk) & (kk < np.maximum(a, b)))
             e, t = f[row, col], s[col]
             G[row, col] = numerical_entropy_flux(
                 rule, kernel.flux, kk[col], a[row, col], b[row, col],
-                mesh.face_normal[e], None if self.lam is None else self.lam[e, t])
+                mesh.face_normal[e], None if self.lam is None else self.lam[t, e])
             G *= mesh.face_length[f]
             G *= mesh.cell_face_sign[:, cell]
             div = np.zeros(pair.size)
             for row in G:                # table order, as in Mesh.divergence
                 div += row
-            value = np.abs(self.u_new[cell, s] - kk)
-            value -= np.abs(self.u[cell, s] - kk)
+            value = np.abs(self.u_new[s, cell] - kk)
+            value -= np.abs(self.u[s, cell] - kk)
             value += self.dt[s] * div / mesh.cell_area[cell]
             yield group, kpos, value
 
 
-def _first_max(block: _Block) -> tuple[int, int]:
-    """(k index, cell) of the largest residual of a one-step block, the
-    first in (k in the order given, cell) order.  The residuals of the cells
-    that attain it are expanded _BLOCK at a time, k by k."""
+def _first_max(block: _Block, s: int = 0) -> tuple[int, int]:
+    """(k index, cell) of the largest residual of row ``s`` of an evaluated
+    block, the first in (k in the order given, cell) order.  The residuals
+    of the cells that attain it are expanded _BLOCK at a time, k by k."""
     kernel = block.kernel
-    r, C, below, above = (x[:, 0] for x in (block.r, block.closure,
-                                            block.below, block.above))
-    # one step, so a pair's group is its cell
+    r, C, below, above = (x[s] for x in (block.r, block.closure,
+                                         block.below, block.above))
+    # one row, so a pair's group is its cell
     hull_cell, hull_k, hull_value = (np.concatenate(part)
-                                     for part in zip(*block.hull_chunks()))
+                                     for part in zip(*block.hull_chunks(s, s + 1)))
     best = _affine_max(kernel.extremes, r, C, below, above)
     _fold_hull(best, hull_cell, hull_value)
     top = best.max()
@@ -454,9 +437,8 @@ class EntropyAudit:
     Steps are evaluated _BLOCK // n_faces at a time, in one :class:`_Block`
     whose arrays are allocated once per run and reused by every block, so
     the audit holds one block's arrays.  Besides the block it keeps one
-    value per step, the last field, and copies of the worst step so far
-    (its two fields' values, their times and its face record), so that
-    ``finish`` can locate the maximum in that step alone.
+    value per step and the step, cell and k of the largest residual so
+    far, located in the block that sets it, from that step's row.
     """
 
     def __init__(self, flux, config: SchemeConfig, k_grid, tol: float = 1e-12):
@@ -467,12 +449,11 @@ class EntropyAudit:
         self._kernel = _Kernel(field0.mesh, self.flux, self.config, self.k_grid)
         self._block = _Block(self._kernel, max(1, _BLOCK // field0.mesh.n_faces))
         self._block.begin(field0)
-        self._last, self._per_step = field0, []
-        self._top, self._worst = -np.inf, None
+        self._per_step, self._top = [], -np.inf
+        self._worst = (-1, -1, float("nan"))
 
     def step(self, field: CellField, faces):
-        self._block.put(self._last, field, faces)
-        self._last = field
+        self._block.put(field, faces)
         if self._block.n == self._block.size:
             self._evaluate()
 
@@ -482,32 +463,24 @@ class EntropyAudit:
             return
         block.evaluate()
         first, worst = len(self._per_step), None
-        for i, m in enumerate(block.cell_max().max(axis=0).tolist()):
+        for i, m in enumerate(block.cell_max().max(axis=1).tolist()):
             self._per_step.append(max(m, 0.0))
             if m > self._top:
                 self._top, worst = m, i
         if worst is not None:
-            self._worst = first + worst, block.copy_step(worst)
+            ik, cell = _first_max(block, worst)
+            self._worst = (first + worst, cell, float(self._kernel.k[ik]))
         block.carry()
 
     def finish(self) -> EntropyAuditReport:
         self._evaluate()
         per_step = np.array(self._per_step, dtype=float)
-        ks = self._kernel.k
-        where = (-1, -1, float("nan"))
-        if self._worst is not None:
-            s, step = self._worst
-            one = _Block(self._kernel, 1)
-            one.hold(step)
-            one.evaluate()
-            ik, cell = _first_max(one)
-            where = (s, cell, float(ks[ik]))
         worst = float(per_step.max()) if per_step.size else 0.0
+        step, cell, k = self._worst
         return EntropyAuditReport(per_step=per_step, k_grid=self.k_grid,
                                   worst=worst, tol=self.tol,
                                   passed=bool(worst <= self.tol),
-                                  worst_step=where[0], worst_cell=where[1],
-                                  worst_k=where[2])
+                                  worst_step=step, worst_cell=cell, worst_k=k)
 
 
 def run_entropy_audit(traj, flux, config: SchemeConfig, k_grid=None,

@@ -1,5 +1,6 @@
 """Clipped-state entropy fluxes, residual audits, and E-flux verification."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -27,9 +28,9 @@ from fvaudit import (
 )
 from fvaudit import cli
 from fvaudit import entropy as entropy_mod
-from fvaudit.harness import initial_field
-from fvaudit.scheme import (ConfigurationError, _face_record, _face_states,
-                            state_range)
+from fvaudit.harness import StudyConfig, initial_field, solve_level
+from fvaudit.scheme import (ConfigurationError, _alone, _face_record,
+                            _face_states, _march, state_range)
 from test_mesh import MIXED_POLYGONS
 from test_scheme import parent_godunov
 
@@ -246,7 +247,7 @@ def one_step_block(before, after, dt, flux, config, k):
     kernel = entropy_mod._Kernel(before.mesh, flux, config, k)
     block = entropy_mod._Block(kernel, 1)
     block.begin(before)
-    block.put(before, after, None)
+    block.put(after, None)
     block.times[:] = 0.0, dt
     block.evaluate()
     return block
@@ -259,9 +260,9 @@ def dense_residuals(before, after, dt, flux, config, k):
     block = one_step_block(before, after, dt, flux, config, k)
     kernel = block.kernel
     pos = kernel.rank                        # sorted position of each k
-    phic = kernel.phi[pos][:, None] * block.closure[:, 0]
-    r = block.r[:, 0]
-    out = np.where(pos[:, None] < block.below[:, 0], r - phic, phic - r)
+    phic = kernel.phi[pos][:, None] * block.closure[0]
+    r = block.r[0]
+    out = np.where(pos[:, None] < block.below[0], r - phic, phic - r)
     given = np.argsort(pos)                  # given index of each position
     for cell, kpos, value in block.hull_chunks():   # one step: group = cell
         out[given[kpos], cell] = value
@@ -532,13 +533,82 @@ def test_audit_holds_one_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # a block: the records a, b, g and, as (cells, B) arrays, the fields of
+    # a block: the records a, b, g and, as (B, cells) arrays, the fields of
     # its steps, the five float and four int arrays evaluate and cell_max
     # compute in, and searchsorted's ranks of one hull bound; a chunk: two
     # dozen arrays of _BLOCK // 8 values
     block = 8 * size * (3 * mesh.n_faces + 11 * mesh.n_cells)
     chunk = 24 * 8 * (entropy_mod._BLOCK // 8)
     assert peak <= block + chunk
+
+
+def test_audit_locates_worst_residual_in_an_earlier_block(monkeypatch):
+    """With blocks of 4 steps, the worst step sits in an earlier block than
+    the last and not in its first row, so the location must come from the
+    block that held it, before its arrays are reused: in a replay, whose
+    records are rebuilt, and in a level's march, whose records it hands
+    over."""
+    flux = burgers()
+    mesh = uniform_interval_mesh(12, 0.0, 1.0, periodic=True)
+    monkeypatch.setattr(entropy_mod, "_BLOCK", 4 * mesh.n_faces)
+    cfg = SchemeConfig()
+    field = CellField.from_function(
+        mesh, lambda x: 0.5 + 0.25 * np.sin(2.0 * np.pi * x[:, 0]))
+    fields = run(field, flux, cfg, t_final=0.4).fields
+    values = fields[3].values.copy()
+    values[7] += 1e-3                   # step 2 lands above what it may
+    fields[3] = CellField(mesh, values, fields[3].t)
+    traj = Trajectory(fields)
+    assert len(traj) - 1 >= 9
+    k = kruzkov_k_grid(*state_range(traj))
+    assert run_entropy_audit(traj, flux, cfg, k).worst_step == 2
+    assert_locates_worst(traj, flux, cfg, k)
+
+    # a central level: 9 steps, the worst in row 2 of the second block
+    study = StudyConfig(problem="smooth_sine", flux_rule="central",
+                        base_n=24, levels=1, t_final=0.1)
+    rpt = solve_level(study, 0, cli._entropy_observers).audits[0]
+    spec, cfg = PROBLEMS[study.problem], study.scheme()
+    flux = spec.flux_fn()
+    traj = run(initial_field(spec, spec.mesh_fn(study.base_n)), flux, cfg,
+               study.t_final)
+    stacked = np.array([
+        dense_residuals(b, a, a.t - b.t, flux, cfg, rpt.k_grid)
+        for b, a in zip(traj.fields[:-1], traj.fields[1:])])
+    per_step = np.maximum(stacked.max(axis=(1, 2)), 0.0)
+    assert rpt.per_step.tobytes() == per_step.tobytes()
+    s, ik, cell = np.unravel_index(int(stacked.argmax()), stacked.shape)
+    assert (rpt.worst_step, rpt.worst_cell, rpt.worst_k) == (s, cell, rpt.k_grid[ik])
+    assert s // 4 < (len(traj) - 2) // 4 and s % 4 != 0
+
+
+def test_audit_memory_at_one_step_per_block():
+    """At 12 416 faces a block holds one step.  Fed 40 march steps, the
+    audit holds that block and locates the worst step in it, so its peak
+    stays within twice the block's arrays; copying the worst step out and
+    evaluating it again in a second block took 3.18 MB."""
+    spec = PROBLEMS["rotated_shock_2d"]
+    mesh, flux, cfg = spec.mesh_fn(64), spec.flux_fn(), SchemeConfig()
+    assert (mesh.n_cells, mesh.n_faces) == (8192, 12416)
+    assert entropy_mod._BLOCK // mesh.n_faces == 1
+    field = initial_field(spec, mesh)
+    steps = list(itertools.islice(
+        _alone(_march([(field,)], flux, cfg, 1.0)), 40))
+    fields = [field] + [after for (after,), _ in steps]
+    audit = entropy_mod.EntropyAudit(flux, cfg,
+                                     kruzkov_k_grid(*state_range(Trajectory(fields))))
+    tracemalloc.start()
+    try:
+        audit.start(field)
+        for (after,), (faces,) in steps:
+            audit.step(after, faces)
+        audit.finish()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a block of one step: the records a, b, g and the (1, cells) fields,
+    # work arrays and ranks of test_audit_holds_one_block
+    assert peak <= 2 * 8 * (3 * mesh.n_faces + 11 * mesh.n_cells)
 
 
 # ---------------------------------------------------------------------------
