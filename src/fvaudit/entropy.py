@@ -51,10 +51,11 @@ O(faces n_k).
 the rows the steps arrive in: step s is row s of every per-face and
 per-cell array.  phi(k) with its prefix and suffix extremes and
 sum_e s_e |e| c_e are computed once per run, each step's fields and face
-record are written into the block as they arrive, and the in-hull pairs
-go in chunks.  Every block of a run is built in the same arrays,
-allocated once, so the audit holds one block at a time.  Every operation
-is elementwise or a gather, so a step has the same bits in any block.  A
+record are written into rows allocated once per run as they arrive, and
+the in-hull pairs go in chunks.  A block is evaluated in new temporaries,
+so the audit holds the rows of the held steps, one block's temporaries
+and one chunk of in-hull pairs at a time.  Every operation is
+elementwise or a gather, so a step has the same bits in any block.  A
 block that sets a new largest residual locates its first (k, cell) at
 once, from the row of the step that holds it.
 """
@@ -127,30 +128,26 @@ def _phi_extremes(phi: np.ndarray) -> tuple[np.ndarray, ...]:
             np.maximum.accumulate(phi[::-1])[::-1])
 
 
-def _affine_max(extremes, r, C, below, above, work=None) -> np.ndarray:
+def _affine_max(extremes, r, C, below, above) -> np.ndarray:
     """Largest out-of-hull residual of each cell, elementwise over arrays of
     one shape: r - phi(k) C over the sorted positions before ``below``,
     phi(k) C - r from ``above`` on, -inf where there are none.
 
     Both are monotone in phi(k), also after rounding, so the largest sits
     at the smallest or largest phi of the range: a prefix or suffix extreme.
-    ``work`` holds three float arrays and one int array of that shape to
-    compute in, the first of which is returned; by default they are new.
     """
     lo, hi, lo_suffix, hi_suffix = extremes
     n_k = lo.size
-    best, x, y, j = work or (np.empty_like(r), np.empty_like(r),
-                             np.empty_like(r), np.empty_like(below))
     falling = ~(C > 0.0)
-    np.maximum(np.subtract(below, 1, out=j), 0, out=j)
-    np.copyto(np.take(lo, j, out=best, mode="clip"),
-              np.take(hi, j, out=x, mode="clip"), where=falling)
+    j = np.maximum(below - 1, 0)
+    best = np.take(lo, j, mode="clip")
+    np.copyto(best, np.take(hi, j, mode="clip"), where=falling)
     best *= C
     np.subtract(r, best, out=best)
     np.copyto(best, -np.inf, where=below <= 0)
-    np.minimum(above, n_k - 1, out=j)
-    np.copyto(np.take(hi_suffix, j, out=x, mode="clip"),
-              np.take(lo_suffix, j, out=y, mode="clip"), where=falling)
+    j = np.minimum(above, n_k - 1)
+    x = np.take(hi_suffix, j, mode="clip")
+    np.copyto(x, np.take(lo_suffix, j, mode="clip"), where=falling)
     x *= C
     x -= r
     np.copyto(x, -np.inf, where=above >= n_k)
@@ -192,27 +189,20 @@ class _Kernel:
         self.signed_length = mesh.cell_face_sign * mesh.face_length[mesh.cell_faces]
 
 
-def _part(flat: np.ndarray, rows: int, n: int) -> np.ndarray:
-    """The first rows x n values of a reused flat array, as a contiguous
-    (rows, n) array, so that a block of n steps touches only what it uses."""
-    return flat[:rows * n].reshape(rows, n)
-
-
 class _Block:
-    """Sparse-plus-affine residuals of up to ``size`` consecutive steps, in
-    arrays allocated once and reused by every block of a run.
+    """Sparse-plus-affine residuals of up to ``size`` consecutive steps.
 
     Every per-step array keeps the rows the steps arrive in, step s as
     row s.  :meth:`put` writes the cell values after step s into row s + 1
     of ``fields`` (row s holds those before it), their time into ``times``
     and into row s of each of ``records`` the face traces a and b, the flux
     g and, under global Lax-Friedrichs only, the coefficient step s advanced
-    with.  :meth:`evaluate` then makes the (B, cells) arrays ``r``,
-    ``closure``, ``below`` and ``above`` of the B steps held, and
-    :meth:`hull_chunks` yields the in-hull pairs of a range of rows with
-    their residuals; a pair's group is ``step * cells + cell``, counted
-    from the first row of the range.  Every operation is elementwise or a
-    gather, so writing into the reused arrays keeps the bits.
+    with; these rows are allocated once per run.  :meth:`evaluate` then
+    makes the (B, cells) arrays ``r``, ``closure``, ``below`` and ``above``
+    of the B steps held, new for every block, and :meth:`hull_chunks`
+    yields the in-hull pairs of a range of rows with their residuals; a
+    pair's group is ``step * cells + cell``, counted from the first row of
+    the range.
     """
 
     def __init__(self, kernel: _Kernel, size: int):
@@ -221,18 +211,6 @@ class _Block:
         self.records = [np.empty((size, mesh.n_faces)) if i < 3
                         or _global_lf(kernel.config) else None for i in range(4)]
         self.fields, self.times = np.empty((size + 1, mesh.n_cells)), np.empty(size + 1)
-        self._dt = None
-
-    def _allocate(self, n: int):
-        """The flat arrays evaluate and cell_max compute in, made by the
-        first block for as many steps as it holds, which no later block
-        exceeds: five (n, cells) arrays of floats and four of ints."""
-        cells = self.kernel.mesh.n_cells
-        self._dt = np.empty(n)
-        self._r, self._closure, self._rows, self._trace, self._work = (
-            np.empty(cells * n) for _ in range(5))
-        self._below, self._above, self._j, self._ends = (
-            np.empty(cells * n, dtype=np.intp) for _ in range(4))
 
     def begin(self, field: CellField):
         """Start a block from ``field``, the values before its first step."""
@@ -258,45 +236,39 @@ class _Block:
         update's own residual r, the closure values and the hull's sorted
         k ranks."""
         kernel, mesh, n = self.kernel, self.kernel.mesh, self.n
-        cells = mesh.n_cells
-        if self._dt is None:
-            self._allocate(n)
-        self.dt = dt = np.subtract(self.times[1:n + 1], self.times[:n],
-                                   out=self._dt[:n])
+        self.dt = dt = self.times[1:n + 1] - self.times[:n]
         if not np.all(dt > 0.0):
             raise ValueError("dt must be positive")
         self.a, self.b, self.g, self.lam = (None if x is None else x[:n]
                                             for x in self.records)
         self.u, self.u_new = self.fields[:n], self.fields[1:n + 1]
-        rows, trace = _part(self._rows, n, cells), _part(self._trace, n, cells)
 
         # (dt / |K|) sum_e s_e |e| v_e for v = c and v = g, the latter added
         # an incidence row at a time, as Mesh.divergence and hull_chunks add
-        self.closure = np.multiply(dt[:, None], kernel.closure_sum,
-                                   out=_part(self._closure, n, cells))
+        self.closure = dt[:, None] * kernel.closure_sum
         self.closure /= mesh.cell_area
-        self.r = r = _part(self._r, n, cells)
-        r[...] = 0.0
+        self.r = r = np.zeros((n, mesh.n_cells))
         for cell_faces, weight in zip(mesh.cell_faces, kernel.signed_length):
-            r += np.multiply(np.take(self.g, cell_faces, 1, trace, "clip"),
-                             weight, out=trace)
+            r += np.take(self.g, cell_faces, 1, mode="clip") * weight
         r *= dt[:, None]
         r /= mesh.cell_area
-        r += np.subtract(self.u_new, self.u, out=trace)      # u' - u + div
+        r += self.u_new - self.u                             # u' - u + div
 
-        # stencil hull: u, u' and the traces of the cell's faces (pads
-        # skipped), and its sorted k ranks, one bound at a time
-        self.below, self.above = (_part(x, n, cells) for x in (self._below, self._above))
-        for extreme, rank, side in ((np.minimum, self.below, "right"),
-                                    (np.maximum, self.above, "left")):
-            extreme(self.u, self.u_new, out=rows)
-            for cell_faces, real in zip(mesh.cell_faces, kernel.real):
-                for x in (self.a, self.b):
-                    extreme(rows, np.take(x, cell_faces, 1, trace, "clip"),
-                            out=rows, where=real)
-            rank[...] = np.searchsorted(kernel.ks, rows, side)
         # k <= lo before below, k >= hi from above
+        self.below, self.above = (self._ranks(np.minimum, "right"),
+                                  self._ranks(np.maximum, "left"))
         np.maximum(self.above, self.below, out=self.above)
+
+    def _ranks(self, extreme, side: str) -> np.ndarray:
+        """Sorted k ranks of one bound of the stencil hull: the ``extreme``
+        of u, u' and the traces of the cell's faces (pads skipped)."""
+        kernel, mesh = self.kernel, self.kernel.mesh
+        rows = extreme(self.u, self.u_new)
+        for cell_faces, real in zip(mesh.cell_faces, kernel.real):
+            for x in (self.a, self.b):
+                extreme(rows, np.take(x, cell_faces, 1, mode="clip"),
+                        out=rows, where=real)
+        return np.searchsorted(kernel.ks, rows, side)
 
     def carry(self):
         """Start the next block from the last field held."""
@@ -304,12 +276,9 @@ class _Block:
         self.fields[0], self.times[0], self.n = self.fields[n], self.times[n], 0
 
     def cell_max(self) -> np.ndarray:
-        """Largest residual of each step and cell over every k, (B, cells),
-        in arrays the next :meth:`evaluate` reuses."""
-        work = [_part(x, *self.r.shape) for x in (self._rows, self._trace,
-                                                  self._work, self._j)]
+        """Largest residual of each step and cell over every k, (B, cells)."""
         best = _affine_max(self.kernel.extremes, self.r, self.closure,
-                           self.below, self.above, work)
+                           self.below, self.above)
         for group, _, value in self.hull_chunks():
             _fold_hull(best, group, value)
         return best
@@ -323,10 +292,9 @@ class _Block:
         ks, phi, c = kernel.ks, kernel.phi, kernel.face.c
         rule, faces = kernel.config.flux_rule, mesh.cell_faces
         below, above = self.below[first:last], self.above[first:last]
-        count = np.subtract(above, below,
-                            out=_part(self._j, *below.shape)).reshape(-1)
+        count = np.subtract(above, below).reshape(-1)
         below = below.reshape(-1)
-        ends = np.cumsum(count, out=self._ends[:count.size])
+        ends = np.cumsum(count)
         total = int(ends[-1]) if ends.size else 0
         size = max(1, _BLOCK // 8 // faces.shape[0])
         for start in range(0, max(total, 1), size):
@@ -435,10 +403,11 @@ class EntropyAudit:
     every field it reaches; ``finish()`` gives the :class:`EntropyAuditReport`.
 
     Steps are evaluated _BLOCK // n_faces at a time, in one :class:`_Block`
-    whose arrays are allocated once per run and reused by every block, so
-    the audit holds one block's arrays.  Besides the block it keeps one
-    value per step and the step, cell and k of the largest residual so
-    far, located in the block that sets it, from that step's row.
+    whose rows for the arriving steps are allocated once per run, so the
+    audit holds those rows, one block's temporaries and one chunk of
+    in-hull pairs.  Besides the block it keeps one value per step and the
+    step, cell and k of the largest residual so far, located in the block
+    that sets it, from that step's row.
     """
 
     def __init__(self, flux, config: SchemeConfig, k_grid, tol: float = 1e-12):

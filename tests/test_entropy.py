@@ -510,10 +510,12 @@ def test_audit_memory_does_not_grow_with_k():
 
 
 def test_audit_holds_one_block():
-    """Fed five blocks of a 200-cell run, the audit holds the arrays of one
-    block and the temporaries of one chunk of in-hull pairs at a time.
-    Keeping the last block while the next is built, with chunks of
-    _BLOCK // width face values, took about twice that."""
+    """Fed five blocks of a 200-cell run, the audit holds the rows of the
+    held steps, one block's temporaries and one chunk of in-hull pairs at
+    a time.  Keeping the last block while the next is built, with chunks
+    of _BLOCK // width face values, took about twice that; computing in
+    nine flat arrays allocated once per run took 2.10 MB, above this
+    bound."""
     flux, cfg = burgers(), SchemeConfig()
     mesh = uniform_interval_mesh(200, 0.0, 1.0, periodic=True)
     field = CellField.from_function(
@@ -533,11 +535,12 @@ def test_audit_holds_one_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # a block: the records a, b, g and, as (B, cells) arrays, the fields of
-    # its steps, the five float and four int arrays evaluate and cell_max
-    # compute in, and searchsorted's ranks of one hull bound; a chunk: two
-    # dozen arrays of _BLOCK // 8 values
-    block = 8 * size * (3 * mesh.n_faces + 11 * mesh.n_cells)
+    # a block: the records a, b, g and at most nine (B, cells) arrays at
+    # once: the fields of its steps, evaluate's r, closure, below and
+    # above, and either _affine_max's best, index j and two gathers, or
+    # best with hull_chunks' count and ends; a chunk: two dozen arrays of
+    # _BLOCK // 8 values
+    block = 8 * size * (3 * mesh.n_faces + 9 * mesh.n_cells)
     chunk = 24 * 8 * (entropy_mod._BLOCK // 8)
     assert peak <= block + chunk
 
@@ -584,9 +587,10 @@ def test_audit_locates_worst_residual_in_an_earlier_block(monkeypatch):
 
 def test_audit_memory_at_one_step_per_block():
     """At 12 416 faces a block holds one step.  Fed 40 march steps, the
-    audit holds that block and locates the worst step in it, so its peak
-    stays within twice the block's arrays; copying the worst step out and
-    evaluating it again in a second block took 3.18 MB."""
+    audit holds that block's rows and temporaries and locates the worst
+    step in it, so its peak stays within twice the block's arrays; copying
+    the worst step out and evaluating it again in a second block took
+    3.18 MB."""
     spec = PROBLEMS["rotated_shock_2d"]
     mesh, flux, cfg = spec.mesh_fn(64), spec.flux_fn(), SchemeConfig()
     assert (mesh.n_cells, mesh.n_faces) == (8192, 12416)
@@ -606,8 +610,9 @@ def test_audit_memory_at_one_step_per_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # a block of one step: the records a, b, g and the (1, cells) fields,
-    # work arrays and ranks of test_audit_holds_one_block
+    # twice the records a, b, g and eleven (1, cells) arrays: room for the
+    # nine a block holds at once (test_audit_holds_one_block), its in-hull
+    # chunks and _first_max's expansion of the worst row
     assert peak <= 2 * 8 * (3 * mesh.n_faces + 11 * mesh.n_cells)
 
 
