@@ -48,16 +48,17 @@ step therefore costs O(faces + cells log n_k + in-hull pairs), not
 O(faces n_k).
 
 :class:`EntropyAudit` evaluates blocks of consecutive steps at once, in
-the rows the steps arrive in: step s is row s of every per-face and
-per-cell array.  phi(k) with its prefix and suffix extremes and
-sum_e s_e |e| c_e are computed once per run, each step's fields and face
-record are written into rows allocated once per run as they arrive, and
-the in-hull pairs go in chunks.  A block is evaluated in new temporaries,
-so the audit holds the rows of the held steps, one block's temporaries
-and one chunk of in-hull pairs at a time.  Every operation is
-elementwise or a gather, so a step has the same bits in any block.  A
-block that sets a new largest residual locates its first (k, cell) at
-once, from the row of the step that holds it.
+one :class:`_Block` per run.  It computes phi(k) with its prefix and
+suffix extremes and sum_e s_e |e| c_e once, and writes each step's fields
+and face record as they arrive into rows allocated once per run: step s
+is row s of every per-face and per-cell array.  A block is evaluated in
+new temporaries: the hull ranks, then r and C, freed once the
+out-of-hull maxima are taken, then the in-hull pairs in chunks.  So the
+in-hull pass holds the rows, the ranks and the per-cell maxima ``best``,
+but no r or C.  Every operation is elementwise or a gather, so a step has
+the same bits in any block.  A block that sets a new largest residual
+locates its first (k, cell) at once, from the step's row of ``best``:
+only the cells that attain the maximum are expanded, one k at a time.
 """
 
 from __future__ import annotations
@@ -111,12 +112,11 @@ def numerical_entropy_flux(rule: str, flux, k, a, b, n, lam=None) -> np.ndarray:
 
 
 # element budget of one block: the audit evaluates _BLOCK // n_faces steps
-# at once, the in-hull (cell, k) pairs go through the face table
-# _BLOCK // 8 // width at a time, and :func:`_first_max` expands _BLOCK
-# residuals at a time while it looks for the first maximum.  A chunk's
-# two dozen temporaries are freed and taken again chunk after chunk; at
-# an eighth of the block's budget they stay far below the block's arrays
-# (at _BLOCK // width, study_1d's peak was 0.25 MB higher)
+# at once, and the in-hull (cell, k) pairs go through the face table
+# _BLOCK // 8 // width at a time.  A chunk's two dozen temporaries are
+# freed and taken again chunk after chunk; at an eighth of the block's
+# budget they stay far below the block's arrays (at _BLOCK // width,
+# study_1d's peak was 0.25 MB higher)
 _BLOCK = 1 << 14
 
 
@@ -167,12 +167,26 @@ def _fold_hull(best: np.ndarray, group: np.ndarray, value: np.ndarray):
         flat[g] = np.maximum(flat[g], np.maximum.reduceat(value, first))
 
 
-class _Kernel:
-    """The residual evaluation shared by every step of one run: the sorted
-    k grid, phi on it with its prefix and suffix extremes, the closure
-    sums sum_e s_e |e| c_e per cell, and s_e |e| on the incidence table."""
+class _Block:
+    """Sparse-plus-affine residuals of up to ``size`` consecutive steps of
+    one run on the k grid ``k``, with what every step shares: the sorted
+    grid, phi on it with its prefix and suffix extremes, the closure sums
+    sum_e s_e |e| c_e per cell and s_e |e| on the incidence table.
 
-    def __init__(self, mesh, flux, config: SchemeConfig, k):
+    Every per-step array keeps the rows the steps arrive in, step s as row
+    s.  :meth:`put` writes the cell values after step s into row s + 1 of
+    ``fields`` (row s holds those before it), their time into ``times``
+    and into row s of each of ``records`` the face traces a and b, the flux
+    g and, under global Lax-Friedrichs only, the coefficient step s advanced
+    with; these rows are allocated once per run.  :meth:`evaluate` keeps
+    views of the B steps held and their hull ranks ``below`` and ``above``,
+    (B, cells) arrays new for every block.  :meth:`residual` forms r and the
+    closure values of the rows asked, and :meth:`hull_chunks` yields the
+    in-hull pairs of a range of rows with their residuals; a pair's group
+    is ``step * cells + cell``, counted from the first row of the range.
+    """
+
+    def __init__(self, mesh, flux, config: SchemeConfig, k, size: int):
         self.mesh, self.flux, self.config = mesh, flux, config
         self.k = np.atleast_1d(np.asarray(k, dtype=float))
         order = np.argsort(self.k, kind="stable")
@@ -183,33 +197,13 @@ class _Kernel:
         with np.errstate(over="ignore", invalid="ignore"):
             self.phi = flux.phi(self.ks)
         self.extremes = _phi_extremes(self.phi)
-        self.face, _ = _geometry(mesh, flux)      # c = d . n per face
-        self.closure_sum = mesh.divergence(mesh.face_length * self.face.c)
+        self.c = _geometry(mesh, flux)[0].c          # c = d . n per face
+        self.closure_sum = mesh.divergence(mesh.face_length * self.c)
         self.real = mesh.cell_face_sign != 0.0     # pads skipped
         self.signed_length = mesh.cell_face_sign * mesh.face_length[mesh.cell_faces]
-
-
-class _Block:
-    """Sparse-plus-affine residuals of up to ``size`` consecutive steps.
-
-    Every per-step array keeps the rows the steps arrive in, step s as
-    row s.  :meth:`put` writes the cell values after step s into row s + 1
-    of ``fields`` (row s holds those before it), their time into ``times``
-    and into row s of each of ``records`` the face traces a and b, the flux
-    g and, under global Lax-Friedrichs only, the coefficient step s advanced
-    with; these rows are allocated once per run.  :meth:`evaluate` then
-    makes the (B, cells) arrays ``r``, ``closure``, ``below`` and ``above``
-    of the B steps held, new for every block, and :meth:`hull_chunks`
-    yields the in-hull pairs of a range of rows with their residuals; a
-    pair's group is ``step * cells + cell``, counted from the first row of
-    the range.
-    """
-
-    def __init__(self, kernel: _Kernel, size: int):
-        mesh = kernel.mesh
-        self.kernel, self.size, self.n = kernel, size, 0
+        self.size, self.n = size, 0
         self.records = [np.empty((size, mesh.n_faces)) if i < 3
-                        or _global_lf(kernel.config) else None for i in range(4)]
+                        or _global_lf(config) else None for i in range(4)]
         self.fields, self.times = np.empty((size + 1, mesh.n_cells)), np.empty(size + 1)
 
     def begin(self, field: CellField):
@@ -220,40 +214,26 @@ class _Block:
         """Hold the step from the last field held to ``after`` and the face
         record ``faces`` it advanced with.  A replay has none, and passes
         None to rebuild it from the last field held."""
-        kernel, s = self.kernel, self.n
-        if after.mesh is not kernel.mesh:
+        s = self.n
+        if after.mesh is not self.mesh:
             raise ValueError("the fields of the run live on different meshes")
         if faces is None:
-            faces = _face_record(kernel.mesh, kernel.flux, kernel.config,
-                                 self.fields[s])
+            faces = _face_record(self.mesh, self.flux, self.config, self.fields[s])
         for out, x in zip(self.records, faces):
             if out is not None:
                 out[s] = x
         self.fields[s + 1], self.times[s + 1], self.n = after.values, after.t, s + 1
 
     def evaluate(self):
-        """The residual data of the steps held, in their rows: dt, the
-        update's own residual r, the closure values and the hull's sorted
-        k ranks."""
-        kernel, mesh, n = self.kernel, self.kernel.mesh, self.n
+        """Views of the steps held, in their rows: dt, the records and the
+        fields before and after each step, and the hull's sorted k ranks."""
+        n = self.n
         self.dt = dt = self.times[1:n + 1] - self.times[:n]
         if not np.all(dt > 0.0):
             raise ValueError("dt must be positive")
         self.a, self.b, self.g, self.lam = (None if x is None else x[:n]
                                             for x in self.records)
         self.u, self.u_new = self.fields[:n], self.fields[1:n + 1]
-
-        # (dt / |K|) sum_e s_e |e| v_e for v = c and v = g, the latter added
-        # an incidence row at a time, as Mesh.divergence and hull_chunks add
-        self.closure = dt[:, None] * kernel.closure_sum
-        self.closure /= mesh.cell_area
-        self.r = r = np.zeros((n, mesh.n_cells))
-        for cell_faces, weight in zip(mesh.cell_faces, kernel.signed_length):
-            r += np.take(self.g, cell_faces, 1, mode="clip") * weight
-        r *= dt[:, None]
-        r /= mesh.cell_area
-        r += self.u_new - self.u                             # u' - u + div
-
         # k <= lo before below, k >= hi from above
         self.below, self.above = (self._ranks(np.minimum, "right"),
                                   self._ranks(np.maximum, "left"))
@@ -262,13 +242,28 @@ class _Block:
     def _ranks(self, extreme, side: str) -> np.ndarray:
         """Sorted k ranks of one bound of the stencil hull: the ``extreme``
         of u, u' and the traces of the cell's faces (pads skipped)."""
-        kernel, mesh = self.kernel, self.kernel.mesh
         rows = extreme(self.u, self.u_new)
-        for cell_faces, real in zip(mesh.cell_faces, kernel.real):
+        for cell_faces, real in zip(self.mesh.cell_faces, self.real):
             for x in (self.a, self.b):
                 extreme(rows, np.take(x, cell_faces, 1, mode="clip"),
                         out=rows, where=real)
-        return np.searchsorted(kernel.ks, rows, side)
+        return np.searchsorted(self.ks, rows, side)
+
+    def residual(self, rows=slice(None)):
+        """(r, closure) of the steps held in ``rows`` (all by default): the
+        update's own residual u' - u + (dt / |K|) sum_e s_e |e| g_e and
+        (dt / |K|) sum_e s_e |e| c_e, the former added an incidence row at a
+        time, as Mesh.divergence and hull_chunks add."""
+        mesh, dt = self.mesh, self.dt[rows, None]
+        closure = dt * self.closure_sum
+        closure /= mesh.cell_area
+        r = np.zeros(closure.shape)
+        for cell_faces, weight in zip(mesh.cell_faces, self.signed_length):
+            r += np.take(self.g[rows], cell_faces, -1, mode="clip") * weight
+        r *= dt
+        r /= mesh.cell_area
+        r += self.u_new[rows] - self.u[rows]                 # u' - u + div
+        return r, closure
 
     def carry(self):
         """Start the next block from the last field held."""
@@ -276,9 +271,9 @@ class _Block:
         self.fields[0], self.times[0], self.n = self.fields[n], self.times[n], 0
 
     def cell_max(self) -> np.ndarray:
-        """Largest residual of each step and cell over every k, (B, cells)."""
-        best = _affine_max(self.kernel.extremes, self.r, self.closure,
-                           self.below, self.above)
+        """Largest residual of each step and cell over every k, (B, cells).
+        r and the closure values are freed before the in-hull pass."""
+        best = _affine_max(self.extremes, *self.residual(), self.below, self.above)
         for group, _, value in self.hull_chunks():
             _fold_hull(best, group, value)
         return best
@@ -288,9 +283,8 @@ class _Block:
         ``first`` to ``last`` (all by default) with k strictly inside the
         hull, group by group, at most _BLOCK // 8 // width at a time; one
         empty chunk when there are none."""
-        kernel, mesh = self.kernel, self.kernel.mesh
-        ks, phi, c = kernel.ks, kernel.phi, kernel.face.c
-        rule, faces = kernel.config.flux_rule, mesh.cell_faces
+        mesh, ks, phi, c = self.mesh, self.ks, self.phi, self.c
+        rule, faces = self.config.flux_rule, mesh.cell_faces
         below, above = self.below[first:last], self.above[first:last]
         count = np.subtract(above, below).reshape(-1)
         below = below.reshape(-1)
@@ -314,7 +308,7 @@ class _Block:
             row, col = np.nonzero((face_lo < kk) & (kk < np.maximum(a, b)))
             e, t = f[row, col], s[col]
             G[row, col] = numerical_entropy_flux(
-                rule, kernel.flux, kk[col], a[row, col], b[row, col],
+                rule, self.flux, kk[col], a[row, col], b[row, col],
                 mesh.face_normal[e], None if self.lam is None else self.lam[t, e])
             G *= mesh.face_length[f]
             G *= mesh.cell_face_sign[:, cell]
@@ -327,42 +321,30 @@ class _Block:
             yield group, kpos, value
 
 
-def _first_max(block: _Block, s: int = 0) -> tuple[int, int]:
+def _first_max(block: _Block, s: int, best: np.ndarray) -> tuple[int, int]:
     """(k index, cell) of the largest residual of row ``s`` of an evaluated
-    block, the first in (k in the order given, cell) order.  The residuals
-    of the cells that attain it are expanded _BLOCK at a time, k by k."""
-    kernel = block.kernel
-    r, C, below, above = (x[s] for x in (block.r, block.closure,
-                                         block.below, block.above))
-    # one row, so a pair's group is its cell
-    hull_cell, hull_k, hull_value = (np.concatenate(part)
-                                     for part in zip(*block.hull_chunks(s, s + 1)))
-    best = _affine_max(kernel.extremes, r, C, below, above)
-    _fold_hull(best, hull_cell, hull_value)
+    block, the first in (k in the order given, cell) order, from ``best``,
+    that row of :meth:`_Block.cell_max`.  Only the cells that attain the
+    maximum are expanded, one k at a time."""
     top = best.max()
-
-    def at_top(x):           # a nan maximum is the first nan, as in numpy
-        return np.isnan(x) if np.isnan(top) else x == top
-
-    cells = np.flatnonzero(at_top(best))
-    col = np.full(r.size, -1)
-    col[cells] = np.arange(cells.size)
-    j = col[hull_cell]
-    rows = max(1, _BLOCK // cells.size)
-    for start in range(0, kernel.rank.size, rows):
-        pos = kernel.rank[start:start + rows]   # sorted positions of these k
-        phic = kernel.phi[pos][:, None] * C[cells]
-        out = np.where(pos[:, None] < below[cells], r[cells] - phic,
-                       phic - r[cells])
-        row = np.full(kernel.phi.size, -1)
-        row[pos] = np.arange(pos.size)
-        i = row[hull_k]
-        kept = (i >= 0) & (j >= 0)
-        out[i[kept], j[kept]] = hull_value[kept]
-        hit = np.flatnonzero(at_top(out))
+    is_top = best == top
+    cells = np.flatnonzero(is_top)
+    r, C = (x[cells] for x in block.residual(s))
+    below = block.below[s, cells]
+    # their in-hull pairs; one row, so a pair's group is its cell
+    cell, kpos, value = (np.concatenate(part)
+                         for part in zip(*block.hull_chunks(s, s + 1)))
+    kept = is_top[cell]
+    col = (np.cumsum(is_top) - 1)[cell[kept]]    # the cell's place in cells
+    kpos, value = kpos[kept], value[kept]
+    for ik, pos in enumerate(block.rank.tolist()):  # sorted position of k ik
+        phic = block.phi[pos] * C
+        out = np.where(pos < below, r - phic, phic - r)
+        inside = kpos == pos
+        out[col[inside]] = value[inside]
+        hit = np.flatnonzero(out == top)
         if hit.size:
-            ik, jc = divmod(int(hit[0]), cells.size)
-            return start + ik, int(cells[jc])
+            return ik, int(cells[hit[0]])
     raise ValueError("no residual attains the maximum")
 
 
@@ -407,7 +389,8 @@ class EntropyAudit:
     audit holds those rows, one block's temporaries and one chunk of
     in-hull pairs.  Besides the block it keeps one value per step and the
     step, cell and k of the largest residual so far, located in the block
-    that sets it, from that step's row.
+    that sets it from a copy of that step's row of the per-cell maxima,
+    taken before the (B, cells) maxima are dropped.
     """
 
     def __init__(self, flux, config: SchemeConfig, k_grid, tol: float = 1e-12):
@@ -415,8 +398,9 @@ class EntropyAudit:
         self.k_grid = np.asarray(k_grid, dtype=float)
 
     def start(self, field0: CellField):
-        self._kernel = _Kernel(field0.mesh, self.flux, self.config, self.k_grid)
-        self._block = _Block(self._kernel, max(1, _BLOCK // field0.mesh.n_faces))
+        mesh = field0.mesh
+        self._block = _Block(mesh, self.flux, self.config, self.k_grid,
+                             max(1, _BLOCK // mesh.n_faces))
         self._block.begin(field0)
         self._per_step, self._top = [], -np.inf
         self._worst = (-1, -1, float("nan"))
@@ -431,14 +415,16 @@ class EntropyAudit:
         if not block.n:
             return
         block.evaluate()
+        best = block.cell_max()
         first, worst = len(self._per_step), None
-        for i, m in enumerate(block.cell_max().max(axis=1).tolist()):
+        for i, m in enumerate(best.max(axis=1).tolist()):
             self._per_step.append(max(m, 0.0))
             if m > self._top:
                 self._top, worst = m, i
         if worst is not None:
-            ik, cell = _first_max(block, worst)
-            self._worst = (first + worst, cell, float(self._kernel.k[ik]))
+            best = best[worst].copy()       # the (B, cells) array goes
+            ik, cell = _first_max(block, worst, best)
+            self._worst = (first + worst, cell, float(block.k[ik]))
         block.carry()
 
     def finish(self) -> EntropyAuditReport:

@@ -244,8 +244,7 @@ def one_step_block(before, after, dt, flux, config, k):
     """The audit's evaluation of the step from ``before`` to ``after``: a
     block of that one step, its face record rebuilt from ``before``, held
     at times 0 and ``dt`` so that its size is ``dt`` exactly."""
-    kernel = entropy_mod._Kernel(before.mesh, flux, config, k)
-    block = entropy_mod._Block(kernel, 1)
+    block = entropy_mod._Block(before.mesh, flux, config, k, 1)
     block.begin(before)
     block.put(after, None)
     block.times[:] = 0.0, dt
@@ -258,10 +257,9 @@ def dense_residuals(before, after, dt, flux, config, k):
     given: the affine form of each out-of-hull pair, the in-hull pairs as
     :meth:`_Block.hull_chunks` yields them."""
     block = one_step_block(before, after, dt, flux, config, k)
-    kernel = block.kernel
-    pos = kernel.rank                        # sorted position of each k
-    phic = kernel.phi[pos][:, None] * block.closure[0]
-    r = block.r[0]
+    pos = block.rank                         # sorted position of each k
+    r, closure = block.residual(0)
+    phic = block.phi[pos][:, None] * closure
     out = np.where(pos[:, None] < block.below[0], r - phic, phic - r)
     given = np.argsort(pos)                  # given index of each position
     for cell, kpos, value in block.hull_chunks():   # one step: group = cell
@@ -440,7 +438,7 @@ def test_audit_locates_worst_residual_off_uniform_meshes(case):
         assert np.any(mesh.cell_face_sign == 0.0)
     else:
         closure = one_step_block(traj.fields[0], traj.fields[1],
-                                 traj.times[1], flux, cfg, 0.5).closure
+                                 traj.times[1], flux, cfg, 0.5).residual()[1]
         assert np.any(closure != 0.0)
     lo, hi = state_range(traj)
     assert_locates_worst(traj, flux, cfg, kruzkov_k_grid(lo, hi, n=17))
@@ -457,7 +455,7 @@ def test_audit_locates_worst_residual_among_ties():
     cfg = SchemeConfig(flux_rule="central")
     traj = run(field, flux, cfg, t_final=0.05)
     closure = one_step_block(traj.fields[0], traj.fields[1], traj.times[1],
-                             flux, cfg, 0.5).closure
+                             flux, cfg, 0.5).residual()[1]
     assert closure.min() < 0.0 < closure.max()
     rng = np.random.default_rng(5)
     lo, hi = state_range(traj)
@@ -473,7 +471,7 @@ def test_audit_locates_worst_residual_among_ties():
         res = dense_residuals(b, a, a.t - b.t, flux, cfg, k)
         assert np.count_nonzero(res == res.max()) >= 2
         block = one_step_block(b, a, a.t - b.t, flux, cfg, k)
-        assert entropy_mod._first_max(block) \
+        assert entropy_mod._first_max(block, 0, block.cell_max()[0]) \
             == np.unravel_index(int(res.argmax()), res.shape)
 
 
@@ -514,7 +512,8 @@ def test_audit_holds_one_block():
     held steps, one block's temporaries and one chunk of in-hull pairs at
     a time.  Keeping the last block while the next is built, with chunks
     of _BLOCK // width face values, took about twice that; computing in
-    nine flat arrays allocated once per run took 2.10 MB, above this
+    nine flat arrays allocated once per run took 2.10 MB, and holding r
+    and closure through the in-hull pass 1.83 MB, both above this
     bound."""
     flux, cfg = burgers(), SchemeConfig()
     mesh = uniform_interval_mesh(200, 0.0, 1.0, periodic=True)
@@ -535,12 +534,13 @@ def test_audit_holds_one_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # a block: the records a, b, g and at most nine (B, cells) arrays at
-    # once: the fields of its steps, evaluate's r, closure, below and
-    # above, and either _affine_max's best, index j and two gathers, or
-    # best with hull_chunks' count and ends; a chunk: two dozen arrays of
-    # _BLOCK // 8 values
-    block = 8 * size * (3 * mesh.n_faces + 9 * mesh.n_cells)
+    # a block: the records a, b, g and, in the in-hull pass, six (B, cells)
+    # arrays, the fields of its steps, below, above, best and hull_chunks'
+    # count and ends, with one chunk of two dozen arrays of _BLOCK // 8
+    # values; in _affine_max, which runs with no chunk, it holds nine, the
+    # fields, below, above, residual's r and closure, best, the index j and
+    # two gathers, within seven and a chunk (three arrays at this B)
+    block = 8 * size * (3 * mesh.n_faces + 7 * mesh.n_cells)
     chunk = 24 * 8 * (entropy_mod._BLOCK // 8)
     assert peak <= block + chunk
 
@@ -611,9 +611,46 @@ def test_audit_memory_at_one_step_per_block():
     finally:
         tracemalloc.stop()
     # twice the records a, b, g and eleven (1, cells) arrays: room for the
-    # nine a block holds at once (test_audit_holds_one_block), its in-hull
-    # chunks and _first_max's expansion of the worst row
+    # nine a block holds at once in _affine_max (test_audit_holds_one_block),
+    # its in-hull chunks and _first_max's copy of the worst row
     assert peak <= 2 * 8 * (3 * mesh.n_faces + 11 * mesh.n_cells)
+
+
+def test_study_level_memory():
+    """The finest level of the converge study that the benchmark's study_1d
+    times (800 cells, five audits, B = 20 steps a block) peaks in the
+    entropy audit.  Holding r and closure through the in-hull pass read
+    2.63-2.68 MB, more than one (B, cells) array of this level
+    (128 000 B) above this bound.  Unlike the peak RSS of a process, a
+    traced peak does not move with where the compiled code and the heap
+    land in memory."""
+    study = StudyConfig(problem="smooth_sine", levels=5)
+    tracemalloc.start()
+    try:
+        solve_level(study, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_480_000
+
+
+def test_audit_of_overflowing_residuals_locates_nothing():
+    """k = +-1e200 overflows phi(k) = k^2 / 2, and phi(k) C is inf * 0 on a
+    uniform periodic mesh, so every step's residual is nan.  The audit
+    reports a nan worst value and fails, and it locates no step: a row is
+    located only when its maximum is greater than the best so far, which a
+    nan never is."""
+    spec = PROBLEMS["smooth_sine"]
+    mesh, flux, cfg = spec.mesh_fn(20), spec.flux_fn(), SchemeConfig()
+    traj = run(initial_field(spec, mesh), flux, cfg, t_final=0.05)
+    k = np.concatenate([kruzkov_k_grid(*state_range(traj)), [-1e200, 1e200]])
+    with np.errstate(invalid="ignore"):
+        rpt = run_entropy_audit(traj, flux, cfg, k)
+    assert len(rpt.per_step) == len(traj) - 1 > 0
+    assert np.isnan(rpt.per_step).all() and np.isnan(rpt.worst)
+    assert not rpt.passed
+    assert (rpt.worst_step, rpt.worst_cell) == (-1, -1)
+    assert np.isnan(rpt.worst_k)
 
 
 # ---------------------------------------------------------------------------
