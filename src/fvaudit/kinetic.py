@@ -30,10 +30,11 @@ block in one pass and only on per-cell velocity windows, outside which
 the residual is exactly 0.  Every flux is phi(u) d, so a transport speed
 f'(v_j) . n_e is the product of a face factor d . n_e and a velocity
 factor phi'(v_j), formed per window entry; no (faces, n_v) table is kept.
-The audit holds two (n_cells, n_v) float tables, the time integral of M
-and its tails, one block, and two floats per step: the step size and the
-area-weighted positive mass, so ``total_mass`` is summed per step.  No
-dense (steps, cells, n_v) array is ever formed.
+The audit holds one (n_cells, n_v + 1) float table, the time-weighted
+residual whose prefix sum in v is the time integral of M, one block, and
+two floats per step: the step size and the area-weighted positive mass,
+so ``total_mass`` is summed per step.  No dense (steps, cells, n_v) array
+is ever formed.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Mesh
+from .mesh import Mesh, _range_over
 from .physics import FluxModel
 from .scheme import CellField, Trajectory, _geometry, _replay
 
@@ -227,63 +228,58 @@ class _Window:
             w = mesh.divergence(flow)
             w /= mesh.cell_area[:, None]
             widen |= w.any(axis=1)
-        # per cell, what its hull spans, as indices into [u_old, u_new, 0]:
-        # its old and new value, its neighbours' old values, and 0 if its W
-        # row is not 0
-        n = mesh.n_cells
-        cells = np.arange(n)
-        spans = [cells, n + cells, *mesh.cell_neighbors]
-        if widen.any():
-            spans.append(np.where(widen, 2 * n, cells))
-        self.spans = np.array(spans)
+        self.widen = widen
         self.mesh, self.grid, self.centers = mesh, grid, grid.centers
 
     def hull(self, u_old: np.ndarray, u_new: np.ndarray):
         """Each cell's window in the steps from the rows of ``u_old`` to
         those of ``u_new``, (n_steps, n_cells) arrays: its first velocity
         index and its size, each (n_steps, n_cells).  A ``u_new`` that the
-        grid does not cover is refused."""
+        grid does not cover is refused.  The hull spans the cell's old and
+        new value, its neighbours' old values, and 0 if its W row is not 0."""
         _check_covers(self.grid, u_new)
-        zero = np.zeros((len(u_old), 1))
-        spans = np.concatenate((u_old, u_new, zero), axis=1)[:, self.spans]
-        start = np.searchsorted(self.centers, np.minimum.reduce(spans, axis=1))
-        end = np.searchsorted(self.centers, np.maximum.reduce(spans, axis=1),
-                              "right")
-        return start, end - start
+        lo, hi = _range_over(self.mesh.cell_neighbors, u_old)
+        np.minimum(lo, u_new, out=lo)
+        np.maximum(hi, u_new, out=hi)
+        np.minimum(lo, 0.0, out=lo, where=self.widen)
+        np.maximum(hi, 0.0, out=hi, where=self.widen)
+        start = np.searchsorted(self.centers, lo)
+        return start, np.searchsorted(self.centers, hi, "right") - start
 
     def block(self, u_old, u_new, dts, start, size) -> _Entries:
         """The residual and M of consecutive steps in one pass: the steps'
         fields and their :meth:`hull` as (n_steps, n_cells) arrays, and
         their sizes ``dts``."""
         mesh, centers = self.mesh, self.centers
-        u_old, u_new = u_old.ravel(), u_new.ravel()
         busy = np.flatnonzero(size)
         start, size = start.ravel()[busy], size.ravel()[busy]
-        end = np.cumsum(size)
-        row = np.repeat(busy, size)
-        v = np.arange(row.size) + np.repeat(start - (end - size), size)
         busy_step, busy_cell = np.divmod(busy, mesh.n_cells)
         step, cell = np.repeat(busy_step, size), np.repeat(busy_cell, size)
+        v = np.repeat(start - np.cumsum(size) + size, size)
+        v += np.arange(v.size)
         vc = centers[v]
         pos, neg = vc > 0.0, vc < 0.0
-        r = (_chi(vc, pos, neg, u_new[row])
-             - _chi(vc, pos, neg, u_old[row])) / dts[step]
-        # the face terms of every face slot at once, (width, n_entries): the
-        # speed c, the flow |e| c and the upwind cell of each entry's face
-        face = mesh.cell_faces.take(cell, axis=1)
-        c = self.c_e[face]
-        c *= self.dphi[v]
-        flow = mesh.face_length[face]
-        flow *= c
-        upwind = np.where(c >= 0.0, mesh.face_left[face], mesh.face_right[face])
-        del c, face             # freed before the block's memory high
-        up = _chi(vc, pos, neg, u_old[row - cell + upwind])
-        terms = mesh.cell_face_sign.take(cell, axis=1) * (flow * up)
-        div = np.zeros(row.size)
-        for term in terms:
-            div += term
+        r = (_chi(vc, pos, neg, u_new[step, cell])
+             - _chi(vc, pos, neg, u_old[step, cell])) / dts[step]
+        # the face terms one face slot at a time, in the row order of
+        # Mesh.divergence: each entry's face, its speed c, its flow |e| c
+        # and the upwind cell's rho
+        div = np.zeros(v.size)
+        for faces, signs in zip(mesh.cell_faces, mesh.cell_face_sign):
+            face = faces[cell]
+            c = self.c_e[face]
+            c *= self.dphi[v]
+            upwind = mesh.face_right[face]
+            np.copyto(upwind, mesh.face_left[face], where=c >= 0.0)
+            flow = mesh.face_length[face]
+            flow *= c
+            flow *= _chi(vc, pos, neg, u_old[step, upwind])
+            flow *= signs[cell]
+            div += flow
         div /= mesh.cell_area[cell]
         r += div
+        # every per-entry temporary freed before _row_cumsum's buffer
+        del vc, pos, neg, face, c, upwind, flow, div
         M = _row_cumsum(r, size)
         M *= self.grid.dv
         return _Entries(busy_step, busy_cell, start, size, step, cell, v,
@@ -418,12 +414,14 @@ class DefectAudit:
     in parts that fit the budget, or are one step alone.  Both are formed
     on the windows only, so M, its minimum and the worst location are those
     of the dense arrays bit for bit; a part's first minimum replaces the
-    run's only when strictly lower, so ties keep the earliest step.  The
-    audit holds the time integral ``acc`` of M as window values plus a
-    difference table of the constant tails above the windows, summed in v
-    by ``finish``, and one block: O(n_cells * n_v) floats.  What grows with
-    the run is two floats per step, its size and its area-weighted positive
-    mass, so ``total_mass`` is summed per step.  ``finish`` integrates
+    run's only when strictly lower, so ties keep the earliest step.  A
+    step's M is 0 below a window, dv times the running sum of r inside it
+    and constant above it, so its time integral is the prefix sum in v of
+    dt dv r.  The audit holds that one table, ``acc``, with r at the upper
+    edge of its velocity cell, summed in v in place by ``finish``, and one
+    block: O(n_cells * n_v) floats.  What grows with the run is two floats
+    per step, its size and its area-weighted positive mass, so
+    ``total_mass`` is summed per step.  ``finish`` integrates
     ``acc`` against the tents with ``np.einsum``, which sums each element
     over the cells in order: a BLAS product would add its packing buffers
     to the run's memory high, and its sums would depend on the BLAS build
@@ -437,7 +435,6 @@ class DefectAudit:
         self._window = _Window(self.flux, self.grid, field0)
         n_cells, n_v = field0.mesh.n_cells, self.grid.n
         self.acc = np.zeros((n_cells, n_v + 1))
-        self._tails = np.zeros((n_cells, n_v + 2))
         self._mass, self._dts = [], []
         self.lowest, self.worst = 0.0, (0, 0, 0)
         self._fields, self._block_steps = [field0], 1
@@ -485,11 +482,10 @@ class DefectAudit:
             b, c = rows[k], rows[k + 1]
             self._mass.append(float(inside[e:f] @ up[e:f]
                                     + outside[b:c] @ up_last[b:c]))
-        # np.add.at adds in entry order, so each element's terms in step order
+        # dt dv r at the upper edge of its velocity cell; np.add.at adds in
+        # entry order, so each element's terms in step order
         np.add.at(self.acc.reshape(-1), w.cell * (n_v + 1) + w.v + 1,
-                  dts[w.step] * w.M)
-        np.add.at(self._tails.reshape(-1), w.busy_cell * (n_v + 2) + top + 1,
-                  dts[w.busy_step] * last)
+                  (dts * self.grid.dv)[w.step] * w.r)
         self._dts.extend(dts.tolist())
 
     def finish(self) -> DefectMeasure:
@@ -497,11 +493,9 @@ class DefectAudit:
         if not self._dts:
             raise ValueError("need at least one step")
         mesh = self._window.mesh
-        # the tails' prefix sums, in place: finish is their last use; a
-        # copy puts two (cells, n_v) arrays at the run's memory high,
-        # where heap layout moved kinetic_1d's peak by 0.8 MB.
-        acc = np.cumsum(self._tails[:, :-1], axis=1, out=self._tails[:, :-1])
-        acc += self.acc
+        # the time integral of M, summed in v in place: finish is the
+        # table's last use, and a copy would hold a second one
+        acc = np.cumsum(self.acc, axis=1, out=self.acc)
         dts = np.array(self._dts, dtype=float)
         total = float(np.array(self._mass) @ dts) * self.grid.dv
         elapsed = float(dts.sum())

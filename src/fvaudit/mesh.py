@@ -224,10 +224,11 @@ def _signed_sum(faces: np.ndarray, signs: np.ndarray, v: np.ndarray) -> np.ndarr
 
 def _range_over(neighbors: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-cell min and max of ``u`` over the cell and the cells its column
-    of ``neighbors`` names, one table row at a time."""
-    lo = hi = u[neighbors[0]]
+    of ``neighbors`` names, one table row at a time; ``u`` may hold rows of
+    cells, (..., cells), each taken alone."""
+    lo = hi = u.take(neighbors[0], axis=-1)
     for row in neighbors[1:]:
-        x = u[row]
+        x = u.take(row, axis=-1)
         lo, hi = np.minimum(lo, x), np.maximum(hi, x)
     return np.minimum(u, lo), np.maximum(u, hi)
 

@@ -475,6 +475,7 @@ def test_audit_locates_worst_residual_among_ties():
             == np.unravel_index(int(res.argmax()), res.shape)
 
 
+@pytest.mark.memory
 def test_audit_memory_does_not_grow_with_k():
     """Out-of-hull k cost O(1) memory each: only the grid, phi(k), its prefix
     extremes and the in-hull pairs grow with the number of k values."""
@@ -507,6 +508,7 @@ def test_audit_memory_does_not_grow_with_k():
     assert bound < 8 * (mesh.n_faces + mesh.n_cells) * many.size
 
 
+@pytest.mark.memory
 def test_audit_holds_one_block():
     """Fed five blocks of a 200-cell run, the audit holds the rows of the
     held steps, one block's temporaries and one chunk of in-hull pairs at
@@ -585,6 +587,7 @@ def test_audit_locates_worst_residual_in_an_earlier_block(monkeypatch):
     assert s // 4 < (len(traj) - 2) // 4 and s % 4 != 0
 
 
+@pytest.mark.memory
 def test_audit_memory_at_one_step_per_block():
     """At 12 416 faces a block holds one step.  Fed 40 march steps, the
     audit holds that block's rows and temporaries and locates the worst
@@ -616,6 +619,7 @@ def test_audit_memory_at_one_step_per_block():
     assert peak <= 2 * 8 * (3 * mesh.n_faces + 11 * mesh.n_cells)
 
 
+@pytest.mark.memory
 def test_study_level_memory():
     """The finest level of the converge study that the benchmark's study_1d
     times (800 cells, five audits, B = 20 steps a block) peaks in the

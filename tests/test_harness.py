@@ -814,6 +814,7 @@ def test_later_level_observer_failure_is_a_failed_level():
     assert result.levels[1].error_message == "ValueError: refused at level 1"
 
 
+@pytest.mark.memory
 def test_level_memory_does_not_grow_with_steps():
     # a level keeps its final field and O(1) or O(steps) scalars; one field
     # per step kept by the run, its audits or the contraction twins would

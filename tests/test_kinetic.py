@@ -538,9 +538,9 @@ def test_negativity_score_is_the_tent_integral_in_cell_order(case):
     for field in traj.fields[1:]:
         audit.step(field, None)
     audit._flush()
-    # the time integral of M as finish assembles it: the tails summed in v
-    # onto the window values
-    acc = np.cumsum(audit._tails[:, :-1], axis=1) + audit.acc
+    # the time integral of M as finish assembles it: the time-weighted
+    # residual summed in v
+    acc = np.cumsum(audit.acc, axis=1)
     elapsed = float(np.array(audit._dts).sum())
     weighted = _tent_integral(traj.mesh, acc) / elapsed
     score = audit.finish().negativity_score
@@ -553,8 +553,9 @@ def test_negativity_score_is_the_tent_integral_in_cell_order(case):
 
 
 def _dense_spans(flux, grid, mesh):
-    """The hull spans of :class:`kinetic._Window` from the dense
-    W = div(|e| c) / |K|, and which of its rows are not 0."""
+    """What each cell's window hull spans, as indices into [u_old, u_new,
+    0], from the dense W = div(|e| c) / |K|, and which of its rows are not
+    0."""
     c = flux.dfn(grid.centers[None, :], mesh.face_normal)
     w = mesh.divergence(mesh.face_length[:, None] * c) / mesh.cell_area[:, None]
     widen = w.any(axis=1)
@@ -585,8 +586,21 @@ def test_window_widens_the_rows_the_dense_w_does(case, budget, monkeypatch):
     # a budget of 1 takes W one velocity column at a time
     monkeypatch.setattr(kinetic, "_BUDGET", budget)
     window = kinetic._Window(flux, grid, CellField(mesh, np.zeros(mesh.n_cells)))
-    assert _same_bits(window.spans, spans)
+    assert _same_bits(window.widen, widen)
     assert widen.sum() == (0 if mesh.dim == 1 else mesh.n_cells)
+    # three steps of random states, some exactly 0 or on velocity centres,
+    # where chi's boundaries count as outside the windows
+    rng = np.random.default_rng(5)
+    u = rng.uniform(-0.9, 0.9, (4, mesh.n_cells))
+    u[1, ::3] = 0.0
+    u[2, ::4] = rng.choice(grid.centers, u[2, ::4].size)
+    u_old, u_new = u[:-1], u[1:]
+    held = np.concatenate((u_old, u_new, np.zeros((len(u_old), 1))), axis=1)
+    held = held[:, spans]
+    start = np.searchsorted(grid.centers, held.min(axis=1))
+    end = np.searchsorted(grid.centers, held.max(axis=1), "right")
+    got = window.hull(u_old, u_new)
+    assert _same_bits(got[0], start) and _same_bits(got[1], end - start)
 
 
 # ---------------------------------------------------------------------------
@@ -741,6 +755,7 @@ def test_windowed_audit_matches_dense_on_random_step_pairs(values, dt, flux):
     assert (dm.worst_step, dm.worst_cell, dm.worst_v) == tuple(map(int, worst))
 
 
+@pytest.mark.memory
 def test_audit_memory_does_not_grow_with_steps():
     # only the step sizes and the per-step positive mass grow with the run:
     # a few words per step, where a steps x cells table would not fit
@@ -762,12 +777,13 @@ def test_audit_memory_does_not_grow_with_steps():
     assert per_step < 8 * base.mesh.n_cells // 2
 
 
+@pytest.mark.memory
 def test_kinetic_level_holds_its_integral_and_one_block():
     # the finest level of the kinetic benchmark, expansion_shock on 400
-    # cells with n_v 128, holds the time integral of M and the difference
-    # table of its tails, 2 x 400 x 130 floats, and one block: its fields
-    # and some thirty arrays of _BUDGET window entries, with no table per
-    # (face, velocity) and no full-width W
+    # cells with n_v 128, holds one table, the time-weighted residual that
+    # finish sums in v into the time integral of M, 400 x 129 floats, and
+    # one block: its fields and some twenty arrays of _BUDGET window
+    # entries, with no table per (face, velocity) and no full-width W
     cfg = StudyConfig(problem="expansion_shock", base_n=50, t_final=0.4,
                       levels=4)
     mesh = build_problem_mesh(cfg, 3)
@@ -777,8 +793,8 @@ def test_kinetic_level_holds_its_integral_and_one_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    held = 2 * mesh.n_cells * (cfg.n_v + 2) * 8
-    block = 32 * 8 * kinetic._BUDGET
+    held = mesh.n_cells * (cfg.n_v + 1) * 8
+    block = 24 * 8 * kinetic._BUDGET
     assert (mesh.n_cells, cfg.n_v) == (400, 128)
     assert peak <= held + block
 
