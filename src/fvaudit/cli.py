@@ -17,8 +17,8 @@ the ``FVAUDIT_OUT`` environment variable, or ``./fvaudit_out``.  Exit code
 error once solving began), 2 means the request itself was invalid and was
 refused before any step.  Each solver subcommand is a set of step
 observers for :func:`harness.run_study` plus a report writer.  Each handler
-returns its stdout lines and its gates; :func:`main` prints the lines unless
-``--quiet`` and exits 0 only when every gate passed.
+returns its stdout lines and one :class:`harness.AuditResult` per gate;
+:func:`main` prints them unless ``--quiet`` and exits 0 only when all pass.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from . import entropy as entropy_mod
 from . import harness
 from . import kinetic as kinetic_mod
 from . import young as young_mod
+from .harness import AuditResult
 from .mesh import (load_mesh, regularity, triangulated_rectangle,
                    uniform_interval_mesh)
 from .physics import make_flux
@@ -47,15 +49,6 @@ _CHECK_FAILED = 1
 _USAGE_ERROR = 2
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", metavar="FILE",
-                   help="file of key = value lines")
-    p.add_argument("--set", dest="overrides", action="append", default=[],
-                   metavar="KEY=VALUE", help="override one config key")
-    p.add_argument("--out", metavar="DIR", help="report directory root")
-    p.add_argument("--quiet", action="store_true", help="suppress stdout")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="fvaudit",
@@ -65,12 +58,20 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, desc, handler in (
             ("run", "solve one level and audit it", _cmd_run),
             ("converge", "refinement study with fitted L1 rate", _cmd_converge),
-            ("entropy-audit", "cell entropy inequality audit", _cmd_entropy_audit),
-            ("kinetic-audit", "velocity-resolved defect audit", _cmd_kinetic_audit),
-            ("young-audit", "oscillation histogram audit", _cmd_young_audit)):
+            ("entropy-audit", "cell entropy inequality audit",
+             partial(_run_audit, _entropy_observers, _entropy_report)),
+            ("kinetic-audit", "velocity-resolved defect audit",
+             partial(_run_audit, _kinetic_observers, _kinetic_report)),
+            ("young-audit", "oscillation histogram audit",
+             partial(_run_audit, _young_observers, _young_report))):
         p = sub.add_parser(name, help=desc)
         p.set_defaults(handler=handler)
-        _add_common(p)
+        p.add_argument("--config", metavar="FILE",
+                       help="file of key = value lines")
+        p.add_argument("--set", dest="overrides", action="append", default=[],
+                       metavar="KEY=VALUE", help="override one config key")
+        p.add_argument("--out", metavar="DIR", help="report directory root")
+        p.add_argument("--quiet", action="store_true", help="suppress stdout")
         if name == "converge":
             p.add_argument("--min-rate", type=float, default=None,
                            help="fail unless the fitted rate reaches this")
@@ -111,35 +112,66 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _audit_lines(levels) -> list[str]:
-    out = []
+def _say(text: str, v: AuditResult) -> str:
+    """``text`` and the verdict; a FAIL names the location its record holds."""
+    if v.passed:
+        return f"{text} PASS"
+    at = [f"{key} {n}" for key, n in (("level", v.level), ("step", v.worst_step),
+                                      ("cell", v.worst_cell)) if n >= 0]
+    if v.worst_k is not None:
+        at.append(f"k={v.worst_k:.17g}")
+    return f"{text} FAIL at {' '.join(at)}" if at else f"{text} FAIL"
+
+
+def _level_lines(levels) -> tuple[list, list]:
+    """Each level's study audits, or its failure, as lines and verdicts."""
+    lines, verdicts = [], []
     for lv in levels:
-        if lv.failed:
-            out.append(f"level {lv.level}: FAILED {lv.error_message}")
-            continue
-        for a in lv.audits:
-            tag = "PASS" if a.passed else "FAIL"
-            out.append(f"level {lv.level} audit {a.name}: value={a.value:.3e} "
-                       f"threshold={a.threshold:.3e} {tag}")
-    return out
+        if lv.failed:   # and has no audits
+            lines.append(f"level {lv.level}: FAILED {lv.error_message}")
+            verdicts.append(AuditResult("solve", float("nan"), float("nan"),
+                                        False, lv.error_message, level=lv.level))
+        lines += [_say(f"level {lv.level} audit {a.name}: value={a.value:.3e} "
+                       f"threshold={a.threshold:.3e}", a) for a in lv.audits]
+        verdicts += lv.audits
+    return lines, verdicts
 
 
-def _run_audit(args, cfg, observe, report):
+def _by_level(name: str, head: str, values, floor=None) -> tuple[list, list]:
+    """The line of ``values`` by level after ``head`` and its verdict: each
+    value reaches ``floor``, or else they strictly decrease (no verdict on
+    a single level, which has no trend)."""
+    line = head + " ".join(f"{v:.3e}" for v in values) + "  ("
+    if floor is not None:
+        low = float(np.min(values))
+        trend = AuditResult(name, low, floor, low >= floor)
+        line += "variance persists (oscillation detected)"
+    elif len(values) == 1:
+        return [f"{line}one level: no trend to check)"], []
+    else:
+        rise = float(np.max(np.diff(values)))
+        trend = AuditResult(name, rise, 0.0, rise < 0.0)
+        line += "strictly decreasing"
+    return [_say(line, trend) + ")"], [trend]
+
+
+def _run_audit(observe, report, args):
     """Solve every level into the audit's observers, then write the report
     ``report(cfg, levels)`` returns as ``(stem, notes, table, lines,
-    gates)``: the config echo, one ``# note`` line per note and the table
+    verdicts)``: the config echo, one ``# note`` line per note and the table
     rows.  A failed level is named and fails without a report."""
+    cfg = _load_config(args)
     out = _out_dir(args)
     result = harness.run_study(cfg, observe)
     failed = [lv for lv in result.levels if lv.failed]
     if failed:
-        return _audit_lines(failed), [False]
+        return _level_lines(failed)
     out.mkdir(exist_ok=True)
-    stem, notes, table, lines, gates = report(cfg, result.levels)
+    stem, notes, table, lines, verdicts = report(cfg, result.levels)
     path = out / f"{stem}_report.csv"
     harness._write_lines(path, [f"# config: {harness.config_echo(cfg)}",
                                 *(f"# {note}" for note in notes), *table])
-    return [*lines, f"report in {path}"], gates
+    return [*lines, f"report in {path}"], verdicts
 
 
 def _cmd_run(args):
@@ -148,10 +180,10 @@ def _cmd_run(args):
     result = harness.run_study(cfg)
     harness.write_study_report(result, out)
     lv = result.levels[0]
+    lines, verdicts = _level_lines(result.levels)
     return [f"problem {cfg.problem}: {lv.n_cells} cells, {lv.steps} steps",
             *([f"l1_error {lv.l1:.6e}"] if np.isfinite(lv.l1) else []),
-            *_audit_lines(result.levels),
-            f"reports in {out}"], [result.audits_pass]
+            *lines, f"reports in {out}"], verdicts
 
 
 def _cmd_converge(args):
@@ -164,19 +196,16 @@ def _cmd_converge(args):
     out = _out_dir(args)
     result = harness.run_study(cfg)
     harness.write_study_report(result, out)
-    lines = [f"level {lv.level}: n={lv.n_cells} h={lv.h:.4e} "
-             + (f"l1={lv.l1:.6e}" if np.isfinite(lv.l1) else "l1=nan")
-             for lv in result.levels]
-    lines.append(f"fitted_rate {result.fitted_rate:.4f}")
-    lines.extend(_audit_lines(result.levels))
-    gates = [result.audits_pass]
+    rate = float(result.fitted_rate)
+    lines, verdicts = _level_lines(result.levels)
+    lines[:0] = [f"level {lv.level}: n={lv.n_cells} h={lv.h:.4e} "
+                 + (f"l1={lv.l1:.6e}" if np.isfinite(lv.l1) else "l1=nan")
+                 for lv in result.levels] + [f"fitted_rate {rate:.4f}"]
     if args.min_rate is not None:
-        rate_ok = np.isfinite(result.fitted_rate) and result.fitted_rate >= args.min_rate
-        lines.append(f"rate gate (>= {args.min_rate}): "
-                     + ("PASS" if rate_ok else "FAIL"))
-        gates.append(rate_ok)
-    lines.append(f"reports in {out}")
-    return lines, gates
+        verdicts.append(AuditResult("rate", rate, args.min_rate, bool(
+            np.isfinite(rate) and rate >= args.min_rate)))
+        lines.append(_say(f"rate gate (>= {args.min_rate}):", verdicts[-1]))
+    return [*lines, f"reports in {out}"], verdicts
 
 
 def _entropy_observers(cfg, level, flux) -> list:
@@ -185,7 +214,6 @@ def _entropy_observers(cfg, level, flux) -> list:
 
 def _entropy_report(cfg, levels):
     reports = [lv.audits[0] for lv in levels]
-    hs = [lv.h for lv in levels]
     ef = entropy_mod.check_e_flux(cfg.flux_rule,
                                   harness.PROBLEMS[cfg.problem].flux_fn(),
                                   seed=cfg.seed)
@@ -195,7 +223,7 @@ def _entropy_report(cfg, levels):
     worsts = [r.worst for r in reports]
     exponent = float("nan")
     if len(worsts) >= 2 and all(w > reports[0].tol for w in worsts):
-        exponent = harness.fit_rate(hs, worsts)
+        exponent = harness.fit_rate([lv.h for lv in levels], worsts)
 
     worst = max(worsts)
     tol = reports[0].tol
@@ -209,35 +237,29 @@ def _entropy_report(cfg, levels):
              *(f"{lvl},{i},{v:.17g}" for lvl, rpt in enumerate(reports)
                for i, v in enumerate(rpt.per_step))]
 
+    lvl = worsts.index(worst)
+    rpt = reports[lvl]
+    residual = AuditResult("entropy", worst, tol, all(r.passed for r in reports),
+                           level=lvl, worst_step=rpt.worst_step,
+                           worst_cell=rpt.worst_cell, worst_k=rpt.worst_k)
+    e_flux = AuditResult("e_flux", ef.worst_violation, ef.tol, ef.passed)
     gated = harness.AUDITS["entropy"].gated(cfg, harness.PROBLEMS[cfg.problem])
-    residual_ok = all(r.passed for r in reports) if gated else True
-    lines = [f"entropy inequality: worst={worst:.3e} tol={tol:.3e} "
-             + (("PASS" if residual_ok else "FAIL") if gated
-                else "reported (inequality gated only for first-order E-flux)")]
-    if not residual_ok:
-        lvl = worsts.index(worst)
-        rpt = reports[lvl]
-        lines[0] += (f" at level {lvl} step {rpt.worst_step} "
-                     f"cell {rpt.worst_cell} k={rpt.worst_k:.17g}")
+    line = f"entropy inequality: worst={worst:.3e} tol={tol:.3e}"
+    lines = [_say(line, residual) if gated else
+             f"{line} reported (inequality gated only for first-order E-flux)"]
     if exponent == exponent:
         lines.append(f"fitted h-exponent of max positive residual: "
                      f"{exponent:.3f}")
-    lines.append(f"e-flux sampling ({ef.samples} cases): "
-                 f"worst={ef.worst_violation:.3e} "
-                 + ("PASS" if ef.passed else "FAIL"))
-    return "entropy", notes, table, lines, [residual_ok, ef.passed]
-
-
-def _cmd_entropy_audit(args):
-    return _run_audit(args, _load_config(args), _entropy_observers,
-                      _entropy_report)
-
-
-# what a by-level trend line says of a single level, which has no trend
-_NO_TREND = "one level: no trend to check"
+    lines.append(_say(f"e-flux sampling ({ef.samples} cases): "
+                      f"worst={ef.worst_violation:.3e}", e_flux))
+    return "entropy", notes, table, lines, [residual] * gated + [e_flux]
 
 
 def _kinetic_observers(cfg, level, flux) -> list:
+    t_final = cfg.resolved_t_final
+    if not t_final > _time_tol(t_final):
+        raise ValueError("kinetic-audit needs t_final > 0: the defect "
+                         "measure needs at least one step")
     return [lambda lo, hi: kinetic_mod.DefectAudit(
         flux, kinetic_mod.VGrid.for_range(lo, hi, n=cfg.n_v))]
 
@@ -269,40 +291,24 @@ def _kinetic_report(cfg, levels):
                f"{lv.audits[0].total_mass:.17g},{nd_val:.17g}"
                for lv in levels)]
 
-    decreasing = all(scores[i + 1] < scores[i] for i in range(len(scores) - 1))
-    separated = base_dm.negativity_score >= 10.0 * scores[-1]
-    if len(scores) == 1:
-        trend = f"  ({_NO_TREND})"
-    else:
-        trend = "  (strictly decreasing PASS)" if decreasing else "  FAIL"
-    lines = ["negativity by level: "
-             + " ".join(f"{s:.3e}" for s in scores) + trend,
-             f"frozen expansion baseline: {base_dm.negativity_score:.3e} "
-             + (">= 10x finest PASS" if separated else "FAIL")]
-    gates = [decreasing, separated]
+    lines, verdicts = _by_level("negativity_trend", "negativity by level: ",
+                                scores)
+    ratio, score = 10.0, base_dm.negativity_score   # frozen >= 10x finest
+    verdicts.append(AuditResult("frozen_baseline", score, ratio * scores[-1],
+                                score >= ratio * scores[-1]))
+    lines.append(_say(f"frozen expansion baseline: {score:.3e}" + (
+        f" >= {ratio:g}x finest" if verdicts[-1].passed else ""), verdicts[-1]))
     if nd is not None:
-        span = hi - lo
-        if flux.convexity_class == "linear":
-            nd_ok = nd.measure >= 0.99
-            lines.append(f"nondegeneracy (linear flux): measure={nd.measure:.4f} "
-                         + ("PASS" if nd_ok else "FAIL"))
-        else:
-            bound = 5.0 * nd.tol / span
-            nd_ok = nd.measure <= bound
-            lines.append(f"nondegeneracy: measure={nd.measure:.3e} "
-                         f"bound={bound:.3e} " + ("PASS" if nd_ok else "FAIL"))
-        gates.append(nd_ok)
-    return "kinetic", notes, table, lines, gates
-
-
-def _cmd_kinetic_audit(args):
-    cfg = _load_config(args)
-    t_final = cfg.resolved_t_final
-    if not t_final > _time_tol(t_final):
-        # the defect measure is taken over the steps of each level
-        raise ValueError("kinetic-audit needs t_final > 0: the defect "
-                         "measure needs at least one step")
-    return _run_audit(args, cfg, _kinetic_observers, _kinetic_report)
+        # a linear flux is degenerate (measure 1), any other one is not
+        linear = flux.convexity_class == "linear"
+        bound = 0.99 if linear else 5.0 * nd.tol / (hi - lo)
+        verdicts.append(AuditResult("nondegeneracy", nd.measure, bound, bool(
+            nd.measure >= bound if linear else nd.measure <= bound)))
+        lines.append(_say(
+            f"nondegeneracy (linear flux): measure={nd.measure:.4f}" if linear
+            else f"nondegeneracy: measure={nd.measure:.3e} bound={bound:.3e}",
+            verdicts[-1]))
+    return "kinetic", notes, table, lines, verdicts
 
 
 class _PatchedConsistency(young_mod.InitialConsistency):
@@ -352,29 +358,19 @@ def _young_report(cfg, levels):
              *(f"{lvl},{trend[lvl]:.17g},{gaps[lvl]:.17g},"
                f"{consistency[lvl]:.17g}" for lvl in range(len(trend)))]
 
-    if persistence:
-        trend_ok = bool(np.all(trend >= 0.9))
-        trend_msg = "variance persists (oscillation detected)"
-    else:
-        trend_ok = all(trend[i + 1] < trend[i] for i in range(len(trend) - 1))
-        trend_msg = "strictly decreasing"
-    verdict = f"({trend_msg} " + ("PASS)" if trend_ok else "FAIL)")
-    if not persistence and len(trend) == 1:
-        verdict = f"({_NO_TREND})"
-    var_ok = base_var >= 0.9
-    gap_ok = abs(gap - 0.5) <= 1.0 / 64.0
-    lines = ["max patch variance by level: "
-             + " ".join(f"{v:.3e}" for v in trend) + f"  {verdict}",
-             f"checkerboard variance {base_var:.4f} "
-             + ("PASS" if var_ok else "FAIL"),
-             f"checkerboard flux gap {gap:.10f} (want 0.5 +- 1/64) "
-             + ("PASS" if gap_ok else "FAIL")]
-    return "young", notes, table, lines, [trend_ok, var_ok, gap_ok]
-
-
-def _cmd_young_audit(args):
-    return _run_audit(args, _load_config(args), _young_observers,
-                      _young_report)
+    # an oscillating sequence keeps this patch variance at every level, and
+    # Burgers' flux gap of the +-1 data is 0.5 to within 1/64
+    floor, off, tol = 0.9, abs(gap - 0.5), 1.0 / 64.0
+    lines, verdicts = _by_level(
+        "variance_persists" if persistence else "variance_trend",
+        "max patch variance by level: ", trend, floor if persistence else None)
+    verdicts += [AuditResult("checkerboard_variance", base_var, floor,
+                             base_var >= floor),
+                 AuditResult("checkerboard_flux_gap", off, tol, off <= tol)]
+    lines += [_say(f"checkerboard variance {base_var:.4f}", verdicts[-2]),
+              _say(f"checkerboard flux gap {gap:.10f} "
+                   f"(want 0.5 +- 1/{1.0 / tol:g})", verdicts[-1])]
+    return "young", notes, table, lines, verdicts
 
 
 def _builtin_mesh(source: str, args):
@@ -431,14 +427,13 @@ def _cmd_mesh_info(args):
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        lines, gates = args.handler(args)
+        lines, verdicts = args.handler(args)
         if not args.quiet:
-            for line in lines:
-                print(line)
+            print(*lines, sep="\n")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
-    return 0 if all(gates) else _CHECK_FAILED
+    return 0 if all(v.passed for v in verdicts) else _CHECK_FAILED
 
 
 if __name__ == "__main__":

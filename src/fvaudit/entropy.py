@@ -457,6 +457,7 @@ class EFluxReport:
     worst_violation: float
     worst_case: tuple  # (a, b, w, normal)
     passed: bool
+    tol: float = 1e-12  # the largest violation that passes
 
 
 def check_e_flux(rule: str, flux, n_samples: int = 10_000,
@@ -502,4 +503,4 @@ def check_e_flux(rule: str, flux, n_samples: int = 10_000,
     case = (float(a[i]), float(b[i]), float(w[j]), normals[i].copy())
     return EFluxReport(rule=rule, flux_name=flux.name, samples=len(a),
                        worst_violation=worst, worst_case=case,
-                       passed=bool(worst <= 1e-12))
+                       passed=bool(worst <= EFluxReport.tol))

@@ -332,18 +332,21 @@ def initial_field(spec: ProblemSpec, mesh: Mesh) -> CellField:
 
 @dataclass(frozen=True)
 class AuditResult:
-    """One audit's verdict.  ``worst_step`` and ``worst_cell`` locate the
+    """One gate's verdict.  ``worst_step`` and ``worst_cell`` locate the
     largest signed violation (max principle and entropy: step and cell; TV
     and contraction: step), the first one in (step, cell) order on ties,
-    and are -1 where the audit has no such location or the run no step."""
+    and are -1 where the audit has no such location or the run no step; a
+    verdict over levels may also name its ``level`` and ``worst_k``."""
 
     name: str
-    value: float        # the measured violation / drift (0 is perfect)
+    value: float        # the measured quantity; a study audit's violation
     threshold: float
     passed: bool
     detail: str = ""
     worst_step: int = -1
     worst_cell: int = -1
+    level: int = -1
+    worst_k: float | None = None
 
 
 def _exact(name: str, worst: float, scale: float, detail: str, *where) -> AuditResult:

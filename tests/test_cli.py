@@ -469,6 +469,108 @@ def test_exit_code_contract(tmp_path_factory, command, pairs, invalid, quiet):
         assert out == "", argv
 
 
+@pytest.fixture
+def returned(monkeypatch):
+    """What each handler that ``main`` calls returns, in call order."""
+    seen = []
+
+    def spy(handler):
+        def handle(*args):
+            seen.append(handler(*args))
+            return seen[-1]
+        return handle
+
+    for name in ("_cmd_run", "_cmd_converge", "_run_audit"):
+        monkeypatch.setattr(cli, name, spy(getattr(cli, name)))
+    return seen
+
+
+def _sets(*pairs):
+    return [arg for pair in pairs for arg in ("--set", pair)]
+
+
+# one passing and one failing request per solver subcommand, and levels
+# that fail
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(["run", *_sets("base_n=24", "t_final=0.2")], 0, id="run-0"),
+    pytest.param(["run", *_sets("flux_rule=central", "audits=entropy",
+                                "base_n=20", "t_final=0.2")], 1, id="run-1"),
+    pytest.param(["converge", *_sets("base_n=20", "levels=2", "t_final=0.2"),
+                  "--min-rate", "0.3"], 0, id="converge-0"),
+    pytest.param(["converge", *_sets("base_n=20", "levels=2", "t_final=0.2"),
+                  "--min-rate", "5.0"], 1, id="converge-1"),
+    pytest.param(["entropy-audit", *_sets("base_n=20", "levels=2",
+                                          "t_final=0.2")], 0, id="entropy-0"),
+    pytest.param(["entropy-audit", *_sets("flux_rule=central", "base_n=20",
+                                          "levels=2", "t_final=0.2")], 1,
+                 id="entropy-1"),
+    pytest.param(["kinetic-audit", *_sets("problem=expansion_shock",
+                                          "base_n=40", "levels=3",
+                                          "t_final=0.4")], 0, id="kinetic-0"),
+    # the trend holds; the frozen baseline is not 10x the finest score
+    pytest.param(["kinetic-audit", *_sets("problem=expansion_shock",
+                                          "base_n=20", "levels=2")], 1,
+                 id="kinetic-1"),
+    pytest.param(["young-audit", *_sets("problem=smooth_sine", "base_n=40",
+                                        "levels=2")], 0, id="young-0"),
+    # no trend verdict; the flux gap of the 40-cell checkerboard is off
+    pytest.param(["young-audit", *_sets("problem=smooth_sine", "base_n=40",
+                                        "levels=1")], 1, id="young-1"),
+    pytest.param(["converge", *_sets("problem=overflowing", "base_n=8",
+                                     "levels=2"), "--min-rate", "1"], 1,
+                 id="failed-levels")])
+def test_verdicts_decide_the_exit_code(tmp_path, capsys, monkeypatch, returned,
+                                       argv, code):
+    """The handler's verdicts alone set the exit code, and stdout is its
+    lines, with one PASS or FAIL for each verdict."""
+    monkeypatch.setitem(harness.PROBLEMS, "overflowing",
+                        _failing_problems()["overflowing"])
+    rc = main([*argv, "--out", str(tmp_path)])
+    [(lines, verdicts)] = returned
+    assert verdicts and all(isinstance(v, harness.AuditResult)
+                            and type(v.passed) is bool for v in verdicts)
+    assert rc == code == (0 if all(v.passed for v in verdicts) else 1)
+    out = capsys.readouterr().out.splitlines()
+    assert out == lines
+    assert sum(line.count("PASS") for line in out) == \
+        sum(v.passed for v in verdicts)
+    assert sum(line.count("FAIL") for line in out) == \
+        sum(not v.passed for v in verdicts)
+
+
+def test_study_audit_fail_line_names_its_location(tmp_path, capsys, returned):
+    # the failing central run of test_run_fails_when_a_gated_audit_fails;
+    # the TV audit locates its worst growth by step only
+    rc = main(["run", *_sets("flux_rule=central", "audits=entropy,tv",
+                             "base_n=20", "t_final=0.2"), "--out", str(tmp_path)])
+    assert rc == 1
+    entropy, tv = returned[0][1]
+    assert entropy.worst_step >= 0 and entropy.worst_cell >= 0
+    assert tv.worst_step >= 0 and tv.worst_cell == -1
+    out = capsys.readouterr().out.splitlines()
+    assert (f"level 0 audit entropy: value={entropy.value:.3e} "
+            f"threshold={entropy.threshold:.3e} FAIL at step "
+            f"{entropy.worst_step} cell {entropy.worst_cell}") in out
+    assert (f"level 0 audit tv: value={tv.value:.3e} "
+            f"threshold={tv.threshold:.3e} FAIL at step {tv.worst_step}") in out
+
+
+# correct Godunov runs whose "strictly decreasing" gate fails on one
+# pre-asymptotic level, or on a score that meets a velocity-grid floor; a
+# gate on a fitted rate over the levels should pass them
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a by-level trend is gated on every step down")
+@pytest.mark.parametrize("argv", [
+    ["young-audit"],
+    ["young-audit", "--set", "problem=buckley_leverett_step"],
+    ["kinetic-audit", "--set", "problem=smooth_sine"],
+    ["kinetic-audit", "--set", "problem=advected_profile"]],
+    ids=["young-riemann_shock", "young-buckley_leverett_step",
+         "kinetic-smooth_sine", "kinetic-advected_profile"])
+def test_correct_scheme_passes_its_trend_gate(tmp_path, argv):
+    assert main([*argv, "--out", str(tmp_path), "--quiet"]) == 0
+
+
 def test_quiet_suppresses_stdout(tmp_path, capsys):
     rc = main(["run", "--set", "base_n=16", "--set", "t_final=0.1",
                "--out", str(tmp_path), "--quiet"])
