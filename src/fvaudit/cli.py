@@ -40,7 +40,7 @@ from .harness import AuditResult
 from .mesh import (load_mesh, regularity, triangulated_rectangle,
                    uniform_interval_mesh)
 from .physics import make_flux
-from .scheme import _time_tol
+from .scheme import _time_tol, _value_range
 from .vtkio import write_vtk
 
 __all__ = ["main"]
@@ -274,7 +274,7 @@ def _kinetic_report(cfg, levels):
     frozen = kinetic_mod.frozen_trajectory(base_field, dt=1e-3, n_steps=1)
     base_dm = kinetic_mod.defect_measure(kinetic_mod.kinetic_residual(
         frozen, base.flux_fn(),
-        kinetic_mod.VGrid.for_range(-1.0, 1.0, n=cfg.n_v)))
+        kinetic_mod.VGrid.for_range(*_value_range(base_field.values), n=cfg.n_v)))
 
     flux = harness.PROBLEMS[cfg.problem].flux_fn()
     lo, hi = finest.state_range

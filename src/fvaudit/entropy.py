@@ -111,6 +111,8 @@ def numerical_entropy_flux(rule: str, flux, k, a, b, n, lam=None) -> np.ndarray:
     return g[0] - g[1]
 
 
+_EXACT_TOL = 1e-12  # the largest violation of an exact inequality that passes
+
 # element budget of one block: the audit evaluates _BLOCK // n_faces steps
 # at once, and the in-hull (cell, k) pairs go through the face table
 # _BLOCK // 8 // width at a time.  A chunk's two dozen temporaries are
@@ -393,7 +395,7 @@ class EntropyAudit:
     taken before the (B, cells) maxima are dropped.
     """
 
-    def __init__(self, flux, config: SchemeConfig, k_grid, tol: float = 1e-12):
+    def __init__(self, flux, config: SchemeConfig, k_grid, tol: float = _EXACT_TOL):
         self.flux, self.config, self.tol = flux, config, tol
         self.k_grid = np.asarray(k_grid, dtype=float)
 
@@ -439,7 +441,7 @@ class EntropyAudit:
 
 
 def run_entropy_audit(traj, flux, config: SchemeConfig, k_grid=None,
-                      tol: float = 1e-12) -> EntropyAuditReport:
+                      tol: float = _EXACT_TOL) -> EntropyAuditReport:
     """Check the cell entropy inequality on every accepted step of a run,
     by feeding its fields to an :class:`EntropyAudit`."""
     if k_grid is None:
@@ -457,7 +459,7 @@ class EFluxReport:
     worst_violation: float
     worst_case: tuple  # (a, b, w, normal)
     passed: bool
-    tol: float = 1e-12  # the largest violation that passes
+    tol: float = _EXACT_TOL  # the largest violation that passes
 
 
 def check_e_flux(rule: str, flux, n_samples: int = 10_000,
@@ -468,7 +470,7 @@ def check_e_flux(rule: str, flux, n_samples: int = 10_000,
     largest violation of sgn(b - a) (g(a, b, n) - f(w) . n) <= 0 over the
     states w in [a ^ b, a v b], exactly: the worst f(w) . n is Osher's
     extremum ``FluxModel.interval_extremum(a, b, n)``.  The check passes
-    when that violation is at most 1e-12.
+    when that violation is at most ``EFluxReport.tol``.
     A few adversarial fixed pairs are appended to the random draw so the
     undissipated central rule fails deterministically.
     """

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import entropy as entropy_mod
 from . import young as young_mod
+from .entropy import _EXACT_TOL
 from .mesh import Mesh, triangulated_rectangle, uniform_interval_mesh
 from .physics import FluxModel, ReferenceSolution, make_flux, reference
 from .scheme import (CellField, SchemeConfig, StepCapError, _march, _value_range,
@@ -49,25 +50,28 @@ __all__ = [
     "write_study_report",
 ]
 
-_EXACT_TOL = 1e-12
-
 
 # ---------------------------------------------------------------------------
 # problems
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A named test problem: flux, domain builder, data and reference."""
+    """A named test problem: flux, domain builder, reference and data."""
 
     name: str
     dim: int
     periodic: bool
     flux_fn: Callable[[], FluxModel]
     mesh_fn: Callable[[int], Mesh]
-    initial_fn: Callable[[Mesh], np.ndarray]
     reference_fn: Callable[[FluxModel], ReferenceSolution] | None
     default_t_final: float
     states: tuple  # landmark states worth adding to entropy k grids
+    initial_fn: Callable[[Mesh], np.ndarray] | None = None
+
+    def __post_init__(self):
+        if self.initial_fn is None:     # the reference's data, at t = 0
+            object.__setattr__(self, "initial_fn",
+                               _avg(self.reference_fn(self.flux_fn()).initial))
 
 
 def _avg(fn) -> Callable[[Mesh], np.ndarray]:
@@ -91,7 +95,6 @@ _register(ProblemSpec(
     name="riemann_shock", dim=1, periodic=False,
     flux_fn=lambda: make_flux("burgers"),
     mesh_fn=lambda n: uniform_interval_mesh(n, -0.5, 1.0, periodic=False),
-    initial_fn=_avg(_step_initial(0.0, 1.0, 0.0)),
     reference_fn=lambda fl: reference("riemann_shock", fl),
     default_t_final=0.4, states=(1.0, 0.0)))
 
@@ -99,7 +102,6 @@ _register(ProblemSpec(
     name="riemann_rarefaction", dim=1, periodic=False,
     flux_fn=lambda: make_flux("burgers"),
     mesh_fn=lambda n: uniform_interval_mesh(n, -1.0, 1.0, periodic=False),
-    initial_fn=_avg(_step_initial(0.0, -1.0, 1.0)),
     reference_fn=lambda fl: reference("riemann_rarefaction", fl),
     default_t_final=0.4, states=(-1.0, 1.0)))
 
@@ -107,7 +109,6 @@ _register(ProblemSpec(
     name="smooth_sine", dim=1, periodic=True,
     flux_fn=lambda: make_flux("burgers"),
     mesh_fn=lambda n: uniform_interval_mesh(n, 0.0, 1.0, periodic=True),
-    initial_fn=_avg(lambda x: 0.5 + 0.25 * np.sin(2.0 * np.pi * x[:, 0])),
     reference_fn=lambda fl: reference("smooth_sine_preshock", fl),
     default_t_final=0.3, states=(0.25, 0.75)))
 
@@ -115,7 +116,6 @@ _register(ProblemSpec(
     name="advected_profile", dim=1, periodic=True,
     flux_fn=lambda: make_flux("linear_advection", a=1.0),
     mesh_fn=lambda n: uniform_interval_mesh(n, 0.0, 1.0, periodic=True),
-    initial_fn=_avg(lambda x: np.sin(2.0 * np.pi * x[:, 0])),
     reference_fn=lambda fl: reference("advected_profile", fl),
     default_t_final=0.5, states=(-1.0, 1.0)))
 
@@ -161,11 +161,11 @@ class StudyConfig:
     """Everything a study needs; parsable from key=value text."""
 
     problem: str = "riemann_shock"
-    flux_rule: str = "godunov"
-    reconstruction: str = "constant"
-    time_integrator: str = "euler"
-    cfl_number: float = 0.45
-    lf_dissipation_mode: str = "local"
+    flux_rule: str = SchemeConfig.flux_rule
+    reconstruction: str = SchemeConfig.reconstruction
+    time_integrator: str = SchemeConfig.time_integrator
+    cfl_number: float = SchemeConfig.cfl_number
+    lf_dissipation_mode: str = SchemeConfig.lf_dissipation_mode
     base_n: int = 50
     levels: int = 4
     t_final: float | None = None
@@ -205,10 +205,8 @@ class StudyConfig:
         self.scheme()
 
     def scheme(self) -> SchemeConfig:
-        return SchemeConfig(
-            flux_rule=self.flux_rule, reconstruction=self.reconstruction,
-            time_integrator=self.time_integrator, cfl_number=self.cfl_number,
-            lf_dissipation_mode=self.lf_dissipation_mode)
+        return SchemeConfig(**{f.name: getattr(self, f.name)
+                               for f in fields(SchemeConfig)})
 
     @property
     def resolved_t_final(self) -> float:
@@ -481,8 +479,7 @@ def _entropy_observer(cfg: StudyConfig, flux, audit=entropy_mod.EntropyAudit):
     spec, scheme = PROBLEMS[cfg.problem], cfg.scheme()
     return lambda lo, hi: audit(
         flux, scheme, entropy_mod.kruzkov_k_grid(lo, hi, n=cfg.k_points,
-                                                 extra=spec.states),
-        tol=_EXACT_TOL)
+                                                 extra=spec.states))
 
 
 # Each study audit, in report order: ``observer(cfg, flux)`` builds it, and
@@ -535,13 +532,15 @@ def solve_level(cfg: StudyConfig, level: int, observe=study_observers) -> LevelR
     ``twin()``, called after ``start``, which returns a group of fields to
     march to ``t_final`` in the level's own march and the function that
     takes each of the group's entries: ``(after, faces)``, or the error
-    that ended the group.  A level whose range leaves the initial one is
-    marched again, deterministically, twins and all, into observers
-    started afresh from the true range.  The level keeps its final field
-    and range, never its trajectory.  A failure while level 0's observers
-    are built or started, or a march of level 0 refused before its first
-    step (:class:`StepCapError`), is an :class:`InvalidRequest`; a twin's
-    refusal is the observer's to raise, from ``finish``.
+    that ended the group.  The first pass feeds the other observers, and
+    marches their twins, to the end.  A level whose range leaves the
+    initial one is marched again, deterministically, into the observers
+    built from the range, started afresh from the true range.  The level
+    keeps its final field and range, never its trajectory.  A failure while
+    level 0's observers are built or started, or a march of level 0 refused
+    before its first step (:class:`StepCapError`), is an
+    :class:`InvalidRequest`; a twin's refusal is the observer's to raise,
+    from ``finish``.
     """
     return _solve_on(build_problem_mesh(cfg, level), cfg, level, observe)
 
@@ -549,9 +548,9 @@ def solve_level(cfg: StudyConfig, level: int, observe=study_observers) -> LevelR
 def _solve_on(mesh: Mesh, cfg: StudyConfig, level: int, observe) -> LevelResult:
     """:func:`solve_level` on the level's ``mesh``, already built.  Each
     pass over the level is one :func:`_march`: the level's field is its
-    first group and each observer's twin one more, so a level that is
-    marched again takes its twins along.  The level's own error ends the
-    pass at once; a twin's goes to its observer."""
+    first group and each twin of the pass's observers one more, so a second
+    pass marches only the twins of the observers it builds afresh.  The
+    level's own error ends the pass at once; a twin's goes to its observer."""
     spec = PROBLEMS[cfg.problem]
     flux = spec.flux_fn()
     initial = initial_field(spec, mesh)
@@ -563,11 +562,11 @@ def _solve_on(mesh: Mesh, cfg: StudyConfig, level: int, observe) -> LevelResult:
         if level == 0:
             raise InvalidRequest(str(exc)) from exc
         raise
-    ranged = any(callable(e) for e in entries)
+    ranged = [e for e in entries if callable(e)]
 
     def feed(observers, built):
-        # a pass feeds its observers while the range is the one they were
-        # built for, and marches the twins they hand over in the same stack
+        # a pass feeds observers built from the range while it is theirs,
+        # the others (in ``entries``) to the end, and marches their twins
         twins = [obs.twin() for obs in observers if hasattr(obs, "twin")]
         groups = [(initial,)] + [fields for fields, _ in twins]
         reached, steps, final = built, 0, initial
@@ -577,8 +576,8 @@ def _solve_on(mesh: Mesh, cfg: StudyConfig, level: int, observe) -> LevelResult:
             if lead is not None:
                 (field,), (faces,) = lead
                 reached = _value_range(field.values, within=reached)
-                if reached == built or not ranged:
-                    for obs in observers:
+                for obs in observers:
+                    if reached == built or obs in entries:
                         obs.step(field, faces)
                 steps, final = steps + 1, field
             for (_, take), entry in zip(twins, rest):
@@ -593,8 +592,9 @@ def _solve_on(mesh: Mesh, cfg: StudyConfig, level: int, observe) -> LevelResult:
             raise InvalidRequest(str(exc)) from exc
         raise
     if reached != rng and ranged:
-        observers = _started(entries, reached, initial)
-        feed(observers, reached)
+        fresh = _started(ranged, reached, initial)
+        feed(fresh, reached)
+        observers = [fresh.pop(0) if callable(e) else e for e in entries]
 
     return LevelResult(level=level, n_cells=mesh.n_cells, h=mesh.h, steps=steps,
                        l1=float("nan"), audits=[obs.finish() for obs in observers],

@@ -208,9 +208,9 @@ class _Window:
     velocity columns at a time.  So outside its window a cell's residual
     is exactly 0, and inside it :meth:`block` evaluates it, and its
     v-antiderivative, in the dense operation order.  The window keeps the
-    speed c = f'(v_j) . n_e as its two factors, ``c_e = d . n_e`` per face
-    (the projection the mesh caches for the solver) and ``dphi =
-    phi'(v_j)`` per velocity; their product has the bits of ``flux.dfn``.  The spatial flux terms
+    speed c = f'(v_j) . n_e = (d . n_e) phi'(v_j) as its two factors,
+    ``c_e = d . n_e`` per face (the projection the mesh caches for the
+    solver) and ``dphi = phi'(v_j)`` per velocity.  The spatial flux terms
     telescope only on a fully periodic mesh, so any other is refused.
     """
 

@@ -117,10 +117,6 @@ class FluxModel:
         """Directional flux ``f(u) . n``."""
         return self._along(n, u) * self.phi(np.asarray(u, dtype=float))
 
-    def dfn(self, u, n) -> np.ndarray:
-        """Directional wave speed ``f'(u) . n``."""
-        return self._along(n, u) * self.dphi(np.asarray(u, dtype=float))
-
     def _hull_range(self, g, a, b, points):
         """Min and max of ``g`` over the hull of (a, b), elementwise.
 

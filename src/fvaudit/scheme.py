@@ -123,10 +123,6 @@ class CellField:
         self.__dict__.update(state)
         self.values.setflags(write=False)
 
-    @classmethod
-    def from_function(cls, mesh: Mesh, fn: Callable) -> "CellField":
-        return cls(mesh, cell_averages(mesh, fn))
-
     @property
     def total_mass(self) -> float:
         return float(self.mesh.cell_area @ self.values)

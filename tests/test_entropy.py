@@ -13,6 +13,7 @@ from fvaudit import (
     SchemeConfig,
     Trajectory,
     build_mesh,
+    cell_averages,
     numerical_flux,
     check_e_flux,
     kruzkov_k_grid,
@@ -169,7 +170,7 @@ def test_one_godunov_shock_step_entropy_clean():
     ref = reference("riemann_shock", flux)
     mesh = uniform_interval_mesh(50, -0.5, 1.0, periodic=False)
     cfg = SchemeConfig()
-    before = CellField.from_function(mesh, ref.initial)
+    before = CellField(mesh, cell_averages(mesh, ref.initial))
     dt = max_stable_dt(before, flux, cfg)
     after = step(before, flux, cfg, dt)
     res = dense_residuals(before, after, dt, flux, cfg,
@@ -190,8 +191,8 @@ def test_full_run_zero_entropy_production(rule, mode, flux_name):
     mesh = uniform_interval_mesh(40, -0.5, 1.0, periodic=False)
     cfg = SchemeConfig(flux_rule=rule, lf_dissipation_mode=mode)
     # the 1 -> 0 step: a Burgers shock, a BL shock-rarefaction
-    initial = CellField.from_function(
-        mesh, lambda x: np.where(x[:, 0] < 0.0, 1.0, 0.0))
+    initial = CellField(mesh, cell_averages(
+        mesh, lambda x: np.where(x[:, 0] < 0.0, 1.0, 0.0)))
     traj = run(initial, flux, cfg, t_final=0.25)
     rpt = run_entropy_audit(traj, flux, cfg,
                             kruzkov_k_grid(0.0, 1.0, n=33, extra=(1.0, 0.0)))
@@ -206,8 +207,8 @@ def test_limited_run_reports_positive_residuals():
     mesh = uniform_interval_mesh(40, 0.0, 1.0, periodic=True)
     cfg = SchemeConfig(reconstruction="limited_linear",
                        time_integrator="ssp_rk2")
-    field = CellField.from_function(
-        mesh, lambda x: 0.5 + 0.25 * np.sin(2.0 * np.pi * x[:, 0]))
+    field = CellField(mesh, cell_averages(
+        mesh, lambda x: 0.5 + 0.25 * np.sin(2.0 * np.pi * x[:, 0])))
     traj = run(field, flux, cfg, t_final=0.2)
     rpt = run_entropy_audit(traj, flux, cfg)
     assert len(rpt.per_step) == len(traj) - 1
@@ -410,8 +411,8 @@ def test_audit_locates_worst_residual():
     flux = burgers()
     mesh = uniform_interval_mesh(30, 0.0, 1.0, periodic=True)
     cfg = SchemeConfig(flux_rule="central")
-    field = CellField.from_function(
-        mesh, lambda x: 0.5 + 0.25 * np.sin(2.0 * np.pi * x[:, 0]))
+    field = CellField(mesh, cell_averages(
+        mesh, lambda x: 0.5 + 0.25 * np.sin(2.0 * np.pi * x[:, 0])))
     traj = run(field, flux, cfg, t_final=0.1)
     assert_locates_worst(traj, flux, cfg, kruzkov_k_grid(0.2, 0.8, n=17))
 
@@ -429,8 +430,8 @@ def test_audit_locates_worst_residual_off_uniform_meshes(case):
     else:
         spec = PROBLEMS["rotated_shock_2d"]
         mesh, flux = spec.mesh_fn(6), spec.flux_fn()
-        field = CellField.from_function(
-            mesh, lambda x: 0.5 + 0.4 * np.sin(3.0 * x[:, 0] + 2.0 * x[:, 1]))
+        field = CellField(mesh, cell_averages(
+            mesh, lambda x: 0.5 + 0.4 * np.sin(3.0 * x[:, 0] + 2.0 * x[:, 1])))
     cfg = (SchemeConfig(reconstruction="limited_linear") if case == "limited_linear"
            else SchemeConfig(flux_rule="central"))
     traj = run(field, flux, cfg, t_final=0.05)
@@ -450,8 +451,8 @@ def test_audit_locates_worst_residual_among_ties():
     central run on triangles, where the closure C_i takes both signs."""
     spec = PROBLEMS["rotated_shock_2d"]
     mesh, flux = spec.mesh_fn(6), spec.flux_fn()
-    field = CellField.from_function(
-        mesh, lambda x: 0.5 + 0.4 * np.sin(3.0 * x[:, 0] + 2.0 * x[:, 1]))
+    field = CellField(mesh, cell_averages(
+        mesh, lambda x: 0.5 + 0.4 * np.sin(3.0 * x[:, 0] + 2.0 * x[:, 1])))
     cfg = SchemeConfig(flux_rule="central")
     traj = run(field, flux, cfg, t_final=0.05)
     closure = one_step_block(traj.fields[0], traj.fields[1], traj.times[1],
@@ -481,8 +482,8 @@ def test_audit_memory_does_not_grow_with_k():
     extremes and the in-hull pairs grow with the number of k values."""
     flux, cfg = burgers(), SchemeConfig()
     mesh = uniform_interval_mesh(200, 0.0, 1.0, periodic=True)
-    field = CellField.from_function(
-        mesh, lambda x: 0.5 + 0.25 * np.sin(2.0 * np.pi * x[:, 0]))
+    field = CellField(mesh, cell_averages(
+        mesh, lambda x: 0.5 + 0.25 * np.sin(2.0 * np.pi * x[:, 0])))
     traj = Trajectory(run(field, flux, cfg, t_final=0.3).fields[:21])
 
     def peak(k):
@@ -519,8 +520,8 @@ def test_audit_holds_one_block():
     bound."""
     flux, cfg = burgers(), SchemeConfig()
     mesh = uniform_interval_mesh(200, 0.0, 1.0, periodic=True)
-    field = CellField.from_function(
-        mesh, lambda x: 0.5 + 0.25 * np.sin(2.0 * np.pi * x[:, 0]))
+    field = CellField(mesh, cell_averages(
+        mesh, lambda x: 0.5 + 0.25 * np.sin(2.0 * np.pi * x[:, 0])))
     traj = run(field, flux, cfg, t_final=0.6)
     steps = [(after, _face_record(mesh, flux, cfg, before.values))
              for before, after in zip(traj.fields[:-1], traj.fields[1:])]
@@ -557,8 +558,8 @@ def test_audit_locates_worst_residual_in_an_earlier_block(monkeypatch):
     mesh = uniform_interval_mesh(12, 0.0, 1.0, periodic=True)
     monkeypatch.setattr(entropy_mod, "_BLOCK", 4 * mesh.n_faces)
     cfg = SchemeConfig()
-    field = CellField.from_function(
-        mesh, lambda x: 0.5 + 0.25 * np.sin(2.0 * np.pi * x[:, 0]))
+    field = CellField(mesh, cell_averages(
+        mesh, lambda x: 0.5 + 0.25 * np.sin(2.0 * np.pi * x[:, 0])))
     fields = run(field, flux, cfg, t_final=0.4).fields
     values = fields[3].values.copy()
     values[7] += 1e-3                   # step 2 lands above what it may

@@ -97,6 +97,20 @@ def test_problem_data_is_its_reference_at_time_zero(problem, base_n):
     assert spec.initial_fn(mesh).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n", [7, 64, 3200])
+def test_every_problem_with_a_reference_starts_from_it(n):
+    """Every problem row with a ``reference_fn`` takes its data from it: the
+    level's initial field is the reference's cell averages at t = 0, bit
+    for bit."""
+    rows = [spec for spec in harness.PROBLEMS.values() if spec.reference_fn]
+    assert len(rows) >= 4
+    for spec in rows:
+        mesh = spec.mesh_fn(n)
+        want = cell_averages(mesh, spec.reference_fn(spec.flux_fn()).initial)
+        got = harness.initial_field(spec, mesh).values
+        assert got.tobytes() == want.tobytes(), spec.name
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -487,7 +501,7 @@ def test_streamed_level_matches_library_functions(case, monkeypatch):
     grows = (lo, hi) != (float(initial.values.min()), float(initial.values.max()))
     assert grows == (case in REPLAYING_CASES)
     # every pass over the level is one march, its twin pair in the same
-    # stack; a level whose range grows is marched again, twin and all
+    # stack; a level whose range grows is marched again, without the twin
     assert len(marches) == (2 if grows else 1)
     assert lv.steps == len(traj) - 1
     assert lv.state_range == (lo, hi)
@@ -561,6 +575,33 @@ def test_contraction_of_the_level_march_matches_a_twin_run(case):
     assert (got.value.hex(), got.threshold.hex()) \
         == (want.value.hex(), want.threshold.hex())
     assert got.worst_step >= 0
+
+
+def test_a_level_marched_again_marches_its_twin_once(monkeypatch):
+    """The central rule leaves the data range, so the level is marched
+    again for the entropy audit; the first pass fed the contraction audit
+    to the end, so its twin is not marched again: its ``take`` runs once
+    per step of a ``twin_run`` of the same pair."""
+    cfg = StudyConfig(flux_rule="central", audits="contraction,entropy",
+                      levels=1)
+    takes, marches = [], []
+    take, march = harness._Contraction._take, harness._march
+    monkeypatch.setattr(harness._Contraction, "_take",
+                        lambda obs, entry: takes.append(1) or take(obs, entry))
+    monkeypatch.setattr(harness, "_march",
+                        lambda *a, **k: marches.append(1) or march(*a, **k))
+    lv = solve_level(cfg, 0)
+    assert len(marches) == 2
+    spec = harness.PROBLEMS[cfg.problem]
+    initial = harness.initial_field(spec, build_problem_mesh(cfg, 0))
+    mesh = initial.mesh
+    center = float(mesh.vertices[:, 0].mean())
+    bump = cell_averages(
+        mesh, lambda x: 0.1 * np.exp(-((x[:, 0] - center) / 0.1) ** 2))
+    ta, _ = twin_run(initial, CellField(mesh, initial.values + bump),
+                     spec.flux_fn(), cfg.scheme(), cfg.resolved_t_final)
+    assert len(takes) == len(ta) - 1 == lv.steps
+    assert lv.audits[0] == twin_run_contraction(cfg, spec)
 
 
 def test_entropy_audit_takes_the_face_flux_the_step_advanced_with(monkeypatch):

@@ -376,7 +376,8 @@ def reference_kinetic_residual(traj, flux, grid=None):
     if grid is None:
         grid = VGrid.for_range(*state_range(traj), n=256)
 
-    c = flux.dfn(grid.centers[None, :], mesh.face_normal)  # (n_f, n_v)
+    # (n_f, n_v)
+    c = flux.along(mesh.face_normal).c[:, None] * flux.dphi(grid.centers)
     upwind_left = c >= 0.0
 
     n_steps = len(traj) - 1
@@ -556,7 +557,7 @@ def _dense_spans(flux, grid, mesh):
     """What each cell's window hull spans, as indices into [u_old, u_new,
     0], from the dense W = div(|e| c) / |K|, and which of its rows are not
     0."""
-    c = flux.dfn(grid.centers[None, :], mesh.face_normal)
+    c = flux.along(mesh.face_normal).c[:, None] * flux.dphi(grid.centers)
     w = mesh.divergence(mesh.face_length[:, None] * c) / mesh.cell_area[:, None]
     widen = w.any(axis=1)
     n, cells = mesh.n_cells, np.arange(mesh.n_cells)

@@ -9,6 +9,7 @@ import re
 from pathlib import Path
 
 import fvaudit
+from fvaudit.harness import StudyConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -52,3 +53,14 @@ def test_readme_names_resolve():
     missing = [f"{name}.{attr}" if attr else name
                for name, attr in cited if not _resolves(name, attr or None)]
     assert not missing, missing
+
+
+def test_readme_config_table_lists_every_key_with_its_default():
+    """README's config table names every ``StudyConfig`` key in field
+    order with its default, ``t_final``'s being per problem."""
+    section = README.read_text().split("### Config keys", 1)[1].split("\n\n")[1]
+    rows = re.findall(r"^\| `(\w+)` +\| (.+?) +\|", section, re.MULTILINE)
+    want = [(f.name, "per problem" if f.name == "t_final" else
+             f"`{str(f.default).lower() if type(f.default) is bool else f.default}`")
+            for f in dataclasses.fields(StudyConfig)]
+    assert rows == want

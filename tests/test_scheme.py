@@ -627,8 +627,8 @@ def test_run_rarefaction_respects_bounds():
 def test_run_advection_full_period():
     mesh = uniform_interval_mesh(64, 0.0, 1.0, periodic=True)
     flux = make_flux("linear_advection", a=1.0)
-    field = CellField.from_function(
-        mesh, lambda x: np.sin(2.0 * np.pi * x[:, 0]))
+    field = CellField(mesh, cell_averages(
+        mesh, lambda x: np.sin(2.0 * np.pi * x[:, 0])))
     traj = run(field, flux, constant_cfg(), t_final=1.0)
     assert abs(traj.final.total_mass - field.total_mass) <= 1e-12
     area = mesh.cell_area
@@ -647,8 +647,8 @@ def test_twin_run_requires_same_mesh():
 
 def test_limited_rk2_run_conserves_mass():
     mesh = uniform_interval_mesh(40, 0.0, 1.0, periodic=True)
-    field = CellField.from_function(
-        mesh, lambda x: 0.5 + 0.25 * np.sin(2.0 * np.pi * x[:, 0]))
+    field = CellField(mesh, cell_averages(
+        mesh, lambda x: 0.5 + 0.25 * np.sin(2.0 * np.pi * x[:, 0])))
     traj = run(field, burgers(), limited_cfg(), t_final=0.2)
     assert abs(traj.final.total_mass - field.total_mass) \
         <= 1e-12 * abs(field.total_mass)
@@ -685,7 +685,7 @@ def test_shock_error_halves_under_refinement():
     errors = []
     for n in (100, 200):
         mesh = uniform_interval_mesh(n, -0.5, 1.0, periodic=False)
-        field = CellField.from_function(mesh, ref.initial)
+        field = CellField(mesh, cell_averages(mesh, ref.initial))
         traj = run(field, flux, constant_cfg(), t_final=0.4)
         exact = cell_averages(mesh, lambda x: ref(0.4, x))
         errors.append(float(mesh.cell_area @ np.abs(traj.final.values - exact)))
