@@ -67,6 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mesh import _signed_sum
 from .scheme import (CellField, SchemeConfig, numerical_flux, state_range,
                      _checked_lf, _face_record, _geometry, _global_lf, _replay)
 
@@ -171,9 +172,9 @@ def _fold_hull(best: np.ndarray, group: np.ndarray, value: np.ndarray):
 
 class _Block:
     """Sparse-plus-affine residuals of up to ``size`` consecutive steps of
-    one run on the k grid ``k``, with what every step shares: the sorted
-    grid, phi on it with its prefix and suffix extremes, the closure sums
-    sum_e s_e |e| c_e per cell and s_e |e| on the incidence table.
+    one run from ``field0`` on the k grid ``k``, with what every step
+    shares: the sorted grid, phi on it with its prefix and suffix extremes
+    and the closure sums sum_e s_e |e| c_e per cell.
 
     Every per-step array keeps the rows the steps arrive in, step s as row
     s.  :meth:`put` writes the cell values after step s into row s + 1 of
@@ -188,7 +189,8 @@ class _Block:
     is ``step * cells + cell``, counted from the first row of the range.
     """
 
-    def __init__(self, mesh, flux, config: SchemeConfig, k, size: int):
+    def __init__(self, field0: CellField, flux, config: SchemeConfig, k, size: int):
+        mesh = field0.mesh
         self.mesh, self.flux, self.config = mesh, flux, config
         self.k = np.atleast_1d(np.asarray(k, dtype=float))
         order = np.argsort(self.k, kind="stable")
@@ -202,23 +204,17 @@ class _Block:
         self.c = _geometry(mesh, flux)[0].c          # c = d . n per face
         self.closure_sum = mesh.divergence(mesh.face_length * self.c)
         self.real = mesh.cell_face_sign != 0.0     # pads skipped
-        self.signed_length = mesh.cell_face_sign * mesh.face_length[mesh.cell_faces]
-        self.size, self.n = size, 0
+        self.size = size
         self.records = [np.empty((size, mesh.n_faces)) if i < 3
                         or _global_lf(config) else None for i in range(4)]
         self.fields, self.times = np.empty((size + 1, mesh.n_cells)), np.empty(size + 1)
-
-    def begin(self, field: CellField):
-        """Start a block from ``field``, the values before its first step."""
-        self.fields[0], self.times[0], self.n = field.values, field.t, 0
+        self.fields[0], self.times[0], self.n = field0.values, field0.t, 0
 
     def put(self, after: CellField, faces):
-        """Hold the step from the last field held to ``after`` and the face
-        record ``faces`` it advanced with.  A replay has none, and passes
-        None to rebuild it from the last field held."""
+        """Hold the step from the last field held to ``after``, a later field
+        on the same mesh (see :class:`Trajectory`), and the face record
+        ``faces`` it advanced with, or None to rebuild it from the former."""
         s = self.n
-        if after.mesh is not self.mesh:
-            raise ValueError("the fields of the run live on different meshes")
         if faces is None:
             faces = _face_record(self.mesh, self.flux, self.config, self.fields[s])
         for out, x in zip(self.records, faces):
@@ -227,12 +223,10 @@ class _Block:
         self.fields[s + 1], self.times[s + 1], self.n = after.values, after.t, s + 1
 
     def evaluate(self):
-        """Views of the steps held, in their rows: dt, the records and the
-        fields before and after each step, and the hull's sorted k ranks."""
+        """Views of the steps held, in their rows: dt (> 0), the records and
+        the fields before and after each step, and the hull's sorted k ranks."""
         n = self.n
-        self.dt = dt = self.times[1:n + 1] - self.times[:n]
-        if not np.all(dt > 0.0):
-            raise ValueError("dt must be positive")
+        self.dt = self.times[1:n + 1] - self.times[:n]
         self.a, self.b, self.g, self.lam = (None if x is None else x[:n]
                                             for x in self.records)
         self.u, self.u_new = self.fields[:n], self.fields[1:n + 1]
@@ -254,14 +248,13 @@ class _Block:
     def residual(self, rows=slice(None)):
         """(r, closure) of the steps held in ``rows`` (all by default): the
         update's own residual u' - u + (dt / |K|) sum_e s_e |e| g_e and
-        (dt / |K|) sum_e s_e |e| c_e, the former added an incidence row at a
-        time, as Mesh.divergence and hull_chunks add."""
+        (dt / |K|) sum_e s_e |e| c_e, the face sums both formed by the
+        mesh's face-to-cell operator, Mesh.divergence, on faces-first rows."""
         mesh, dt = self.mesh, self.dt[rows, None]
         closure = dt * self.closure_sum
         closure /= mesh.cell_area
-        r = np.zeros(closure.shape)
-        for cell_faces, weight in zip(mesh.cell_faces, self.signed_length):
-            r += np.take(self.g[rows], cell_faces, -1, mode="clip") * weight
+        r = _signed_sum(mesh.cell_faces, mesh.cell_face_sign,
+                        (self.g[rows] * mesh.face_length).T).T
         r *= dt
         r /= mesh.cell_area
         r += self.u_new[rows] - self.u[rows]                 # u' - u + div
@@ -350,10 +343,14 @@ def _first_max(block: _Block, s: int, best: np.ndarray) -> tuple[int, int]:
     raise ValueError("no residual attains the maximum")
 
 
-def kruzkov_k_grid(lo: float, hi: float, n: int = 33, extra=()) -> np.ndarray:
-    """Uniform k grid over [lo, hi] plus any extra states, deduplicated."""
+def _check_k_points(n: int):
     if not n >= 2:
         raise ValueError("need at least two grid points")
+
+
+def kruzkov_k_grid(lo: float, hi: float, n: int = 33, extra=()) -> np.ndarray:
+    """Uniform k grid over [lo, hi] plus any extra states, deduplicated."""
+    _check_k_points(n)
     if hi < lo:
         raise ValueError("empty state range")
     if not np.isfinite([lo, hi]).all():
@@ -400,10 +397,8 @@ class EntropyAudit:
         self.k_grid = np.asarray(k_grid, dtype=float)
 
     def start(self, field0: CellField):
-        mesh = field0.mesh
-        self._block = _Block(mesh, self.flux, self.config, self.k_grid,
-                             max(1, _BLOCK // mesh.n_faces))
-        self._block.begin(field0)
+        self._block = _Block(field0, self.flux, self.config, self.k_grid,
+                             max(1, _BLOCK // field0.mesh.n_faces))
         self._per_step, self._top = [], -np.inf
         self._worst = (-1, -1, float("nan"))
 
@@ -442,8 +437,8 @@ class EntropyAudit:
 
 def run_entropy_audit(traj, flux, config: SchemeConfig, k_grid=None,
                       tol: float = _EXACT_TOL) -> EntropyAuditReport:
-    """Check the cell entropy inequality on every accepted step of a run,
-    by feeding its fields to an :class:`EntropyAudit`."""
+    """Check the cell entropy inequality on every step of the run kept in
+    ``traj``, a :class:`Trajectory`, by replaying it into an :class:`EntropyAudit`."""
     if k_grid is None:
         k_grid = kruzkov_k_grid(*state_range(traj))
     return _replay(traj.fields, [EntropyAudit(flux, config, k_grid, tol)])[0]

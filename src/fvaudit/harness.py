@@ -23,6 +23,7 @@ import numpy as np
 from . import entropy as entropy_mod
 from . import young as young_mod
 from .entropy import _EXACT_TOL
+from .kinetic import VGrid
 from .mesh import Mesh, triangulated_rectangle, uniform_interval_mesh
 from .physics import FluxModel, ReferenceSolution, make_flux, reference
 from .scheme import (CellField, SchemeConfig, StepCapError, _march, _value_range,
@@ -190,16 +191,10 @@ class StudyConfig:
             raise ValueError("t_final must be finite and nonnegative")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        # audit sizes fail here, before any level is solved, with the
-        # messages of the layers that use them
-        if self.n_v < 8:
-            raise ValueError("velocity grid needs at least 8 nodes")
-        if self.k_points < 2:
-            raise ValueError("need at least two grid points")
-        if self.bins < 2:
-            raise ValueError("need at least two bins")
-        if self.patches < 1:
-            raise ValueError("need at least one patch per axis")
+        # audit sizes fail here, before any mesh, by their own layers' checks
+        VGrid(-1.0, 1.0, self.n_v)
+        entropy_mod._check_k_points(self.k_points)
+        young_mod._check_sizes(self.bins, self.patches)
         self.audit_names()
         # scheme parameters are validated where they are used
         self.scheme()
@@ -466,10 +461,11 @@ class _Contraction:
 class _Entropy(entropy_mod.EntropyAudit):
     def finish(self) -> AuditResult:
         rpt = super().finish()
+        k = rpt.worst_k if rpt.worst_step >= 0 else None    # None: not located
         return AuditResult("entropy", rpt.worst, rpt.tol, rpt.passed,
                            "worst positive cell entropy residual over "
                            f"{rpt.k_grid.size} k values",
-                           rpt.worst_step, rpt.worst_cell)
+                           rpt.worst_step, rpt.worst_cell, worst_k=k)
 
 
 def _entropy_observer(cfg: StudyConfig, flux, audit=entropy_mod.EntropyAudit):

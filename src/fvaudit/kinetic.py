@@ -146,8 +146,8 @@ def frozen_trajectory(field: CellField, dt: float, n_steps: int) -> Trajectory:
     solution (a standing expansion shock, say) gives the kinetic audit a
     known-bad input with zero time-difference terms.
     """
-    if not (dt > 0.0 and n_steps >= 1):
-        raise ValueError("need dt > 0 and at least one step")
+    if n_steps < 1:     # dt > 0 is the Trajectory's rule
+        raise ValueError("need at least one step")
     fields = [CellField(field.mesh, field.values, field.t + i * dt)
               for i in range(n_steps + 1)]
     return Trajectory(fields)
@@ -293,6 +293,7 @@ def _check_auditable(grid: VGrid, field0: CellField) -> None:
 
 
 def kinetic_residual(traj: Trajectory, flux, grid: VGrid) -> KineticResidual:
+    """The run kept in ``traj``, a :class:`Trajectory`, set up for the kinetic audit."""
     _check_auditable(grid, traj.fields[0])
     if len(traj) < 2:
         raise ValueError("need at least one step")

@@ -510,13 +510,17 @@ def step(field: CellField, flux, config: SchemeConfig, dt: float) -> CellField:
 
 @dataclass
 class Trajectory:
-    """Every accepted time level of a run, initial state included."""
+    """A run's time levels, initial state first: one mesh, strictly increasing times."""
 
     fields: list
 
     def __post_init__(self):
         if not self.fields:
             raise ValueError("a trajectory needs at least one field")
+        if any(f.mesh is not self.mesh for f in self.fields):
+            raise ValueError("the fields of the run live on different meshes")
+        if not np.all(np.diff(self.times) > 0.0):
+            raise ValueError("dt must be positive")
 
     @property
     def mesh(self) -> Mesh:

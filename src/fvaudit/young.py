@@ -70,6 +70,13 @@ class EmpiricalYoungMeasure:
 _MIN_CELLS_PER_PATCH = 4
 
 
+def _check_sizes(bins: int, patches: int):
+    if bins < 2:
+        raise ValueError("need at least two bins")
+    if patches < 1:
+        raise ValueError("need at least one patch per axis")
+
+
 def build_young(field: CellField, patches: int = 8,
                 bins: int = 64) -> EmpiricalYoungMeasure:
     """Histogram the field over a ``patches`` (per axis) grid of patches.
@@ -77,10 +84,7 @@ def build_young(field: CellField, patches: int = 8,
     Patches tile the bounding box of the mesh vertices; cells are assigned
     by centroid.  Bins span the field range.
     """
-    if patches < 1:
-        raise ValueError("need at least one patch per axis")
-    if bins < 2:
-        raise ValueError("need at least two bins")
+    _check_sizes(bins, patches)
     mesh, u = field.mesh, field.values
 
     lo = mesh.vertices.min(axis=0)

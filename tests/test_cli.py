@@ -540,17 +540,20 @@ def test_verdicts_decide_the_exit_code(tmp_path, capsys, monkeypatch, returned,
 
 def test_study_audit_fail_line_names_its_location(tmp_path, capsys, returned):
     # the failing central run of test_run_fails_when_a_gated_audit_fails;
-    # the TV audit locates its worst growth by step only
+    # the entropy audit locates its worst residual by step, cell and k, as
+    # entropy-audit does, the TV audit its worst growth by step only
     rc = main(["run", *_sets("flux_rule=central", "audits=entropy,tv",
                              "base_n=20", "t_final=0.2"), "--out", str(tmp_path)])
     assert rc == 1
     entropy, tv = returned[0][1]
     assert entropy.worst_step >= 0 and entropy.worst_cell >= 0
-    assert tv.worst_step >= 0 and tv.worst_cell == -1
+    assert entropy.worst_k is not None and math.isfinite(entropy.worst_k)
+    assert tv.worst_step >= 0 and tv.worst_cell == -1 and tv.worst_k is None
     out = capsys.readouterr().out.splitlines()
     assert (f"level 0 audit entropy: value={entropy.value:.3e} "
             f"threshold={entropy.threshold:.3e} FAIL at step "
-            f"{entropy.worst_step} cell {entropy.worst_cell}") in out
+            f"{entropy.worst_step} cell {entropy.worst_cell} "
+            f"k={entropy.worst_k:.17g}") in out
     assert (f"level 0 audit tv: value={tv.value:.3e} "
             f"threshold={tv.threshold:.3e} FAIL at step {tv.worst_step}") in out
 

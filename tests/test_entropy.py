@@ -245,8 +245,7 @@ def one_step_block(before, after, dt, flux, config, k):
     """The audit's evaluation of the step from ``before`` to ``after``: a
     block of that one step, its face record rebuilt from ``before``, held
     at times 0 and ``dt`` so that its size is ``dt`` exactly."""
-    block = entropy_mod._Block(before.mesh, flux, config, k, 1)
-    block.begin(before)
+    block = entropy_mod._Block(before, flux, config, k, 1)
     block.put(after, None)
     block.times[:] = 0.0, dt
     block.evaluate()
@@ -321,6 +320,36 @@ def test_shortcut_matches_full_clipped_evaluation(problem, rule, mode):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-15
             field = after
+
+
+@pytest.mark.parametrize("case", ["1d", "2d", "global_lf", "quad_triangle"])
+def test_residual_is_the_mesh_divergence_of_the_flux(case):
+    """The block's r is u' - u + dt Mesh.divergence(|e| g) / |K| bit for
+    bit: its face sum is the mesh's face-to-cell operator, on every row of
+    a block and on one row alone, padded incidence rows included."""
+    cfg = SchemeConfig(flux_rule="lax_friedrichs", lf_dissipation_mode="global"
+                       ) if case == "global_lf" else SchemeConfig()
+    if case == "quad_triangle":
+        mesh = build_mesh(MIXED_POLYGONS)
+        flux = make_flux("rotated_burgers_2d", angle=0.5)
+        field = CellField(mesh, [1.0, 0.2, 0.6])
+    else:
+        spec = PROBLEMS["rotated_shock_2d" if case == "2d" else "riemann_shock"]
+        mesh = spec.mesh_fn(6 if spec.dim == 2 else 40)
+        flux, field = spec.flux_fn(), initial_field(spec, mesh)
+    traj = Trajectory(run(field, flux, cfg, t_final=0.2).fields[:6])
+    block = entropy_mod._Block(traj.fields[0], flux, cfg, [0.0], len(traj) - 1)
+    for after in traj.fields[1:]:
+        block.put(after, None)
+    block.evaluate()
+    rows = block.residual()[0]
+    assert rows.shape == (len(traj) - 1, mesh.n_cells)
+    for s, (before, after) in enumerate(zip(traj.fields, traj.fields[1:])):
+        g = _face_record(mesh, flux, cfg, before.values)[2]
+        div = mesh.divergence(mesh.face_length * g)
+        want = after.values - before.values + (after.t - before.t) * div / mesh.cell_area
+        assert rows[s].tobytes() == want.tobytes()
+        assert block.residual(s)[0].tobytes() == want.tobytes()
 
 
 def per_step_audit(traj, flux, cfg, k):

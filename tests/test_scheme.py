@@ -612,6 +612,41 @@ def test_runs_reject_non_finite_t_final(t_final):
         twin_run(field, field, burgers(), constant_cfg(), t_final=t_final)
 
 
+# lists of fields that are not one run: a 16-cell periodic sign step and
+# its negation.  Unrefused, the kinetic replay reads a total_mass of -2.30
+# on the backwards one, for a mass that is >= 0 by construction, and
+# divides by zero on the repeated one
+_MESH, _TWIN = (uniform_interval_mesh(16, -1.0, 1.0, periodic=True) for _ in range(2))
+_SIGN = cell_averages(_MESH, lambda x: np.sign(x[:, 0]))
+NOT_ONE_RUN = {     # the (mesh, t) of each field, and the error's message
+    "repeated_time": ([(_MESH, 0.1), (_MESH, 0.1)], "dt must be positive"),
+    "backwards": ([(_MESH, 0.1), (_MESH, 0.05)], "dt must be positive"),
+    "other_mesh": ([(_MESH, 0.0), (_TWIN, 0.05)], "different meshes"),
+}
+REPLAYS = {
+    "entropy": lambda traj: fvaudit.run_entropy_audit(traj, burgers(), constant_cfg()),
+    "kinetic": lambda traj: fvaudit.defect_measure(fvaudit.kinetic_residual(
+        traj, burgers(), fvaudit.VGrid.for_range(-1.0, 1.0, 16))),
+    "initial_consistency": lambda traj: fvaudit.initial_consistency([traj]),
+}
+
+
+@pytest.mark.parametrize("replay", REPLAYS)
+@pytest.mark.parametrize("case", NOT_ONE_RUN)
+def test_every_replay_refuses_what_is_not_one_run(replay, case):
+    """A kept run is on one mesh at strictly increasing times.  The
+    Trajectory refuses any other list of fields, so every replay of a kept
+    run refuses the same ones, with the same message."""
+    levels, message = NOT_ONE_RUN[case]
+    fields = [CellField(mesh, sign * _SIGN, t)
+              for sign, (mesh, t) in zip((1.0, -1.0), levels)]
+    with pytest.raises(ValueError, match=message):
+        REPLAYS[replay](fvaudit.Trajectory(fields))
+    # the same values on the first mesh, later in time, are read
+    fields[1] = CellField(_MESH, -_SIGN, fields[0].t + 0.05)
+    REPLAYS[replay](fvaudit.Trajectory(fields))
+
+
 def test_run_rarefaction_respects_bounds():
     mesh = uniform_interval_mesh(60, -1.0, 1.0, periodic=False)
     values = np.where(mesh.cell_centroid[:, 0] < 0.0, -1.0, 1.0)
